@@ -97,20 +97,9 @@ fn bisect<S: Splitter + ?Sized>(
     let target = total * k1 as f64 / colors as f64;
     let u = splitter.split(&set, weights, target);
     let rest = set.difference(&u);
-    // Workers are fresh threads; carry the caller's thread-local scratch
-    // mode into both branches.
-    let mode = mmb_graph::workspace::scratch_mode();
     let (mut left, right) = rayon::join(
-        || {
-            mmb_graph::workspace::with_scratch_mode(mode, || {
-                bisect(splitter, u, weights, color_lo, k1)
-            })
-        },
-        || {
-            mmb_graph::workspace::with_scratch_mode(mode, || {
-                bisect(splitter, rest, weights, color_lo + k1, colors - k1)
-            })
-        },
+        || bisect(splitter, u, weights, color_lo, k1),
+        || bisect(splitter, rest, weights, color_lo + k1, colors - k1),
     );
     left.extend(right);
     left

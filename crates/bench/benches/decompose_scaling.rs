@@ -5,15 +5,13 @@
 //! built once per configuration (splitter construction, `π`, `‖c‖_p` all
 //! amortized) and `solve()` is what the iteration times — exactly the
 //! repeated-solve workload the Solver exists for. A build+solve routine
-//! is included for the one-shot comparison, and an old-vs-new group runs
-//! the identical solve under both scratch policies (pre-overhaul
-//! allocate-per-call reference vs the workspace hot path) plus the
-//! `solve_many` batch shape at several thread counts. The committed
-//! perf trajectory lives in `BENCH_6.json` (`reproduce bench`).
+//! is included for the one-shot comparison, plus the `solve_many` batch
+//! shape at several thread counts. The committed perf trajectory lives
+//! in `BENCH_6.json` (`reproduce bench`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmb_core::api::{solve_many, Instance, Solver};
-use mmb_core::pipeline::{PipelineConfig, ScratchPolicy};
+use mmb_core::pipeline::PipelineConfig;
 use mmb_graph::gen::grid::GridGraph;
 use mmb_instances::weights::WeightFamily;
 use std::hint::black_box;
@@ -75,37 +73,6 @@ fn bench_build_vs_solve(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_scratch_policies(c: &mut Criterion) {
-    // Old vs new side by side: the same Solver/solve under the
-    // pre-overhaul allocating reference and the workspace path. Uniform
-    // weights keep the Proposition 11 recursion deep (the shrink-dominated
-    // configuration `BENCH_6.json` tracks).
-    let mut group = c.benchmark_group("decompose/scratch");
-    group.sample_size(10);
-    let grid = GridGraph::lattice(&[48, 48]);
-    let n = grid.graph.num_vertices();
-    let costs = vec![1.0; grid.graph.num_edges()];
-    let inst = Instance::from_grid(grid, costs, vec![1.0; n]).expect("valid instance");
-    for (label, scratch) in [
-        ("alloc_legacy", ScratchPolicy::Transient),
-        ("workspace", ScratchPolicy::Reuse),
-    ] {
-        let cfg = PipelineConfig {
-            scratch,
-            ..PipelineConfig::default()
-        };
-        let solver = Solver::for_instance(&inst)
-            .classes(16)
-            .config(cfg)
-            .build()
-            .unwrap();
-        group.bench_function(label, |b| {
-            b.iter(|| black_box(black_box(&solver).solve().max_boundary))
-        });
-    }
-    group.finish();
-}
-
 fn bench_solve_many(c: &mut Criterion) {
     // The batch serve shape: one thread pool + per-worker workspace
     // amortized over a stream of instances.
@@ -131,7 +98,6 @@ criterion_group!(
     bench_by_n,
     bench_by_k,
     bench_build_vs_solve,
-    bench_scratch_policies,
     bench_solve_many
 );
 criterion_main!(benches);

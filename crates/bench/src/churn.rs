@@ -40,7 +40,7 @@ const QUICK_SIDES: [usize; 2] = [20, 24];
 /// Churn rounds per topology (full / quick).
 const FULL_ROUNDS: usize = 40;
 const QUICK_ROUNDS: usize = 6;
-/// Decomposition classes served throughout.
+/// Number of classes `k` served throughout.
 const CHURN_K: usize = 4;
 /// Every `COST_TWEAK_PERIOD`-th round also re-prices one edge, forcing
 /// an artifact rebuild on the next lookup — weight-only churn must not

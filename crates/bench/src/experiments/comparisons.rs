@@ -10,6 +10,11 @@ use mmb_baselines::multilevel::Multilevel;
 use mmb_baselines::recursive_bisection::{recursive_bisection, RecursiveBisection};
 use mmb_core::api::{auto_splitter, Instance, Partitioner, SolveError, Solver, Theorem4Pipeline};
 use mmb_core::bounds;
+use mmb_core::multibalance::multibalance_minmax_with_pi;
+use mmb_core::pi::splitting_cost_measure_within;
+use mmb_core::pipeline::PipelineConfig;
+use mmb_core::shrink::almost_strict;
+use mmb_core::strict::binpack2;
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::gen::tree::complete_binary_tree;
 use mmb_graph::measure::{norm_1, total_edge_norm_p};
@@ -197,8 +202,9 @@ pub fn e7(quick: bool) -> Table {
 }
 
 /// E8 — Propositions 11/12 ablation: strictness costs only a constant
-/// factor in boundary (stage-by-stage view of the pipeline, straight from
-/// the [`Report`](mmb_core::api::Report)'s ablation data).
+/// factor in boundary. The three stages run here one by one on the
+/// solver's auto-selected splitter, so each intermediate coloring can be
+/// scored; the last one must be exactly what [`Solver::solve`] serves.
 pub fn e8(quick: bool) -> Table {
     let mut t = Table::new(
         "E8: no balance/boundary trade-off — boundary across pipeline stages",
@@ -220,15 +226,37 @@ pub fn e8(quick: bool) -> Table {
     let wl = climate(&params);
     let inst = climate_instance(&wl);
     let k = 12;
-    let report = Solver::for_instance(&inst)
+    let cfg = PipelineConfig::default();
+    let (g, costs, weights, domain) = (inst.graph(), inst.costs(), inst.weights(), inst.domain());
+    let (splitter, _) = auto_splitter(&inst);
+    let pi = splitting_cost_measure_within(g, costs, cfg.p, 1.0, domain);
+    let stage1 =
+        multibalance_minmax_with_pi(g, costs, &splitter, k, domain, &[weights], &pi).coloring;
+    let stage2 = almost_strict(
+        g,
+        costs,
+        &splitter,
+        &stage1,
+        domain,
+        weights,
+        cfg.p,
+        &cfg.shrink,
+    );
+    let stage3 = binpack2(g, &splitter, &stage2, domain, weights);
+    let served = Solver::for_instance(&inst)
         .classes(k)
+        .config(cfg)
         .build()
         .expect("valid instance")
         .solve();
+    assert_eq!(
+        stage3, served.coloring,
+        "E8's stage-by-stage run diverged from Solver::solve"
+    );
     let stages: [(&str, &Coloring); 3] = [
-        ("1: Prop 7 (weakly balanced)", &report.stages.multibalanced),
-        ("2: Prop 11 (almost strict)", &report.stages.almost_strict),
-        ("3: Prop 12 (strict)", &report.coloring),
+        ("1: Prop 7 (weakly balanced)", &stage1),
+        ("2: Prop 11 (almost strict)", &stage2),
+        ("3: Prop 12 (strict)", &stage3),
     ];
     for (name, chi) in stages {
         t.row(vec![

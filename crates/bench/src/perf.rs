@@ -5,20 +5,19 @@
 //! `BENCH_6.json` (schema `"mmb-bench-6"`, hand-rolled writer — no serde
 //! in the offline environment):
 //!
-//! * **scaling** — the `decompose_scaling` configurations, each solved on
-//!   the same `Solver` under both scratch policies
-//!   ([`ScratchPolicy::Transient`] = the old allocate-per-call profile vs
-//!   [`ScratchPolicy::Reuse`] = the workspace path), with per-stage
-//!   wall-clock and the workspace's allocation counters (the peak-RSS
-//!   proxy);
+//! * **scaling** — the `decompose_scaling` configurations, each solved
+//!   on a prebuilt `Solver`, with wall-clock and the workspace's
+//!   allocation counters (the peak-RSS proxy);
 //! * **batch** — `solve_many` over a stream of instances at 1, 2 and 4
 //!   worker threads (the shim honors `RAYON_NUM_THREADS`-style overrides).
 //!
-//! Every measured pair is also checked for **bit-identical colorings**
-//! (workspace vs allocating, batch vs one-at-a-time); the run aborts if
-//! any diverge, so a committed baseline file doubles as an equivalence
-//! certificate. Since PR 5 each scaling row additionally records the
-//! **certified optimality gap** of the measured solve — the best
+//! Every measured solve is also checked for **bit-identical colorings**
+//! (repeated solves, batch vs one-at-a-time); the run aborts if any
+//! diverge, so a committed baseline file doubles as an equivalence
+//! certificate. The committed `BENCH_6.json` also carries `alloc_ms`,
+//! `speedup` and `stage_ms` scaling columns from an earlier writer; the
+//! validator ignores them. Since PR 5 each scaling row additionally
+//! records the **certified optimality gap** of the measured solve — the best
 //! `mmb_core::lower_bounds` certificate and the achieved-cost/lower
 //! ratio — so the perf trajectory carries a quality floor alongside the
 //! wall-clock numbers (schema bump `mmb-bench-3` → `mmb-bench-4`).
@@ -54,7 +53,7 @@ use std::time::Instant;
 
 use mmb_core::api::{solve_many, Instance, Partitioner, Solver, Theorem4Pipeline};
 use mmb_core::lower_bounds::{best_lower_bound, CertifiedGap};
-use mmb_core::pipeline::{CoarsenConfig, PipelineConfig, ScratchPolicy};
+use mmb_core::pipeline::{CoarsenConfig, PipelineConfig};
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::io::{parse_metis, write_metis};
 use mmb_graph::Workspace;
@@ -69,17 +68,9 @@ pub struct ScalingRow {
     pub n: usize,
     /// Number of classes.
     pub k: usize,
-    /// Best-of-repeats wall-clock of a solve under
-    /// [`ScratchPolicy::Transient`] (the allocating reference path).
-    pub alloc_ms: f64,
-    /// Best-of-repeats wall-clock under [`ScratchPolicy::Reuse`].
+    /// Best-of-repeats wall-clock of a solve.
     pub workspace_ms: f64,
-    /// `alloc_ms / workspace_ms`.
-    pub speedup: f64,
-    /// Per-stage wall-clock `[Prop 7, Prop 11, Prop 12]` of the measured
-    /// workspace solve.
-    pub stage_ms: [f64; 3],
-    /// Scratch-buffer checkouts during one workspace solve.
+    /// Scratch-buffer checkouts during one solve.
     pub ws_acquires: u64,
     /// Checkouts that had to allocate (pool misses).
     pub ws_fresh_allocs: u64,
@@ -259,8 +250,7 @@ fn uniform_grid_instance(side: usize) -> Instance {
 }
 
 /// Run `f` `repeats` times; return the result **of the fastest
-/// iteration** together with its wall-clock, so derived per-run data
-/// (stage timings) stays consistent with the headline number.
+/// iteration** together with its wall-clock.
 fn best_of<R>(repeats: usize, mut f: impl FnMut() -> R) -> (R, f64) {
     let mut best = f64::INFINITY;
     let mut out = None;
@@ -292,50 +282,27 @@ pub fn run(quick: bool) -> PerfReport {
     for &side in sides {
         let inst = uniform_grid_instance(side);
         let n = inst.num_vertices();
-        let alloc_cfg = PipelineConfig {
-            scratch: ScratchPolicy::Transient,
-            ..PipelineConfig::default()
-        };
-        let ws_cfg = PipelineConfig::default();
-        let alloc_solver = Solver::for_instance(&inst)
+        let solver = Solver::for_instance(&inst)
             .classes(k)
-            .config(alloc_cfg)
             .build()
             .expect("valid");
-        let ws_solver = Solver::for_instance(&inst)
-            .classes(k)
-            .config(ws_cfg)
-            .build()
-            .expect("valid");
-        // Warm the thread-local pool so the measured workspace solves see
+        // Warm the thread-local pool so the measured solves see
         // steady-state reuse, then reset counters and measure.
-        let warm = ws_solver.solve();
+        let warm = solver.solve();
         Workspace::with_local(|ws| ws.reset_stats());
-        let (ws_report, workspace_ms) = best_of(repeats, || ws_solver.solve());
+        let (report, workspace_ms) = best_of(repeats, || solver.solve());
         let stats = Workspace::with_local(|ws| ws.stats());
         let solves = repeats.max(1) as u64;
-        let (alloc_report, alloc_ms) = best_of(repeats, || alloc_solver.solve());
         assert_eq!(
-            alloc_report.coloring, ws_report.coloring,
-            "scratch policies diverged on side {side}"
-        );
-        assert_eq!(
-            warm.coloring, ws_report.coloring,
+            warm.coloring, report.coloring,
             "solve() is not deterministic"
         );
-        let gap = CertifiedGap::new(
-            best_lower_bound(&inst, k).value(),
-            ws_report.max_boundary,
-            "",
-        );
+        let gap = CertifiedGap::new(best_lower_bound(&inst, k).value(), report.max_boundary, "");
         scaling.push(ScalingRow {
             side,
             n,
             k,
-            alloc_ms,
             workspace_ms,
-            speedup: alloc_ms / workspace_ms.max(1e-9),
-            stage_ms: ws_report.stage_millis,
             ws_acquires: stats.acquires / solves,
             ws_fresh_allocs: stats.fresh_allocs,
             ws_cells_touched: stats.cells_touched / solves,
@@ -508,9 +475,7 @@ impl PerfReport {
         for (i, r) in self.scaling.iter().enumerate() {
             s.push_str(&format!(
                 concat!(
-                    "    {{ \"side\": {}, \"n\": {}, \"k\": {}, ",
-                    "\"alloc_ms\": {}, \"workspace_ms\": {}, \"speedup\": {}, ",
-                    "\"stage_ms\": [{}, {}, {}], ",
+                    "    {{ \"side\": {}, \"n\": {}, \"k\": {}, \"workspace_ms\": {}, ",
                     "\"certified\": {{ \"lower\": {}, \"ratio\": {} }}, ",
                     "\"workspace\": {{ \"acquires\": {}, \"fresh_allocs\": {}, ",
                     "\"cells_touched\": {}, \"cells_dense\": {}, ",
@@ -519,12 +484,7 @@ impl PerfReport {
                 r.side,
                 r.n,
                 r.k,
-                fnum(r.alloc_ms),
                 fnum(r.workspace_ms),
-                fnum(r.speedup),
-                fnum(r.stage_ms[0]),
-                fnum(r.stage_ms[1]),
-                fnum(r.stage_ms[2]),
                 fnum(r.lower),
                 fnum(r.certified_ratio),
                 r.ws_acquires,
@@ -608,25 +568,12 @@ impl PerfReport {
     pub fn summary(&self) -> String {
         let mut s = String::new();
         s.push_str("# perf baselines (BENCH_6)\n");
-        s.push_str(
-            "| n | k | alloc ms | workspace ms | speedup | stage ms (P7/P11/P12) | lower | gap |\n",
-        );
-        s.push_str(
-            "|---|---|----------|--------------|---------|------------------------|-------|-----|\n",
-        );
+        s.push_str("| n | k | solve ms | lower | gap |\n");
+        s.push_str("|---|---|----------|-------|-----|\n");
         for r in &self.scaling {
             s.push_str(&format!(
-                "| {} | {} | {:.2} | {:.2} | {:.2}x | {:.2}/{:.2}/{:.2} | {:.2} | {:.2}x |\n",
-                r.n,
-                r.k,
-                r.alloc_ms,
-                r.workspace_ms,
-                r.speedup,
-                r.stage_ms[0],
-                r.stage_ms[1],
-                r.stage_ms[2],
-                r.lower,
-                r.certified_ratio
+                "| {} | {} | {:.2} | {:.2} | {:.2}x |\n",
+                r.n, r.k, r.workspace_ms, r.lower, r.certified_ratio
             ));
         }
         for r in &self.large {
@@ -879,25 +826,11 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
             row.get(key)
                 .ok_or_else(|| format!("scaling[{i}] missing \"{key}\""))?;
         }
-        // Timings must be actual numbers — the writer serializes
+        // The timing must be an actual number — the writer serializes
         // non-finite values as `null`, which the guard must reject.
-        for key in ["alloc_ms", "workspace_ms", "speedup"] {
-            row.get(key)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("scaling[{i}].{key} must be a finite number"))?;
-        }
-        let stages = row
-            .get("stage_ms")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("scaling[{i}].stage_ms must be an array"))?;
-        if stages.len() != 3 {
-            return Err(format!("scaling[{i}].stage_ms must have 3 entries"));
-        }
-        if stages.iter().any(|s| s.as_num().is_none()) {
-            return Err(format!(
-                "scaling[{i}].stage_ms entries must be finite numbers"
-            ));
-        }
+        row.get("workspace_ms")
+            .and_then(Json::as_num)
+            .ok_or_else(|| format!("scaling[{i}].workspace_ms must be a finite number"))?;
         // The certified gap: a lower bound of 0 would serialize ratio ∞
         // as null, which the guard refuses — the committed baseline must
         // carry a non-trivial certificate.
@@ -1152,11 +1085,11 @@ mod tests {
         // A non-finite timing serializes as `null`; the guard must refuse
         // it rather than treating key presence as validity.
         let mut report = run(true);
-        report.scaling[0].alloc_ms = f64::NAN;
+        report.scaling[0].workspace_ms = f64::NAN;
         let json = report.to_json();
         assert!(json.contains("null"), "NaN must serialize as null");
         let err = validate_bench_json(&json).unwrap_err();
-        assert!(err.contains("alloc_ms"), "unexpected error: {err}");
+        assert!(err.contains("workspace_ms"), "unexpected error: {err}");
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!   [`Instance`](crate::api::Instance) construction.
 //! * [`SolveError`] — the solver configuration cannot run (no classes, a
 //!   splitter family requested that the instance's structure does not
-//!   support), or wraps an [`InstanceError`] when the legacy
-//!   [`decompose`](crate::pipeline::decompose) wrapper funnels both
-//!   through one result type.
+//!   support), or wraps an [`InstanceError`] where one result type
+//!   carries both (raw batch admission, delta application, the
+//!   baselines' raw-vector entry points).
 //!
 //! Every `Display` lives in this module, generated by one hand-rolled
 //! `thiserror`-style macro: each variant is declared next to its message,
@@ -123,8 +123,12 @@ pub enum SolveError {
         /// the offending value
         p: f64,
     },
-    /// The instance itself is malformed (legacy `decompose` path; the
-    /// `Instance` constructor reports this directly).
+    /// The instance data is malformed, reported where one result type
+    /// carries both layers: raw batch admission ([`solve_many_raw`]),
+    /// delta application, and the baselines' raw-vector entry points.
+    /// The `Instance` constructor reports [`InstanceError`] directly.
+    ///
+    /// [`solve_many_raw`]: crate::api::solve_many_raw
     Instance(InstanceError),
     /// The requested splitter family does not apply to this instance's
     /// structure (e.g. `SplitterChoice::Tree` on a graph with cycles).

@@ -27,10 +27,6 @@
 //! assert!(report.bound_ratio.is_finite());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
-//!
-//! The legacy free function [`decompose`](crate::pipeline::decompose) is
-//! kept as a thin wrapper over this API for existing call sites; new code
-//! should construct an [`Instance`] and a [`Solver`].
 
 pub mod artifacts;
 pub mod delta;
@@ -46,7 +42,7 @@ pub use delta::{AppliedDelta, InstanceDelta};
 pub use error::{validate_costs, validate_weights, InstanceError, SolveError};
 pub use instance::Instance;
 pub use partitioner::{Partitioner, Theorem4Pipeline};
-pub use report::{ClassRow, Report, StageReport};
+pub use report::{ClassRow, Report};
 pub use solver::{
     auto_splitter, solve_many, solve_many_raw, DeltaSolve, Solver, SolverBuilder, SplitterChoice,
 };

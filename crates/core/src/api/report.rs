@@ -1,18 +1,15 @@
 //! The structured result of a [`Solver::solve`](crate::api::Solver::solve)
 //! call.
 //!
-//! A [`Report`] carries everything the old call sites used to recompute by
-//! hand after `decompose`: the coloring, the per-class weight/boundary
-//! table, strict-balance defect and slack, the Theorem-4/5 bound
-//! right-hand side with the measured/bound ratio, and the intermediate
-//! stage colorings for ablation experiments (E8).
+//! A [`Report`] carries the coloring, the per-class weight/boundary
+//! table, strict-balance defect and slack, and the Theorem-4/5 bound
+//! right-hand side with the measured/bound ratio.
 
 use mmb_graph::measure::{norm_1, norm_inf};
 use mmb_graph::Coloring;
 
 use crate::bounds;
 use crate::lower_bounds::CertifiedGap;
-use crate::pipeline::Decomposition;
 
 /// One row of the per-class table: `(class, weight, boundary cost)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -25,20 +22,8 @@ pub struct ClassRow {
     pub boundary_cost: f64,
 }
 
-/// Per-stage ablation data: the pipeline's intermediate colorings
-/// (Proposition 7 → 11 → 12). Kept as raw colorings so the serve path
-/// pays nothing for them; consumers (experiment E8) compute whatever
-/// stage metrics they need via [`Coloring::max_boundary_cost`] etc.
-#[derive(Clone, Debug)]
-pub struct StageReport {
-    /// Proposition 7 output (weakly balanced, bounded max boundary).
-    pub multibalanced: Coloring,
-    /// Proposition 11 output (almost strictly balanced).
-    pub almost_strict: Coloring,
-}
-
-/// Structured result of one solve: coloring, quality tables, bound ratio,
-/// and ablation data.
+/// Structured result of one solve: coloring, quality tables, and bound
+/// ratio.
 #[derive(Clone, Debug)]
 pub struct Report {
     /// The strictly balanced `k`-coloring.
@@ -70,12 +55,6 @@ pub struct Report {
     /// Whether eq. (1) holds, judged by the same scale-invariant relative
     /// tolerance as [`Coloring::is_strictly_balanced`].
     pub strict: bool,
-    /// Intermediate colorings, for ablation experiments.
-    pub stages: StageReport,
-    /// Wall-clock milliseconds per pipeline stage
-    /// `[Prop 7, Prop 11, Prop 12]` of the solve that produced this
-    /// report (perf baselines; `BENCH_6.json`).
-    pub stage_millis: [f64; 3],
     /// Certified optimality gap — the best lower bound from the
     /// [`lower_bounds`](crate::lower_bounds) certifier stack paired with
     /// this solve's achieved cost. `None` from a plain
@@ -103,17 +82,15 @@ impl Report {
         k: usize,
         p: f64,
         splitter: String,
-        stage1: Coloring,
-        stage2: Coloring,
-        stage3: Coloring,
+        coloring: Coloring,
     ) -> Self {
-        let boundary_costs = stage3.boundary_costs(g, costs);
-        let class_weights = stage3.class_measures(weights);
+        let boundary_costs = coloring.boundary_costs(g, costs);
+        let class_weights = coloring.class_measures(weights);
         let max_boundary = norm_inf(&boundary_costs);
         let bound = bounds::theorem5(p, k, c_norm_p, c_max);
         Report {
             class_weights,
-            strict_defect: stage3.strict_balance_defect(weights),
+            strict_defect: coloring.strict_balance_defect(weights),
             strict_slack: bounds::strict_slack(k, w_max),
             max_boundary,
             avg_boundary: norm_1(&boundary_costs) / k as f64,
@@ -122,14 +99,9 @@ impl Report {
             splitter,
             k,
             p,
-            strict: stage3.is_strictly_balanced(weights),
-            stages: StageReport {
-                multibalanced: stage1,
-                almost_strict: stage2,
-            },
+            strict: coloring.is_strictly_balanced(weights),
             boundary_costs,
-            coloring: stage3,
-            stage_millis: [0.0; 3],
+            coloring,
             certified: None,
             resilience: None,
         }
@@ -154,17 +126,5 @@ impl Report {
                 boundary_cost,
             })
             .collect()
-    }
-
-    /// Bridge to the legacy [`Decomposition`] shape (used by the
-    /// [`decompose`](crate::pipeline::decompose) wrapper).
-    pub fn into_decomposition(self) -> Decomposition {
-        Decomposition {
-            boundary_costs: self.boundary_costs,
-            class_weights: self.class_weights,
-            strict_defect: self.strict_defect,
-            stages: (self.stages.multibalanced, self.stages.almost_strict),
-            coloring: self.coloring,
-        }
     }
 }

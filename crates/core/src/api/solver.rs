@@ -47,7 +47,7 @@ use crate::api::instance::Instance;
 use crate::api::report::Report;
 use crate::multibalance::multibalance_minmax_with_pi_ws;
 use crate::pi::splitting_cost_measure_within;
-use crate::pipeline::{PipelineConfig, ScratchPolicy};
+use crate::pipeline::PipelineConfig;
 use crate::shrink::{almost_strict_ws, ShrinkParams};
 use crate::strict::binpack2;
 
@@ -293,13 +293,9 @@ impl<'i> Solver<'i> {
     /// structured [`Report`]. Infallible: everything that can fail was
     /// checked at build time. Call repeatedly to amortize the build; the
     /// dense scratch buffers come from this thread's pooled
-    /// [`Workspace`] (or fresh allocations under
-    /// [`ScratchPolicy::Transient`]) and are amortized across calls too.
+    /// [`Workspace`] and are amortized across calls too.
     pub fn solve(&self) -> Report {
-        mmb_graph::workspace::with_scratch_mode(self.cfg.scratch, || match self.cfg.scratch {
-            ScratchPolicy::Reuse => Workspace::with_local(|ws| self.solve_in(ws)),
-            ScratchPolicy::Transient => self.solve_in(&Workspace::transient()),
-        })
+        Workspace::with_local(|ws| self.solve_in(ws))
     }
 
     fn solve_in(&self, ws: &Workspace) -> Report {
@@ -315,9 +311,6 @@ impl<'i> Solver<'i> {
         let domain = inst.domain();
         let user = inst.balance_measures();
 
-        // lint: allow(nondeterminism) — the four stage timestamps feed only
-        // the report's observational `timings` field, never the coloring.
-        let t0 = std::time::Instant::now();
         crate::failpoint::raise_any("pipeline::multibalance");
         let stage1 = multibalance_minmax_with_pi_ws(
             g,
@@ -329,11 +322,9 @@ impl<'i> Solver<'i> {
             &self.pi,
             ws,
         );
-        // lint: allow(nondeterminism) — observational timing only, as above.
-        let t1 = std::time::Instant::now();
         crate::failpoint::raise_any("pipeline::shrink");
         let stage2 = if self.cfg.skip_shrink {
-            stage1.coloring.clone()
+            stage1.coloring
         } else {
             almost_strict_ws(
                 g,
@@ -347,15 +338,11 @@ impl<'i> Solver<'i> {
                 ws,
             )
         };
-        // lint: allow(nondeterminism) — observational timing only, as above.
-        let t2 = std::time::Instant::now();
         crate::failpoint::raise_any("pipeline::binpack");
         let stage3 = binpack2(g, &self.splitter, &stage2, domain, weights);
-        // lint: allow(nondeterminism) — observational timing only, as above.
-        let t3 = std::time::Instant::now();
         debug_assert!(stage3.is_total(), "pipeline must color every vertex");
 
-        let mut report = Report::assemble(
+        Report::assemble(
             g,
             costs,
             weights,
@@ -365,16 +352,8 @@ impl<'i> Solver<'i> {
             self.k,
             self.cfg.p,
             self.splitter.name().to_owned(),
-            stage1.coloring,
-            stage2,
             stage3,
-        );
-        report.stage_millis = [
-            (t1 - t0).as_secs_f64() * 1e3,
-            (t2 - t1).as_secs_f64() * 1e3,
-            (t3 - t2).as_secs_f64() * 1e3,
-        ];
-        report
+        )
     }
 
     /// The large-`n` path (see [`crate::coarsen`] and DESIGN.md §13):
@@ -394,9 +373,6 @@ impl<'i> Solver<'i> {
         let inst = self.inst;
         let (g, costs, weights) = (inst.graph(), inst.costs(), inst.weights());
 
-        // lint: allow(nondeterminism) — timestamps feed only the report's
-        // observational `timings` field, never the coloring.
-        let t0 = std::time::Instant::now();
         let front = crate::coarsen::CoarseningFront::build(g, costs, weights, &cc.params);
         if front.num_levels() == 0 {
             return None;
@@ -418,34 +394,15 @@ impl<'i> Solver<'i> {
             .build()
             .expect("k and p were validated at the host build");
         let coarse = coarse_solver.solve_in(ws);
-        // lint: allow(nondeterminism) — observational timing only, as above.
-        let t1 = std::time::Instant::now();
-
-        // Intermediate stages project plainly (they are ablation data);
-        // the final coloring projects with per-level KL refinement.
-        let host_map = front.host_map(g.num_vertices());
-        let project_plain = |chi: &mmb_graph::Coloring| {
-            let mut out = mmb_graph::Coloring::new_uncolored(g.num_vertices(), self.k);
-            for v in 0..g.num_vertices() as u32 {
-                if let Some(c) = chi.get(host_map[v as usize]) {
-                    out.set(v, c);
-                }
-            }
-            out
-        };
-        let stage1 = project_plain(&coarse.stages.multibalanced);
-        let stage2 = project_plain(&coarse.stages.almost_strict);
         let projected = front
             .project_to_host((g, costs, weights), coarse.coloring, |fg, fc, fw, chi| {
                 crate::refine::refine(fg, fc, fw, chi, &cc.kl)
             })
             .expect("level triples are valid by construction");
         let stage3 = binpack2(g, &self.splitter, &projected, inst.domain(), weights);
-        // lint: allow(nondeterminism) — observational timing only, as above.
-        let t2 = std::time::Instant::now();
         debug_assert!(stage3.is_total(), "cascade must color every vertex");
 
-        let mut report = Report::assemble(
+        Some(Report::assemble(
             g,
             costs,
             weights,
@@ -455,19 +412,8 @@ impl<'i> Solver<'i> {
             self.k,
             self.cfg.p,
             self.splitter.name().to_owned(),
-            stage1,
-            stage2,
             stage3,
-        );
-        // Coarsening folds into stage 1's slot, projection + rebalance
-        // into stage 3's; stage 2 keeps the coarse shrink time.
-        let coarsen_ms = (t1 - t0).as_secs_f64() * 1e3 - coarse.stage_millis.iter().sum::<f64>();
-        report.stage_millis = [
-            coarsen_ms.max(0.0) + coarse.stage_millis[0],
-            coarse.stage_millis[1],
-            coarse.stage_millis[2] + (t2 - t1).as_secs_f64() * 1e3,
-        ];
-        Some(report)
+        ))
     }
 
     /// [`Solver::solve`], plus a certified optimality gap: the
@@ -506,9 +452,7 @@ impl<'i> Solver<'i> {
             .expect("k ≥ 1 was checked at build time");
         if sol.max_boundary < report.max_boundary {
             // The search improved on the pipeline: refresh every field
-            // derived from the final coloring (stages keep the pipeline's
-            // intermediates — they are what the ablation experiments
-            // want).
+            // derived from the final coloring.
             let (g, costs, weights) = (self.inst.graph(), self.inst.costs(), self.inst.weights());
             report.boundary_costs = sol.coloring.boundary_costs(g, costs);
             report.class_weights = sol.coloring.class_measures(weights);

@@ -3,8 +3,8 @@
 //! Min-max boundary decomposition of weighted graphs — a faithful
 //! implementation of
 //!
-//! > David Steurer, *Tight Bounds on the Min-Max Boundary Decomposition
-//! > Cost of Weighted Graphs*, SPAA 2006 (arXiv `cs/0606001`).
+//! > David Steurer, *Tight bounds on the min-max boundary decomposition
+//! > cost of weighted graphs*, SPAA 2006 (arXiv `cs/0606001`).
 //!
 //! Given a graph `G` with edge costs `c` and vertex weights `w`, the library
 //! computes **strictly balanced** `k`-colorings — every class weight within
@@ -34,8 +34,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! The legacy free function [`pipeline::decompose`] remains as a thin
-//! wrapper over the same machinery.
+//! [`pipeline::PipelineConfig`] holds the pipeline's knobs (`p`, the
+//! shrink tunables, the E8 ablation switch, the coarsening cascade).
 //!
 //! ## Pipeline
 //!
@@ -115,9 +115,7 @@ pub use lower_bounds::{
     LowerBoundReport,
 };
 pub use oracle::{exact_min_max_boundary, ExactOracle, OracleSolution};
-pub use pipeline::{
-    decompose, CoarsenConfig, DecomposeError, Decomposition, PipelineConfig, ScratchPolicy,
-};
+pub use pipeline::{CoarsenConfig, PipelineConfig};
 pub use refine::{refine, refine_region, KlParams};
 pub use resilient::{
     DeadlineBudget, Resilience, ResilientConfig, ResilientSolver, RetryPolicy, RungOutcome,
@@ -134,9 +132,7 @@ pub mod prelude {
     pub use crate::lower_bounds::{best_lower_bound, certify, CertifiedGap, LowerBound};
     pub use crate::oracle::{exact_min_max_boundary, ExactOracle};
     pub use crate::pi::splitting_cost_measure;
-    pub use crate::pipeline::{
-        decompose, DecomposeError, Decomposition, PipelineConfig, ScratchPolicy,
-    };
+    pub use crate::pipeline::PipelineConfig;
     pub use crate::resilient::{DeadlineBudget, Resilience, ResilientSolver, RetryPolicy};
     pub use crate::verify::{verify_decomposition, DecompositionReport};
 }

@@ -1,5 +1,5 @@
-//! The Theorem 4 pipeline: `decompose` = Proposition 7 → Proposition 11 →
-//! Proposition 12.
+//! Configuration of the Theorem 4 pipeline: Proposition 7 →
+//! Proposition 11 → Proposition 12.
 //!
 //! ```text
 //! χ₁ = multibalance_minmax(w, π, extra measures)   // weakly balanced,
@@ -11,43 +11,14 @@
 //! The result is a strictly balanced `k`-coloring with maximum boundary
 //! cost `O_p(σ_p·(k^{−1/p}·‖c‖_p + Δ_c))`; the conclusion's multi-balanced
 //! variant (weak balance in arbitrary extra measures, strict balance in
-//! `w`) falls out of the same call by passing `extra_measures`.
-//!
-//! **Legacy surface.** [`decompose`] predates the
-//! [`crate::api::Instance`]/[`crate::api::Solver`] API
-//! and is kept as a thin wrapper over it so existing call sites (and their
-//! test baselines) keep working unchanged. It copies its borrowed inputs
-//! into a fresh `Instance` and builds a single-use `Solver` per call — for
-//! anything called repeatedly on the same instance, build an `Instance`
-//! and a `Solver` once instead (see [`crate::api`]).
+//! `w`) falls out of the same run when the
+//! [`Instance`](crate::api::Instance) carries extra measures.
+//! [`Solver`](crate::api::Solver) runs the stages; this module holds the
+//! knobs it reads.
 
-use mmb_graph::measure::norm_inf;
-use mmb_graph::{Coloring, Graph};
-use mmb_splitters::Splitter;
-
-use crate::api::{Instance, Solver, SplitterChoice};
 use crate::coarsen::CoarsenParams;
 use crate::refine::KlParams;
 use crate::shrink::ShrinkParams;
-
-pub use crate::api::error::{InstanceError, SolveError};
-
-/// Legacy alias for the error type [`decompose`] reports; instance-shaped
-/// problems arrive as [`SolveError::Instance`].
-pub type DecomposeError = SolveError;
-
-/// How the pipeline sources the dense scratch measures (`π`, boundary
-/// measures, induced degrees, `Ψ`) its stages materialize, and which
-/// implementation family allocation-sensitive inner loops use.
-///
-/// `Reuse` (default) is the overhauled hot path: this thread's pooled
-/// [`Workspace`](mmb_graph::Workspace) (`O(touched)` per buffer instead
-/// of `O(n)`) and the allocation-free inner loops. `Transient` preserves
-/// the **pre-overhaul reference implementations** — fresh buffers and
-/// per-call allocation — so the `BENCH_6.json` perf baselines can report
-/// old-vs-new side by side. Both policies produce **bit-identical
-/// colorings** (property-tested); only cost profiles differ.
-pub type ScratchPolicy = mmb_graph::workspace::ScratchMode;
 
 /// The coarsening cascade knob of [`PipelineConfig`]: contract the host
 /// graph to roughly [`CoarsenParams::target_vertices`] before the
@@ -88,8 +59,6 @@ pub struct PipelineConfig {
     /// Skip the shrink stage and go straight from Proposition 7 to
     /// BinPack2 (ablation switch for experiment E8).
     pub skip_shrink: bool,
-    /// Scratch-buffer sourcing (see [`ScratchPolicy`]; default reuse).
-    pub scratch: ScratchPolicy,
     /// Coarsening cascade for very large hosts: `Some(cfg)` contracts the
     /// graph to `cfg.params.target_vertices` first, runs the three stages
     /// there, and projects back (see [`CoarsenConfig`]). `None` (default)
@@ -104,7 +73,6 @@ impl Default for PipelineConfig {
             p: 2.0,
             shrink: ShrinkParams::default(),
             skip_shrink: false,
-            scratch: ScratchPolicy::Reuse,
             coarsen: None,
         }
     }
@@ -120,146 +88,71 @@ impl PipelineConfig {
     }
 }
 
-/// Result of [`decompose`].
-#[derive(Clone, Debug)]
-pub struct Decomposition {
-    /// The strictly balanced `k`-coloring.
-    pub coloring: Coloring,
-    /// Per-class boundary costs `∂χ⁻¹`.
-    pub boundary_costs: Vec<f64>,
-    /// Per-class weights `wχ⁻¹`.
-    pub class_weights: Vec<f64>,
-    /// Strict-balance defect (≤ 0 up to fp noise).
-    pub strict_defect: f64,
-    /// The intermediate colorings, for ablation experiments:
-    /// (Proposition 7 output, Proposition 11 output).
-    pub stages: (Coloring, Coloring),
-}
-
-impl Decomposition {
-    /// Maximum boundary cost `‖∂χ⁻¹‖∞`.
-    pub fn max_boundary(&self) -> f64 {
-        norm_inf(&self.boundary_costs)
-    }
-
-    /// Average boundary cost `‖∂χ⁻¹‖_avg`.
-    pub fn avg_boundary(&self) -> f64 {
-        self.boundary_costs.iter().sum::<f64>() / self.boundary_costs.len() as f64
-    }
-}
-
-/// Compute a strictly balanced `k`-coloring of `(g, costs, weights)` with
-/// small maximum boundary cost (Theorem 4), using `splitter` for all
-/// splitting sets.
-///
-/// `extra_measures` are additionally weakly balanced (the conclusion's
-/// multi-balanced variant); pass `&[]` for the plain problem.
-///
-/// This is the legacy one-shot entry point, now a thin wrapper that
-/// builds an [`Instance`] and a single-use [`Solver`] per call; prefer
-/// those types directly when solving repeatedly (see [`crate::api`]).
-pub fn decompose<S: Splitter + ?Sized>(
-    g: &Graph,
-    costs: &[f64],
-    weights: &[f64],
-    k: usize,
-    splitter: &S,
-    extra_measures: &[&[f64]],
-    cfg: &PipelineConfig,
-) -> Result<Decomposition, DecomposeError> {
-    if k == 0 {
-        // Checked before the instance copy so the cheap error stays cheap.
-        return Err(SolveError::ZeroColors);
-    }
-    let mut inst = Instance::new(g.clone(), costs.to_vec(), weights.to_vec())?;
-    for m in extra_measures {
-        inst = inst.with_extra_measure(m.to_vec())?;
-    }
-    let solver = Solver::for_instance(&inst)
-        .classes(k)
-        .config(cfg.clone())
-        .splitter(SplitterChoice::Custom(Box::new(splitter)))
-        .build()?;
-    Ok(solver.solve().into_decomposition())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{Instance, InstanceError, Report, SolveError, Solver};
     use mmb_graph::gen::grid::GridGraph;
-    use mmb_splitters::grid::GridSplitter;
+    use mmb_graph::measure::norm_inf;
+
+    fn solve(inst: &Instance, k: usize, cfg: PipelineConfig) -> Report {
+        Solver::for_instance(inst)
+            .classes(k)
+            .config(cfg)
+            .build()
+            .unwrap()
+            .solve()
+    }
 
     #[test]
     fn end_to_end_on_grid() {
         let grid = GridGraph::lattice(&[16, 16]);
         let n = grid.graph.num_vertices();
         let costs = vec![1.0; grid.graph.num_edges()];
-        let sp = GridSplitter::new(&grid, &costs);
         let weights: Vec<f64> = (0..n).map(|v| 1.0 + ((v * 31) % 5) as f64).collect();
+        let inst = Instance::from_grid(grid, costs, weights.clone()).unwrap();
         for k in [2usize, 3, 8] {
-            let d = decompose(
-                &grid.graph,
-                &costs,
-                &weights,
-                k,
-                &sp,
-                &[],
-                &PipelineConfig::with_p(2.0),
-            )
-            .unwrap();
-            assert!(d.coloring.is_total());
+            let r = solve(&inst, k, PipelineConfig::with_p(2.0));
+            assert!(r.coloring.is_total());
             assert!(
-                d.coloring.is_strictly_balanced(&weights),
+                r.coloring.is_strictly_balanced(&weights),
                 "k={k}: defect {}",
-                d.strict_defect
+                r.strict_defect
             );
-            assert!(d.max_boundary() > 0.0);
+            assert!(r.max_boundary > 0.0);
         }
     }
 
     #[test]
     fn input_validation() {
         let grid = GridGraph::lattice(&[3, 3]);
-        let costs = vec![1.0; grid.graph.num_edges()];
-        let sp = GridSplitter::new(&grid, &costs);
-        let cfg = PipelineConfig::default();
+        let g = grid.graph;
+        let costs = vec![1.0; g.num_edges()];
         let w9 = vec![1.0; 9];
+        let inst = Instance::new(g.clone(), costs.clone(), w9.clone()).unwrap();
         assert_eq!(
-            decompose(&grid.graph, &costs, &w9, 0, &sp, &[], &cfg).unwrap_err(),
+            Solver::for_instance(&inst).classes(0).build().unwrap_err(),
             SolveError::ZeroColors
         );
-        let w_bad = vec![1.0; 5];
         assert!(matches!(
-            decompose(&grid.graph, &costs, &w_bad, 2, &sp, &[], &cfg).unwrap_err(),
-            SolveError::Instance(InstanceError::WeightLength { .. })
+            Instance::new(g.clone(), costs.clone(), vec![1.0; 5]).unwrap_err(),
+            InstanceError::WeightLength { .. }
         ));
-        let c_bad = vec![1.0; 3];
         assert!(matches!(
-            decompose(&grid.graph, &c_bad, &w9, 2, &sp, &[], &cfg).unwrap_err(),
-            SolveError::Instance(InstanceError::CostLength { .. })
+            Instance::new(g.clone(), vec![1.0; 3], w9.clone()).unwrap_err(),
+            InstanceError::CostLength { .. }
         ));
-        let w_nan = {
+        for bad in [f64::NAN, -1.0] {
             let mut w = w9.clone();
-            w[0] = f64::NAN;
-            w
-        };
-        assert_eq!(
-            decompose(&grid.graph, &costs, &w_nan, 2, &sp, &[], &cfg).unwrap_err(),
-            SolveError::Instance(InstanceError::NotFinite { what: "weights" })
-        );
-        let w_neg = {
-            let mut w = w9.clone();
-            w[0] = -1.0;
-            w
-        };
-        assert_eq!(
-            decompose(&grid.graph, &costs, &w_neg, 2, &sp, &[], &cfg).unwrap_err(),
-            SolveError::Instance(InstanceError::NotFinite { what: "weights" })
-        );
-        let m_bad = vec![1.0; 4];
+            w[0] = bad;
+            assert_eq!(
+                Instance::new(g.clone(), costs.clone(), w).unwrap_err(),
+                InstanceError::NotFinite { what: "weights" }
+            );
+        }
         assert!(matches!(
-            decompose(&grid.graph, &costs, &w9, 2, &sp, &[&m_bad], &cfg).unwrap_err(),
-            SolveError::Instance(InstanceError::MeasureLength { .. })
+            inst.with_extra_measure(vec![1.0; 4]).unwrap_err(),
+            InstanceError::MeasureLength { .. }
         ));
     }
 
@@ -267,20 +160,11 @@ mod tests {
     fn k_larger_than_n() {
         let grid = GridGraph::lattice(&[3, 3]);
         let costs = vec![1.0; grid.graph.num_edges()];
-        let sp = GridSplitter::new(&grid, &costs);
         let weights = vec![1.0; 9];
-        let d = decompose(
-            &grid.graph,
-            &costs,
-            &weights,
-            20,
-            &sp,
-            &[],
-            &PipelineConfig::default(),
-        )
-        .unwrap();
-        assert!(d.coloring.is_total());
-        assert!(d.coloring.is_strictly_balanced(&weights));
+        let inst = Instance::from_grid(grid, costs, weights.clone()).unwrap();
+        let r = solve(&inst, 20, PipelineConfig::default());
+        assert!(r.coloring.is_total());
+        assert!(r.coloring.is_strictly_balanced(&weights));
     }
 
     #[test]
@@ -288,7 +172,6 @@ mod tests {
         let grid = GridGraph::lattice(&[16, 16]);
         let n = grid.graph.num_vertices();
         let costs = vec![1.0; grid.graph.num_edges()];
-        let sp = GridSplitter::new(&grid, &costs);
         let weights = vec![1.0; n];
         // A second resource concentrated on a corner block.
         let mem: Vec<f64> = (0..n as u32)
@@ -302,18 +185,13 @@ mod tests {
             })
             .collect();
         let k = 8;
-        let d = decompose(
-            &grid.graph,
-            &costs,
-            &weights,
-            k,
-            &sp,
-            &[&mem],
-            &PipelineConfig::default(),
-        )
-        .unwrap();
-        assert!(d.coloring.is_strictly_balanced(&weights));
-        let mem_classes = d.coloring.class_measures(&mem);
+        let inst = Instance::from_grid(grid, costs, weights.clone())
+            .unwrap()
+            .with_extra_measure(mem.clone())
+            .unwrap();
+        let r = solve(&inst, k, PipelineConfig::default());
+        assert!(r.coloring.is_strictly_balanced(&weights));
+        let mem_classes = r.coloring.class_measures(&mem);
         let mem_avg: f64 = mem.iter().sum::<f64>() / k as f64;
         let mem_max_class = norm_inf(&mem_classes);
         // Weak balance: O(avg + max) with moderate constants.
@@ -328,39 +206,13 @@ mod tests {
         let grid = GridGraph::lattice(&[12, 12]);
         let n = grid.graph.num_vertices();
         let costs = vec![1.0; grid.graph.num_edges()];
-        let sp = GridSplitter::new(&grid, &costs);
         let weights: Vec<f64> = (0..n).map(|v| 1.0 + (v % 2) as f64).collect();
+        let inst = Instance::from_grid(grid, costs, weights.clone()).unwrap();
         let cfg = PipelineConfig {
             skip_shrink: true,
             ..PipelineConfig::default()
         };
-        let d = decompose(&grid.graph, &costs, &weights, 6, &sp, &[], &cfg).unwrap();
-        assert!(d.coloring.is_strictly_balanced(&weights));
-    }
-
-    #[test]
-    fn wrapper_matches_solver_output() {
-        // The legacy wrapper and a hand-built Solver with the same
-        // splitter produce the identical coloring.
-        let grid = GridGraph::lattice(&[10, 10]);
-        let n = grid.graph.num_vertices();
-        let costs: Vec<f64> = (0..grid.graph.num_edges())
-            .map(|e| 1.0 + (e % 3) as f64)
-            .collect();
-        let weights: Vec<f64> = (0..n).map(|v| 1.0 + (v % 4) as f64).collect();
-        let sp = GridSplitter::new(&grid, &costs);
-        let d = decompose(
-            &grid.graph,
-            &costs,
-            &weights,
-            6,
-            &sp,
-            &[],
-            &PipelineConfig::default(),
-        )
-        .unwrap();
-        let inst = Instance::from_grid(grid.clone(), costs.clone(), weights.clone()).unwrap();
-        let solver = Solver::for_instance(&inst).classes(6).build().unwrap();
-        assert_eq!(solver.solve().coloring, d.coloring);
+        let r = solve(&inst, 6, cfg);
+        assert!(r.coloring.is_strictly_balanced(&weights));
     }
 }

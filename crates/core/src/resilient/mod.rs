@@ -271,8 +271,7 @@ impl<'i> ResilientSolver<'i> {
     }
 
     /// Assemble a minimal report around a bare coloring (custom/greedy
-    /// rungs): all three stage slots carry the same coloring, the
-    /// splitter slot names the rung.
+    /// rungs): the splitter slot names the rung.
     fn assemble(&self, rung: &str, chi: Coloring) -> Report {
         let inst = self.inst;
         Report::assemble(
@@ -285,8 +284,6 @@ impl<'i> ResilientSolver<'i> {
             self.k,
             self.pipeline.p,
             rung.to_owned(),
-            chi.clone(),
-            chi.clone(),
             chi,
         )
     }

@@ -22,7 +22,7 @@
 //! boundary cost, which is acceptable because in this regime classes are
 //! dominated by single vertices anyway.
 
-use mmb_graph::measure::{norm_1, set_max, set_sum};
+use mmb_graph::measure::{set_max, set_sum};
 use mmb_graph::{Coloring, Graph, VertexId, VertexSet};
 use mmb_splitters::Splitter;
 use rayon::prelude::*;
@@ -37,7 +37,6 @@ pub(crate) const PAR_CARVE_MIN_VERTICES: usize = 2048;
 /// enough to amortize worker spawn, inline otherwise — and re-assemble the
 /// surviving classes and carved pieces in class order, which makes the
 /// result bit-identical to the sequential loop for any thread count.
-/// Parallel workers re-establish the caller's thread-local scratch mode.
 pub(crate) fn carve_classes<T, F>(
     items: impl IntoIterator<Item = T>,
     working_set_len: usize,
@@ -48,11 +47,7 @@ where
     F: Fn(T) -> (VertexSet, Vec<VertexSet>) + Sync,
 {
     let carved: Vec<(VertexSet, Vec<VertexSet>)> = if working_set_len >= PAR_CARVE_MIN_VERTICES {
-        let mode = mmb_graph::workspace::scratch_mode();
-        items
-            .into_par_iter()
-            .map(|item| mmb_graph::workspace::with_scratch_mode(mode, || shed(item)))
-            .collect()
+        items.into_par_iter().map(shed).collect()
     } else {
         items.into_iter().map(shed).collect()
     };
@@ -199,14 +194,6 @@ fn carve_piece<S: Splitter + ?Sized>(
         return VertexSet::from_iter(n, [heaviest]);
     }
     x
-}
-
-/// Convenience: strict-balance defect of a coloring over `weights`
-/// (cf. [`mmb_graph::Coloring::strict_balance_defect`], exposed here for
-/// pipeline assertions).
-pub fn strict_defect(chi: &Coloring, weights: &[f64]) -> f64 {
-    let _ = norm_1(weights);
-    chi.strict_balance_defect(weights)
 }
 
 #[cfg(test)]

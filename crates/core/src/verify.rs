@@ -1,5 +1,6 @@
-//! Decomposition verification: one call that checks everything a consumer
-//! of the library cares about, and everything the theorems promise.
+//! Verification of a decomposition: one call that checks everything a
+//! consumer of the library cares about, and everything the theorems
+//! promise.
 
 use mmb_graph::measure::{norm_1, norm_inf};
 use mmb_graph::{Coloring, Graph};

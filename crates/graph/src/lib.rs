@@ -55,7 +55,7 @@ pub use coloring::Coloring;
 pub use fingerprint::Fingerprint;
 pub use graph::{csr_capacity_check, EdgeId, Graph, GraphBuilder, GraphCapacityError, VertexId};
 pub use vertex_set::VertexSet;
-pub use workspace::{ScratchMeasure, ScratchMode, Workspace, WorkspaceStats};
+pub use workspace::{ScratchMeasure, Workspace, WorkspaceStats};
 
 /// Commonly used items, re-exported for glob import in downstream crates.
 pub mod prelude {

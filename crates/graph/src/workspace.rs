@@ -30,56 +30,11 @@
 //! A `Workspace` is single-threaded (`!Sync`, interior mutability via
 //! `RefCell`) by design: parallel callers use one workspace per worker,
 //! most conveniently the per-thread instance behind
-//! [`Workspace::with_local`]. [`Workspace::transient`] builds a
-//! non-pooling workspace that allocates fresh buffers per checkout — the
-//! pre-workspace cost profile, kept so benchmarks can A/B the two paths on
-//! identical code.
+//! [`Workspace::with_local`].
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 use crate::graph::VertexId;
-
-/// The ambient per-thread scratch mode: which implementation family the
-/// hot path should use.
-///
-/// [`ScratchMode::Reuse`] (the default) selects the overhauled path —
-/// pooled workspace buffers plus the allocation-free inner loops that
-/// came with them (e.g. GridSplit's sort-based cell grouping).
-/// [`ScratchMode::Transient`] selects the **pre-overhaul reference
-/// implementations** (fresh buffers and per-call allocation), kept so the
-/// perf baselines can report old-vs-new side by side on identical inputs.
-/// Both modes produce bit-identical results; only cost profiles differ.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScratchMode {
-    /// Overhauled hot path: pooled buffers, allocation-free inner loops.
-    #[default]
-    Reuse,
-    /// Pre-overhaul reference: allocate per call (benchmark baseline).
-    Transient,
-}
-
-thread_local! {
-    static MODE: Cell<ScratchMode> = const { Cell::new(ScratchMode::Reuse) };
-}
-
-/// The current thread's ambient [`ScratchMode`].
-pub fn scratch_mode() -> ScratchMode {
-    MODE.with(Cell::get)
-}
-
-/// Run `f` with the ambient [`ScratchMode`] set to `mode` on this thread,
-/// restoring the previous mode afterwards — including on unwind, so a
-/// caught panic cannot leave the thread stuck in the wrong mode.
-pub fn with_scratch_mode<R>(mode: ScratchMode, f: impl FnOnce() -> R) -> R {
-    struct Restore(ScratchMode);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            MODE.with(|m| m.set(self.0));
-        }
-    }
-    let _restore = Restore(MODE.with(|m| m.replace(mode)));
-    f()
-}
 
 /// Allocation / reuse counters of a [`Workspace`] — the "RSS proxy" the
 /// perf baselines record (`BENCH_6.json`).
@@ -87,8 +42,7 @@ pub fn with_scratch_mode<R>(mode: ScratchMode, f: impl FnOnce() -> R) -> R {
 pub struct WorkspaceStats {
     /// Buffer checkouts ([`Workspace::measure`] calls).
     pub acquires: u64,
-    /// Checkouts that had to allocate because the pool was empty; the
-    /// allocating path pays this on **every** acquire.
+    /// Checkouts that had to allocate because the pool was empty.
     pub fresh_allocs: u64,
     /// Total entries written (and later re-zeroed) across all checkouts —
     /// the `O(vol(W))` work the workspace path actually does.
@@ -138,16 +92,12 @@ struct ScratchData {
 pub struct Workspace {
     pool: RefCell<Vec<ScratchData>>,
     stats: RefCell<WorkspaceStats>,
-    /// When false, buffers are dropped instead of pooled and every acquire
-    /// allocates — the benchmark reference mode.
-    pooling: bool,
 }
 
 impl std::fmt::Debug for Workspace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let stats = self.stats.borrow();
         f.debug_struct("Workspace")
-            .field("pooling", &self.pooling)
             .field("pooled", &self.pool.borrow().len())
             .field("stats", &*stats)
             .finish()
@@ -159,24 +109,9 @@ thread_local! {
 }
 
 impl Workspace {
-    /// A fresh pooling workspace.
+    /// A fresh, empty workspace.
     pub fn new() -> Self {
-        Workspace {
-            pool: RefCell::new(Vec::new()),
-            stats: RefCell::default(),
-            pooling: true,
-        }
-    }
-
-    /// A non-pooling workspace: every checkout allocates fresh buffers and
-    /// drops them afterwards, reproducing the cost profile of the old
-    /// allocate-per-call code path (for A/B benchmarks; see
-    /// `ScratchPolicy` in `mmb-core`).
-    pub fn transient() -> Self {
-        Workspace {
-            pooling: false,
-            ..Self::new()
-        }
+        Self::default()
     }
 
     /// Run `f` against this thread's shared workspace. The instance lives
@@ -189,11 +124,7 @@ impl Workspace {
 
     /// Check out a dense scratch measure over universe `0..n`, all-zero.
     pub fn measure(&self, n: usize) -> ScratchMeasure<'_> {
-        let mut d = if self.pooling {
-            self.pool.borrow_mut().pop().unwrap_or_default()
-        } else {
-            ScratchData::default()
-        };
+        let mut d = self.pool.borrow_mut().pop().unwrap_or_default();
         let fresh = d.vals.is_empty() && d.vals.capacity() == 0;
         if d.vals.len() < n {
             d.vals.resize(n, 0.0);
@@ -284,14 +215,11 @@ impl Workspace {
             s.cells_touched += touched_now;
             s.live -= 1;
         }
-        if self.pooling {
-            for &v in &d.touched {
-                d.vals[v as usize] = 0.0;
-            }
-            d.touched.clear();
-            self.pool.borrow_mut().push(d);
+        for &v in &d.touched {
+            d.vals[v as usize] = 0.0;
         }
-        // Non-pooling: drop, like the old per-call Vec.
+        d.touched.clear();
+        self.pool.borrow_mut().push(d);
     }
 }
 
@@ -459,22 +387,6 @@ mod tests {
             let m = ws.measure(2);
             assert_eq!(m.as_slice().len(), 2);
         }
-    }
-
-    #[test]
-    fn transient_workspace_never_pools() {
-        let ws = Workspace::transient();
-        {
-            let mut m = ws.measure(10);
-            m.add(1, 1.0);
-        }
-        let _ = ws.measure(10);
-        let s = ws.stats();
-        assert_eq!(s.acquires, 2);
-        assert_eq!(
-            s.fresh_allocs, 2,
-            "transient mode must allocate per checkout"
-        );
     }
 
     #[test]

@@ -23,7 +23,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use mmb_graph::gen::grid::GridGraph;
-use mmb_graph::workspace::{scratch_mode, ScratchMode};
 use mmb_graph::{VertexId, VertexSet};
 
 use crate::{prefix_split, Splitter};
@@ -249,10 +248,10 @@ impl<'g> GridSplitter<'g> {
         }
     }
 
-    /// The pre-overhaul coarsening (single edge pass into a scratch `Vec`,
-    /// HashMap cell grouping with per-member key vectors). Kept verbatim
-    /// as the [`ScratchMode::Transient`] reference so perf baselines can
-    /// A/B old vs new on identical inputs.
+    /// The reference coarsening (single edge pass into a scratch `Vec`,
+    /// HashMap cell grouping with per-member key vectors): the
+    /// `!pack_safe` fallback, and the reference the fast path is tested
+    /// against.
     fn coarsen_legacy(&self, members: &[VertexId], level: u32) -> Option<Vec<Vec<VertexId>>> {
         let d = self.grid.dim;
         let in_s = VertexSet::from_iter(self.grid.graph.num_vertices(), members.iter().copied());
@@ -338,11 +337,11 @@ impl<'g> GridSplitter<'g> {
         members.sort_unstable_by(|&a, &b| self.grid.coord(a).cmp(self.grid.coord(b)));
     }
 
-    /// The pre-overhaul `split` loop over [`GridSplitter::coarsen_legacy`]:
+    /// The reference `split` loop over [`GridSplitter::coarsen_legacy`]:
     /// per-level cell materialization with per-member key allocations.
-    /// Kept as the [`ScratchMode::Transient`] perf-baseline reference (and
-    /// the fallback for point sets whose coordinate spread defeats key
-    /// packing).
+    /// Runs for point sets whose coordinate spread defeats key packing
+    /// (`!pack_safe`), and is the reference [`GridSplitter::split_fast`]
+    /// is tested against.
     fn split_legacy(&self, w_set: &VertexSet, weights: &[f64], target: f64) -> VertexSet {
         let n = self.grid.graph.num_vertices();
         let mut members: Vec<VertexId> = w_set.iter().collect();
@@ -673,7 +672,7 @@ impl<'g> GridSplitter<'g> {
 
 impl Splitter for GridSplitter<'_> {
     fn split(&self, w_set: &VertexSet, weights: &[f64], target: f64) -> VertexSet {
-        if self.pack_safe && scratch_mode() == ScratchMode::Reuse {
+        if self.pack_safe {
             self.split_fast(w_set, weights, target)
         } else {
             self.split_legacy(w_set, weights, target)
@@ -838,10 +837,9 @@ mod tests {
 
     #[test]
     fn fast_and_legacy_coarsening_split_identically() {
-        use mmb_graph::workspace::{with_scratch_mode, ScratchMode};
         // Weighted 2D and 3D grids, many targets and subsets: the
         // sort-based fast path must return bit-identical splitting sets to
-        // the pre-overhaul HashMap grouping.
+        // the reference HashMap grouping.
         for dims in [vec![13usize, 11], vec![5, 4, 3]] {
             let grid = GridGraph::lattice(&dims);
             let n = grid.graph.num_vertices();
@@ -849,14 +847,14 @@ mod tests {
                 .map(|e| 0.5 + ((e * 13) % 29) as f64)
                 .collect();
             let sp = GridSplitter::new(&grid, &costs);
+            assert!(sp.pack_safe);
             let weights: Vec<f64> = (0..n).map(|v| 1.0 + ((v * 7) % 5) as f64).collect();
             for (mask_mod, frac) in [(1u32, 0.1), (1, 0.5), (1, 0.92), (3, 0.33), (7, 0.6)] {
                 let w = VertexSet::from_iter(n, (0..n as u32).filter(|v| v % mask_mod != 1));
                 let total: f64 = w.iter().map(|v| weights[v as usize]).sum();
                 let target = frac * total;
-                let fast = with_scratch_mode(ScratchMode::Reuse, || sp.split(&w, &weights, target));
-                let legacy =
-                    with_scratch_mode(ScratchMode::Transient, || sp.split(&w, &weights, target));
+                let fast = sp.split_fast(&w, &weights, target);
+                let legacy = sp.split_legacy(&w, &weights, target);
                 assert_eq!(fast, legacy, "dims {dims:?}, mask {mask_mod}, frac {frac}");
             }
         }
@@ -864,7 +862,6 @@ mod tests {
 
     #[test]
     fn sparse_point_sets_exercise_the_fallback_groupings() {
-        use mmb_graph::workspace::{with_scratch_mode, ScratchMode};
         // Dominoes (adjacent point pairs) scattered over a wide coordinate
         // range: the cell universe dwarfs the member count, forcing the
         // comparison-sort grouping instead of the counting sort. Unit
@@ -880,13 +877,13 @@ mod tests {
         let n = grid.graph.num_vertices();
         let costs = vec![1.0; grid.graph.num_edges()];
         let sp = GridSplitter::new(&grid, &costs);
+        assert!(sp.pack_safe);
         let weights = vec![1.0; n];
         let w = VertexSet::full(n);
         for frac in [0.25, 0.5, 0.75] {
             let target = frac * n as f64;
-            let fast = with_scratch_mode(ScratchMode::Reuse, || sp.split(&w, &weights, target));
-            let legacy =
-                with_scratch_mode(ScratchMode::Transient, || sp.split(&w, &weights, target));
+            let fast = sp.split_fast(&w, &weights, target);
+            let legacy = sp.split_legacy(&w, &weights, target);
             assert_eq!(fast, legacy, "frac {frac}");
             assert!(check_split(&w, &fast, &weights, target).holds());
         }
@@ -905,6 +902,7 @@ mod tests {
         let fn_ = far.graph.num_vertices();
         let fcosts = vec![1.0; far.graph.num_edges()];
         let fsp = GridSplitter::new(&far, &fcosts);
+        assert!(!fsp.pack_safe);
         let fw = VertexSet::full(fn_);
         let fweights = vec![1.0; fn_];
         let u = fsp.split(&fw, &fweights, 2.0);

@@ -2,8 +2,8 @@
 //!
 //! Facade crate for the workspace reproducing
 //!
-//! > David Steurer, *Tight Bounds on the Min-Max Boundary Decomposition
-//! > Cost of Weighted Graphs*, SPAA 2006 (arXiv `cs/0606001`).
+//! > David Steurer, *Tight bounds on the min-max boundary decomposition
+//! > cost of weighted graphs*, SPAA 2006 (arXiv `cs/0606001`).
 //!
 //! It re-exports the six member crates under one roof so downstream users
 //! (and this repo's own `examples/` and `tests/`) can depend on a single

@@ -10,6 +10,9 @@
 //! `adversarial_finite_weights_are_deterministic_and_panic_free` there) to
 //! the baselines, separator grouping and the full pipeline.
 
+mod common;
+
+use common::solve_with;
 use mmb_baselines::greedy::{first_fit, lpt};
 use mmb_baselines::kl::{refine, KlParams};
 use mmb_baselines::multilevel::{multilevel, MultilevelParams};
@@ -119,7 +122,7 @@ fn full_pipeline_deterministic_on_adversarial_weights() {
     let weights = adversarial_weights(n);
     let costs = vec![1.0; g.num_edges()];
     let sp = GridSplitter::new(&grid, &costs);
-    let run = || decompose(g, &costs, &weights, 4, &sp, &[], &PipelineConfig::default()).unwrap();
+    let run = || solve_with(g, &costs, &weights, 4, &sp);
     let a = run();
     let b = run();
     assert_eq!(a.coloring, b.coloring, "pipeline nondeterministic");

@@ -1,23 +1,23 @@
-//! Integration tests of the `Instance`/`Solver` API (and its equivalence
-//! with the legacy `decompose` wrapper).
+//! Integration tests of the `Instance`/`Solver` API.
 //!
 //! Covers the redesign's contract points:
-//! * `Solver::solve` and legacy `decompose` produce *identical* colorings
-//!   on random instances (property test — the wrapper changes no
-//!   behavior);
+//! * an explicit splitter passed as `SplitterChoice::Custom` and the
+//!   `Auto` choice produce *identical* colorings on random instances
+//!   (property test);
 //! * `SplitterChoice::Auto` picks the expected family on grid / tree /
 //!   path / arbitrary inputs;
 //! * a built `Solver` reuses its constructed splitter across `solve()`
 //!   calls (constructions counted, calls recorded);
-//! * `Box<dyn Splitter>` / `Arc<dyn Splitter>` work end to end through
-//!   `decompose` (trait-object story);
-//! * builder/validation errors surface as typed `SolveError`s.
+//! * `Box<dyn Splitter>` / `Arc<dyn Splitter>` work end to end as
+//!   `SplitterChoice::Custom` (trait-object story);
+//! * builder/validation errors surface as typed `SolveError`s;
+//! * the pooled scratch workspace leaves no trace between solves.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mmb_core::api::{solve_many, Instance, SolveError, Solver, SplitterChoice};
-use mmb_core::pipeline::{decompose, PipelineConfig, ScratchPolicy};
+use mmb_core::pipeline::PipelineConfig;
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::gen::misc::path;
 use mmb_graph::gen::tree::random_tree;
@@ -43,11 +43,10 @@ fn det_weights(n: usize, seed: u64) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    // The tentpole equivalence: the legacy wrapper and a Solver built on
-    // the same instance produce the *same coloring*, bit for bit — across
-    // the workspace (`ScratchPolicy::Reuse`), the pre-overhaul allocating
-    // reference (`ScratchPolicy::Transient`), the batch `solve_many`
-    // entry point, and every thread count of the parallel shim.
+    // An explicit GridSplitter handed in as `SplitterChoice::Custom` and
+    // the `Auto` choice produce the *same coloring*, bit for bit — and so
+    // do the batch `solve_many` entry point and every thread count of the
+    // parallel shim.
     #[test]
     fn solver_matches_decompose_on_random_grids(
         side in 4usize..11,
@@ -58,27 +57,16 @@ proptest! {
         let costs = det_costs(grid.graph.num_edges(), seed);
         let weights = det_weights(grid.graph.num_vertices(), seed);
         let sp = GridSplitter::new(&grid, &costs);
-        let legacy = decompose(
-            &grid.graph, &costs, &weights, k, &sp, &[], &PipelineConfig::default(),
-        )
-        .unwrap();
         let inst = Instance::from_grid(grid.clone(), costs, weights).unwrap();
-        let report = Solver::for_instance(&inst).classes(k).build().unwrap().solve();
-        prop_assert_eq!(&report.coloring, &legacy.coloring);
-        prop_assert!(report.is_strictly_balanced());
-
-        // Workspace path ≡ allocating reference path.
-        let transient_cfg = PipelineConfig {
-            scratch: ScratchPolicy::Transient,
-            ..PipelineConfig::default()
-        };
-        let transient = Solver::for_instance(&inst)
+        let explicit = Solver::for_instance(&inst)
             .classes(k)
-            .config(transient_cfg.clone())
+            .splitter(SplitterChoice::Custom(Box::new(&sp)))
             .build()
             .unwrap()
             .solve();
-        prop_assert_eq!(&transient.coloring, &legacy.coloring);
+        let report = Solver::for_instance(&inst).classes(k).build().unwrap().solve();
+        prop_assert_eq!(&report.coloring, &explicit.coloring);
+        prop_assert!(report.is_strictly_balanced());
 
         // solve_many ≡ one-at-a-time solve, for 1 and several worker
         // threads (the shim's deterministic chunked schedule).
@@ -89,7 +77,7 @@ proptest! {
             });
             prop_assert_eq!(results.len(), 1);
             let got = results.into_iter().next().unwrap().unwrap();
-            prop_assert_eq!(&got.coloring, &legacy.coloring, "threads = {}", threads);
+            prop_assert_eq!(&got.coloring, &explicit.coloring, "threads = {}", threads);
         }
     }
 
@@ -102,12 +90,16 @@ proptest! {
         let g = random_tree(n, 3, seed);
         let costs = det_costs(g.num_edges(), seed);
         let weights = det_weights(n, seed);
+        let inst = Instance::new(g.clone(), costs, weights).unwrap();
         let sp = TreeSplitter::new(&g);
-        let legacy = decompose(&g, &costs, &weights, k, &sp, &[], &PipelineConfig::default())
-            .unwrap();
-        let inst = Instance::new(g, costs, weights).unwrap();
+        let explicit = Solver::for_instance(&inst)
+            .classes(k)
+            .splitter(SplitterChoice::Custom(Box::new(&sp)))
+            .build()
+            .unwrap()
+            .solve();
         let report = Solver::for_instance(&inst).classes(k).build().unwrap().solve();
-        prop_assert_eq!(&report.coloring, &legacy.coloring);
+        prop_assert_eq!(&report.coloring, &explicit.coloring);
     }
 }
 
@@ -239,22 +231,31 @@ fn boxed_and_arc_splitters_run_through_decompose() {
     let grid = GridGraph::lattice(&[8, 8]);
     let costs = vec![1.0; grid.graph.num_edges()];
     let weights = vec![1.0; 64];
-    let cfg = PipelineConfig::default();
+    let inst = Instance::new(grid.graph.clone(), costs.clone(), weights.clone()).unwrap();
+    let solve = |sp: Box<dyn Splitter + '_>| {
+        Solver::for_instance(&inst)
+            .classes(4)
+            .splitter(SplitterChoice::Custom(sp))
+            .build()
+            .unwrap()
+            .solve()
+            .coloring
+    };
 
     let boxed: Box<dyn Splitter + '_> = Box::new(GridSplitter::new(&grid, &costs));
-    // S = Box<dyn Splitter> (the Box blanket impl)…
-    let d_box = decompose(&grid.graph, &costs, &weights, 4, &boxed, &[], &cfg).unwrap();
-    // …and S = dyn Splitter (unsized) directly.
-    let d_dyn = decompose(&grid.graph, &costs, &weights, 4, boxed.as_ref(), &[], &cfg).unwrap();
+    // A reference to the unsized `dyn Splitter`…
+    let via_dyn = solve(Box::new(boxed.as_ref()));
+    // …and a `Box<dyn Splitter>` itself (the Box blanket impl).
+    let via_box = solve(Box::new(boxed));
 
     // `Arc<T>: Sync` needs `T: Send`, so an `Arc`-boxed trait-object
     // splitter names `Send` too (all concrete splitters qualify).
     let arc: Arc<dyn Splitter + Send + '_> = Arc::new(GridSplitter::new(&grid, &costs));
-    let d_arc = decompose(&grid.graph, &costs, &weights, 4, &arc, &[], &cfg).unwrap();
+    let via_arc = solve(Box::new(arc));
 
-    assert!(d_box.coloring.is_strictly_balanced(&weights));
-    assert_eq!(d_box.coloring, d_dyn.coloring);
-    assert_eq!(d_box.coloring, d_arc.coloring);
+    assert!(via_box.is_strictly_balanced(&weights));
+    assert_eq!(via_box, via_dyn);
+    assert_eq!(via_box, via_arc);
 }
 
 #[test]
@@ -400,9 +401,6 @@ fn report_class_table_is_consistent() {
         assert_eq!(row.class, i);
         assert!((row.boundary_cost - report.boundary_costs[i]).abs() < 1e-12);
     }
-    // Stage data is present and total.
-    assert!(report.stages.multibalanced.is_total());
-    assert!(report.stages.almost_strict.is_total());
 }
 
 #[test]
@@ -450,23 +448,6 @@ fn solve_many_matches_individual_solves_across_families() {
         .all(|r| matches!(r, Err(SolveError::ZeroColors))));
 }
 
-#[test]
-fn report_records_stage_timings() {
-    let grid = GridGraph::lattice(&[8, 8]);
-    let m = grid.graph.num_edges();
-    let inst = Instance::from_grid(grid, vec![1.0; m], vec![1.0; 64]).unwrap();
-    let report = Solver::for_instance(&inst)
-        .classes(4)
-        .build()
-        .unwrap()
-        .solve();
-    assert!(report
-        .stage_millis
-        .iter()
-        .all(|&ms| ms.is_finite() && ms >= 0.0));
-    assert!(report.stage_millis.iter().sum::<f64>() > 0.0);
-}
-
 fn _object_safety_probe(s: &dyn Splitter) -> &str {
     // Compile-time proof that Splitter stays object safe.
     s.name()
@@ -477,8 +458,7 @@ fn corpus_solver_reuse_matches_fresh_builds() {
     // Solver-reuse regression over the whole corpus: for every entry of
     // every family, one amortized Solver solved repeatedly produces
     // colorings bit-identical to solvers built fresh per call — across
-    // all eight graph families and both weight/cost profiles, under both
-    // scratch policies.
+    // all eight graph families and both weight/cost profiles.
     let corpus = mmb_instances::corpus::Corpus::quick();
     for family in corpus.families() {
         for entry in corpus.family_entries(family) {
@@ -503,23 +483,38 @@ fn corpus_solver_reuse_matches_fresh_builds() {
                     entry.name
                 );
             }
-            // The allocating reference path agrees too.
-            let transient = Solver::for_instance(inst)
-                .classes(entry.k)
-                .config(PipelineConfig {
-                    scratch: ScratchPolicy::Transient,
-                    ..PipelineConfig::default()
-                })
-                .build()
-                .unwrap()
-                .solve();
-            assert_eq!(
-                transient.coloring, first.coloring,
-                "{}: transient diverged",
-                entry.name
-            );
             assert!(first.is_strictly_balanced(), "{}", entry.name);
         }
+    }
+}
+
+#[test]
+fn pooled_scratch_leaves_no_trace_between_solves() {
+    // Every solve draws its dense scratch buffers from this thread's
+    // workspace pool. A buffer handed back dirty would leak one solve's
+    // state into the next, so each quick-corpus entry is solved on a
+    // fresh thread (empty pool) and again on this thread after the whole
+    // corpus has used its pool: the colorings must be bit-identical.
+    let corpus = mmb_instances::corpus::Corpus::quick();
+    let solve = |entry: &mmb_instances::corpus::CorpusEntry| {
+        Solver::for_instance(&entry.instance)
+            .classes(entry.k)
+            .build()
+            .unwrap()
+            .solve()
+            .coloring
+    };
+    for entry in &corpus {
+        solve(entry);
+    }
+    for entry in &corpus {
+        let fresh = std::thread::scope(|s| s.spawn(|| solve(entry)).join().unwrap());
+        assert_eq!(
+            solve(entry),
+            fresh,
+            "{}: a used pool changed the coloring",
+            entry.name
+        );
     }
 }
 

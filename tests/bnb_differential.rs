@@ -18,8 +18,7 @@
 //!   incumbent, and the certified gap ratio is non-increasing in the
 //!   budget.
 //! * **Determinism.** Same instance, same budget, same solution — bit
-//!   for bit — under both `ScratchPolicy::Reuse` and
-//!   `ScratchPolicy::Transient`, and across repeated runs of the
+//!   for bit — across repeated solves and repeated runs of the
 //!   deterministic interrupt hook (a node-count "clock", no wall time).
 //! * **Sound truncation.** A budget- or interrupt-truncated run still
 //!   returns a valid strictly balanced coloring and a sound certified
@@ -29,7 +28,6 @@
 use mmb_core::api::{Instance, Partitioner, Solver, Theorem4Pipeline};
 use mmb_core::bnb::{self, BnbConfig, BnbPartitioner};
 use mmb_core::oracle::exact_min_max_boundary;
-use mmb_core::pipeline::{PipelineConfig, ScratchPolicy};
 use mmb_core::verify::verify_decomposition;
 use mmb_graph::gen::lattice::hypercube;
 use mmb_graph::gen::misc::{cycle, path};
@@ -222,34 +220,26 @@ fn budget_zero_returns_exactly_the_pipeline_coloring() {
 
 #[test]
 fn solver_solve_anytime_is_deterministic_under_both_scratch_policies() {
-    let solve = |scratch: ScratchPolicy, inst: &Instance, k: usize| {
-        let cfg = PipelineConfig {
-            scratch,
-            ..PipelineConfig::default()
-        };
-        let solver = Solver::for_instance(inst)
-            .classes(k)
-            .config(cfg)
-            .build()
-            .unwrap();
+    let solve = |inst: &Instance, k: usize| {
+        let solver = Solver::for_instance(inst).classes(k).build().unwrap();
         solver.solve_anytime(&BnbConfig::with_node_budget(5_000))
     };
     for entry in Corpus::small().entries().iter().take(6) {
         let inst = &entry.instance;
-        let reuse = solve(ScratchPolicy::Reuse, inst, entry.k);
-        let transient = solve(ScratchPolicy::Transient, inst, entry.k);
+        let first = solve(inst, entry.k);
+        let second = solve(inst, entry.k);
         assert_eq!(
-            reuse.coloring, transient.coloring,
-            "{}: scratch policies disagree",
+            first.coloring, second.coloring,
+            "{}: repeated solves disagree",
             entry.name
         );
         assert_eq!(
-            reuse.max_boundary.to_bits(),
-            transient.max_boundary.to_bits(),
+            first.max_boundary.to_bits(),
+            second.max_boundary.to_bits(),
             "{}",
             entry.name
         );
-        let (gr, gt) = (reuse.certified.unwrap(), transient.certified.unwrap());
+        let (gr, gt) = (first.certified.unwrap(), second.certified.unwrap());
         assert_eq!(gr.lower.to_bits(), gt.lower.to_bits(), "{}", entry.name);
         assert_eq!(gr.upper.to_bits(), gt.upper.to_bits(), "{}", entry.name);
         assert_eq!(gr.certifier, gt.certifier, "{}", entry.name);
@@ -259,7 +249,7 @@ fn solver_solve_anytime_is_deterministic_under_both_scratch_policies() {
             .unwrap();
         let plain_cost = plain.max_boundary_cost(inst.graph(), inst.costs());
         assert!(
-            reuse.max_boundary <= plain_cost + 1e-9 * (1.0 + plain_cost),
+            first.max_boundary <= plain_cost + 1e-9 * (1.0 + plain_cost),
             "{}: anytime report worse than the pipeline",
             entry.name
         );

@@ -7,8 +7,8 @@
 //!
 //! 1. **METIS round-trip** — serialize with `write_metis`, re-ingest with
 //!    `parse_metis_reader`: same fingerprint, for every corpus entry.
-//! 2. **Scratch-policy invariance** — solving under `Reuse` vs `Transient`
-//!    neither perturbs the instance's identity nor the coloring served.
+//! 2. **Solve invariance** — solving twice neither perturbs the
+//!    instance's identity nor changes the coloring served.
 //! 3. **Corpus separation** — all corpus entries (every family × profile)
 //!    have pairwise-distinct combined fingerprints, and structure digests
 //!    separate the distinct topologies.
@@ -16,7 +16,6 @@
 use std::collections::BTreeMap;
 use std::io::BufReader;
 
-use mmb_core::pipeline::ScratchPolicy;
 use mmb_core::prelude::*;
 use mmb_graph::fingerprint::structure_digest;
 use mmb_graph::io::{parse_metis_reader, write_metis};
@@ -51,12 +50,8 @@ fn scratch_policy_cannot_perturb_identity_or_output() {
         let inst = &e.instance;
         let fp0 = inst.fingerprint();
         let mut colorings = Vec::new();
-        for policy in [ScratchPolicy::Reuse, ScratchPolicy::Transient] {
-            let mut cfg = PipelineConfig {
-                p: e.p.max(1.5),
-                ..PipelineConfig::default()
-            };
-            cfg.scratch = policy;
+        for run in 0..2 {
+            let cfg = PipelineConfig::with_p(e.p.max(1.5));
             let report = Solver::for_instance(inst)
                 .classes(e.k)
                 .config(cfg)
@@ -66,14 +61,14 @@ fn scratch_policy_cannot_perturb_identity_or_output() {
             assert_eq!(
                 inst.fingerprint(),
                 fp0,
-                "{}: solving under {policy:?} mutated the instance identity",
+                "{}: solve #{run} mutated the instance identity",
                 e.name
             );
             colorings.push(report.coloring);
         }
         assert_eq!(
             colorings[0], colorings[1],
-            "{}: Reuse and Transient scratch disagree on the coloring",
+            "{}: repeated solves disagree on the coloring",
             e.name
         );
     }

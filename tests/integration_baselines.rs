@@ -2,11 +2,13 @@
 //! the weakness the paper ascribes to it, and the Theorem 4 pipeline
 //! exhibits neither.
 
+mod common;
+
+use common::solve_with;
 use mmb_baselines::greedy::{first_fit, lpt, round_robin};
 use mmb_baselines::kl::{refine, KlParams};
 use mmb_baselines::multilevel::{multilevel, MultilevelParams};
 use mmb_baselines::recursive_bisection::{recursive_bisection, recursive_bisection_kst};
-use mmb_core::prelude::*;
 use mmb_instances::climate::{climate, ClimateParams};
 use mmb_instances::weights::WeightFamily;
 use mmb_splitters::grid::GridSplitter;
@@ -48,23 +50,14 @@ fn ours_beats_greedy_on_boundary_and_rb_on_balance() {
     let k = 12;
     let sp = GridSplitter::new(&wl.grid, &wl.costs);
 
-    let ours = decompose(
-        g,
-        &wl.costs,
-        &wl.weights,
-        k,
-        &sp,
-        &[],
-        &PipelineConfig::default(),
-    )
-    .unwrap();
+    let ours = solve_with(g, &wl.costs, &wl.weights, k, &sp);
     let greedy = lpt(n, k, &wl.weights).unwrap();
     let rb = recursive_bisection(g, &sp, &wl.weights, k).unwrap();
 
     // (a) ours is strictly balanced; (b) far cheaper boundary than greedy;
     // (c) within a constant factor of RB's boundary despite strictness.
     assert!(ours.coloring.is_strictly_balanced(&wl.weights));
-    let ours_max = ours.max_boundary();
+    let ours_max = ours.max_boundary;
     let greedy_max = greedy.max_boundary_cost(g, &wl.costs);
     let rb_max = rb.max_boundary_cost(g, &wl.costs);
     assert!(
@@ -92,16 +85,7 @@ fn rb_is_not_strict_under_adversarial_weights() {
     let weights = WeightFamily::Spike.generate(n, 4);
     let sp = GridSplitter::new(&wl.grid, &wl.costs);
     let rb = recursive_bisection(g, &sp, &weights, k).unwrap();
-    let ours = decompose(
-        g,
-        &wl.costs,
-        &weights,
-        k,
-        &sp,
-        &[],
-        &PipelineConfig::default(),
-    )
-    .unwrap();
+    let ours = solve_with(g, &wl.costs, &weights, k, &sp);
     assert!(ours.coloring.is_strictly_balanced(&weights));
     // RB has no strictness mechanism, so its defect is unconstrained (its
     // sign depends on the RNG stream — asserting on it is flaky). The

@@ -2,7 +2,13 @@
 //! family × weight family × splitter combination, always checking the
 //! machine-verifiable guarantee (eq. (1)) and sanity of the boundary.
 
+mod common;
+
+use common::solve_with;
+use mmb_core::multibalance::multibalance_minmax_with_pi;
+use mmb_core::pi::splitting_cost_measure_within;
 use mmb_core::prelude::*;
+use mmb_core::shrink::almost_strict;
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::gen::tree::{caterpillar, random_tree};
 use mmb_instances::weights::{WeightFamily, ALL_FAMILIES};
@@ -20,9 +26,8 @@ fn check_strict<S: Splitter + ?Sized>(
     k: usize,
     sp: &S,
     label: &str,
-) -> Decomposition {
-    let d = decompose(g, costs, weights, k, sp, &[], &PipelineConfig::default())
-        .unwrap_or_else(|e| panic!("{label}: {e}"));
+) -> Report {
+    let d = solve_with(g, costs, weights, k, sp);
     let r = verify_decomposition(g, costs, weights, &d.coloring);
     assert!(r.is_partition, "{label}: not a partition");
     assert!(
@@ -64,16 +69,14 @@ fn three_dimensional_grid() {
     let costs = vec![1.0; grid.graph.num_edges()];
     let sp = GridSplitter::new(&grid, &costs);
     let weights = WeightFamily::PowerLaw.generate(n, 5);
-    let d = decompose(
-        &grid.graph,
-        &costs,
-        &weights,
-        9,
-        &sp,
-        &[],
-        &PipelineConfig::with_p(1.5),
-    )
-    .unwrap();
+    let inst = Instance::new(grid.graph.clone(), costs.clone(), weights.clone()).unwrap();
+    let d = Solver::for_instance(&inst)
+        .classes(9)
+        .p(1.5)
+        .splitter(SplitterChoice::Custom(Box::new(&sp)))
+        .build()
+        .unwrap()
+        .solve();
     assert!(d.coloring.is_strictly_balanced(&weights));
 }
 
@@ -116,10 +119,10 @@ fn failure_injection_adversarial_splitter_keeps_strictness() {
     let honest = GridSplitter::new(&grid, &costs);
     let dh = check_strict(&grid.graph, &costs, &weights, 8, &honest, "honest");
     assert!(
-        d.max_boundary() > dh.max_boundary(),
+        d.max_boundary > dh.max_boundary,
         "adversarial ({}) should be worse than honest ({})",
-        d.max_boundary(),
-        dh.max_boundary()
+        d.max_boundary,
+        dh.max_boundary
     );
 }
 
@@ -158,26 +161,33 @@ fn recording_splitter_measures_work() {
 
 #[test]
 fn stage_outputs_are_consistent() {
+    // The Proposition 7 and 11 stages, run directly as the pipeline runs
+    // them.
     let grid = GridGraph::lattice(&[16, 16]);
-    let n = grid.graph.num_vertices();
-    let costs = vec![1.0; grid.graph.num_edges()];
+    let g = &grid.graph;
+    let n = g.num_vertices();
+    let costs = vec![1.0; g.num_edges()];
     let sp = GridSplitter::new(&grid, &costs);
     let weights = WeightFamily::Uniform.generate(n, 8);
-    let d = decompose(
-        &grid.graph,
+    let domain = mmb_graph::VertexSet::full(n);
+    let cfg = PipelineConfig::default();
+    let pi = splitting_cost_measure_within(g, &costs, cfg.p, 1.0, &domain);
+    let stage1 =
+        multibalance_minmax_with_pi(g, &costs, &sp, 10, &domain, &[&weights], &pi).coloring;
+    let stage2 = almost_strict(
+        g,
         &costs,
-        &weights,
-        10,
         &sp,
-        &[],
-        &PipelineConfig::default(),
-    )
-    .unwrap();
-    // Stage 1 and 2 are total colorings too.
-    assert!(d.stages.0.is_total());
-    assert!(d.stages.1.is_total());
+        &stage1,
+        &domain,
+        &weights,
+        cfg.p,
+        &cfg.shrink,
+    );
+    assert!(stage1.is_total());
+    assert!(stage2.is_total());
     // Stage 2 is almost strict: within 2‖w‖∞ of the average.
-    let cm = d.stages.1.class_measures(&weights);
+    let cm = stage2.class_measures(&weights);
     let avg: f64 = cm.iter().sum::<f64>() / cm.len() as f64;
     let wmax = weights.iter().cloned().fold(0.0, f64::max);
     for (i, &c) in cm.iter().enumerate() {

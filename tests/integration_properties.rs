@@ -1,7 +1,9 @@
 //! Cross-crate property tests: the headline invariants hold for random
 //! instances, weights, k, and splitter choices.
 
-use mmb_core::prelude::*;
+mod common;
+
+use common::solve_with;
 use mmb_core::strict::binpack2;
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::gen::tree::random_tree;
@@ -33,8 +35,7 @@ proptest! {
         let weights: Vec<f64> = (0..n)
             .map(|v| ((seed >> (v % 53)) & 15) as f64 + 0.1)
             .collect();
-        let d = decompose(&grid.graph, &costs, &weights, k, &sp, &[], &PipelineConfig::default())
-            .unwrap();
+        let d = solve_with(&grid.graph, &costs, &weights, k, &sp);
         prop_assert!(d.coloring.is_total());
         prop_assert!(
             d.coloring.is_strictly_balanced(&weights),
@@ -53,7 +54,7 @@ proptest! {
         let costs: Vec<f64> = (0..g.num_edges()).map(|e| 1.0 + (e % 3) as f64).collect();
         let sp = TreeSplitter::new(&g);
         let w = &weights[..n];
-        let d = decompose(&g, &costs, w, k, &sp, &[], &PipelineConfig::default()).unwrap();
+        let d = solve_with(&g, &costs, w, k, &sp);
         prop_assert!(d.coloring.is_strictly_balanced(w));
     }
 
@@ -68,8 +69,7 @@ proptest! {
         let costs = vec![1.0; grid.graph.num_edges()];
         let sp = AdversarialSplitter::new(n, salt);
         let weights: Vec<f64> = (0..n).map(|v| 1.0 + ((v as u64 * 2654435761) % 9) as f64).collect();
-        let d = decompose(&grid.graph, &costs, &weights, k, &sp, &[], &PipelineConfig::default())
-            .unwrap();
+        let d = solve_with(&grid.graph, &costs, &weights, k, &sp);
         prop_assert!(d.coloring.is_strictly_balanced(&weights));
     }
 
@@ -108,8 +108,7 @@ proptest! {
         let costs: Vec<f64> = (0..grid.graph.num_edges()).map(|e| 1.0 + (e % 2) as f64).collect();
         let sp = GridSplitter::new(&grid, &costs);
         let weights = vec![1.0; n];
-        let d = decompose(&grid.graph, &costs, &weights, k, &sp, &[], &PipelineConfig::default())
-            .unwrap();
+        let d = solve_with(&grid.graph, &costs, &weights, k, &sp);
         let per_class: f64 = d.boundary_costs.iter().sum();
         let bichromatic: f64 = grid.graph.edge_list().iter().enumerate()
             .filter(|(_, (u, v))| d.coloring.get(*u) != d.coloring.get(*v))

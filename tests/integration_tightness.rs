@@ -1,11 +1,13 @@
 //! Integration of the tightness machinery (Theorem 5 / Lemma 40): no
 //! algorithm beats the certified lower bound; our upper bound sandwiches it.
 
+mod common;
+
+use common::solve_with;
 use mmb_baselines::greedy::{first_fit, lpt};
 use mmb_baselines::multilevel::{multilevel, MultilevelParams};
 use mmb_baselines::recursive_bisection::recursive_bisection;
 use mmb_core::bounds;
-use mmb_core::prelude::*;
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::measure::total_edge_norm_p;
 use mmb_instances::tight::{min_balanced_separation_cost, TightInstance};
@@ -26,17 +28,7 @@ fn nobody_beats_the_certificate() {
     assert_eq!(twin.graph.num_edges(), g.num_edges());
     let sp = GridSplitter::new(&twin, &tight.union.costs);
 
-    let ours = decompose(
-        g,
-        &tight.union.costs,
-        &tight.weights,
-        k,
-        &sp,
-        &[],
-        &PipelineConfig::default(),
-    )
-    .unwrap()
-    .coloring;
+    let ours = solve_with(g, &tight.union.costs, &tight.weights, k, &sp).coloring;
     let candidates = [
         ("ours", ours),
         ("lpt", lpt(g.num_vertices(), k, &tight.weights).unwrap()),
@@ -82,24 +74,15 @@ fn upper_and_lower_sandwich() {
         let twin = grid_twin(side, k);
         let g = &tight.union.graph;
         let sp = GridSplitter::new(&twin, &tight.union.costs);
-        let d = decompose(
-            g,
-            &tight.union.costs,
-            &tight.weights,
-            k,
-            &sp,
-            &[],
-            &PipelineConfig::default(),
-        )
-        .unwrap();
+        let d = solve_with(g, &tight.union.costs, &tight.weights, k, &sp);
         let (avg, lb, rough) = tight.check(&d.coloring);
         assert!(rough, "strictly balanced is roughly balanced here");
         assert!(avg >= lb - 1e-9);
         let upper = bounds::theorem5(2.0, k, total_edge_norm_p(g, &tight.union.costs, 2.0), 1.0);
         assert!(
-            d.max_boundary() <= 10.0 * upper,
+            d.max_boundary <= 10.0 * upper,
             "k={k}: measured {} far above Theorem 5 bound {upper}",
-            d.max_boundary()
+            d.max_boundary
         );
     }
 }
@@ -137,16 +120,7 @@ fn small_tight_instance_from_exhaustive_base() {
     let twin = grid_twin(3, k);
     let g = &tight.union.graph;
     let sp = GridSplitter::new(&twin, &tight.union.costs);
-    let d = decompose(
-        g,
-        &tight.union.costs,
-        &tight.weights,
-        k,
-        &sp,
-        &[],
-        &PipelineConfig::default(),
-    )
-    .unwrap();
+    let d = solve_with(g, &tight.union.costs, &tight.weights, k, &sp);
     let (avg, lb, rough) = tight.check(&d.coloring);
     assert!(rough);
     assert!(avg >= lb - 1e-9, "avg {avg} < lb {lb}");

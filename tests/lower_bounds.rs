@@ -1,7 +1,7 @@
 //! Differential tests for the certified lower-bound engine
 //! (`mmb_core::lower_bounds`): soundness against the exact oracle and
-//! every partitioner, machine-checkable derivations, scratch-policy
-//! invariance, tightness on recognized families, and the
+//! every partitioner, machine-checkable derivations, run-to-run
+//! determinism, tightness on recognized families, and the
 //! `Solver::solve_certified` threading.
 //!
 //! The optimality chain being certified, on every instance the suite
@@ -20,10 +20,9 @@ use mmb_bench::standard_baselines;
 use mmb_core::api::{Instance, Partitioner, Solver, Theorem4Pipeline};
 use mmb_core::lower_bounds::{best_lower_bound, certify, standard_certifiers, CertifiedGap};
 use mmb_core::oracle::exact_min_max_boundary;
-use mmb_core::pipeline::{PipelineConfig, ScratchPolicy};
+use mmb_core::pipeline::{CoarsenConfig, PipelineConfig};
 use mmb_graph::gen::lattice::hypercube;
 use mmb_graph::gen::misc::path;
-use mmb_graph::workspace::with_scratch_mode;
 use mmb_instances::corpus::Corpus;
 
 fn tol(x: f64) -> f64 {
@@ -135,29 +134,26 @@ fn derivations_replay_on_every_small_entry() {
 
 #[test]
 fn bounds_are_identical_under_both_scratch_policies() {
-    // The certifiers never touch the scratch workspaces, and that is a
-    // contract: certification must be bit-identical whether the ambient
-    // mode is the pooled hot path or the transient reference path (a
-    // certifier that silently depended on workspace state could drift
-    // between CI's test run and the bench run).
+    // Certification is a contract on the instance alone: two runs must be
+    // bit-identical (a certifier that silently depended on leftover
+    // thread state could drift between CI's test run and the bench run).
     for entry in Corpus::small().entries().iter().take(6) {
         let inst = &entry.instance;
         for k in [2usize, 3] {
-            let reuse = with_scratch_mode(ScratchPolicy::Reuse, || best_lower_bound(inst, k));
-            let transient =
-                with_scratch_mode(ScratchPolicy::Transient, || best_lower_bound(inst, k));
+            let first = best_lower_bound(inst, k);
+            let second = best_lower_bound(inst, k);
             assert_eq!(
-                reuse.certificates.len(),
-                transient.certificates.len(),
-                "{} k={k}: certifier sets differ across scratch policies",
+                first.certificates.len(),
+                second.certificates.len(),
+                "{} k={k}: certifier sets differ across runs",
                 entry.name
             );
-            for (a, b) in reuse.certificates.iter().zip(&transient.certificates) {
+            for (a, b) in first.certificates.iter().zip(&second.certificates) {
                 assert_eq!(a.certifier, b.certifier, "{} k={k}", entry.name);
                 assert_eq!(
                     a.value.to_bits(),
                     b.value.to_bits(),
-                    "{} k={k} `{}`: {} (Reuse) vs {} (Transient)",
+                    "{} k={k} `{}`: {} vs {}",
                     entry.name,
                     a.certifier,
                     a.value,
@@ -231,13 +227,15 @@ fn solve_certified_threads_the_gap_into_the_report() {
 
 #[test]
 fn certified_gap_composes_with_custom_configs() {
-    // A Transient-policy solver certifies the same lower bound as the
-    // default — the gap engine sits entirely off the scratch machinery.
+    // A solver with a custom config — a coarsening cascade, inert below
+    // its target size — certifies the same lower bound and serves the
+    // same coloring as the default: the gap engine sits entirely off the
+    // solve path.
     let corpus = Corpus::quick();
     let entry = corpus.entries().first().unwrap();
     let inst = &entry.instance;
-    let transient_cfg = PipelineConfig {
-        scratch: ScratchPolicy::Transient,
+    let custom_cfg = PipelineConfig {
+        coarsen: Some(CoarsenConfig::default()),
         ..PipelineConfig::default()
     };
     let a = Solver::for_instance(inst)
@@ -247,7 +245,7 @@ fn certified_gap_composes_with_custom_configs() {
         .solve_certified();
     let b = Solver::for_instance(inst)
         .classes(entry.k)
-        .config(transient_cfg)
+        .config(custom_cfg)
         .build()
         .unwrap()
         .solve_certified();

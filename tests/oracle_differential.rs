@@ -7,8 +7,7 @@
 //! * the oracle's coloring is a *valid* solution (total + eq. (1)), and
 //!   its reported cost matches a from-scratch recomputation;
 //! * `oracle ≤ pipeline` — no heuristic may beat exhaustive search — and
-//!   the pipeline agrees bit-for-bit under `ScratchPolicy::Reuse` and
-//!   `ScratchPolicy::Transient`;
+//!   the pipeline agrees bit-for-bit with itself when run twice;
 //! * the Theorem-4/5 bound chain at the corpus exponent (`p = 1`),
 //!   against the RHS `‖c‖₁/k + Δ_c` — Theorem 5's form with `‖c‖∞`
 //!   sharpened to the max cost degree `Δ_c` (the Theorem-4 shape; at
@@ -30,18 +29,8 @@ use mmb_bench::standard_baselines;
 use mmb_core::api::{Partitioner, Theorem4Pipeline};
 use mmb_core::bounds;
 use mmb_core::oracle::{exact_min_max_boundary, ExactOracle};
-use mmb_core::pipeline::{PipelineConfig, ScratchPolicy};
 use mmb_core::verify::verify_decomposition;
 use mmb_instances::corpus::Corpus;
-
-fn pipeline_with(scratch: ScratchPolicy) -> Theorem4Pipeline {
-    Theorem4Pipeline {
-        cfg: PipelineConfig {
-            scratch,
-            ..PipelineConfig::default()
-        },
-    }
-}
 
 #[test]
 fn oracle_is_feasible_and_self_consistent_on_every_small_entry() {
@@ -78,24 +67,19 @@ fn oracle_le_pipeline_le_theorem5_under_both_scratch_policies() {
         let inst = &entry.instance;
         for k in [2usize, 3] {
             let oracle = exact_min_max_boundary(inst, k).unwrap();
-            let reuse = pipeline_with(ScratchPolicy::Reuse)
-                .partition(inst, k)
-                .unwrap();
-            let transient = pipeline_with(ScratchPolicy::Transient)
-                .partition(inst, k)
-                .unwrap();
-            // The workspace fast path is a pure optimization.
+            let pipeline = Theorem4Pipeline::default().partition(inst, k).unwrap();
             assert_eq!(
-                reuse, transient,
-                "{} k={k}: scratch policies disagree",
+                pipeline,
+                Theorem4Pipeline::default().partition(inst, k).unwrap(),
+                "{} k={k}: pipeline nondeterministic",
                 entry.name
             );
             assert!(
-                reuse.is_strictly_balanced(inst.weights()),
+                pipeline.is_strictly_balanced(inst.weights()),
                 "{} k={k}: pipeline not strict",
                 entry.name
             );
-            let pipeline_cost = reuse.max_boundary_cost(inst.graph(), inst.costs());
+            let pipeline_cost = pipeline.max_boundary_cost(inst.graph(), inst.costs());
             assert!(
                 oracle.max_boundary <= pipeline_cost + 1e-9 * (1.0 + pipeline_cost),
                 "{} k={k}: oracle {} beats pipeline {}",
