@@ -12,11 +12,10 @@
 //!   two-measure variant folds the cost-degree `τ` into the bisection
 //!   weights, approximating the Kiwi–Spielman–Teng recipe of balancing
 //!   weight and boundary simultaneously.
-//! * [`kl`] — Kernighan–Lin-style local refinement of the maximum boundary
-//!   under a balance envelope; the standard engineering post-pass.
 //! * [`multilevel`] — a METIS-lite multilevel partitioner: heavy-edge
 //!   matching coarsening, recursive bisection on the coarsest graph, and
-//!   KL refinement during uncoarsening.
+//!   Kernighan–Lin refinement ([`mod@mmb_core::refine`], shared with the
+//!   pipeline's coarsening cascade) during uncoarsening.
 //!
 //! All baselines produce total [`Coloring`](mmb_graph::Coloring)s so the
 //! harness can score everything uniformly.
@@ -59,7 +58,6 @@
 #![forbid(unsafe_code)]
 
 pub mod greedy;
-pub mod kl;
 pub mod multilevel;
 pub mod recursive_bisection;
 pub mod rung;

@@ -22,13 +22,12 @@
 //! loose balance envelope; it has no strict-balance and no per-class
 //! boundary guarantee (experiment E7 quantifies both gaps).
 
-pub use mmb_core::coarsen::{contract, heavy_edge_matching, CoarsenParams, CoarseningFront};
-
 use mmb_core::api::{validate_costs, validate_weights, Instance, Partitioner, SolveError};
+use mmb_core::coarsen::{CoarsenParams, CoarseningFront};
+use mmb_core::refine::{refine, KlParams};
 use mmb_graph::{Coloring, Graph};
 use mmb_splitters::bfs::BfsSplitter;
 
-use crate::kl::{refine, KlParams};
 use crate::recursive_bisection::recursive_bisection;
 
 /// Multilevel parameters.

@@ -9,7 +9,7 @@
 //!                                          #   fails (Thm5 ratio, trivial
 //!                                          #   or beaten certified bounds,
 //!                                          #   no bnb-proven optimum past
-//!                                          #   the oracle cap)
+//!                                          #   n = 16)
 //! reproduce bench [--quick] [--out PATH]   # perf suites → BENCH_6.json
 //! reproduce churn [--quick] [--out PATH]   # serving load test: cold vs
 //!                                          #   warm latency through
@@ -71,7 +71,7 @@ fn main() {
                 }
                 if out.bnb_proven < 1 {
                     eprintln!(
-                        "corpus gate FAILED: no past-the-oracle-cap entry solved to \
+                        "corpus gate FAILED: no medium (n > 16) entry solved to \
                          proven optimality by branch and bound"
                     );
                 }

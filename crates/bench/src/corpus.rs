@@ -8,10 +8,12 @@
 //! measured/bound ratio, the strict-balance slack/defect, whether
 //! eq. (1) holds, and — per entry — the best **certified lower bound**
 //! from the `mmb_core::lower_bounds` stack with the resulting gap ratio
-//! `cost / lower`. After the corpus proper, the sweep appends the
-//! `Corpus::small()` entries — the only ones inside the exhaustive
-//! search cap — where the exact oracle joins the pipeline as the
-//! ground-truth row (and doubles as the strongest certifier).
+//! `cost / lower`. After the corpus proper, the sweep appends an exact
+//! section — the `Corpus::small()` (`n ≤ 10`) and `Corpus::medium()`
+//! (`16 < n ≤ 20`) entries — where the branch-and-bound engine joins the
+//! pipeline as the ground-truth row: one search per entry, whose
+//! coloring is the row and whose proven optimum (or, when truncated,
+//! certified root gap) is the entry's lower bound.
 //!
 //! [`run_corpus`] computes the CI gate, which now has three prongs:
 //!
@@ -23,30 +25,23 @@
 //! 3. **Soundness prong**: no *strictly balanced* coloring produced by
 //!    any partitioner may beat the certified lower bound (non-strict
 //!    colorings are outside the bounds' feasible set and are exempt,
-//!    the same convention as the oracle differential suite).
+//!    the same convention as the exact-optimum differential suite).
 //!
-//! Any prong failing makes `reproduce corpus` exit non-zero. The
-//! small-entry section stays excluded from the Theorem-5 prong (at
-//! `n ≤ 10` the unit-constant RHS is not a theorem), but its rows are
-//! still soundness-checked.
-//!
-//! Since PR 6 a fourth section follows: the `Corpus::medium()` entries
-//! (`16 < n ≤ 20`, past the oracle's hard cap) where the anytime
-//! branch-and-bound engine joins the pipeline and — whenever its search
-//! exhausts — proves the optimum, closing the entry's certified gap to
-//! ratio 1.0. A fourth gate prong requires at least one such
-//! proven-optimal row (`bnb_proven ≥ 1`): the acceptance bar that exact
-//! solving actually extends beyond `n = 16`.
+//! Any prong failing makes `reproduce corpus` exit non-zero. The exact
+//! section stays excluded from the Theorem-5 prong (at these sizes the
+//! unit-constant RHS is not a theorem), but its rows are still
+//! soundness-checked. A fourth prong requires at least one *medium*
+//! entry proven optimal (`bnb_proven ≥ 1`): the acceptance bar that
+//! exact solving reaches past `n = 16`.
 
 use mmb_core::api::{Partitioner, Theorem4Pipeline};
 use mmb_core::bnb::{BnbConfig, BnbPartitioner};
 use mmb_core::bounds;
 use mmb_core::lower_bounds::{best_lower_bound, CertifiedGap};
-use mmb_core::oracle::{ExactOracle, ORACLE_MAX_VERTICES};
 use mmb_instances::corpus::{Corpus, CorpusEntry};
 
 use crate::table::Table;
-use crate::{fmt, run_scored, standard_baselines};
+use crate::{fmt, run_scored, score_instance, standard_baselines};
 
 /// Outcome of a corpus sweep: the printable table plus the CI gate data.
 #[derive(Clone, Debug)]
@@ -54,8 +49,7 @@ pub struct CorpusOutcome {
     /// The cross-partitioner quality table.
     pub table: Table,
     /// Worst pipeline Theorem-5 ratio across the corpus proper (the
-    /// ungated small-entry ground-truth section is excluded; see the
-    /// module docs).
+    /// ungated exact section is excluded; see the module docs).
     pub worst_pipeline_ratio: f64,
     /// Name of the entry attaining [`CorpusOutcome::worst_pipeline_ratio`].
     pub worst_entry: String,
@@ -69,9 +63,9 @@ pub struct CorpusOutcome {
     /// beat the certified lower bound — the soundness prong fails if
     /// non-empty (and a certifier is wrong).
     pub soundness_violations: Vec<String>,
-    /// Medium-section entries (`n > 16`, beyond the oracle cap) the
-    /// branch-and-bound engine solved to proven optimality — the
-    /// gap-closure prong fails unless ≥ 1.
+    /// `Corpus::medium()` entries (`n > 16`) the branch-and-bound engine
+    /// solved to proven optimality — the gap-closure prong fails unless
+    /// ≥ 1.
     pub bnb_proven: usize,
     /// Whether every gate prong passed.
     pub gate_ok: bool,
@@ -135,8 +129,9 @@ fn beats_lower(cost: f64, lower: f64) -> bool {
 }
 
 /// Run the corpus sweep (standard corpus, or the quick one for CI
-/// smoke) over the pipeline, every baseline, and — on oracle-sized
-/// entries — the exact oracle, certifying a lower bound for every entry.
+/// smoke) over the pipeline, every baseline, and — on the small and
+/// medium entries — branch and bound, certifying a lower bound for every
+/// entry.
 pub fn run_corpus(quick: bool) -> CorpusOutcome {
     let corpus = if quick {
         Corpus::quick()
@@ -168,7 +163,6 @@ pub fn run_corpus(quick: bool) -> CorpusOutcome {
     );
     let pipeline = Theorem4Pipeline::default();
     let baselines = standard_baselines();
-    let oracle = ExactOracle;
     let mut worst = 0.0f64;
     let mut worst_entry = String::new();
     let mut worst_certified = (0.0f64, String::new());
@@ -211,44 +205,25 @@ pub fn run_corpus(quick: bool) -> CorpusOutcome {
             }
         }
     }
-    // Ground-truth section: the small corpus is the oracle-sized regime;
-    // pipeline vs exact optimum per entry (excluded from the Theorem-5
-    // prong — see the module docs — but still soundness-checked).
-    for entry in &Corpus::small() {
-        debug_assert!(entry.instance.num_vertices() <= ORACLE_MAX_VERTICES);
-        // One exhaustive search per entry: the oracle row's cost *is*
-        // the optimum, which is also the strongest possible certificate
-        // — invoking the certifier stack here would just re-run the
-        // same search inside `OracleBound`.
-        let oracle_run = run_scored(&oracle, &entry.instance, entry.k).ok();
-        let lower = match &oracle_run {
-            Some((_, s)) => s.max_boundary,
-            None => best_lower_bound(&entry.instance, entry.k).value(),
-        };
-        if let Some((row, _, cost)) = score_row(entry, &pipeline, lower) {
-            check_soundness(entry, pipeline.name(), lower, cost);
-            table.row(row);
-        }
-        if let Some((chi, s)) = &oracle_run {
-            let (row, _, cost) = format_row(entry, oracle.name(), chi, s, lower);
-            check_soundness(entry, oracle.name(), lower, cost);
-            table.row(row);
-        }
-    }
-    // Past-the-cap section: the medium corpus (16 < n ≤ 20) is beyond
-    // the oracle's refusal threshold; the anytime branch-and-bound
-    // engine takes the ground-truth role, proving optimality whenever
-    // its search exhausts under the default budget.
+    // Exact section: pipeline vs branch and bound on the small and
+    // medium entries (excluded from the Theorem-5 prong — see the module
+    // docs — but still soundness-checked). One search per entry: its
+    // coloring is the bnb row, and its proven optimum is also the
+    // strongest possible certificate.
     let bnb = BnbPartitioner {
         cfg: BnbConfig::default(),
     };
+    let (small, medium) = (Corpus::small(), Corpus::medium());
+    let exact = small.entries().iter().map(|e| (e, false));
+    let exact = exact.chain(medium.entries().iter().map(|e| (e, true)));
     let mut bnb_proven = 0usize;
-    for entry in &Corpus::medium() {
-        debug_assert!(entry.instance.num_vertices() > ORACLE_MAX_VERTICES);
+    for (entry, is_medium) in exact {
         let sol = mmb_core::bnb::solve(&entry.instance, entry.k, &bnb.cfg).ok();
         let lower = match &sol {
             Some(s) if s.proven_optimal => {
-                bnb_proven += 1;
+                if is_medium {
+                    bnb_proven += 1;
+                }
                 s.max_boundary
             }
             Some(s) => s.gap.lower,
@@ -258,7 +233,9 @@ pub fn run_corpus(quick: bool) -> CorpusOutcome {
             check_soundness(entry, pipeline.name(), lower, cost);
             table.row(row);
         }
-        if let Some((row, _, cost)) = score_row(entry, &bnb, lower) {
+        if let Some(sol) = &sol {
+            let s = score_instance(&entry.instance, &sol.coloring);
+            let (row, _, cost) = format_row(entry, bnb.name(), &sol.coloring, &s, lower);
             check_soundness(entry, bnb.name(), lower, cost);
             table.row(row);
         }
@@ -275,13 +252,11 @@ pub fn run_corpus(quick: bool) -> CorpusOutcome {
         worst_certified.1
     ));
     table.note(
-        "trailing n ≤ 10 section: pipeline vs the exact oracle (ground truth); \
-         not Thm5-gated — the unit-constant RHS is not a theorem at that scale",
+        "trailing exact section (n ≤ 10, then 16 < n ≤ 20): pipeline vs branch and bound \
+         (ground truth); not Thm5-gated — the unit-constant RHS is not a theorem at that scale",
     );
     table.note(format!(
-        "medium 16 < n ≤ 20 section: pipeline vs the anytime branch-and-bound engine \
-         (past the oracle cap); {bnb_proven} entr{} solved to proven optimality \
-         (gate: ≥ 1)",
+        "{bnb_proven} medium entr{} (16 < n ≤ 20) solved to proven optimality (gate: ≥ 1)",
         if bnb_proven == 1 { "y" } else { "ies" }
     ));
     let gate_ok = worst <= 1.0
@@ -316,18 +291,19 @@ mod tests {
             out.soundness_violations
         );
         // Every corpus-proper entry contributes the pipeline + 5 baseline
-        // rows, and every small entry a pipeline + oracle pair.
-        assert!(out.table.rows.len() >= 6 * Corpus::quick().len() + 2 * Corpus::small().len());
-        // The oracle actually appears.
-        assert!(
-            out.table.rows.iter().any(|r| r[2] == "oracle (exact)"),
-            "no oracle rows in the corpus table"
-        );
-        // …and so does the branch-and-bound engine, with at least one
-        // medium entry (n > 16) solved to proven optimality.
-        assert!(
-            out.table.rows.iter().any(|r| r[2] == "bnb (anytime)"),
-            "no bnb rows in the corpus table"
+        // rows, and every small and medium entry a pipeline + bnb pair.
+        let exact = Corpus::small().len() + Corpus::medium().len();
+        assert!(out.table.rows.len() >= 6 * Corpus::quick().len() + 2 * exact);
+        // The branch-and-bound engine appears once per exact entry, with
+        // at least one medium entry (n > 16) solved to proven optimality.
+        assert_eq!(
+            out.table
+                .rows
+                .iter()
+                .filter(|r| r[2] == "bnb (anytime)")
+                .count(),
+            exact,
+            "one bnb row per small and medium entry"
         );
         assert!(
             out.bnb_proven >= 1,

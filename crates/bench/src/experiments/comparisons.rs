@@ -5,7 +5,6 @@
 //! over `&[&dyn Partitioner]` on a shared [`Instance`].
 
 use mmb_baselines::greedy::{FirstFit, Lpt};
-use mmb_baselines::kl::{refine, KlParams};
 use mmb_baselines::multilevel::Multilevel;
 use mmb_baselines::recursive_bisection::{recursive_bisection, RecursiveBisection};
 use mmb_core::api::{auto_splitter, Instance, Partitioner, SolveError, Solver, Theorem4Pipeline};
@@ -13,6 +12,7 @@ use mmb_core::bounds;
 use mmb_core::multibalance::multibalance_minmax_with_pi;
 use mmb_core::pi::splitting_cost_measure_within;
 use mmb_core::pipeline::PipelineConfig;
+use mmb_core::refine::{refine, KlParams};
 use mmb_core::shrink::almost_strict;
 use mmb_core::strict::binpack2;
 use mmb_graph::gen::grid::GridGraph;

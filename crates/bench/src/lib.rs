@@ -30,8 +30,9 @@ use mmb_graph::measure::{norm_1, norm_inf};
 use mmb_graph::{Coloring, Graph};
 
 /// The standard baseline roster every cross-partitioner sweep scores —
-/// one constructor so the corpus table and the oracle differential suite
-/// cannot drift apart when a baseline is added or reconfigured.
+/// one constructor so the corpus table and the exact-optimum differential
+/// suite (`tests/oracle_differential.rs`) cannot drift apart when a
+/// baseline is added or reconfigured.
 pub fn standard_baselines() -> Vec<Box<dyn Partitioner>> {
     vec![
         Box::new(Lpt),

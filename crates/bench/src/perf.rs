@@ -28,7 +28,7 @@
 //! certified lower bound from the full stack — including the anytime
 //! branch-and-bound certifier — against the pipeline's achieved cost,
 //! with a `proven` flag marking rows certified by an exhaustive search
-//! (`"oracle"` or `"bnb"`). These rows are timing-free and fully
+//! (the `"bnb"` certifier). These rows are timing-free and fully
 //! deterministic, so a committed baseline supports exact regression
 //! gating: [`gap_regression_check`] recomputes the table and fails if
 //! any entry's certified ratio got *worse* than the committed one — the
@@ -83,8 +83,8 @@ pub struct ScalingRow {
     /// Peak scratch bytes pinned (`peak_live × n × 12`).
     pub ws_peak_bytes: u64,
     /// Best certified lower bound on the optimum for this configuration
-    /// (`mmb_core::lower_bounds`; the exact-oracle certifier never fires
-    /// at these sizes, so this is the cheap combinatorial stack).
+    /// (`mmb_core::lower_bounds`; the exhaustive `bnb` certifier never
+    /// fires at these sizes, so this is the cheap combinatorial stack).
     pub lower: f64,
     /// Certified gap ratio of the measured solve: `max ∂ / lower`.
     pub certified_ratio: f64,
@@ -164,8 +164,8 @@ pub struct GapRow {
     pub ratio: f64,
     /// Winning certifier name.
     pub certifier: String,
-    /// Whether the bound is an exhaustive-search optimum (`"oracle"` or
-    /// `"bnb"` won) — i.e. the gap is exact, not just certified.
+    /// Whether the bound is an exhaustive-search optimum (`"bnb"` won) —
+    /// i.e. the gap is exact, not just certified.
     pub proven: bool,
 }
 
@@ -184,7 +184,7 @@ pub fn compute_corpus_gaps() -> Vec<GapRow> {
                 .expect("pipeline runs on every corpus entry")
                 .max_boundary_cost(inst.graph(), inst.costs());
             let gap = CertifiedGap::new(report.value(), upper, report.winner());
-            let proven = matches!(report.winner(), "oracle" | "bnb");
+            let proven = report.winner() == "bnb";
             rows.push(GapRow {
                 name: entry.name.clone(),
                 n: inst.num_vertices(),
@@ -606,7 +606,7 @@ impl PerfReport {
             .filter(|r| r.proven && r.n > 16)
             .count();
         s.push_str(&format!(
-            "corpus gaps: {} entries, {} proven optimal ({} past the n = 16 oracle cap)\n",
+            "corpus gaps: {} entries, {} proven optimal ({} past n = 16)\n",
             self.corpus_gaps.len(),
             proven,
             proven_past_cap
@@ -801,7 +801,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 /// every field the downstream tooling (CI, EXPERIMENTS.md tables) reads —
 /// including the per-row certified gap introduced with `mmb-bench-4`, the
 /// corpus gap table introduced with `mmb-bench-5` (which must carry at
-/// least one entry proven optimal past the `n = 16` oracle cap), and the
+/// least one entry proven optimal past `n = 16`), and the
 /// large-`n` suite introduced with `mmb-bench-6`: every row within the
 /// [`large_budget`] wall-clock and peak-bytes budgets for its size, and —
 /// on full-mode documents — at least one row at `n ≥ 10^6`.
@@ -1113,11 +1113,7 @@ mod tests {
                 r.ratio
             );
             if r.proven {
-                assert!(
-                    matches!(r.certifier.as_str(), "oracle" | "bnb"),
-                    "{}",
-                    r.name
-                );
+                assert_eq!(r.certifier, "bnb", "{}", r.name);
             }
         }
         assert!(

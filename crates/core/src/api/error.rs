@@ -138,14 +138,6 @@ pub enum SolveError {
         /// the structure detection verdict that refused it
         structure: &'static str,
     },
-    /// The exact oracle's exhaustive search refused an instance beyond its
-    /// size cap (the search is exponential in the vertex count).
-    OracleTooLarge {
-        /// vertex count of the refused instance
-        n: usize,
-        /// the oracle's vertex-count cap
-        limit: usize,
-    },
     /// A retryable failure: injected by an armed
     /// [`failpoint`](crate::failpoint) schedule, or reported by a rung
     /// adapter for a condition expected to clear on retry. The resilient
@@ -188,8 +180,6 @@ impl_error_display!(SolveError {
     SolveError::Instance(e) => "invalid instance: {e}",
     SolveError::SplitterUnavailable { requested, structure } =>
         "splitter family `{requested}` unavailable on a `{structure}` instance",
-    SolveError::OracleTooLarge { n, limit } =>
-        "exact oracle is limited to {limit} vertices, instance has {n}; use the anytime branch-and-bound solver (`Solver::solve_anytime` / `mmb_core::bnb::solve`) for certified bounds beyond the cap",
     SolveError::Transient { site } =>
         "transient failure at `{site}`; safe to retry",
     SolveError::Panicked { context, message } =>
@@ -271,21 +261,6 @@ mod tests {
             "splitter family `tree` unavailable on a `arbitrary` instance"
         );
         assert_eq!(SolveError::ZeroColors.to_string(), "k must be at least 1");
-    }
-
-    #[test]
-    fn oracle_too_large_names_the_bnb_fallback() {
-        // Regression (issue 6 satellite): since exact solving no longer
-        // hard-stops at the oracle cap, the refusal must point at the
-        // branch-and-bound fallback.
-        let e = SolveError::OracleTooLarge { n: 20, limit: 16 };
-        assert_eq!(
-            e.to_string(),
-            "exact oracle is limited to 16 vertices, instance has 20; use the anytime \
-             branch-and-bound solver (`Solver::solve_anytime` / `mmb_core::bnb::solve`) for \
-             certified bounds beyond the cap"
-        );
-        assert!(e.to_string().contains("branch-and-bound"));
     }
 
     #[test]

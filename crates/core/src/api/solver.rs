@@ -341,18 +341,23 @@ impl<'i> Solver<'i> {
         crate::failpoint::raise_any("pipeline::binpack");
         let stage3 = binpack2(g, &self.splitter, &stage2, domain, weights);
         debug_assert!(stage3.is_total(), "pipeline must color every vertex");
+        self.report(stage3)
+    }
 
+    /// The [`Report`] of a final coloring of this solver's instance.
+    fn report(&self, coloring: Coloring) -> Report {
+        let inst = self.inst;
         Report::assemble(
-            g,
-            costs,
-            weights,
+            inst.graph(),
+            inst.costs(),
+            inst.weights(),
             inst.max_weight(),
             inst.max_cost(),
             self.c_norm_p,
             self.k,
             self.cfg.p,
             self.splitter.name().to_owned(),
-            stage3,
+            coloring,
         )
     }
 
@@ -401,19 +406,7 @@ impl<'i> Solver<'i> {
             .expect("level triples are valid by construction");
         let stage3 = binpack2(g, &self.splitter, &projected, inst.domain(), weights);
         debug_assert!(stage3.is_total(), "cascade must color every vertex");
-
-        Some(Report::assemble(
-            g,
-            costs,
-            weights,
-            inst.max_weight(),
-            inst.max_cost(),
-            self.c_norm_p,
-            self.k,
-            self.cfg.p,
-            self.splitter.name().to_owned(),
-            stage3,
-        ))
+        Some(self.report(stage3))
     }
 
     /// [`Solver::solve`], plus a certified optimality gap: the
@@ -421,8 +414,8 @@ impl<'i> Solver<'i> {
     /// instance and its best bound is paired with the achieved cost into
     /// [`Report::certified`]. Certification cost is independent of the
     /// solve itself (sort/knapsack passes, a size-capped Stoer–Wagner,
-    /// the exact oracle only at `n ≤ 16`), so the plain [`Solver::solve`]
-    /// hot path never pays for it.
+    /// exhaustive branch and bound only at `n ≤ 24`), so the plain
+    /// [`Solver::solve`] hot path never pays for it.
     pub fn solve_certified(&self) -> Report {
         let mut report = self.solve();
         report.certified = Some(crate::lower_bounds::certify(
@@ -442,8 +435,6 @@ impl<'i> Solver<'i> {
     /// coloring is the proven optimum), the root certifier-stack gap
     /// when it was truncated.
     pub fn solve_anytime(&self, cfg: &crate::bnb::BnbConfig) -> Report {
-        use mmb_graph::measure::{norm_1, norm_inf};
-
         let mut report = self.solve();
         let sol =
             crate::bnb::solve_seeded(self.inst, self.k, cfg, Some(&report.coloring), &mut |_| {
@@ -451,17 +442,8 @@ impl<'i> Solver<'i> {
             })
             .expect("k ≥ 1 was checked at build time");
         if sol.max_boundary < report.max_boundary {
-            // The search improved on the pipeline: refresh every field
-            // derived from the final coloring.
-            let (g, costs, weights) = (self.inst.graph(), self.inst.costs(), self.inst.weights());
-            report.boundary_costs = sol.coloring.boundary_costs(g, costs);
-            report.class_weights = sol.coloring.class_measures(weights);
-            report.strict_defect = sol.coloring.strict_balance_defect(weights);
-            report.max_boundary = norm_inf(&report.boundary_costs);
-            report.avg_boundary = norm_1(&report.boundary_costs) / self.k as f64;
-            report.bound_ratio = report.max_boundary / report.bound.max(1e-300);
-            report.strict = sol.coloring.is_strictly_balanced(weights);
-            report.coloring = sol.coloring;
+            // The search improved on the pipeline: report its coloring.
+            report = self.report(sol.coloring);
         }
         report.certified = Some(sol.gap);
         report

@@ -30,8 +30,7 @@
 //! The contract: `update(inst, v, c)` assigns the next vertex of the
 //! engine's fixed order and returns the certified child bound;
 //! `reset(inst)` undoes exactly one `update` (reverse arithmetic with
-//! the same neighbor guard — bit-wise the discipline the PR-4 oracle
-//! used, so the fp drift profile is unchanged).
+//! the same neighbor guard).
 
 use mmb_graph::coloring::UNCOLORED;
 use mmb_graph::measure::norm_inf;

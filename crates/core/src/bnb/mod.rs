@@ -1,12 +1,11 @@
 //! Anytime branch-and-bound solver for the strictly balanced min-max
-//! boundary problem — exact solving past the oracle's `n = 16` cap.
+//! boundary problem — the workspace's one exact search.
 //!
 //! The engine enumerates colorings as *restricted growth strings* over a
-//! fixed vertex order (descending degree, ties by id) — the same
-//! symmetry-canonical space the PR-4 oracle searched — but replaces the
-//! oracle's bare `‖∂(partial)‖_∞` cutoff with the certified node bound
-//! maintained incrementally by [`bounds::IncrementalBounds`]: each
-//! `update(vertex, class)` returns
+//! fixed vertex order (descending degree, ties by id), so each partition
+//! is visited once per color-permutation class, and cuts a node on the
+//! certified bound maintained incrementally by
+//! [`bounds::IncrementalBounds`]: each `update(vertex, class)` returns
 //! `max(‖∂(partial)‖_∞, (cut₂ + packₛ)/k)`, folding the edge-packing
 //! certifier of [`crate::lower_bounds::packing`] into every branching
 //! decision, and `reset()` pops it again in `O(deg)`.
@@ -29,7 +28,9 @@
 //! When the search exhausts (`proven_optimal`), the incumbent *is* the
 //! optimum, and [`BnbBound`] certifies it as a lower bound with a
 //! replayable [`Derivation::BnbOptimal`] — this is what lifts certified
-//! gap ratios to exactly 1.0 on instances the oracle refuses.
+//! gap ratios to exactly 1.0. [`BnbConfig::exhaustive`] removes every
+//! budget, so `solve(inst, k, &BnbConfig::exhaustive())` is the exact
+//! optimum the differential suites score every partitioner against.
 //!
 //! Entry points: [`solve`] / [`solve_with_interrupt`] for direct use,
 //! [`BnbPartitioner`] for the `&[&dyn Partitioner]` harness loops, and
@@ -206,7 +207,7 @@ impl Engine<'_, '_> {
 ///
 /// Deterministic: same instance, same `k`, same config, same solution —
 /// bit for bit. With [`BnbConfig::exhaustive`] the result is the proven
-/// optimum (this is exactly the search the exact oracle delegates to).
+/// optimum.
 pub fn solve(inst: &Instance, k: usize, cfg: &BnbConfig) -> Result<BnbSolution, SolveError> {
     solve_with_interrupt(inst, k, cfg, &mut |_| false)
 }
@@ -344,7 +345,7 @@ pub(crate) fn solve_seeded(
 
 /// The branch-and-bound solver as a [`Partitioner`], so it drops into
 /// the harness loops (corpus table, differential suites) next to the
-/// pipeline, the baselines and the oracle.
+/// pipeline and the baselines.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BnbPartitioner {
     /// Budgets for each `partition` call.
@@ -439,10 +440,26 @@ mod tests {
     use super::*;
     use mmb_graph::gen::lattice::hypercube;
     use mmb_graph::gen::misc::{cycle, path};
+    use mmb_graph::graph::graph_from_edges;
 
     fn unit(g: mmb_graph::Graph) -> Instance {
         let (n, m) = (g.num_vertices(), g.num_edges());
         Instance::new(g, vec![1.0; m], vec![1.0; n]).unwrap()
+    }
+
+    /// Runs an exhaustive search and checks it proves `opt` with a total,
+    /// strictly balanced witness, the tight `bnb` gap, and a node count far
+    /// below the raw k^n search space.
+    fn assert_proves(inst: &Instance, k: usize, opt: f64) -> BnbSolution {
+        let s = solve(inst, k, &BnbConfig::exhaustive()).unwrap();
+        assert!(s.proven_optimal);
+        assert_eq!(s.max_boundary, opt);
+        assert_eq!(s.gap.ratio, 1.0);
+        assert_eq!(s.gap.certifier, "bnb");
+        assert!(s.coloring.is_total());
+        assert!(s.coloring.is_strictly_balanced(inst.weights()));
+        assert!(s.nodes < 25_000, "search visited {} nodes", s.nodes);
+        s
     }
 
     #[test]
@@ -453,21 +470,50 @@ mod tests {
             (unit(cycle(8)), 2, 2.0),
             (unit(hypercube(3)), 2, 4.0),
         ] {
-            let s = solve(&inst, k, &BnbConfig::exhaustive()).unwrap();
-            assert!(s.proven_optimal);
-            assert_eq!(s.max_boundary, opt);
-            assert_eq!(s.gap.ratio, 1.0);
-            assert_eq!(s.gap.certifier, "bnb");
-            assert!(s.coloring.is_strictly_balanced(inst.weights()));
+            assert_proves(&inst, k, opt);
         }
     }
 
     #[test]
-    fn solves_past_the_oracle_cap() {
-        // n = 18 > ORACLE_MAX_VERTICES: the oracle refuses, the engine
-        // exhausts and proves the optimum.
+    fn monochromatic_optimum_for_one_class() {
+        assert_proves(&unit(cycle(5)), 1, 0.0);
+    }
+
+    #[test]
+    fn costs_steer_the_optimal_cut() {
+        // Path 0-1-2-3 with an expensive middle edge: unit weights force
+        // 2+2 classes, and the optimum is the non-contiguous split
+        // {0,3}|{1,2} that cuts the two cheap edges (cost 2). Weights
+        // (3,1,1,3) make {0}|{1,2,3} feasible, cutting one cheap edge.
+        let p4 = || graph_from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let costly_middle = Instance::new(p4(), vec![1.0, 10.0, 1.0], vec![1.0; 4]).unwrap();
+        assert_proves(&costly_middle, 2, 2.0);
+        let heavy_ends =
+            Instance::new(p4(), vec![1.0, 10.0, 1.0], vec![3.0, 1.0, 1.0, 3.0]).unwrap();
+        assert_proves(&heavy_ends, 2, 1.0);
+    }
+
+    #[test]
+    fn respects_strict_balance_feasibility() {
+        // A heavy endpoint widens eq. (1)'s window (‖w‖∞ = 4) enough to
+        // stand alone: {0}|{1,2,3,4} cuts a single edge, and the witness
+        // satisfies eq. (1) exactly.
+        let heavy_head =
+            Instance::new(path(5), vec![1.0; 4], vec![4.0, 1.0, 1.0, 1.0, 1.0]).unwrap();
+        assert_proves(&heavy_head, 2, 1.0);
+    }
+
+    #[test]
+    fn symmetry_pruning_keeps_node_count_sane() {
+        // P₁₀ at k = 3 has S(10,1) + S(10,2) + S(10,3) = 9842
+        // restricted-growth leaves; pruning keeps the search far below
+        // the raw 3^10 = 59049 nodes.
+        assert_proves(&unit(path(10)), 3, 2.0);
+    }
+
+    #[test]
+    fn default_budget_exhausts_an_eighteen_vertex_path() {
         let inst = unit(path(18));
-        assert!(crate::oracle::exact_min_max_boundary(&inst, 2).is_err());
         let s = solve(&inst, 2, &BnbConfig::default()).unwrap();
         assert!(s.proven_optimal, "truncated after {} nodes", s.nodes);
         assert_eq!(s.max_boundary, 1.0);

@@ -70,8 +70,8 @@
 //! `DESIGN.md`). In the other direction, [`lower_bounds`] certifies
 //! optimality gaps at any size: a stack of sound certifiers (averaging,
 //! knapsack packing — fractional and whole-edge, min-cut and
-//! forced-pair cuts, structure-aware isoperimetry, the exact [`oracle`]
-//! below its size cap) whose best bound
+//! forced-pair cuts, structure-aware isoperimetry, and exhaustive
+//! branch and bound below its size cap) whose best bound
 //! [`api::Solver::solve_certified`] threads into the report as a
 //! [`lower_bounds::CertifiedGap`]. Bridging the two sides, the anytime
 //! branch-and-bound engine of [`bnb`] searches the restricted-growth
@@ -79,7 +79,8 @@
 //! prunes with the certifier stack, and — via
 //! [`api::Solver::solve_anytime`] — returns the best incumbent together
 //! with a certified gap that shrinks to ratio 1.0 whenever the search
-//! exhausts (which it does well past the oracle's `n = 16` cap).
+//! exhausts. Run with [`bnb::BnbConfig::exhaustive`], the same engine is
+//! the exact solver every differential suite scores against.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -92,7 +93,6 @@ pub mod conquer;
 pub mod failpoint;
 pub mod lower_bounds;
 pub mod multibalance;
-pub mod oracle;
 pub mod pi;
 pub mod pipeline;
 pub mod rebalance;
@@ -114,7 +114,6 @@ pub use lower_bounds::{
     best_lower_bound, certify, static_lower_bound, Certificate, CertifiedGap, LowerBound,
     LowerBoundReport,
 };
-pub use oracle::{exact_min_max_boundary, ExactOracle, OracleSolution};
 pub use pipeline::{CoarsenConfig, PipelineConfig};
 pub use refine::{refine, refine_region, KlParams};
 pub use resilient::{
@@ -130,7 +129,6 @@ pub mod prelude {
     pub use crate::bnb::{BnbConfig, BnbPartitioner};
     pub use crate::bounds;
     pub use crate::lower_bounds::{best_lower_bound, certify, CertifiedGap, LowerBound};
-    pub use crate::oracle::{exact_min_max_boundary, ExactOracle};
     pub use crate::pi::splitting_cost_measure;
     pub use crate::pipeline::PipelineConfig;
     pub use crate::resilient::{DeadlineBudget, Resilience, ResilientSolver, RetryPolicy};

@@ -225,6 +225,7 @@ pub(crate) fn replay_cut_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bnb::{self, BnbConfig};
     use mmb_graph::gen::misc::path;
     use mmb_graph::graph::graph_from_edges;
 
@@ -247,7 +248,7 @@ mod tests {
         let replayed = cert.derivation.replay(&inst, 2).unwrap();
         assert!((replayed - cert.value).abs() < 1e-12);
         // Sound against the exact optimum.
-        let opt = crate::oracle::exact_min_max_boundary(&inst, 2)
+        let opt = bnb::solve(&inst, 2, &BnbConfig::exhaustive())
             .unwrap()
             .max_boundary;
         assert!(cert.value <= opt + 1e-9);

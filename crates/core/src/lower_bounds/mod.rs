@@ -1,11 +1,11 @@
 //! Certified lower bounds on the min-max boundary cost — the gap engine.
 //!
-//! PR 4's exact oracle gives ground truth only for `n ≤ 16`; everywhere
-//! else the harness could report a Theorem-5 *upper*-bound ratio but no
-//! certified distance to the optimum. This module closes that hole with a
-//! stack of cheap combinatorial **certifiers**: each one inspects an
-//! [`Instance`] and, when its preconditions hold, returns a
-//! [`Certificate`] — a provable lower bound on
+//! Exhaustive search gives ground truth only on small instances;
+//! everywhere else the harness could report a Theorem-5 *upper*-bound
+//! ratio but no certified distance to the optimum. This module closes
+//! that hole with a stack of cheap combinatorial **certifiers**: each
+//! one inspects an [`Instance`] and, when its preconditions hold,
+//! returns a [`Certificate`] — a provable lower bound on
 //!
 //! ```text
 //! OPT(G, c, w, k) = min { ‖∂χ⁻¹‖_∞ : χ strictly balanced k-coloring }
@@ -49,12 +49,10 @@
 //!   inequality on hypercubes, axis-projection bounds on full lattices
 //!   and (via [`mmb_graph::recognize::try_torus_dims`]) tori, and the
 //!   cheapest-edge bound on connected trees/paths.
-//! * [`OracleBound`] — the exact oracle of PR 4, demoted to *just another
-//!   certifier*: for `n ≤ 16` it certifies `OPT` itself.
 //! * [`crate::bnb::BnbBound`] — the anytime branch-and-bound engine as a
-//!   certifier: whenever its budgeted search exhausts, the incumbent *is*
-//!   `OPT` and is certified as such (this is what lifts exact lower
-//!   bounds past the oracle's `n = 16` cap).
+//!   certifier: whenever its budgeted search exhausts (`n ≤ 24`), the
+//!   incumbent *is* `OPT` and is certified as such — the strongest
+//!   possible lower bound.
 //!
 //! The first seven are the [`static_certifiers`] — polynomial-time, no
 //! exhaustive search — which double as the B&B engine's root bound (the
@@ -73,7 +71,8 @@
 //! only — an unbalanced coloring may be cheaper than every certificate,
 //! which is why the differential suite (`tests/lower_bounds.rs`) compares
 //! certificates against partitioner outputs **only when those outputs are
-//! strictly balanced** (the same exemption the oracle suite uses).
+//! strictly balanced** (the same exemption the exact-optimum suite
+//! `tests/oracle_differential.rs` uses).
 //! Floating-point comparisons are relaxed in the sound direction: balance
 //! windows are widened and count conversions slack-rounded, so a
 //! certificate can only be weaker than the exact argument, never
@@ -87,14 +86,13 @@ pub mod volume;
 use mmb_graph::VertexId;
 
 use crate::api::instance::Instance;
-use crate::oracle::{exact_min_max_boundary, ORACLE_MAX_VERTICES};
 
 /// One certified lower bound: the certifier that produced it, the bound
 /// value, and the machine-checkable derivation.
 #[derive(Clone, Debug)]
 pub struct Certificate {
     /// Short certifier name (`"volume"`, `"packing"`, `"min-cut"`,
-    /// `"structure"`, `"oracle"`, …).
+    /// `"structure"`, `"bnb"`, …).
     pub certifier: &'static str,
     /// The certified lower bound on `OPT` (≥ 0; 0 is a *trivial*
     /// certificate — the certifier ran but proved nothing positive).
@@ -169,13 +167,6 @@ pub enum Derivation {
         /// The certified minimum number of boundary edges.
         boundary_edges: f64,
     },
-    /// The exact optimum (see [`OracleBound`]).
-    Oracle {
-        /// `OPT` as computed by the exhaustive search.
-        optimum: f64,
-        /// Search nodes visited (complexity probe, not re-checked).
-        nodes: u64,
-    },
     /// Whole-edge packing bound (see [`packing::EdgePackingBound`]).
     EdgePacking {
         /// The summed per-vertex certified cut mass with integral
@@ -249,16 +240,6 @@ impl Derivation {
                 *min_cost,
                 *boundary_edges,
             ),
-            Derivation::Oracle { optimum, .. } => {
-                let s = exact_min_max_boundary(inst, k).map_err(|e| e.to_string())?;
-                if (s.max_boundary - optimum).abs() > 1e-9 * (1.0 + optimum.abs()) {
-                    return Err(format!(
-                        "oracle replay found optimum {}, certificate says {}",
-                        s.max_boundary, optimum
-                    ));
-                }
-                Ok(s.max_boundary)
-            }
             Derivation::EdgePacking {
                 per_vertex_total,
                 vertex_budget,
@@ -290,37 +271,8 @@ pub trait LowerBound: Sync {
     fn certify(&self, inst: &Instance, k: usize) -> Option<Certificate>;
 }
 
-/// The exact oracle as a certifier: for `n ≤ 16` the exhaustive search
-/// *is* the optimum, which is simultaneously the strongest possible lower
-/// bound. Above the cap it declines (typed refusal inside
-/// [`exact_min_max_boundary`], surfaced here as `None`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OracleBound;
-
-impl LowerBound for OracleBound {
-    fn name(&self) -> &'static str {
-        "oracle"
-    }
-
-    fn certify(&self, inst: &Instance, k: usize) -> Option<Certificate> {
-        if inst.num_vertices() > ORACLE_MAX_VERTICES || k == 0 {
-            return None;
-        }
-        let s = exact_min_max_boundary(inst, k).ok()?;
-        Some(Certificate {
-            certifier: self.name(),
-            value: s.max_boundary,
-            derivation: Derivation::Oracle {
-                optimum: s.max_boundary,
-                nodes: s.nodes,
-            },
-        })
-    }
-}
-
 /// The polynomial-time subset of the certifier stack — every certifier
-/// except the exhaustive-search ones ([`OracleBound`],
-/// [`crate::bnb::BnbBound`]).
+/// except the exhaustive-search one ([`crate::bnb::BnbBound`]).
 ///
 /// This is the stack the branch-and-bound engine prices its *root* gap
 /// with: running the full [`standard_certifiers`] stack inside the
@@ -339,12 +291,9 @@ pub fn static_certifiers() -> Vec<Box<dyn LowerBound>> {
 
 /// The standard certifier stack, in evaluation order. One constructor so
 /// the solver, the corpus table and the differential suite cannot drift
-/// apart when a certifier is added. The exhaustive certifiers come last
-/// (and the oracle before the B&B engine, so ties on `n ≤ 16` keep the
-/// established winner name).
+/// apart when a certifier is added. The exhaustive certifier comes last.
 pub fn standard_certifiers() -> Vec<Box<dyn LowerBound>> {
     let mut stack = static_certifiers();
-    stack.push(Box::new(OracleBound));
     stack.push(Box::new(crate::bnb::BnbBound::default()));
     stack
 }
@@ -549,16 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn oracle_certifier_fires_only_under_the_cap() {
-        let small = unit_path(6);
-        let cert = OracleBound.certify(&small, 2).unwrap();
-        assert_eq!(cert.value, 1.0);
-        assert!(matches!(cert.derivation, Derivation::Oracle { .. }));
-        let big = unit_path(ORACLE_MAX_VERTICES + 2);
-        assert!(OracleBound.certify(&big, 2).is_none());
-    }
-
-    #[test]
     fn certified_gap_ratio_conventions() {
         let g = CertifiedGap::new(2.0, 3.0, "volume");
         assert_eq!(g.ratio, 1.5);
@@ -576,7 +515,8 @@ mod tests {
         let inst = unit_path(10);
         let report = best_lower_bound(&inst, 2);
         assert!(report.value() >= 1.0 - 1e-12, "best = {}", report.value());
-        // Oracle fires at this size and is exact, so it must win (or tie).
+        // Branch and bound exhausts at this size and is exact, so it must
+        // win (or tie).
         assert_eq!(report.value(), 1.0);
         // Every certificate replays to its own value.
         for cert in &report.certificates {

@@ -440,6 +440,7 @@ pub(crate) fn replay_min_cut(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bnb::{self, BnbConfig};
     use mmb_graph::gen::grid::GridGraph;
     use mmb_graph::gen::misc::{complete, cycle, path};
     use mmb_graph::graph::graph_from_edges;
@@ -505,8 +506,8 @@ mod tests {
         let inst = unit(complete(4));
         let cert = PackingBound.certify(&inst, 4).unwrap();
         assert!(cert.value > 2.0, "value = {}", cert.value);
-        // Sound against the oracle.
-        let opt = crate::oracle::exact_min_max_boundary(&inst, 4).unwrap();
+        // Sound against the exact optimum.
+        let opt = bnb::solve(&inst, 4, &BnbConfig::exhaustive()).unwrap();
         assert!(cert.value <= opt.max_boundary + 1e-9);
         let replayed = cert.derivation.replay(&inst, 4).unwrap();
         assert!((replayed - cert.value).abs() < 1e-12);
@@ -531,7 +532,7 @@ mod tests {
         let edge = EdgePackingBound::default().certify(&inst, 4).unwrap();
         assert!(edge.value > frac.value, "{} vs {}", edge.value, frac.value);
         assert!((edge.value - 3.0).abs() < 1e-6, "value = {}", edge.value);
-        let opt = crate::oracle::exact_min_max_boundary(&inst, 4).unwrap();
+        let opt = bnb::solve(&inst, 4, &BnbConfig::exhaustive()).unwrap();
         assert!(edge.value <= opt.max_boundary + 1e-9);
         let replayed = edge.derivation.replay(&inst, 4).unwrap();
         assert!((replayed - edge.value).abs() < 1e-12);

@@ -257,6 +257,7 @@ pub(crate) fn replay_structure(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bnb::{self, BnbConfig};
     use mmb_graph::gen::lattice::{hypercube, torus};
     use mmb_graph::gen::misc::path;
     use mmb_graph::gen::tree::random_tree;
@@ -270,11 +271,11 @@ mod tests {
     fn harper_certifies_the_bisection_width() {
         // Q₃, k = 2, uniform: the heaviest class has exactly 4 vertices
         // and Harper gives 4·3 − 2·(0+1+1+2) = 4 = the bisection width —
-        // tight against the exact oracle.
+        // tight against the exact optimum.
         let inst = unit(hypercube(3));
         let cert = StructureBound.certify(&inst, 2).unwrap();
         assert_eq!(cert.value, 4.0);
-        let opt = crate::oracle::exact_min_max_boundary(&inst, 2).unwrap();
+        let opt = bnb::solve(&inst, 2, &BnbConfig::exhaustive()).unwrap();
         assert_eq!(opt.max_boundary, cert.value);
         match &cert.derivation {
             Derivation::Structure {
@@ -303,7 +304,7 @@ mod tests {
         let inst = unit(GridGraph::lattice(&[4, 4]).graph);
         let cert = StructureBound.certify(&inst, 2).unwrap();
         assert_eq!(cert.value, 2.0);
-        let opt = crate::oracle::exact_min_max_boundary(&inst, 2).unwrap();
+        let opt = bnb::solve(&inst, 2, &BnbConfig::exhaustive()).unwrap();
         assert!(cert.value <= opt.max_boundary + 1e-9);
     }
 
@@ -311,7 +312,7 @@ mod tests {
     fn torus_bound_doubles_mixed_lines() {
         // 3×3 torus, k = 2 (n = 9, heaviest class 5 vertices, complement
         // 4): per axis min(3, 2·⌈5/3⌉, 2·⌈4/3⌉) = 3 → bound 3; the true
-        // optimum at n = 9 is ≥ that (oracle-checked).
+        // optimum at n = 9 is ≥ that (checked by exhaustive search).
         let inst = unit(torus(&[3, 3]));
         let cert = StructureBound.certify(&inst, 2).unwrap();
         assert_eq!(cert.value, 3.0);
@@ -319,10 +320,10 @@ mod tests {
             Derivation::Structure { family, .. } => assert_eq!(*family, "torus"),
             d => panic!("wrong derivation {d:?}"),
         }
-        let opt = crate::oracle::exact_min_max_boundary(&inst, 2).unwrap();
+        let opt = bnb::solve(&inst, 2, &BnbConfig::exhaustive()).unwrap();
         assert!(
             cert.value <= opt.max_boundary + 1e-9,
-            "{} vs oracle {}",
+            "{} vs optimum {}",
             cert.value,
             opt.max_boundary
         );

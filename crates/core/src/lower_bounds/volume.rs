@@ -278,6 +278,7 @@ pub(crate) fn replay_disconnected(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bnb::{self, BnbConfig};
     use mmb_graph::gen::misc::{cycle, path};
     use mmb_graph::graph::graph_from_edges;
 
@@ -357,8 +358,8 @@ mod tests {
             cert.derivation,
             Derivation::Disconnected { components: 2, .. }
         ));
-        // And the oracle agrees the optimum is positive here.
-        let opt = crate::oracle::exact_min_max_boundary(&skewed, 2).unwrap();
+        // And exhaustive search agrees the optimum is positive here.
+        let opt = bnb::solve(&skewed, 2, &BnbConfig::exhaustive()).unwrap();
         assert!(opt.max_boundary >= cert.value - 1e-12);
     }
 

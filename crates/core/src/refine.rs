@@ -6,10 +6,9 @@
 //! balance tightness or per-class boundary — which is exactly what the E7
 //! comparison demonstrates against the Theorem 4 pipeline.
 //!
-//! Historically this lived in `mmb-baselines`; it moved here when the
-//! coarsening cascade ([`crate::coarsen`]) made per-level refinement part
-//! of the pipeline's own uncoarsening path. `mmb_baselines::kl` re-exports
-//! it unchanged.
+//! The multilevel baseline (`mmb_baselines::multilevel`) and the
+//! coarsening cascade ([`crate::coarsen`]) both run it once per level
+//! while uncoarsening.
 
 use mmb_graph::{Coloring, Graph};
 

@@ -25,12 +25,11 @@
 //! * [`Corpus::standard`] — the full registry (hundreds of vertices per
 //!   entry): every family × two weight/cost profiles;
 //! * [`Corpus::quick`] — the same shape at CI-smoke sizes;
-//! * [`Corpus::small`] — `n ≤ 10` entries for the exact-oracle
-//!   differential suite (the oracle is exponential in `n`);
-//! * [`Corpus::medium`] — `16 < n ≤ 20` entries *past* the oracle's hard
-//!   cap but within reach of the branch-and-bound engine's default
-//!   certification budget, so the certified-gap table has rows proven
-//!   optimal at sizes the oracle refuses.
+//! * [`Corpus::small`] — `n ≤ 10` entries for the exact-optimum
+//!   differential suite (exhaustive search is exponential in `n`);
+//! * [`Corpus::medium`] — `16 < n ≤ 20` entries still within reach of
+//!   the branch-and-bound engine's default certification budget, so the
+//!   certified-gap table has rows proven optimal past `n = 16`.
 
 use mmb_core::api::Instance;
 use mmb_graph::gen::attachment::preferential_attachment;
@@ -90,7 +89,7 @@ impl Corpus {
         Self::build(true)
     }
 
-    /// Small-`n` corpus for the exact-oracle differential suite: one
+    /// Small-`n` corpus for the exact-optimum differential suite: one
     /// graph per family (two for `pa`, distinguished by a name tag) with
     /// `n ≤ 10`, × the two standard profiles.
     pub fn small() -> Self {
@@ -164,11 +163,10 @@ impl Corpus {
         c
     }
 
-    /// Medium corpus: entries with `16 < n ≤ 20` — beyond the exact
-    /// oracle's hard vertex cap, but exhaustible by the branch-and-bound
-    /// engine under its default certification budget. These are the rows
-    /// that prove the certified-gap table can reach ratio 1.0 past
-    /// `n = 16`.
+    /// Medium corpus: entries with `16 < n ≤ 20`, exhaustible by the
+    /// branch-and-bound engine under its default certification budget.
+    /// These are the rows that prove the certified-gap table can reach
+    /// ratio 1.0 past `n = 16`.
     pub fn medium() -> Self {
         use mmb_graph::gen::misc::{cycle, path};
         let mut c = Corpus::default();
@@ -464,19 +462,13 @@ mod tests {
     }
 
     #[test]
-    fn medium_entries_sit_past_the_oracle_cap_and_exhaust_under_bnb() {
+    fn medium_entries_sit_past_n_16_and_exhaust_under_bnb() {
         let c = Corpus::medium();
         assert!(!c.is_empty());
         for e in &c {
             let n = e.instance.num_vertices();
             assert!(n > 16 && n <= 20, "{}: n = {n} outside (16, 20]", e.name);
-            // The oracle must refuse these…
-            assert!(
-                mmb_core::exact_min_max_boundary(&e.instance, e.k).is_err(),
-                "{}",
-                e.name
-            );
-            // …and the engine must exhaust them under its default
+            // The engine must exhaust them under its default
             // certification budget (proving the optimum).
             let cert = mmb_core::lower_bounds::LowerBound::certify(
                 &mmb_core::BnbBound::default(),

@@ -1,7 +1,7 @@
 //! Machine-checkable splitting contract (Definition 3).
 //!
 //! Used as a debug assertion by the decomposition algorithms and as the
-//! oracle of the property-test suites.
+//! reference check of the property-test suites.
 
 use mmb_graph::measure::{set_max, set_sum};
 use mmb_graph::VertexSet;

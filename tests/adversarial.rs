@@ -14,9 +14,9 @@ mod common;
 
 use common::solve_with;
 use mmb_baselines::greedy::{first_fit, lpt};
-use mmb_baselines::kl::{refine, KlParams};
 use mmb_baselines::multilevel::{multilevel, MultilevelParams};
 use mmb_core::prelude::*;
+use mmb_core::refine::{refine, KlParams};
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::VertexSet;
 use mmb_splitters::grid::GridSplitter;

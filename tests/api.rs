@@ -48,7 +48,7 @@ proptest! {
     // do the batch `solve_many` entry point and every thread count of the
     // parallel shim.
     #[test]
-    fn solver_matches_decompose_on_random_grids(
+    fn explicit_grid_splitter_matches_auto_on_random_grids(
         side in 4usize..11,
         k in 1usize..10,
         seed in any::<u64>(),
@@ -82,7 +82,7 @@ proptest! {
     }
 
     #[test]
-    fn solver_matches_decompose_on_random_trees(
+    fn explicit_tree_splitter_matches_auto_on_random_trees(
         n in 5usize..120,
         k in 1usize..8,
         seed in any::<u64>(),
@@ -227,7 +227,7 @@ fn built_solver_reuses_its_splitter_across_solves() {
 }
 
 #[test]
-fn boxed_and_arc_splitters_run_through_decompose() {
+fn boxed_and_arc_splitters_run_as_custom() {
     let grid = GridGraph::lattice(&[8, 8]);
     let costs = vec![1.0; grid.graph.num_edges()];
     let weights = vec![1.0; 64];

@@ -1,14 +1,14 @@
 //! Differential tests for the anytime branch-and-bound solver
-//! (`mmb_core::bnb`) against the exact oracle, the pipeline, and itself.
+//! (`mmb_core::bnb`) against the pipeline and itself.
 //!
-//! The contract under test, per ISSUE 6:
+//! The contract under test:
 //!
-//! * **Exhaustive ≡ oracle.** At unlimited budget the engine *is* the
-//!   exact solver (the oracle delegates to it), so on every corpus entry
-//!   with n ≤ 16 and k ∈ {2, 3} — plus bespoke instances at n = 12–16,
-//!   past the small corpus' sizes — the coloring, the cost (bit for
-//!   bit), and the node count must match `exact_min_max_boundary`, with
-//!   `proven_optimal` set and a certified ratio of exactly 1.0.
+//! * **Exhaustive is exact and reproducible.** At unlimited budget the
+//!   engine is the exact solver, so on every small corpus entry and
+//!   k ∈ {2, 3} — plus bespoke instances at n = 12–16, past the small
+//!   corpus' sizes — the run must exhaust (`proven_optimal`, certified
+//!   ratio exactly 1.0, tight gap), and a second run must reproduce the
+//!   coloring, the cost (bit for bit) and the node count.
 //! * **Never worse than the pipeline.** The incumbent is seeded from
 //!   `Theorem4Pipeline`, so at *any* budget — including 0 — the returned
 //!   cost is ≤ the pipeline's, corpus-wide.
@@ -27,7 +27,6 @@
 
 use mmb_core::api::{Instance, Partitioner, Solver, Theorem4Pipeline};
 use mmb_core::bnb::{self, BnbConfig, BnbPartitioner};
-use mmb_core::oracle::exact_min_max_boundary;
 use mmb_core::verify::verify_decomposition;
 use mmb_graph::gen::lattice::hypercube;
 use mmb_graph::gen::misc::{cycle, path};
@@ -45,8 +44,8 @@ fn instance(g: Graph) -> Instance {
     Instance::new(g, vec![1.0; m], weights).unwrap()
 }
 
-/// Bespoke instances between the small corpus' n ≤ 10 and the oracle cap
-/// n = 16 — the sizes the corpus does not already cover.
+/// Bespoke instances between the small corpus' n ≤ 10 and the medium
+/// corpus' n > 16 — the sizes the corpus does not already cover.
 fn mid_size_instances() -> Vec<(String, Instance)> {
     vec![
         ("path-12".into(), instance(path(12))),
@@ -58,13 +57,12 @@ fn mid_size_instances() -> Vec<(String, Instance)> {
 }
 
 #[test]
-fn exhaustive_bnb_is_the_oracle_bit_for_bit() {
+fn exhaustive_bnb_is_proven_and_bit_reproducible() {
     let small = Corpus::small();
     let bespoke = mid_size_instances();
     let mut cases: Vec<(&str, &Instance)> = small
         .entries()
         .iter()
-        .filter(|e| e.instance.num_vertices() <= 16)
         .map(|e| (e.name.as_str(), &e.instance))
         .collect();
     cases.extend(bespoke.iter().map(|(name, inst)| (name.as_str(), inst)));
@@ -75,25 +73,25 @@ fn exhaustive_bnb_is_the_oracle_bit_for_bit() {
     );
     for (name, inst) in &cases {
         for k in [2usize, 3] {
-            let oracle =
-                exact_min_max_boundary(inst, k).unwrap_or_else(|e| panic!("{name} k={k}: {e}"));
-            let sol = bnb::solve(inst, k, &BnbConfig::exhaustive()).unwrap();
+            let sol = bnb::solve(inst, k, &BnbConfig::exhaustive())
+                .unwrap_or_else(|e| panic!("{name} k={k}: {e}"));
+            let again = bnb::solve(inst, k, &BnbConfig::exhaustive()).unwrap();
             assert!(
                 sol.proven_optimal,
                 "{name} k={k}: exhaustive run not proven"
             );
             assert_eq!(
-                sol.coloring, oracle.coloring,
+                sol.coloring, again.coloring,
                 "{name} k={k}: colorings differ"
             );
             assert_eq!(
                 sol.max_boundary.to_bits(),
-                oracle.max_boundary.to_bits(),
+                again.max_boundary.to_bits(),
                 "{name} k={k}: costs differ ({} vs {})",
                 sol.max_boundary,
-                oracle.max_boundary
+                again.max_boundary
             );
-            assert_eq!(sol.nodes, oracle.nodes, "{name} k={k}: node counts differ");
+            assert_eq!(sol.nodes, again.nodes, "{name} k={k}: node counts differ");
             assert_eq!(sol.gap.ratio.to_bits(), 1.0f64.to_bits(), "{name} k={k}");
             assert!(
                 (sol.gap.lower - sol.gap.upper).abs() == 0.0,
@@ -155,7 +153,7 @@ fn incumbent_never_worse_than_the_pipeline_corpus_wide() {
 fn certified_gap_is_monotone_non_increasing_in_the_node_budget() {
     // Hard enough that small budgets truncate: the 4-cube at k = 3 with
     // non-uniform weights (the same instance the engine unit tests use
-    // for truncation), plus a medium-corpus entry past the oracle cap.
+    // for truncation), plus a medium-corpus entry (n > 16).
     let hyper = instance(hypercube(4));
     let med = Corpus::medium();
     let e = &med.entries()[0];
@@ -219,7 +217,7 @@ fn budget_zero_returns_exactly_the_pipeline_coloring() {
 }
 
 #[test]
-fn solver_solve_anytime_is_deterministic_under_both_scratch_policies() {
+fn solve_anytime_is_deterministic_across_runs() {
     let solve = |inst: &Instance, k: usize| {
         let solver = Solver::for_instance(inst).classes(k).build().unwrap();
         solver.solve_anytime(&BnbConfig::with_node_budget(5_000))
@@ -285,9 +283,11 @@ fn interrupt_clock_truncates_deterministically_with_a_sound_gap() {
     assert!(a.coloring.is_strictly_balanced(inst.weights()));
     let report = verify_decomposition(inst.graph(), inst.costs(), inst.weights(), &a.coloring);
     assert!(report.is_valid());
-    // …whose certified gap brackets the true optimum (n = 16: the
-    // oracle can still name it).
-    let opt = exact_min_max_boundary(&inst, k).unwrap().max_boundary;
+    // …whose certified gap brackets the true optimum (n = 16: an
+    // exhaustive run can still name it).
+    let opt = bnb::solve(&inst, k, &BnbConfig::exhaustive())
+        .unwrap()
+        .max_boundary;
     assert!(
         a.gap.lower <= opt + 1e-9 * (1.0 + opt),
         "truncated lower bound {} above the optimum {opt}",

@@ -4,9 +4,9 @@
 //!
 //! Three properties, each load-bearing for the certified-gap story:
 //!
-//! * **Soundness.** On randomized oracle-sized instances, neither
-//!   certifier ever claims a value above the exact optimum — the same
-//!   chain `certificate ≤ OPT` the corpus-wide suite in
+//! * **Soundness.** On randomized instances small enough for exhaustive
+//!   search, neither certifier ever claims a value above the exact
+//!   optimum — the same chain `certificate ≤ OPT` the corpus-wide suite in
 //!   `tests/lower_bounds.rs` enforces, here under proptest's
 //!   adversarially varied weights and costs.
 //! * **Replayable derivations.** Every certificate's derivation
@@ -20,10 +20,10 @@
 //!   entry, small through medium.
 
 use mmb_core::api::Instance;
+use mmb_core::bnb::{self, BnbConfig};
 use mmb_core::lower_bounds::cutpair::CutPairBound;
 use mmb_core::lower_bounds::packing::{EdgePackingBound, PackingBound};
 use mmb_core::lower_bounds::{Derivation, LowerBound};
-use mmb_core::oracle::exact_min_max_boundary;
 use mmb_graph::gen::misc::{cycle, path};
 use mmb_graph::gen::tree::random_tree;
 use mmb_graph::Graph;
@@ -89,7 +89,7 @@ proptest! {
         let m = g.num_edges();
         let inst = Instance::new(g, costs(m, seed), weights(wsel, n, seed)).unwrap();
         for k in [2usize, 3] {
-            let opt = exact_min_max_boundary(&inst, k).unwrap().max_boundary;
+            let opt = bnb::solve(&inst, k, &BnbConfig::exhaustive()).unwrap().max_boundary;
             for certifier in new_certifiers() {
                 let Some(cert) = certifier.certify(&inst, k) else { continue };
                 prop_assert!(

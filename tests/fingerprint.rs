@@ -44,7 +44,7 @@ fn metis_round_trip_preserves_the_fingerprint() {
 }
 
 #[test]
-fn scratch_policy_cannot_perturb_identity_or_output() {
+fn repeated_solves_keep_identity_and_output() {
     let corpus = Corpus::quick();
     for e in corpus.entries().iter().take(4) {
         let inst = &e.instance;

@@ -6,9 +6,9 @@ mod common;
 
 use common::solve_with;
 use mmb_baselines::greedy::{first_fit, lpt, round_robin};
-use mmb_baselines::kl::{refine, KlParams};
 use mmb_baselines::multilevel::{multilevel, MultilevelParams};
 use mmb_baselines::recursive_bisection::{recursive_bisection, recursive_bisection_kst};
+use mmb_core::refine::{refine, KlParams};
 use mmb_instances::climate::{climate, ClimateParams};
 use mmb_instances::weights::WeightFamily;
 use mmb_splitters::grid::GridSplitter;

@@ -1,5 +1,5 @@
 //! Differential tests for the certified lower-bound engine
-//! (`mmb_core::lower_bounds`): soundness against the exact oracle and
+//! (`mmb_core::lower_bounds`): soundness against the exact optimum and
 //! every partitioner, machine-checkable derivations, run-to-run
 //! determinism, tightness on recognized families, and the
 //! `Solver::solve_certified` threading.
@@ -14,12 +14,12 @@
 //!
 //! Non-strict colorings are outside the bounds' feasible set and are
 //! exempt from the right-hand comparison — the same convention as the
-//! oracle differential suite.
+//! exact-optimum differential suite (`tests/oracle_differential.rs`).
 
 use mmb_bench::standard_baselines;
 use mmb_core::api::{Instance, Partitioner, Solver, Theorem4Pipeline};
+use mmb_core::bnb::{self, BnbConfig};
 use mmb_core::lower_bounds::{best_lower_bound, certify, standard_certifiers, CertifiedGap};
-use mmb_core::oracle::exact_min_max_boundary;
 use mmb_core::pipeline::{CoarsenConfig, PipelineConfig};
 use mmb_graph::gen::lattice::hypercube;
 use mmb_graph::gen::misc::path;
@@ -31,15 +31,17 @@ fn tol(x: f64) -> f64 {
 
 #[test]
 fn every_certifier_is_below_the_oracle_on_every_small_entry() {
-    // The heart of the soundness story: on every oracle-sized corpus
-    // entry, *each individual certificate* — not just the stack max —
+    // The heart of the soundness story: on every small corpus entry,
+    // *each individual certificate* — not just the stack max —
     // must sit at or below the exact optimum.
     let certifiers = standard_certifiers();
     let mut fired = vec![0usize; certifiers.len()];
     for entry in &Corpus::small() {
         let inst = &entry.instance;
         for k in [2usize, 3] {
-            let opt = exact_min_max_boundary(inst, k).unwrap().max_boundary;
+            let opt = bnb::solve(inst, k, &BnbConfig::exhaustive())
+                .unwrap()
+                .max_boundary;
             for (i, certifier) in certifiers.iter().enumerate() {
                 let Some(cert) = certifier.certify(inst, k) else {
                     continue;
@@ -57,7 +59,7 @@ fn every_certifier_is_below_the_oracle_on_every_small_entry() {
         }
     }
     // The suite must actually exercise the stack: volume, packing and
-    // the oracle run everywhere; min-cut and structure on their
+    // branch and bound run everywhere; min-cut and structure on their
     // preconditions.
     for (i, certifier) in certifiers.iter().enumerate() {
         assert!(
@@ -71,8 +73,8 @@ fn every_certifier_is_below_the_oracle_on_every_small_entry() {
 #[test]
 fn lower_bound_never_beaten_corpus_wide() {
     // Stack max vs every partitioner's strictly balanced output, over
-    // the whole quick corpus (the full-size regime the oracle cannot
-    // reach).
+    // the whole quick corpus (the full-size regime exhaustive search
+    // cannot reach).
     let baselines = standard_baselines();
     let pipeline = Theorem4Pipeline::default();
     let mut comparisons = 0usize;
@@ -133,7 +135,7 @@ fn derivations_replay_on_every_small_entry() {
 }
 
 #[test]
-fn bounds_are_identical_under_both_scratch_policies() {
+fn bounds_are_identical_across_runs() {
     // Certification is a contract on the instance alone: two runs must be
     // bit-identical (a certifier that silently depended on leftover
     // thread state could drift between CI's test run and the bench run).
@@ -175,7 +177,9 @@ fn structure_bounds_are_tight_on_recognized_families() {
         let inst = Instance::new(g, vec![1.0; m], vec![1.0; n]).unwrap();
         let lower = best_lower_bound(&inst, 2).value();
         assert_eq!(lower, (1usize << (d - 1)) as f64, "Q_{d} bisection width");
-        let opt = exact_min_max_boundary(&inst, 2).unwrap().max_boundary;
+        let opt = bnb::solve(&inst, 2, &BnbConfig::exhaustive())
+            .unwrap()
+            .max_boundary;
         assert_eq!(CertifiedGap::new(lower, opt, "structure").ratio, 1.0);
     }
     // Unit paths at k = 2: one cut edge is both necessary and
@@ -183,7 +187,12 @@ fn structure_bounds_are_tight_on_recognized_families() {
     let inst = Instance::new(path(12), vec![1.0; 11], vec![1.0; 12]).unwrap();
     let lower = best_lower_bound(&inst, 2).value();
     assert_eq!(lower, 1.0);
-    assert_eq!(exact_min_max_boundary(&inst, 2).unwrap().max_boundary, 1.0);
+    assert_eq!(
+        bnb::solve(&inst, 2, &BnbConfig::exhaustive())
+            .unwrap()
+            .max_boundary,
+        1.0
+    );
 }
 
 #[test]

@@ -1,5 +1,6 @@
-//! Differential tests: the exact oracle vs every partitioner, on every
-//! small corpus entry.
+//! Differential tests: the exact optimum vs every partitioner, on every
+//! small corpus entry. The "oracle" here is exhaustive branch and bound,
+//! `bnb::solve(inst, k, &BnbConfig::exhaustive())`.
 //!
 //! On each `Corpus::small()` entry (n ≤ 10) and k ∈ {2, 3} the suite
 //! asserts the full optimality chain:
@@ -27,8 +28,8 @@
 
 use mmb_bench::standard_baselines;
 use mmb_core::api::{Partitioner, Theorem4Pipeline};
+use mmb_core::bnb::{self, BnbConfig, BnbPartitioner};
 use mmb_core::bounds;
-use mmb_core::oracle::{exact_min_max_boundary, ExactOracle};
 use mmb_core::verify::verify_decomposition;
 use mmb_instances::corpus::Corpus;
 
@@ -37,7 +38,7 @@ fn oracle_is_feasible_and_self_consistent_on_every_small_entry() {
     for entry in &Corpus::small() {
         let inst = &entry.instance;
         for k in [2usize, 3] {
-            let s = exact_min_max_boundary(inst, k)
+            let s = bnb::solve(inst, k, &BnbConfig::exhaustive())
                 .unwrap_or_else(|e| panic!("{} k={k}: {e}", entry.name));
             assert!(s.coloring.is_total(), "{} k={k}", entry.name);
             let report =
@@ -55,18 +56,21 @@ fn oracle_is_feasible_and_self_consistent_on_every_small_entry() {
                 report.max_boundary
             );
             // The Partitioner adapter is the same search.
-            let via_trait = ExactOracle.partition(inst, k).unwrap();
+            let exact = BnbPartitioner {
+                cfg: BnbConfig::exhaustive(),
+            };
+            let via_trait = exact.partition(inst, k).unwrap();
             assert_eq!(via_trait, s.coloring, "{} k={k}", entry.name);
         }
     }
 }
 
 #[test]
-fn oracle_le_pipeline_le_theorem5_under_both_scratch_policies() {
+fn oracle_le_pipeline_le_theorem5() {
     for entry in &Corpus::small() {
         let inst = &entry.instance;
         for k in [2usize, 3] {
-            let oracle = exact_min_max_boundary(inst, k).unwrap();
+            let oracle = bnb::solve(inst, k, &BnbConfig::exhaustive()).unwrap();
             let pipeline = Theorem4Pipeline::default().partition(inst, k).unwrap();
             assert_eq!(
                 pipeline,
@@ -125,7 +129,7 @@ fn oracle_never_beaten_by_any_strictly_balanced_baseline() {
     for entry in &Corpus::small() {
         let inst = &entry.instance;
         for k in [2usize, 3] {
-            let oracle = exact_min_max_boundary(inst, k).unwrap();
+            let oracle = bnb::solve(inst, k, &BnbConfig::exhaustive()).unwrap();
             for algo in &baselines {
                 let Ok(chi) = algo.partition(inst, k) else {
                     continue;
@@ -167,7 +171,7 @@ fn oracle_improves_on_the_pipeline_somewhere() {
     for entry in &Corpus::small() {
         let inst = &entry.instance;
         for k in [2usize, 3] {
-            let oracle = exact_min_max_boundary(inst, k).unwrap();
+            let oracle = bnb::solve(inst, k, &BnbConfig::exhaustive()).unwrap();
             let pipe = Theorem4Pipeline::default().partition(inst, k).unwrap();
             let pipe_cost = pipe.max_boundary_cost(inst.graph(), inst.costs());
             if oracle.max_boundary < pipe_cost - 1e-9 * (1.0 + pipe_cost) {
