@@ -1,6 +1,6 @@
 //! Reproduce every experiment table (E1–E12; see `DESIGN.md` §5 for the
-//! per-theorem index, `EXPERIMENTS.md` for recorded results) and record
-//! the perf baselines.
+//! per-theorem index, `EXPERIMENTS.md` for recorded results) and run the
+//! repository's gates.
 //!
 //! ```text
 //! reproduce [--quick] [e1 e2 … | all]      # experiment tables
@@ -10,16 +10,8 @@
 //!                                          #   or beaten certified bounds,
 //!                                          #   no bnb-proven optimum past
 //!                                          #   n = 16)
-//! reproduce bench [--quick] [--out PATH]   # perf suites → BENCH_6.json
-//! reproduce churn [--quick] [--out PATH]   # serving load test: cold vs
-//!                                          #   warm latency through
-//!                                          #   mmb-service → BENCH_7.json;
-//!                                          #   exits 1 unless warm ≥ 5×
-//!                                          #   faster and every serve is
-//!                                          #   strict + monotone
-//! reproduce bench-verify PATH              # CI guard: file exists + valid
-//!                                          #   (dispatches on the schema
-//!                                          #   tag: mmb-bench-6 or -7)
+//! reproduce bench-verify PATH              # CI guard: BENCH_6.json exists
+//!                                          #   and is valid
 //! reproduce gap-gate PATH                  # CI guard: fresh certified gaps
 //!                                          #   must not regress vs PATH
 //! reproduce lint [--json]                  # mmb-analyze soundness scan;
@@ -34,8 +26,11 @@
 //!                                          #   invalid output, broken
 //!                                          #   monotone degradation)
 //! ```
+//!
+//! Any other word that is not an experiment id exits 2 before anything
+//! runs.
 
-use mmb_bench::{chaos, churn, corpus, experiments, perf};
+use mmb_bench::{chaos, corpus, experiments, perf};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -88,50 +83,6 @@ fn main() {
                 out.bnb_proven
             );
         }
-        Some(&"bench") => {
-            let out = args
-                .iter()
-                .position(|a| a == "--out")
-                .and_then(|i| args.get(i + 1))
-                .cloned()
-                .unwrap_or_else(|| "BENCH_6.json".to_string());
-            let report = perf::run(quick);
-            let json = report.to_json();
-            // Self-check before writing: an emitted file always validates.
-            if let Err(e) = perf::validate_bench_json(&json) {
-                eprintln!("internal error: emitted JSON is invalid: {e}");
-                std::process::exit(1);
-            }
-            if let Err(e) = std::fs::write(&out, &json) {
-                eprintln!("cannot write {out}: {e}");
-                std::process::exit(1);
-            }
-            print!("{}", report.summary());
-            println!("wrote {out}");
-        }
-        Some(&"churn") => {
-            let out = args
-                .iter()
-                .position(|a| a == "--out")
-                .and_then(|i| args.get(i + 1))
-                .cloned()
-                .unwrap_or_else(|| "BENCH_7.json".to_string());
-            let report = churn::run_churn(quick);
-            let json = report.to_json();
-            // Self-check before writing: an emitted file always validates —
-            // this is where the ≥ 5× and strict/monotone gates bite.
-            if let Err(e) = churn::validate_churn_json(&json) {
-                report.summary().print();
-                eprintln!("churn gate FAILED: {e}");
-                std::process::exit(1);
-            }
-            if let Err(e) = std::fs::write(&out, &json) {
-                eprintln!("cannot write {out}: {e}");
-                std::process::exit(1);
-            }
-            report.summary().print();
-            println!("wrote {out}");
-        }
         Some(&"bench-verify") => {
             let Some(path) = words.get(1) else {
                 eprintln!("usage: reproduce bench-verify <path>");
@@ -144,23 +95,8 @@ fn main() {
                     std::process::exit(1);
                 }
             };
-            // Dispatch on the schema tag so one CI guard covers both the
-            // perf baselines (mmb-bench-6) and the churn trace (mmb-bench-7).
-            let schema_7 = text.contains("\"mmb-bench-7\"");
-            let checked = if schema_7 {
-                churn::validate_churn_json(&text)
-            } else {
-                perf::validate_bench_json(&text)
-            };
-            match checked {
-                Ok(()) => println!(
-                    "{path}: valid {} document",
-                    if schema_7 {
-                        "mmb-bench-7"
-                    } else {
-                        "mmb-bench-6"
-                    }
-                ),
+            match perf::validate_bench_json(&text) {
+                Ok(()) => println!("{path}: valid mmb-bench-6 document"),
                 Err(e) => {
                     eprintln!("{path}: malformed: {e}");
                     std::process::exit(1);
@@ -235,23 +171,30 @@ fn main() {
             }
         }
         _ => {
-            let ids: Vec<&str> = if words.is_empty() || words.contains(&"all") {
-                experiments::ALL.to_vec()
+            // Check every word before running anything, so a script still
+            // calling a retired subcommand fails instead of exiting 0.
+            if let Some(bad) = words
+                .iter()
+                .find(|w| **w != "all" && !experiments::ALL.contains(w))
+            {
+                eprintln!(
+                    "unknown experiment id or subcommand: {bad} (ids: {}, all; \
+                     subcommands: corpus, bench-verify, gap-gate, lint, chaos)",
+                    experiments::ALL.join(" ")
+                );
+                std::process::exit(2);
+            }
+            let ids: &[&str] = if words.is_empty() || words.contains(&"all") {
+                &experiments::ALL
             } else {
-                words
+                &words
             };
             let mode = if quick { "quick" } else { "full" };
             println!("# min-max boundary decomposition — experiment reproduction ({mode} mode)");
             for id in ids {
-                match experiments::run(id, quick) {
-                    Some(table) => table.print(),
-                    None => {
-                        eprintln!(
-                            "unknown experiment id: {id} (known: {:?})",
-                            experiments::ALL
-                        )
-                    }
-                }
+                experiments::run(id, quick)
+                    .expect("experiment ids are checked above")
+                    .print();
             }
         }
     }

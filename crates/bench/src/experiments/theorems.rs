@@ -271,9 +271,9 @@ pub fn e5(quick: bool) -> Table {
 }
 
 /// E6 — running time: near-linear in |G|, multiplicative in log k
-/// (Theorem 4); coarse wall-clock shape (criterion benches give precise
-/// numbers). Timed per `solve()` on a prebuilt [`Solver`], so the figure
-/// is the marginal serve cost, not the one-time build.
+/// (Theorem 4); coarse wall-clock shape (`perfbench/` gives end-to-end
+/// and per-layer times). Timed per `solve()` on a prebuilt [`Solver`], so
+/// the figure is the marginal serve cost, not the one-time build.
 pub fn e6(quick: bool) -> Table {
     let mut t = Table::new(
         "E6: Theorem 4 running time — t(|G|)·log k shape",

@@ -9,14 +9,14 @@
 //! cargo run -p mmb-bench --bin reproduce --release -- e1 e5 --quick
 //! ```
 //!
-//! Timing-focused measurements live in the criterion benches
-//! (`cargo bench -p mmb-bench`).
+//! Besides the tables, the binary runs the corpus, chaos and soundness-lint
+//! gates and guards the committed `BENCH_6.json` record ([`perf`]). Time
+//! and memory are measured by the end-to-end benchmark in `perfbench/`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod chaos;
-pub mod churn;
 pub mod corpus;
 pub mod experiments;
 pub mod perf;

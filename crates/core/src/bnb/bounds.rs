@@ -60,7 +60,7 @@ impl IncrementalBounds {
     /// branching order, along which the packing suffix is accumulated.
     pub fn new(inst: &Instance, k: usize, order: &[VertexId]) -> Self {
         let n = inst.num_vertices();
-        let masses = vertex_masses(inst, k, Some(PACK_VERTEX_BUDGET));
+        let masses = vertex_masses(inst, k, PACK_VERTEX_BUDGET);
         let mut pack_suffix = vec![0.0; n + 1];
         for i in (0..n).rev() {
             pack_suffix[i] = pack_suffix[i + 1] + masses[order[i] as usize];

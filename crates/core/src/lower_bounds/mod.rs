@@ -27,14 +27,12 @@
 //!   exhaustive (pruned) search that no grouping of whole components is
 //!   strictly balanced, hence some component must be split and at least
 //!   one edge cut.
-//! * [`packing::PackingBound`] — the Träff–Wimmer-style boundary-degree
-//!   bound (arXiv:1410.0462): per vertex, a fractional knapsack over the
-//!   sorted incident costs upper-bounds what a weight-capped class can
-//!   retain; the rest is certified cut.
-//! * [`packing::EdgePackingBound`] — the Träff–Wimmer refinement that
-//!   packs *whole edges*: the per-vertex knapsack is solved as an exact
-//!   0/1 problem (budgeted branch-and-bound), so its masses dominate the
-//!   fractional ones by construction.
+//! * [`packing::EdgePackingBound`] — the Träff–Wimmer-style
+//!   boundary-degree bound (arXiv:1410.0462): per vertex, a knapsack over
+//!   the incident edges upper-bounds the cost a weight-capped class can
+//!   retain, and the rest is certified cut. The knapsack packs *whole
+//!   edges* — an exact 0/1 problem (budgeted branch-and-bound) whose
+//!   masses dominate the fractional relaxation's by construction.
 //! * [`packing::MinCutBound`] — the weight-based cut bound (cf. the
 //!   Gutin–Yeo survey, arXiv:2104.05536): with ≥ 2 occupied classes on a
 //!   connected host every class is a proper non-empty subset, so
@@ -54,7 +52,7 @@
 //!   incumbent *is* `OPT` and is certified as such — the strongest
 //!   possible lower bound.
 //!
-//! The first seven are the [`static_certifiers`] — polynomial-time, no
+//! The first six are the [`static_certifiers`] — polynomial-time, no
 //! exhaustive search — which double as the B&B engine's root bound (the
 //! full stack there would recurse). [`best_lower_bound`] runs the whole
 //! [`standard_certifiers`] stack and keeps every certificate;
@@ -91,7 +89,7 @@ use crate::api::instance::Instance;
 /// value, and the machine-checkable derivation.
 #[derive(Clone, Debug)]
 pub struct Certificate {
-    /// Short certifier name (`"volume"`, `"packing"`, `"min-cut"`,
+    /// Short certifier name (`"volume"`, `"edge-packing"`, `"min-cut"`,
     /// `"structure"`, `"bnb"`, …).
     pub certifier: &'static str,
     /// The certified lower bound on `OPT` (≥ 0; 0 is a *trivial*
@@ -134,13 +132,6 @@ pub enum Derivation {
         /// certificate from a generously configured certifier stays
         /// replayable.
         node_budget: u64,
-    },
-    /// Boundary-degree packing bound: `Σ_v max(0, τ(v) − knap_v) / k`
-    /// (see [`packing::PackingBound`]).
-    Packing {
-        /// The summed per-vertex certified cut mass
-        /// `Σ_v max(0, τ(v) − knap_v)`.
-        per_vertex_total: f64,
     },
     /// Global min-cut bound with the witnessing side
     /// (see [`packing::MinCutBound`]).
@@ -219,9 +210,6 @@ impl Derivation {
                 min_cost,
                 node_budget,
             } => volume::replay_disconnected(inst, k, *components, *min_cost, *node_budget),
-            Derivation::Packing { per_vertex_total } => {
-                packing::replay_packing(inst, k, *per_vertex_total)
-            }
             Derivation::MinCut { cut_cost, side } => {
                 packing::replay_min_cut(inst, k, *cut_cost, side)
             }
@@ -281,7 +269,6 @@ pub fn static_certifiers() -> Vec<Box<dyn LowerBound>> {
     vec![
         Box::new(volume::VolumeBound),
         Box::new(volume::DisconnectedBound::default()),
-        Box::new(packing::PackingBound),
         Box::new(packing::EdgePackingBound::default()),
         Box::new(packing::MinCutBound::default()),
         Box::new(cutpair::CutPairBound::default()),

@@ -37,6 +37,8 @@
 //! vertex falls back to the fractional optimum: a truncated
 //! *maximization* incumbent would under-state what a class can retain
 //! and over-state the certified cut, which is the unsound direction.
+//! A budget of 0 runs no search, so `EdgePackingBound { vertex_budget: 0 }`
+//! certifies exactly the fractional bound.
 //!
 //! **Min-cut bound** (the classical weight-based cut bound; cf. the
 //! Gutin–Yeo survey, arXiv:2104.05536). On a connected host with at
@@ -50,11 +52,6 @@ use mmb_graph::VertexId;
 
 use crate::api::instance::Instance;
 use crate::lower_bounds::{Certificate, Derivation, LowerBound, Window};
-
-/// The per-vertex fractional-knapsack packing bound (see the
-/// [module docs](self)).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PackingBound;
 
 /// Default per-vertex node budget of the integral knapsack searches
 /// (edge-packing certifier and the B&B engine's suffix bound).
@@ -111,13 +108,13 @@ fn integral_retained(items: &[(f64, f64)], cap: f64, budget: &mut u64) -> Option
 /// Per-vertex certified doubled-cut masses `max(0, τ(v) − knap_v − slack)`,
 /// indexed by vertex id.
 ///
-/// `knap_v` is the fractional knapsack optimum; with
-/// `integral_budget = Some(b)` each vertex additionally solves the exact
-/// 0/1 knapsack (≤ `b` search nodes) and retains `min(frac, int)` — so
-/// the integral masses dominate the fractional ones pointwise by
-/// construction, with the identical slack term (see the
-/// [module docs](self) for the soundness of the exhaustion fallback).
-pub(crate) fn vertex_masses(inst: &Instance, k: usize, integral_budget: Option<u64>) -> Vec<f64> {
+/// `knap_v` is the fractional knapsack optimum; each vertex additionally
+/// solves the exact 0/1 knapsack (≤ `vertex_budget` search nodes) and
+/// retains `min(frac, int)` — so the integral masses dominate the
+/// fractional ones pointwise by construction, with the identical slack
+/// term (see the [module docs](self) for the soundness of the exhaustion
+/// fallback). At `vertex_budget = 0` every mass is the fractional one.
+pub(crate) fn vertex_masses(inst: &Instance, k: usize, vertex_budget: u64) -> Vec<f64> {
     let win = Window::new(inst, k);
     let g = inst.graph();
     let (costs, weights) = (inst.costs(), inst.weights());
@@ -158,11 +155,9 @@ pub(crate) fn vertex_masses(inst: &Instance, k: usize, integral_budget: Option<u
                 break;
             }
         }
-        if let Some(per_vertex) = integral_budget {
-            let mut budget = per_vertex;
-            if let Some(int) = integral_retained(&incident, cap, &mut budget) {
-                retained = int.min(retained);
-            }
+        let mut budget = vertex_budget;
+        if let Some(int) = integral_retained(&incident, cap, &mut budget) {
+            retained = int.min(retained);
         }
         // Relative slack in the sound direction: the knapsack optimum is
         // only trusted up to fp rounding.
@@ -172,60 +167,15 @@ pub(crate) fn vertex_masses(inst: &Instance, k: usize, integral_budget: Option<u
     masses
 }
 
-/// `Σ_v max(0, τ(v) − knap_v)` — the certified doubled cut mass.
-fn packing_total(inst: &Instance, k: usize) -> f64 {
-    vertex_masses(inst, k, None).iter().sum()
-}
-
-/// The integral-packing total with a per-vertex budget (the edge-packing
-/// certifier's doubled cut mass; same summation order as
-/// [`packing_total`], so dominance survives fp addition).
+/// `Σ_v max(0, τ(v) − knap_v)` with a per-vertex integral-search budget
+/// — the edge-packing certifier's doubled cut mass.
 fn edge_packing_total(inst: &Instance, k: usize, vertex_budget: u64) -> f64 {
-    vertex_masses(inst, k, Some(vertex_budget)).iter().sum()
+    vertex_masses(inst, k, vertex_budget).iter().sum()
 }
 
-impl LowerBound for PackingBound {
-    fn name(&self) -> &'static str {
-        "packing"
-    }
-
-    fn certify(&self, inst: &Instance, k: usize) -> Option<Certificate> {
-        if k == 0 || inst.num_edges() == 0 {
-            return None;
-        }
-        let total = packing_total(inst, k);
-        Some(Certificate {
-            certifier: self.name(),
-            value: total / k as f64,
-            derivation: Derivation::Packing {
-                per_vertex_total: total,
-            },
-        })
-    }
-}
-
-/// Replay a [`Derivation::Packing`]: recompute the per-vertex knapsacks
-/// and cross-check the stored sum.
-pub(crate) fn replay_packing(
-    inst: &Instance,
-    k: usize,
-    per_vertex_total: f64,
-) -> Result<f64, String> {
-    if k == 0 || inst.num_edges() == 0 {
-        return Err("packing bound does not apply (k = 0 or edgeless host)".into());
-    }
-    let fresh = packing_total(inst, k);
-    if (fresh - per_vertex_total).abs() > 1e-9 * (1.0 + per_vertex_total.abs()) {
-        return Err(format!(
-            "per-vertex total drifted: {per_vertex_total} vs {fresh}"
-        ));
-    }
-    Ok(fresh / k as f64)
-}
-
-/// The whole-edge (0/1 knapsack) refinement of [`PackingBound`] — see
-/// the [module docs](self). Dominates the fractional bound by
-/// construction.
+/// The whole-edge (0/1 knapsack) packing bound — see the
+/// [module docs](self). Dominates the fractional bound by construction,
+/// and equals it at `vertex_budget = 0`.
 #[derive(Clone, Copy, Debug)]
 pub struct EdgePackingBound {
     /// Node budget of each per-vertex integral knapsack search; on
@@ -496,6 +446,9 @@ mod tests {
         assert!(capped.certify(&unit(cycle(6)), 2).is_none());
     }
 
+    /// The fractional packing bound: no integral search runs.
+    const FRACTIONAL: EdgePackingBound = EdgePackingBound { vertex_budget: 0 };
+
     #[test]
     fn packing_fires_when_neighborhoods_crowd_the_window() {
         // K₄ with unit weights at k = 4: hi = 1 + 3/4, so a class holds
@@ -504,7 +457,7 @@ mod tests {
         // knapsack retains 0.75 of one edge). Certified:
         // Σ_v (3 − 0.75)/4 = 4·2.25/4 = 2.25.
         let inst = unit(complete(4));
-        let cert = PackingBound.certify(&inst, 4).unwrap();
+        let cert = FRACTIONAL.certify(&inst, 4).unwrap();
         assert!(cert.value > 2.0, "value = {}", cert.value);
         // Sound against the exact optimum.
         let opt = bnb::solve(&inst, 4, &BnbConfig::exhaustive()).unwrap();
@@ -516,7 +469,7 @@ mod tests {
     #[test]
     fn packing_is_vacuous_on_roomy_windows() {
         // Unit path at k = 2: every neighborhood fits under the envelope.
-        let cert = PackingBound.certify(&unit(path(8)), 2).unwrap();
+        let cert = FRACTIONAL.certify(&unit(path(8)), 2).unwrap();
         assert_eq!(cert.value, 0.0);
     }
 
@@ -528,7 +481,7 @@ mod tests {
         // 2.25), i.e. the exact optimum 3 (each singleton class has
         // boundary 3).
         let inst = unit(complete(4));
-        let frac = PackingBound.certify(&inst, 4).unwrap();
+        let frac = FRACTIONAL.certify(&inst, 4).unwrap();
         let edge = EdgePackingBound::default().certify(&inst, 4).unwrap();
         assert!(edge.value > frac.value, "{} vs {}", edge.value, frac.value);
         assert!((edge.value - 3.0).abs() < 1e-6, "value = {}", edge.value);
@@ -548,8 +501,8 @@ mod tests {
         let weights = vec![3.0, 1.0, 2.0, 1.0, 2.0, 3.0];
         let inst = Instance::new(g, costs, weights).unwrap();
         for k in [2usize, 3, 4] {
-            let frac = vertex_masses(&inst, k, None);
-            let int = vertex_masses(&inst, k, Some(PACK_VERTEX_BUDGET));
+            let frac = vertex_masses(&inst, k, 0);
+            let int = vertex_masses(&inst, k, PACK_VERTEX_BUDGET);
             for (v, (f, i)) in frac.iter().zip(&int).enumerate() {
                 assert!(i >= f, "vertex {v} at k={k}: {i} < {f}");
             }
@@ -564,7 +517,7 @@ mod tests {
         // back to its fractional optimum and the two bounds coincide
         // bit-for-bit.
         let inst = unit(complete(4));
-        let frac = PackingBound.certify(&inst, 4).unwrap();
+        let frac = FRACTIONAL.certify(&inst, 4).unwrap();
         let starved = EdgePackingBound { vertex_budget: 1 }
             .certify(&inst, 4)
             .unwrap();

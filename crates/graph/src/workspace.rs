@@ -36,8 +36,8 @@ use std::cell::RefCell;
 
 use crate::graph::VertexId;
 
-/// Allocation / reuse counters of a [`Workspace`] — the "RSS proxy" the
-/// perf baselines record (`BENCH_6.json`).
+/// Allocation / reuse counters of a [`Workspace`] — the "RSS proxy" that
+/// `BENCH_6.json` records and the scale-path tests budget.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkspaceStats {
     /// Buffer checkouts ([`Workspace::measure`] calls).

@@ -21,7 +21,7 @@ use mmb_core::pipeline::PipelineConfig;
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::gen::misc::path;
 use mmb_graph::gen::tree::random_tree;
-use mmb_graph::{VertexId, VertexSet};
+use mmb_graph::{VertexId, VertexSet, Workspace};
 use mmb_splitters::grid::GridSplitter;
 use mmb_splitters::recording::RecordingSplitter;
 use mmb_splitters::tree::TreeSplitter;
@@ -492,29 +492,52 @@ fn corpus_solver_reuse_matches_fresh_builds() {
 fn pooled_scratch_leaves_no_trace_between_solves() {
     // Every solve draws its dense scratch buffers from this thread's
     // workspace pool. A buffer handed back dirty would leak one solve's
-    // state into the next, so each quick-corpus entry is solved on a
-    // fresh thread (empty pool) and again on this thread after the whole
-    // corpus has used its pool: the colorings must be bit-identical.
+    // state into the next, so each input is solved on this thread before
+    // and after every input has used the pool, and once on a fresh thread
+    // (empty pool): the three colorings must be bit-identical. The repeat
+    // solve must also reuse the pool — it checks buffers out, but
+    // allocates no more than it holds live at once. The inputs are the
+    // quick corpus plus uniform grids at k = 16, where ‖w‖∞ = 1 drives the
+    // Proposition 11 recursion many levels deep.
     let corpus = mmb_instances::corpus::Corpus::quick();
-    let solve = |entry: &mmb_instances::corpus::CorpusEntry| {
-        Solver::for_instance(&entry.instance)
-            .classes(entry.k)
+    let grids: Vec<(String, Instance)> = [12usize, 16]
+        .iter()
+        .map(|&side| {
+            let grid = GridGraph::lattice(&[side, side]);
+            let (n, m) = (grid.graph.num_vertices(), grid.graph.num_edges());
+            let inst = Instance::from_grid(grid, vec![1.0; m], vec![1.0; n]).unwrap();
+            (format!("uniform-grid-{side}x{side}"), inst)
+        })
+        .collect();
+    let inputs: Vec<(&str, &Instance, usize)> = corpus
+        .entries()
+        .iter()
+        .map(|e| (e.name.as_str(), &e.instance, e.k))
+        .chain(grids.iter().map(|(name, inst)| (name.as_str(), inst, 16)))
+        .collect();
+    let solve = |inst: &Instance, k: usize| {
+        Solver::for_instance(inst)
+            .classes(k)
             .build()
             .unwrap()
             .solve()
             .coloring
     };
-    for entry in &corpus {
-        solve(entry);
-    }
-    for entry in &corpus {
-        let fresh = std::thread::scope(|s| s.spawn(|| solve(entry)).join().unwrap());
-        assert_eq!(
-            solve(entry),
-            fresh,
-            "{}: a used pool changed the coloring",
-            entry.name
+    let first: Vec<_> = inputs.iter().map(|&(_, inst, k)| solve(inst, k)).collect();
+    for (&(name, inst, k), first) in inputs.iter().zip(&first) {
+        Workspace::with_local(|ws| ws.reset_stats());
+        let again = solve(inst, k);
+        let stats = Workspace::with_local(|ws| ws.stats());
+        assert!(stats.acquires > 0, "{name}: no scratch buffer checked out");
+        assert!(
+            stats.fresh_allocs <= stats.peak_live as u64,
+            "{name}: pool misses ({}) exceed peak concurrency ({})",
+            stats.fresh_allocs,
+            stats.peak_live
         );
+        assert_eq!(&again, first, "{name}: a used pool changed the coloring");
+        let fresh = std::thread::scope(|s| s.spawn(|| solve(inst, k)).join().unwrap());
+        assert_eq!(fresh, again, "{name}: an empty pool changed the coloring");
     }
 }
 

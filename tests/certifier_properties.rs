@@ -14,15 +14,15 @@
 //!   *doctored* derivation (stored intermediates perturbed) is rejected
 //!   — a certificate cannot silently drift from the code justifying it.
 //! * **Dominance.** The 0/1-knapsack residual of a vertex is ≥ its
-//!   fractional-knapsack residual by construction, so wherever the
-//!   per-vertex `PackingBound` fires, `EdgePackingBound` must fire at
-//!   least as high — asserted exactly (up to fp noise) on every corpus
-//!   entry, small through medium.
+//!   fractional-knapsack residual by construction, so the default
+//!   `EdgePackingBound` must certify at least as high as its budget-0
+//!   (purely fractional) form — asserted exactly (up to fp noise) on
+//!   every corpus entry, small through medium.
 
 use mmb_core::api::Instance;
 use mmb_core::bnb::{self, BnbConfig};
 use mmb_core::lower_bounds::cutpair::CutPairBound;
-use mmb_core::lower_bounds::packing::{EdgePackingBound, PackingBound};
+use mmb_core::lower_bounds::packing::EdgePackingBound;
 use mmb_core::lower_bounds::{Derivation, LowerBound};
 use mmb_graph::gen::misc::{cycle, path};
 use mmb_graph::gen::tree::random_tree;
@@ -118,7 +118,7 @@ proptest! {
 
 #[test]
 fn edge_packing_dominates_per_vertex_packing_on_every_corpus_entry() {
-    let pack = PackingBound;
+    let pack = EdgePackingBound { vertex_budget: 0 };
     let epack = EdgePackingBound::default();
     let mut comparisons = 0usize;
     for corpus in [Corpus::small(), Corpus::quick(), Corpus::medium()] {
@@ -128,7 +128,10 @@ fn edge_packing_dominates_per_vertex_packing_on_every_corpus_entry() {
                 continue;
             };
             let refined = epack.certify(inst, entry.k).unwrap_or_else(|| {
-                panic!("{}: edge-packing declined where packing fired", entry.name)
+                panic!(
+                    "{}: edge-packing declined where its budget-0 form fired",
+                    entry.name
+                )
             });
             comparisons += 1;
             // Dominance is by construction: a 0/1 knapsack can only pack
@@ -136,7 +139,7 @@ fn edge_packing_dominates_per_vertex_packing_on_every_corpus_entry() {
             // mass — and with it the bound — can only grow.
             assert!(
                 refined.value >= base.value - 1e-12 * (1.0 + base.value),
-                "{}: edge-packing {} below per-vertex packing {}",
+                "{}: edge-packing {} below the fractional packing bound {}",
                 entry.name,
                 refined.value,
                 base.value
@@ -145,7 +148,7 @@ fn edge_packing_dominates_per_vertex_packing_on_every_corpus_entry() {
     }
     assert!(
         comparisons >= 10,
-        "only {comparisons} packing/edge-packing comparisons"
+        "only {comparisons} fractional/edge-packing comparisons"
     );
 }
 
