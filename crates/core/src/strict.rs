@@ -21,8 +21,20 @@
 //! greedy assignment, which *always* achieves eq. (1) — at unbounded
 //! boundary cost, which is acceptable because in this regime classes are
 //! dominated by single vertices anyway.
+//!
+//! **Cost.** Linear in `n` plus the splitter calls: `O(k·n/64 + n)` to
+//! sort the domain into classes and to write the output, `O(1)` per
+//! heavy-vertex piece (a forward cursor over each class's heavy
+//! vertices), one split plus `O(n/64 + |class|)` per splitting-set piece,
+//! and `O(k + |X|)` to place a piece `X`. Pieces are id lists, and class
+//! weights are running sums; every test still reads the fresh re-sum the
+//! proposition's loop is written with (see `Class`), so the coloring
+//! is the same as re-summing every class for every test. When the
+//! weights sum exactly (integers, or any common power-of-two grid) no
+//! re-sum ever runs; otherwise one runs only when a running sum lands
+//! within its rounding bound of a threshold or a tie.
 
-use mmb_graph::measure::{set_max, set_sum};
+use mmb_graph::measure::set_sum;
 use mmb_graph::{Coloring, Graph, VertexId, VertexSet};
 use mmb_splitters::Splitter;
 use rayon::prelude::*;
@@ -35,18 +47,21 @@ pub(crate) const PAR_CARVE_MIN_VERTICES: usize = 2048;
 /// Shared fan-out of the `BinPack1/2` cut-down step: run `shed` over every
 /// carving work item — on the thread pool when the working set is large
 /// enough to amortize worker spawn, inline otherwise — and re-assemble the
-/// surviving classes and carved pieces in class order, which makes the
-/// result bit-identical to the sequential loop for any thread count.
-pub(crate) fn carve_classes<T, F>(
+/// surviving classes and carved pieces, in whatever form the caller keeps
+/// them, in class order, which makes the result bit-identical to the
+/// sequential loop for any thread count.
+pub(crate) fn carve_classes<T, C, P, F>(
     items: impl IntoIterator<Item = T>,
     working_set_len: usize,
     shed: F,
-) -> (Vec<VertexSet>, Vec<VertexSet>)
+) -> (Vec<C>, Vec<P>)
 where
     T: Send,
-    F: Fn(T) -> (VertexSet, Vec<VertexSet>) + Sync,
+    C: Send,
+    P: Send,
+    F: Fn(T) -> (C, Vec<P>) + Sync,
 {
-    let carved: Vec<(VertexSet, Vec<VertexSet>)> = if working_set_len >= PAR_CARVE_MIN_VERTICES {
+    let carved: Vec<(C, Vec<P>)> = if working_set_len >= PAR_CARVE_MIN_VERTICES {
         items.into_par_iter().map(shed).collect()
     } else {
         items.into_iter().map(shed).collect()
@@ -104,8 +119,7 @@ pub fn binpack2<S: Splitter + ?Sized>(
     if k == 1 {
         return chi.restrict_to(domain);
     }
-    let wmax = set_max(weights, domain);
-    let total = set_sum(weights, domain);
+    let (wmax, total, drift) = weigh(weights, domain);
     let w_star = total / k as f64;
     if wmax <= 0.0 {
         return chi.restrict_to(domain);
@@ -115,20 +129,37 @@ pub fn binpack2<S: Splitter + ?Sized>(
         return greedy_strict(n, k, domain, weights);
     }
 
-    let cw = |c: &VertexSet| set_sum(weights, c);
-
-    // Step 2: cut every class down to ≤ w*. Classes are carved
-    // independently (the buffer only collects), so [`carve_classes`] fans
-    // the cut-down out per class.
+    // Step 2: cut every class down to ≤ w*. One pass over the domain
+    // sorts it into classes and lists each class's heavy vertices. Claim
+    // 4 takes the first heavy vertex still in the class; the class only
+    // shrinks, so a forward cursor over that list finds it. Classes are
+    // carved independently (the buffer only collects), so
+    // [`carve_classes`] fans the cut-down out per class.
+    let mut sorted: Vec<(Class, Vec<VertexId>)> =
+        (0..k).map(|_| (Class::empty(n), Vec::new())).collect();
+    for v in domain.iter() {
+        if let Some(c) = chi.get(v) {
+            let (class, heavy) = &mut sorted[c as usize];
+            class.set.insert(v);
+            class.weight += weights[v as usize];
+            if weights[v as usize] >= wmax / 2.0 {
+                heavy.push(v);
+            }
+        }
+    }
     let (mut classes, mut buffer) = carve_classes(
-        chi.class_sets_within(domain),
+        sorted,
         domain.len(),
-        |mut class: VertexSet| {
+        |(mut class, heavy): (Class, Vec<VertexId>)| {
+            let mut heavy = heavy.into_iter();
             let mut pieces = Vec::new();
-            while cw(&class) > w_star + 1e-12 * total && !class.is_empty() {
-                let x = carve_piece(g, splitter, &class, weights, wmax);
+            while class.exceeds(w_star + 1e-12 * total, weights) && !class.set.is_empty() {
+                let x = match heavy.next() {
+                    Some(v) => vec![v],
+                    None => split_piece(splitter, &mut class, weights, wmax),
+                };
                 debug_assert!(!x.is_empty());
-                class.difference_with(&x);
+                class.shed(&x, weights, drift);
                 pieces.push(x);
             }
             (class, pieces)
@@ -139,7 +170,9 @@ pub fn binpack2<S: Splitter + ?Sized>(
     // averaging argument (see module docs) guarantees the buffer cannot be
     // empty while such a class exists.
     let lower = w_star - (1.0 - 1.0 / k as f64) * wmax;
-    while let Some(i) = (0..k).find(|&i| cw(&classes[i]) < lower - 1e-12 * (1.0 + total)) {
+    while let Some(i) =
+        (0..k).find(|&i| classes[i].falls_below(lower - 1e-12 * (1.0 + total), weights))
+    {
         let Some(x) = buffer.pop() else {
             debug_assert!(
                 false,
@@ -147,53 +180,213 @@ pub fn binpack2<S: Splitter + ?Sized>(
             );
             break;
         };
-        classes[i].union_with(&x);
+        classes[i].take(&x, weights, drift);
     }
 
     // Step 4: leftovers onto the lightest classes.
     while let Some(x) = buffer.pop() {
-        let i = (0..k)
-            .min_by(|&a, &b| cw(&classes[a]).total_cmp(&cw(&classes[b])))
-            .expect("k >= 1 classes");
-        classes[i].union_with(&x);
+        let i = lightest(&mut classes, weights);
+        classes[i].take(&x, weights, drift);
     }
 
     let mut out = Coloring::new_uncolored(n, k);
     for (i, class) in classes.iter().enumerate() {
-        for v in class.iter() {
+        for v in class.set.iter() {
             out.set(v, i as u32);
         }
     }
     out
 }
 
-/// Claim 4: a piece `X ⊆ class` with `w(X) ∈ [‖w‖∞/2, ‖w‖∞]` — a single
-/// heavy vertex if one exists, else a splitting set (all vertices are then
-/// lighter than `‖w‖∞/2`, so the contract slack stays within the window).
-fn carve_piece<S: Splitter + ?Sized>(
-    g: &Graph,
+/// How far a running class weight can stray from the re-sum `set_sum`
+/// gives for the same set, the value every test of Proposition 12's loop
+/// reads.
+#[derive(Clone, Copy)]
+struct Drift {
+    /// The bound once a running sum has moved off a re-sum: `3·N·ε·Σ|w|`
+    /// over the domain's `N` weights. `N·ε·Σ|w|` bounds the rounding error
+    /// of any sequential sum of them, and three such errors separate the
+    /// two sums: the re-sum's own, that of the re-sum the running sum
+    /// started from, and that of every piece weight it has moved since.
+    start: f64,
+    /// Added per update, times `|running sum|`: its one rounding.
+    per_update: f64,
+}
+
+/// `set_max` and `set_sum` of the domain's weights (their own folds, so
+/// the same bits) and the [`Drift`] of running sums over them, in one
+/// pass.
+fn weigh(weights: &[f64], domain: &VertexSet) -> (f64, f64, Drift) {
+    let (mut wmax, mut total, mut mass) = (0.0f64, -0.0f64, 0.0f64);
+    // Sums are exact, in any order and over any subset, when all weights
+    // are multiples of one power of two 2^low and their absolute sum
+    // stays below 2^(low + 53): then running sums *are* the re-sums and
+    // never drift.
+    let mut low = i32::MAX;
+    for v in domain.iter() {
+        let w = weights[v as usize];
+        wmax = wmax.max(w);
+        total += w;
+        mass += w.abs();
+        if w != 0.0 {
+            low = low.min(lowest_bit(w));
+        }
+    }
+    let drift = if mass < 2f64.powi(low.saturating_add(53)) {
+        Drift {
+            start: 0.0,
+            per_update: 0.0,
+        }
+    } else {
+        Drift {
+            start: 3.0 * domain.len() as f64 * f64::EPSILON * mass,
+            per_update: f64::EPSILON,
+        }
+    };
+    (wmax, total, drift)
+}
+
+/// The exponent of the lowest set bit of a nonzero `w`: `w` is an odd
+/// multiple of `2^lowest_bit(w)`.
+fn lowest_bit(w: f64) -> i32 {
+    let bits = w.to_bits();
+    let (exp, frac) = (((bits >> 52) & 0x7ff) as i32, bits & ((1 << 52) - 1));
+    if exp == 0 {
+        frac.trailing_zeros() as i32 - 1074 // subnormal
+    } else {
+        (frac | 1 << 52).trailing_zeros() as i32 + exp - 1075
+    }
+}
+
+/// A class of steps 2–4: its members and its weight.
+///
+/// The quadratic form of `BinPack2` re-summed `set_sum(weights, &set)` for
+/// every test. Here `weight` is a running sum and `drift` bounds its
+/// distance to that re-sum (zero while it *is* the re-sum, sign of a zero
+/// included). A test the running sum cannot decide within `drift`
+/// re-sums the class once, so every decision is the re-summing one.
+struct Class {
+    set: VertexSet,
+    weight: f64,
+    drift: f64,
+}
+
+impl Class {
+    /// No members; `−0.0` is what `set_sum` gives the empty set.
+    fn empty(n: usize) -> Self {
+        Class {
+            set: VertexSet::empty(n),
+            weight: -0.0,
+            drift: 0.0,
+        }
+    }
+
+    /// `set_sum(weights, &self.set)`, which the running weight becomes.
+    fn resum(&mut self, weights: &[f64]) -> f64 {
+        if self.drift != 0.0 {
+            self.weight = set_sum(weights, &self.set);
+            self.drift = 0.0;
+        }
+        self.weight
+    }
+
+    /// Whether `set_sum(weights, &self.set) > t`.
+    fn exceeds(&mut self, t: f64, weights: &[f64]) -> bool {
+        if self.weight - self.drift > t {
+            true
+        } else if self.weight + self.drift <= t {
+            false
+        } else {
+            self.resum(weights) > t
+        }
+    }
+
+    /// Whether `set_sum(weights, &self.set) < t`.
+    fn falls_below(&mut self, t: f64, weights: &[f64]) -> bool {
+        if self.weight + self.drift < t {
+            true
+        } else if self.weight - self.drift >= t {
+            false
+        } else {
+            self.resum(weights) < t
+        }
+    }
+
+    /// Add the piece `x`.
+    fn take(&mut self, x: &[VertexId], weights: &[f64], drift: Drift) {
+        for &v in x {
+            self.set.insert(v);
+        }
+        self.shift(piece_weight(weights, x), drift);
+    }
+
+    /// Remove the piece `x`.
+    fn shed(&mut self, x: &[VertexId], weights: &[f64], drift: Drift) {
+        for &v in x {
+            self.set.remove(v);
+        }
+        self.shift(-piece_weight(weights, x), drift);
+    }
+
+    fn shift(&mut self, dw: f64, drift: Drift) {
+        self.weight += dw;
+        self.drift = self.drift.max(drift.start) + drift.per_update * self.weight.abs();
+        if self.weight == 0.0 {
+            // The sign of a zero sum depends on the summation order.
+            self.drift = self.drift.max(f64::MIN_POSITIVE);
+        }
+    }
+}
+
+/// Step 4's target, `(0..k).min_by(total_cmp)` over the re-sums (ties to
+/// the lowest index): only classes that may be the lightest within their
+/// drift are re-summed.
+fn lightest(classes: &mut [Class], weights: &[f64]) -> usize {
+    let reach = classes
+        .iter()
+        .map(|c| c.weight + c.drift)
+        .fold(f64::INFINITY, f64::min);
+    let mut best: Option<(usize, f64)> = None;
+    for (i, class) in classes.iter_mut().enumerate() {
+        let heavier = class.weight - class.drift > reach;
+        if !heavier {
+            let w = class.resum(weights);
+            if best.is_none_or(|(_, b)| w.total_cmp(&b).is_lt()) {
+                best = Some((i, w));
+            }
+        }
+    }
+    best.expect("k >= 1 classes").0
+}
+
+/// `w(X)` of a piece, summed in id order like [`set_sum`].
+fn piece_weight(weights: &[f64], x: &[VertexId]) -> f64 {
+    x.iter().map(|&v| weights[v as usize]).sum()
+}
+
+/// Claim 4 once `class` holds no heavy vertex: a splitting set of weight
+/// `∈ [‖w‖∞/2, ‖w‖∞]` (all vertices are then lighter than `‖w‖∞/2`, so
+/// the contract slack stays within the window), as ids in increasing
+/// order.
+fn split_piece<S: Splitter + ?Sized>(
     splitter: &S,
-    class: &VertexSet,
+    class: &mut Class,
     weights: &[f64],
     wmax: f64,
-) -> VertexSet {
-    let n = g.num_vertices();
-    if let Some(v) = class.iter().find(|&v| weights[v as usize] >= wmax / 2.0) {
-        return VertexSet::from_iter(n, [v]);
-    }
-    let class_weight = set_sum(weights, class);
-    let target = (0.75 * wmax).min(class_weight);
-    let x = splitter.split(class, weights, target);
+) -> Vec<VertexId> {
+    let target = (0.75 * wmax).min(class.resum(weights));
+    let x = splitter.split(&class.set, weights, target);
     if x.is_empty() || set_sum(weights, &x) <= 0.0 {
         // Defensive: all-zero piece; peel the heaviest vertex to guarantee
         // progress.
         let heaviest = class
+            .set
             .iter()
             .max_by(|&a, &b| weights[a as usize].total_cmp(&weights[b as usize]))
             .expect("class is non-empty");
-        return VertexSet::from_iter(n, [heaviest]);
+        return vec![heaviest];
     }
-    x
+    x.to_vec()
 }
 
 #[cfg(test)]

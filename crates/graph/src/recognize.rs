@@ -9,18 +9,18 @@
 //! lattice (with the integer embedding reconstructed, so GridSplit can run
 //! on it), or arbitrary.
 //!
-//! Lattice recognition is *sound but deliberately not complete*: the
-//! reconstruction handles full axis-aligned boxes `[0,n₁)×…×[0,n_d)` in
-//! any dimension, and every accepted embedding is verified edge-by-edge
-//! (edges ⟺ `L1` distance 1), so a false positive is impossible — an
-//! irregular grid subset simply falls through to [`Structure::Arbitrary`].
-//! Callers that *know* their geometry (percolation subsets, blobs) should
-//! carry a [`GridGraph`] instead of a bare [`Graph`] and skip detection.
-
-use std::collections::HashMap;
+//! Lattice recognition accepts exactly the full axis-aligned boxes
+//! `[0,n₁)×…×[0,n_d)`, in any dimension and under any vertex labeling;
+//! every accepted embedding is verified to fill its box and to match the
+//! edges (edges ⟺ `L1` distance 1), so a false positive is impossible. An
+//! irregular grid subset, even one that embeds, falls through to
+//! [`Structure::Arbitrary`]. Callers that *know* their geometry
+//! (percolation subsets, blobs) should carry a [`GridGraph`] instead of a
+//! bare [`Graph`] and skip detection.
 
 use crate::gen::grid::GridGraph;
 use crate::graph::{Graph, VertexId};
+use crate::vertex_set::VertexSet;
 
 /// The graph family detected by [`recognize`].
 #[derive(Clone, Debug)]
@@ -71,8 +71,9 @@ pub fn recognition_count() -> u64 {
 
 /// Classify `g` into a [`Structure`].
 ///
-/// Runs in `O((n + m)·d)` (the lattice attempt dominates and bails out
-/// early on non-lattices).
+/// Runs in `O((n + m)·d)` with no hashing: one component count, then the
+/// lattice attempt over flat arrays, which dominates and bails out early
+/// on non-lattices.
 pub fn recognize(g: &Graph) -> Structure {
     RECOGNITIONS.with(|c| c.set(c.get() + 1));
     let n = g.num_vertices();
@@ -145,124 +146,141 @@ pub fn path_positions(g: &Graph) -> Vec<i64> {
 ///
 /// Succeeds exactly on graphs isomorphic to a full rectangular lattice
 /// `[0,n₁)×…×[0,n_d)` with every extent ≥ 2 (lower-dimensional boxes are
-/// recognized at their effective dimension). The embedding is anchored at
-/// a minimum-degree vertex (a lattice corner) and grown layer by layer:
-/// a vertex with one already-placed neighbor continues that neighbor's
-/// ray; a vertex with several takes their componentwise maximum. The
-/// candidate embedding is then verified — every edge must join points at
-/// `L1` distance exactly 1 and every distance-1 pair must be an edge — so
-/// the function never returns a wrong embedding.
+/// recognized at their effective dimension), whatever their vertex
+/// labels. The embedding is anchored at a minimum-degree vertex (a lattice
+/// corner) and grown in BFS order: a vertex with one already-placed
+/// neighbor continues that neighbor's ray; a vertex with several takes
+/// their componentwise maximum. Every ray is a unit vector `+e_a`, so a
+/// vertex stores only its axis `a`. The candidate is then verified: its
+/// points must fill the box of its extents exactly once (`n = Π extents`,
+/// injectivity checked on mixed-radix indices), and every edge must join
+/// points at `L1` distance 1. With `n` points filling the box and `m`
+/// distinct edges, each an adjacent pair, `m` equal to the box's number
+/// of adjacent pairs means every adjacent pair is an edge, so the
+/// function never returns a wrong embedding. No hashing; `O((n + m)·d)`
+/// time in one flat `n·d` coordinate array.
 pub fn try_lattice_embedding(g: &Graph) -> Option<GridGraph> {
     let n = g.num_vertices();
-    if n == 0 || !g.is_connected() {
-        return None;
-    }
     let v0 = (0..n as u32).min_by_key(|&v| g.degree(v))?;
     let dim = g.degree(v0);
     if dim == 0 || g.max_degree() > 2 * dim {
         return None;
     }
 
-    let mut coord: Vec<Option<Vec<i64>>> = vec![None; n];
-    let mut ray: Vec<Vec<i64>> = vec![vec![]; n]; // discovery direction
-    let mut occupied: HashMap<Vec<i64>, VertexId> = HashMap::with_capacity(n);
+    // `rank[v]` is v's BFS position (`u32::MAX` until discovered); BFS
+    // places vertices in rank order, so a neighbor is placed before `v`
+    // exactly when its rank is lower.
+    let mut rank = vec![u32::MAX; n];
+    let mut order = Vec::with_capacity(n);
+    let mut coords = vec![0i64; n * dim];
+    let mut ray_axis = vec![0usize; n];
+    let mut placed = Vec::with_capacity(2 * dim);
     let mut next_axis = 0usize;
-
-    coord[v0 as usize] = Some(vec![0; dim]);
-    occupied.insert(vec![0; dim], v0);
-    let mut queue = std::collections::VecDeque::from([v0]);
-    let mut enqueued = vec![false; n];
-    enqueued[v0 as usize] = true;
-
-    while let Some(v) = queue.pop_front() {
+    rank[v0 as usize] = 0;
+    order.push(v0);
+    let mut head = 0;
+    while let Some(&v) = order.get(head) {
+        head += 1;
         for &(nb, _) in g.neighbors(v) {
-            if !enqueued[nb as usize] {
-                enqueued[nb as usize] = true;
-                queue.push_back(nb);
+            if rank[nb as usize] == u32::MAX {
+                rank[nb as usize] = order.len() as u32;
+                order.push(nb);
             }
         }
         if v == v0 {
             continue;
         }
-        let placed: Vec<&Vec<i64>> = g
-            .neighbors(v)
-            .iter()
-            .filter_map(|&(nb, _)| coord[nb as usize].as_ref())
-            .collect();
-        let c = match placed.len() {
-            0 => return None, // BFS order guarantees a placed neighbor
-            1 => {
-                let p = placed[0];
-                let from = *occupied.get(p).expect("placed coords are occupied");
-                if from == v0 {
-                    // A fresh axis out of the corner.
-                    if next_axis >= dim {
-                        return None;
-                    }
-                    let mut c = vec![0i64; dim];
-                    c[next_axis] = 1;
-                    next_axis += 1;
-                    c
-                } else {
-                    // Continue the ray that discovered `from`.
-                    let dir = &ray[from as usize];
-                    if dir.is_empty() {
-                        return None;
-                    }
-                    p.iter().zip(dir).map(|(a, b)| a + b).collect()
-                }
-            }
-            _ => {
-                // Componentwise max of the placed neighbors; each must end
-                // up at L1 distance 1 from it.
-                let mut c = placed[0].clone();
-                for p in &placed[1..] {
-                    for (a, &b) in c.iter_mut().zip(p.iter()) {
-                        *a = (*a).max(b);
-                    }
-                }
-                if placed.iter().any(|p| l1(&c, p) != 1) {
+        placed.clear();
+        placed.extend(
+            g.neighbors(v)
+                .iter()
+                .map(|&(nb, _)| nb as usize)
+                .filter(|&nb| rank[nb] < rank[v as usize]),
+        );
+        let v = v as usize;
+        match *placed.as_slice() {
+            [] => return None, // BFS order guarantees a placed neighbor
+            [p] if p == v0 as usize => {
+                // A fresh axis out of the corner.
+                if next_axis >= dim {
                     return None;
                 }
-                c
+                coords[v * dim + next_axis] = 1;
+                ray_axis[v] = next_axis;
+                next_axis += 1;
             }
-        };
-        let anchor = placed[0].clone();
-        if occupied.insert(c.clone(), v).is_some() {
-            return None; // collision: not an injective embedding
-        }
-        ray[v as usize] = c.iter().zip(&anchor).map(|(a, b)| a - b).collect();
-        coord[v as usize] = Some(c);
-    }
-
-    // Verification: edges ⟺ L1 distance 1.
-    let coords: Vec<Vec<i64>> = coord.into_iter().collect::<Option<_>>()?;
-    for &(u, v) in g.edge_list() {
-        if l1(&coords[u as usize], &coords[v as usize]) != 1 {
-            return None;
-        }
-    }
-    let mut probe = vec![0i64; dim];
-    for v in 0..n as u32 {
-        probe.copy_from_slice(&coords[v as usize]);
-        for axis in 0..dim {
-            for delta in [-1i64, 1] {
-                probe[axis] += delta;
-                if let Some(&u) = occupied.get(&probe) {
-                    if !g.has_edge(v, u) {
-                        return None;
+            [p] => {
+                // Continue the ray that placed `p`.
+                coords.copy_within(p * dim..p * dim + dim, v * dim);
+                coords[v * dim + ray_axis[p]] += 1;
+                ray_axis[v] = ray_axis[p];
+            }
+            [p, ..] => {
+                // Componentwise max of the placed neighbors; each must end
+                // up at L1 distance 1 from it, `p` along the ray's axis.
+                for &q in &placed {
+                    for a in 0..dim {
+                        coords[v * dim + a] = coords[v * dim + a].max(coords[q * dim + a]);
                     }
                 }
-                probe[axis] -= delta;
+                if placed.iter().any(|&q| l1(&coords, dim, v, q) != 1) {
+                    return None;
+                }
+                let axis = (0..dim).find(|&a| coords[v * dim + a] != coords[p * dim + a]);
+                ray_axis[v] = axis.expect("L1 distance 1 differs on one axis");
             }
         }
     }
-    let flat: Vec<i64> = coords.into_iter().flatten().collect();
-    Some(GridGraph::from_graph_coords(g.clone(), dim, flat))
+    if order.len() < n {
+        return None; // disconnected
+    }
+
+    // Verification. Coordinates are ≥ 0 with the corner at the origin, so
+    // the box is `[0, e_a)` per axis; axis 0 is the most significant digit
+    // of the mixed-radix index.
+    let mut extents = vec![0i64; dim];
+    for c in coords.chunks_exact(dim) {
+        for (e, &x) in extents.iter_mut().zip(c) {
+            *e = (*e).max(x + 1);
+        }
+    }
+    let volume = extents
+        .iter()
+        .try_fold(1usize, |acc, &e| acc.checked_mul(e as usize));
+    if volume != Some(n) {
+        return None;
+    }
+    let mut filled = VertexSet::empty(n);
+    for c in coords.chunks_exact(dim) {
+        let index = c.iter().zip(&extents).fold(0, |acc, (&x, &e)| acc * e + x);
+        if !filled.insert(index as VertexId) {
+            return None; // collision: not an injective embedding
+        }
+    }
+    if g.edge_list()
+        .iter()
+        .any(|&(u, v)| l1(&coords, dim, u as usize, v as usize) != 1)
+    {
+        return None;
+    }
+    let adjacent_pairs: usize = extents
+        .iter()
+        .map(|&e| n / e as usize * (e as usize - 1))
+        .sum();
+    if g.num_edges() != adjacent_pairs {
+        return None;
+    }
+    Some(GridGraph::from_graph_coords(g.clone(), dim, coords))
 }
 
-fn l1(a: &[i64], b: &[i64]) -> i64 {
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
+/// `L1` distance between the points of `u` and `v` in a flat coordinate
+/// array with `dim` entries per vertex.
+fn l1(coords: &[i64], dim: usize, u: usize, v: usize) -> i64 {
+    let (cu, cv) = (
+        &coords[u * dim..u * dim + dim],
+        &coords[v * dim..v * dim + dim],
+    );
+    cu.iter().zip(cv).map(|(x, y)| (x - y).abs()).sum()
 }
 
 /// Try to identify `g` as a torus lattice `Z_{e₁} × … × Z_{e_d}` in the
@@ -408,16 +426,30 @@ mod tests {
             vec![2, 2, 2, 2],
         ] {
             let grid = GridGraph::lattice(&dims);
-            match recognize(&grid.graph) {
-                Structure::Grid(found) => {
-                    assert_eq!(found.graph.num_edges(), grid.graph.num_edges());
-                    // The reconstructed embedding is a valid grid embedding
-                    // of the same graph under the *same* vertex ids.
-                    for &(u, v) in grid.graph.edge_list() {
-                        assert_eq!(l1(found.coord(u), found.coord(v)), 1, "{dims:?}");
+            // The same lattice under scrambled labels (11 is coprime to
+            // every n here): recognition must not depend on them.
+            let n = grid.graph.num_vertices() as u32;
+            let mut b = crate::graph::GraphBuilder::new(n as usize);
+            for &(u, v) in grid.graph.edge_list() {
+                b.add_edge((u * 11 + 3) % n, (v * 11 + 3) % n);
+            }
+            for g in [grid.graph, b.build()] {
+                match recognize(&g) {
+                    Structure::Grid(found) => {
+                        assert_eq!(found.graph.num_edges(), g.num_edges());
+                        // The reconstructed embedding is a valid grid
+                        // embedding of the same graph under the *same*
+                        // vertex ids.
+                        for &(u, v) in g.edge_list() {
+                            assert_eq!(
+                                l1(found.coords(), found.dim, u as usize, v as usize),
+                                1,
+                                "{dims:?}"
+                            );
+                        }
                     }
+                    s => panic!("lattice {dims:?} classified as {}", s.name()),
                 }
-                s => panic!("lattice {dims:?} classified as {}", s.name()),
             }
         }
     }
@@ -453,16 +485,47 @@ mod tests {
 
     #[test]
     fn percolation_subsets_are_not_misrecognized() {
-        // Sound-but-incomplete: irregular subsets must either be rejected
-        // or, if accepted, carry a *verified* embedding. percolation keeps
-        // only a connected blob, which is almost never a full box.
+        // Only a full box is accepted, with a *verified* embedding.
+        // percolation keeps only a connected blob, which is almost never
+        // a full box.
         let grid = GridGraph::percolation(&[8, 8], 0.7, 5);
         // Rejection is the expected outcome; acceptance must be verified.
         if let Structure::Grid(found) = recognize(&grid.graph) {
             for &(u, v) in grid.graph.edge_list() {
-                assert_eq!(l1(found.coord(u), found.coord(v)), 1);
+                assert_eq!(l1(found.coords(), found.dim, u as usize, v as usize), 1);
             }
         }
+    }
+
+    #[test]
+    fn grid_subsets_are_arbitrary_whatever_their_labels() {
+        // A box minus some of its points embeds in the lattice but does
+        // not fill a box, so it is not a lattice. The four corner removals
+        // of one box are the same graph under four labelings; each must
+        // get the same verdict.
+        let minus = |side: i64, holes: &[(i64, i64)]| {
+            let points = (0..side * side)
+                .map(|i| (i / side, i % side))
+                .filter(|p| !holes.contains(p))
+                .map(|(x, y)| vec![x, y])
+                .collect();
+            GridGraph::from_points(2, points).graph
+        };
+        for side in [3i64, 4] {
+            let far = side - 1;
+            for corner in [(0, 0), (0, far), (far, 0), (far, far)] {
+                let g = minus(side, &[corner]);
+                assert_eq!(
+                    recognize(&g).name(),
+                    "arbitrary",
+                    "{side}² minus {corner:?}"
+                );
+            }
+        }
+        let g = minus(4, &[(3, 3), (0, 3)]);
+        assert_eq!(recognize(&g).name(), "arbitrary", "4² minus two corners");
+        let g = minus(6, &[(4, 4), (4, 5), (5, 4), (5, 5)]);
+        assert_eq!(recognize(&g).name(), "arbitrary", "L-shape");
     }
 
     #[test]

@@ -135,17 +135,12 @@ impl<'g> GridSplitter<'g> {
     }
 
     /// Shared construction tail: precompute the lex ranks and coordinate
-    /// bounds the fast path keys off. `O(n log n)` once per splitter,
-    /// amortized across every `split` call of a solver's lifetime.
+    /// bounds the fast path keys off, once per splitter, amortized across
+    /// every `split` call of a solver's lifetime. `O(n + m)` on a full box
+    /// (see [`box_lex_ranks`]), `O(n log n + m)` on any other point set.
     fn finish(grid: &'g GridGraph, scaled: Vec<f64>, name: &'static str) -> Self {
         let n = grid.graph.num_vertices();
         let d = grid.dim;
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&a, &b| grid.coord(a).cmp(grid.coord(b)));
-        let mut lex_rank = vec![0u32; n];
-        for (r, &v) in order.iter().enumerate() {
-            lex_rank[v as usize] = r as u32;
-        }
         let mut mins = vec![i64::MAX; d];
         let mut maxs = vec![i64::MIN; d];
         for v in 0..n as u32 {
@@ -154,6 +149,15 @@ impl<'g> GridSplitter<'g> {
                 maxs[a] = maxs[a].max(x);
             }
         }
+        let lex_rank = box_lex_ranks(grid, &mins, &maxs).unwrap_or_else(|| {
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            order.sort_unstable_by(|&a, &b| grid.coord(a).cmp(grid.coord(b)));
+            let mut lex_rank = vec![0u32; n];
+            for (r, &v) in order.iter().enumerate() {
+                lex_rank[v as usize] = r as u32;
+            }
+            lex_rank
+        });
         // Fast-path eligibility: per-axis cell ranges must pack into a
         // u64 product, and absolute coordinate magnitudes must leave
         // headroom for the shift arithmetic (`x + α − 1`, `base =
@@ -684,6 +688,33 @@ impl Splitter for GridSplitter<'_> {
     }
 }
 
+/// Lex ranks on a full box: when the points fill `Π_a [mins_a, maxs_a]`
+/// exactly once, a vertex's rank in the lexicographic coordinate order is
+/// its mixed-radix index (axis 0 most significant), computed in `O(n·d)`.
+/// `None` when the points do not fill their bounding box or repeat one.
+fn box_lex_ranks(grid: &GridGraph, mins: &[i64], maxs: &[i64]) -> Option<Vec<u32>> {
+    let n = grid.graph.num_vertices();
+    let extents: Vec<u64> = mins
+        .iter()
+        .zip(maxs)
+        .map(|(&lo, &hi)| u64::try_from(hi as i128 - lo as i128 + 1).ok())
+        .collect::<Option<_>>()?;
+    let volume = extents.iter().try_fold(1u64, |acc, &e| acc.checked_mul(e));
+    if volume != Some(n as u64) {
+        return None;
+    }
+    let mut seen = VertexSet::empty(n);
+    let mut lex_rank = vec![0u32; n];
+    for (v, rank) in lex_rank.iter_mut().enumerate() {
+        let c = grid.coord(v as VertexId);
+        *rank = (0..c.len()).fold(0, |acc, a| acc * extents[a] + (c[a] - mins[a]) as u64) as u32;
+        if !seen.insert(*rank) {
+            return None;
+        }
+    }
+    Some(lex_rank)
+}
+
 /// Theorem 19's cost bound with unit constant:
 /// `d · log^{1/d}(φ + 1) · ‖c|_W‖_{d/(d−1)}` (the `log` term is taken as
 /// `max(log₂(φ+1), 1)` so the bound stays positive for φ ≤ 1).
@@ -907,6 +938,44 @@ mod tests {
         let fweights = vec![1.0; fn_];
         let u = fsp.split(&fw, &fweights, 2.0);
         assert!(check_split(&fw, &u, &fweights, 2.0).holds());
+    }
+
+    #[test]
+    fn box_lex_ranks_match_the_coordinate_sort() {
+        let sorted_ranks = |grid: &GridGraph| {
+            let n = grid.graph.num_vertices();
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            order.sort_by(|&a, &b| grid.coord(a).cmp(grid.coord(b)));
+            let mut rank = vec![0u32; n];
+            for (r, &v) in order.iter().enumerate() {
+                rank[v as usize] = r as u32;
+            }
+            rank
+        };
+        // Full boxes, one of them off the origin and listed out of order.
+        let shifted: Vec<Vec<i64>> = (0..12i64)
+            .rev()
+            .map(|i| vec![i % 3 - 5, i / 3 + 7])
+            .collect();
+        for grid in [
+            GridGraph::lattice(&[13, 11]),
+            GridGraph::lattice(&[5, 4, 3]),
+            GridGraph::path(9),
+            GridGraph::from_points(2, shifted),
+        ] {
+            let sp = GridSplitter::unit_cost(&grid);
+            assert!(box_lex_ranks(&grid, &sp.mins, &sp.maxs).is_some());
+            assert_eq!(sp.lex_rank, sorted_ranks(&grid));
+        }
+        // Point sets that do not fill their bounding box keep the sort.
+        for grid in [
+            GridGraph::percolation(&[12, 12], 0.75, 11),
+            GridGraph::from_points(2, vec![vec![0, 0], vec![1, 0], vec![1, 1]]),
+        ] {
+            let sp = GridSplitter::unit_cost(&grid);
+            assert!(box_lex_ranks(&grid, &sp.mins, &sp.maxs).is_none());
+            assert_eq!(sp.lex_rank, sorted_ranks(&grid));
+        }
     }
 
     #[test]
