@@ -15,11 +15,12 @@
 //! Everything is **seeded-deterministic**: the matching order is a
 //! `StdRng` shuffle from [`CoarsenParams::seed`] (one generator threaded
 //! through all levels), ties in edge cost break on neighbor id, and the
-//! contraction aggregates parallel edges in edge-id order with a sorted
-//! flat arena — no hash map, no iteration-order dependence. Two builds
-//! from the same inputs are bit-identical, and the `Multilevel` baseline
-//! that this code was lifted from is pinned to its historical colorings
-//! by `tests/multilevel_golden.rs`.
+//! contraction gathers each coarse vertex's edges in one pass and sums
+//! every coarse edge's costs in ascending edge-id order — no hash map, no
+//! global sort, no iteration-order dependence. Two builds from the same
+//! inputs are bit-identical, and the `Multilevel` baseline that this code
+//! was lifted from is pinned to its historical colorings by
+//! `tests/multilevel_golden.rs`.
 //!
 //! Memory: each level's graph, costs, weights, and map are charged to the
 //! thread-local [`Workspace`] as arena bytes while the front is alive, so
@@ -29,7 +30,7 @@
 //! constant factor of the host CSR.
 
 use mmb_graph::workspace::Workspace;
-use mmb_graph::{Coloring, Graph, GraphBuilder, VertexId};
+use mmb_graph::{Coloring, EdgeId, Graph, VertexId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -269,11 +270,19 @@ pub fn heavy_edge_matching(g: &Graph, costs: &[f64], rng: &mut StdRng) -> (Vec<V
 
 /// Contract according to `map`, summing weights and parallel edge costs.
 ///
-/// Parallel edges are aggregated with a sorted flat arena keyed on
-/// `(coarse_u, coarse_v, edge_id)`: costs accumulate per key in ascending
-/// edge-id order — the same order the historical `HashMap` version added
-/// them in — so the output is bit-identical to it, without a hash map on
-/// the million-edge path.
+/// One gather pass per coarse vertex `cu`, in id order: every fine edge
+/// from `cu`'s preimage to a coarse vertex `cv > cu` goes into a small
+/// `(cv, edge id)` buffer, the buffer is sorted, and each run of equal
+/// `cv` becomes one coarse edge whose cost sums the run in ascending
+/// edge-id order. Each crossing fine edge is gathered once, from its
+/// lower coarse endpoint, and the coarse edges come out in canonical
+/// `(cu, cv)` order for [`Graph::from_sorted_edges`], so the work is
+/// `O(n + m)` plus sorting each coarse vertex's own buffer. Ascending
+/// edge-id order is the order in which contraction has always added a
+/// coarse edge's costs, so every level's costs keep their exact bits.
+///
+/// # Panics
+/// Panics if a `map` entry is `≥ coarse_n`.
 pub fn contract(
     g: &Graph,
     costs: &[f64],
@@ -285,30 +294,44 @@ pub fn contract(
     for v in 0..g.num_vertices() {
         coarse_weights[map[v] as usize] += weights[v];
     }
-    let mut arcs: Vec<(u32, u32, u32)> = Vec::new();
-    for (e, &(u, v)) in g.edge_list().iter().enumerate() {
-        let (cu, cv) = (map[u as usize], map[v as usize]);
-        if cu == cv {
-            continue;
-        }
-        let key = if cu < cv { (cu, cv) } else { (cv, cu) };
-        arcs.push((key.0, key.1, e as u32));
+    // Preimages by counting sort, fine ids ascending: coarse vertex `c`
+    // owns `members[start[c]..start[c + 1]]`.
+    let mut start = vec![0u32; coarse_n + 1];
+    for &c in map {
+        start[c as usize + 1] += 1;
     }
-    arcs.sort_unstable();
-    let mut builder = GraphBuilder::new(coarse_n);
+    for c in 0..coarse_n {
+        start[c + 1] += start[c];
+    }
+    let mut cursor = start.clone();
+    let mut members: Vec<VertexId> = vec![0; map.len()];
+    for (v, &c) in map.iter().enumerate() {
+        members[cursor[c as usize] as usize] = v as VertexId;
+        cursor[c as usize] += 1;
+    }
+    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
     let mut coarse_costs: Vec<f64> = Vec::new();
-    let mut i = 0;
-    while i < arcs.len() {
-        let (u, v, _) = arcs[i];
-        let mut c = 0.0;
-        while i < arcs.len() && arcs[i].0 == u && arcs[i].1 == v {
-            c += costs[arcs[i].2 as usize];
-            i += 1;
+    let mut gather: Vec<(VertexId, EdgeId)> = Vec::new();
+    for cu in 0..coarse_n as VertexId {
+        gather.clear();
+        let (lo, hi) = (start[cu as usize], start[cu as usize + 1]);
+        for &u in &members[lo as usize..hi as usize] {
+            for &(nb, e) in g.neighbors(u) {
+                let cv = map[nb as usize];
+                if cv > cu {
+                    gather.push((cv, e));
+                }
+            }
         }
-        builder.add_edge(u, v);
-        coarse_costs.push(c);
+        gather.sort_unstable();
+        for run in gather.chunk_by(|a, b| a.0 == b.0) {
+            edges.push((cu, run[0].0));
+            coarse_costs.push(run.iter().fold(0.0, |c, &(_, e)| c + costs[e as usize]));
+        }
     }
-    (builder.build(), coarse_costs, coarse_weights)
+    let graph = Graph::from_sorted_edges(coarse_n, edges)
+        .expect("a contraction has at most the fine graph's edges, which fit");
+    (graph, coarse_costs, coarse_weights)
 }
 
 #[cfg(test)]

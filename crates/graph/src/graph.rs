@@ -250,9 +250,9 @@ impl GraphBuilder {
         self.n = self.n.max(n);
     }
 
-    /// Add an undirected edge `{u, v}`. Returns the edge's eventual position
-    /// in insertion order **before deduplication**; callers that need stable
-    /// edge ids should use [`GraphBuilder::build`]'s deduplicated order.
+    /// Add an undirected edge `{u, v}`. Nothing is returned: edge ids are
+    /// assigned by [`GraphBuilder::build`], in sorted `(u, v)` order after
+    /// deduplication, so an edge's id is known only once the graph is built.
     ///
     /// # Panics
     /// Panics on self-loops or out-of-range endpoints.
@@ -292,83 +292,74 @@ impl GraphBuilder {
 
     /// [`GraphBuilder::build`], returning a typed error instead of
     /// panicking when the graph exceeds the `u32` CSR id space.
-    ///
-    /// The degree counters, prefix-summed offsets, and fill cursors below
-    /// are all `u32`; without this guard a graph with `2m > u32::MAX`
-    /// would wrap them silently and build a corrupt adjacency.
     pub fn try_build(mut self) -> Result<Graph, GraphCapacityError> {
         self.edges.sort_unstable();
         self.edges.dedup();
-        let n = self.n;
-        let m = self.edges.len();
+        Graph::from_sorted_edges(self.n, self.edges)
+    }
+}
+
+impl Graph {
+    /// Assemble a [`Graph`] from a canonical edge list: `(u, v)` pairs with
+    /// `u < v < n`, in strictly ascending order (so without duplicates).
+    /// Edge ids are positions in `edges`.
+    ///
+    /// This is the one CSR assembly: [`GraphBuilder`], the streaming METIS
+    /// reader and coarsening's contraction all end here. It takes `O(n + m)`
+    /// time: filling the adjacency in canonical edge order leaves every
+    /// list sorted by neighbor id, because the edges `(u, v)` that give `v`
+    /// its lower neighbors all precede the edges `(v, w)` that give it its
+    /// higher ones.
+    ///
+    /// # Errors
+    /// [`GraphCapacityError`] when `n` or `m` exceeds the `u32` CSR id space
+    /// (see [`csr_capacity_check`]). It is checked before anything is
+    /// allocated; the `u32` degree counters, offsets and fill cursors below
+    /// would otherwise wrap silently and build a corrupt adjacency.
+    ///
+    /// # Panics
+    /// Panics if `edges` is not canonical: a self-loop, `u > v`, an
+    /// endpoint `≥ n`, a duplicate, or a pair out of order. That is a
+    /// caller bug, under the same policy as [`GraphBuilder::add_edge`]'s
+    /// asserts; the check is one `O(m)` pass.
+    pub fn from_sorted_edges(
+        n: usize,
+        edges: Vec<(VertexId, VertexId)>,
+    ) -> Result<Graph, GraphCapacityError> {
+        let m = edges.len();
         csr_capacity_check(n, m)?;
-        let mut deg = vec![0u32; n + 1];
-        for &(u, v) in &self.edges {
-            deg[u as usize + 1] += 1;
-            deg[v as usize + 1] += 1;
+        let mut adj_off = vec![0u32; n + 1];
+        let mut prev: Option<(VertexId, VertexId)> = None;
+        for &(u, v) in &edges {
+            assert_ne!(u, v, "self-loop {u}-{v} rejected");
+            assert!(u < v, "edge {u}-{v} is not canonical (need u < v)");
+            assert!((v as usize) < n, "edge {u}-{v} out of range (n = {n})");
+            if let Some(p) = prev {
+                assert_ne!(p, (u, v), "duplicate edge {u}-{v}");
+                assert!(p < (u, v), "edges not sorted: {p:?} before ({u}, {v})");
+            }
+            prev = Some((u, v));
+            adj_off[u as usize + 1] += 1;
+            adj_off[v as usize + 1] += 1;
         }
         for i in 0..n {
-            deg[i + 1] += deg[i];
+            adj_off[i + 1] += adj_off[i];
         }
-        let adj_off = deg;
         let mut cursor = adj_off.clone();
         let mut adj = vec![(0u32, 0u32); 2 * m];
-        for (e, &(u, v)) in self.edges.iter().enumerate() {
-            let e = e as u32;
+        for (e, &(u, v)) in edges.iter().enumerate() {
+            let e = e as EdgeId;
             adj[cursor[u as usize] as usize] = (v, e);
             cursor[u as usize] += 1;
             adj[cursor[v as usize] as usize] = (u, e);
             cursor[v as usize] += 1;
         }
-        // Canonicalize each adjacency list by neighbor id (neighbors are
-        // unique after dedup), enabling binary-search membership tests and
-        // making traversal order independent of edge-insertion history.
-        for v in 0..n {
-            let lo = adj_off[v] as usize;
-            let hi = adj_off[v + 1] as usize;
-            adj[lo..hi].sort_unstable();
-        }
         Ok(Graph {
             n,
             adj_off,
             adj,
-            edges: self.edges,
-        })
-    }
-}
-
-impl Graph {
-    /// Assemble a [`Graph`] directly from pre-validated CSR parts — the
-    /// streaming-ingestion fast path, which already holds the adjacency in
-    /// flat arenas and must not round-trip through the builder's edge
-    /// buffer (that would double peak memory).
-    ///
-    /// Invariants the caller must guarantee (checked in debug builds):
-    /// `edges` sorted by `(u, v)` with `u < v` and deduplicated; `adj_off`
-    /// of length `n + 1` prefix-summing the degrees; `adj` of length `2m`
-    /// with each vertex's slice sorted by neighbor id and edge ids
-    /// matching `edges`' positions. Capacity (`csr_capacity_check`) must
-    /// already have been enforced.
-    pub(crate) fn from_csr_parts(
-        n: usize,
-        adj_off: Vec<u32>,
-        adj: Vec<(VertexId, EdgeId)>,
-        edges: Vec<(VertexId, VertexId)>,
-    ) -> Graph {
-        debug_assert_eq!(adj_off.len(), n + 1);
-        debug_assert_eq!(adj.len(), 2 * edges.len());
-        debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges not canonical");
-        debug_assert!(edges.iter().all(|&(u, v)| u < v), "endpoint order");
-        debug_assert!((0..n).all(|v| {
-            let s = &adj[adj_off[v] as usize..adj_off[v + 1] as usize];
-            s.windows(2).all(|w| w[0].0 < w[1].0)
-        }));
-        Graph {
-            n,
-            adj_off,
-            adj,
             edges,
-        }
+        })
     }
 }
 
@@ -555,6 +546,84 @@ mod tests {
         let g2 = b.build();
         assert_eq!(g.edge_list(), g2.edge_list());
         assert_eq!(g.num_vertices(), 4);
+    }
+
+    #[test]
+    fn from_sorted_edges_matches_the_builder_on_random_edge_lists() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(2..50usize);
+            let mut builder = GraphBuilder::new(n);
+            let mut canon = Vec::new();
+            for i in 0..rng.random_range(0..4 * n) {
+                let u = rng.random_range(0..n as u32);
+                let v = rng.random_range(0..n as u32);
+                if u == v {
+                    continue;
+                }
+                builder.add_edge(u, v);
+                if i % 3 == 0 {
+                    builder.add_edge(v, u); // a duplicate, reversed
+                }
+                canon.push((u.min(v), u.max(v)));
+            }
+            canon.sort_unstable();
+            canon.dedup();
+            let g = Graph::from_sorted_edges(n, canon.clone()).unwrap();
+            let built = builder.build();
+            assert_eq!(g.edge_list(), built.edge_list(), "seed {seed}");
+            for v in g.vertices() {
+                assert_eq!(g.neighbors(v), built.neighbors(v), "seed {seed}");
+                // Without the builder: `v`'s edges, sorted by neighbor.
+                let mut want: Vec<(VertexId, EdgeId)> = Vec::new();
+                for (e, &(a, b)) in canon.iter().enumerate() {
+                    if a == v {
+                        want.push((b, e as EdgeId));
+                    } else if b == v {
+                        want.push((a, e as EdgeId));
+                    }
+                }
+                want.sort_unstable();
+                assert_eq!(g.neighbors(v), want.as_slice(), "seed {seed}, vertex {v}");
+            }
+        }
+        // Capacity is checked first, without allocating for `n`.
+        assert!(matches!(
+            Graph::from_sorted_edges(u32::MAX as usize, Vec::new()),
+            Err(GraphCapacityError::TooManyVertices { .. })
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "edges not sorted")]
+    fn from_sorted_edges_rejects_unsorted_edges() {
+        let _ = Graph::from_sorted_edges(3, vec![(1, 2), (0, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate edge 0-1")]
+    fn from_sorted_edges_rejects_duplicates() {
+        let _ = Graph::from_sorted_edges(3, vec![(0, 1), (0, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loop")]
+    fn from_sorted_edges_rejects_self_loops() {
+        let _ = Graph::from_sorted_edges(3, vec![(1, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not canonical")]
+    fn from_sorted_edges_rejects_reversed_endpoints() {
+        let _ = Graph::from_sorted_edges(3, vec![(2, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_sorted_edges_rejects_out_of_range_endpoints() {
+        let _ = Graph::from_sorted_edges(2, vec![(0, 2)]);
     }
 
     #[test]

@@ -19,19 +19,20 @@
 //!
 //! Ingestion is **streaming**: [`parse_metis_reader`] consumes any
 //! [`BufRead`] one line at a time, accumulates forward arcs in flat
-//! arenas (no `Vec<Vec<_>>` adjacency, no per-edge hash map), and builds
-//! the CSR directly — two passes over the in-memory arc arena (degree
-//! count, then fill), one pass over the document. Peak memory is a small
-//! constant factor of the final CSR, which is what makes `n = 10^6`–`10^7`
-//! instances ingestible; the high water is recorded on the thread's
-//! [`Workspace`] as `arena_peak_bytes`. [`parse_metis`] is a thin `&str`
-//! wrapper over the same code path.
+//! arenas (no `Vec<Vec<_>>` adjacency, no per-edge hash map), and hands
+//! the arena's edges, already in canonical order, to
+//! [`Graph::from_sorted_edges`]: one pass over the document, then an
+//! `O(n + m)` CSR assembly with no sort of the edge list. Peak memory is
+//! a small constant factor of the final CSR, which is what makes
+//! `n = 10^6`–`10^7` instances ingestible; the high water is recorded on
+//! the thread's [`Workspace`] as `arena_peak_bytes`. [`parse_metis`] is a
+//! thin `&str` wrapper over the same code path.
 
 use std::fmt::Write as _;
 use std::io::BufRead;
 
 use crate::coloring::Coloring;
-use crate::graph::{csr_capacity_check, Graph};
+use crate::graph::Graph;
 use crate::workspace::Workspace;
 
 /// A parsed METIS instance.
@@ -255,8 +256,9 @@ fn vec_bytes<T>(v: &[T]) -> u64 {
 /// flat arenas — target ids, costs, and matched flags in parallel vectors,
 /// one offset per vertex — and each vertex's arc range is sorted when its
 /// line completes, so the backward listing from the higher endpoint
-/// resolves by binary search instead of a hash map. The CSR is then built
-/// from the arena in two passes (degree count, then fill). Peak memory is
+/// resolves by binary search instead of a hash map. The arena then lists
+/// every edge once in canonical `(lo, hi)` order, which
+/// [`Graph::from_sorted_edges`] assembles into the CSR. Peak memory is
 /// a small constant factor of the output graph and is recorded on the
 /// thread-local [`Workspace`] as a transient arena charge.
 ///
@@ -575,39 +577,22 @@ pub fn parse_metis_reader<R: BufRead>(reader: R) -> Result<MetisGraph, MetisErro
         });
     }
 
-    // CSR assembly from the arena: degree count, prefix sum, fill. Edge
-    // ids are the arena's (lo, hi)-ascending order — the same canonical
-    // order `GraphBuilder` assigns.
-    let m_found = fwd_tgt.len();
-    debug_assert_eq!(2 * m_found, half_edges);
-    csr_capacity_check(n, m_found)
-        .map_err(|e| MetisError::BadHeader(format!("graph exceeds the u32 id space: {e}")))?;
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m_found);
+    // The arena lists each edge once, from its lower endpoint, with targets
+    // ascending per endpoint: the canonical `(lo, hi)` order that
+    // `Graph::from_sorted_edges` assembles into the CSR.
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(fwd_tgt.len());
     for (v, w) in fwd_off.windows(2).enumerate() {
         for &t in &fwd_tgt[w[0]..w[1]] {
             edges.push((v as u32, t));
         }
     }
-    let mut adj_off = vec![0u32; n + 1];
-    for &(u, v) in &edges {
-        adj_off[u as usize + 1] += 1;
-        adj_off[v as usize + 1] += 1;
-    }
-    let mut acc = 0u32;
-    for o in adj_off.iter_mut() {
-        acc += *o;
-        *o = acc;
-    }
-    let mut cursor = adj_off.clone();
-    let mut adj = vec![(0u32, 0u32); 2 * m_found];
-    for (e, &(u, v)) in edges.iter().enumerate() {
-        let eid = e as u32;
-        adj[cursor[u as usize] as usize] = (v, eid);
-        cursor[u as usize] += 1;
-        adj[cursor[v as usize] as usize] = (u, eid);
-        cursor[v as usize] += 1;
-    }
-    drop(cursor);
+    let m_found = edges.len();
+    debug_assert_eq!(2 * m_found, half_edges);
+    // What the CSR assembly holds beside the arenas: the edge list, its
+    // 2m adjacency entries, and the `u32` offsets with their fill cursor.
+    let csr_bytes = 3 * vec_bytes(&edges) + 2 * 4 * (n as u64 + 1);
+    let graph = Graph::from_sorted_edges(n, edges)
+        .map_err(|e| MetisError::BadHeader(format!("graph exceeds the u32 id space: {e}")))?;
     let costs = if has_eweights {
         fwd_cost
     } else {
@@ -621,14 +606,11 @@ pub fn parse_metis_reader<R: BufRead>(reader: R) -> Result<MetisGraph, MetisErro
         + vec_bytes(&fwd_off)
         + vec_bytes(&orphans)
         + vec_bytes(&line_sort)
-        + vec_bytes(&edges)
-        + vec_bytes(&adj)
-        + vec_bytes(&adj_off) * 2
+        + csr_bytes
         + vec_bytes(&weights)
         + vec_bytes(&costs);
     Workspace::with_local(|ws| ws.note_transient_arena_bytes(arena_bytes));
 
-    let graph = Graph::from_csr_parts(n, adj_off, adj, edges);
     Ok(MetisGraph {
         graph,
         weights,

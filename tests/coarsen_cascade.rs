@@ -5,8 +5,9 @@
 //! must preserve the two properties the direct pipeline guarantees:
 //! *validity* (a total, strictly balanced `k`-coloring of the host) and
 //! *determinism* (same instance + same config ⇒ bit-identical coloring —
-//! the matching RNG is seeded, contraction is sort-ordered, and KL is
-//! sweep-ordered, so nothing may depend on allocation or hash order).
+//! the matching RNG is seeded, contraction sums every coarse edge's costs
+//! in ascending edge-id order, and KL is sweep-ordered, so nothing may
+//! depend on allocation or hash order).
 //!
 //! The round-trip tests replay rows of the committed `BENCH_6.json`
 //! through the full scale path — METIS serialization, streaming
