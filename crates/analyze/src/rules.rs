@@ -485,11 +485,11 @@ fn nondeterminism(ctx: &FileContext, out: &mut Vec<Finding>) {
 /// An unwind boundary silently converts bugs into recoverable values, and
 /// `AssertUnwindSafe` is a claim the compiler cannot check. The workspace
 /// allows `catch_unwind` only at audited isolation boundaries (the
-/// resilient ladder's rung boundary, the batch item boundary); each site
-/// needs a pragma whose reason argues why state observed after the unwind
-/// is sound — typically that everything the closure touches is rebuilt
-/// per call or rolled back on `Drop`. Fires on call sites only (`use`
-/// imports are not boundaries).
+/// resilient ladder's rung boundary, the service request boundary); each
+/// site needs a pragma whose reason argues why state observed after the
+/// unwind is sound — typically that everything the closure touches is
+/// rebuilt per call or rolled back on `Drop`. Fires on call sites only
+/// (`use` imports are not boundaries).
 fn catch_unwind_boundary(ctx: &FileContext, out: &mut Vec<Finding>) {
     let code = &ctx.code;
     let n = code.len();

@@ -60,4 +60,3 @@
 pub mod greedy;
 pub mod multilevel;
 pub mod recursive_bisection;
-pub mod rung;

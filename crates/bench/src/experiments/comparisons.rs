@@ -9,16 +9,16 @@ use mmb_baselines::multilevel::Multilevel;
 use mmb_baselines::recursive_bisection::{recursive_bisection, RecursiveBisection};
 use mmb_core::api::{auto_splitter, Instance, Partitioner, SolveError, Solver, Theorem4Pipeline};
 use mmb_core::bounds;
-use mmb_core::multibalance::multibalance_minmax_with_pi;
+use mmb_core::multibalance::multibalance_minmax_with_pi_ws;
 use mmb_core::pi::splitting_cost_measure_within;
 use mmb_core::pipeline::PipelineConfig;
 use mmb_core::refine::{refine, KlParams};
-use mmb_core::shrink::almost_strict;
+use mmb_core::shrink::almost_strict_ws;
 use mmb_core::strict::binpack2;
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::gen::tree::complete_binary_tree;
 use mmb_graph::measure::{norm_1, total_edge_norm_p};
-use mmb_graph::{Coloring, VertexSet};
+use mmb_graph::{Coloring, VertexSet, Workspace};
 use mmb_instances::climate::{climate, ClimateParams, ClimateWorkload};
 use mmb_instances::costs::CostFamily;
 use mmb_instances::tight::TightInstance;
@@ -230,9 +230,11 @@ pub fn e8(quick: bool) -> Table {
     let (g, costs, weights, domain) = (inst.graph(), inst.costs(), inst.weights(), inst.domain());
     let (splitter, _) = auto_splitter(&inst);
     let pi = splitting_cost_measure_within(g, costs, cfg.p, 1.0, domain);
+    let ws = Workspace::new();
     let stage1 =
-        multibalance_minmax_with_pi(g, costs, &splitter, k, domain, &[weights], &pi).coloring;
-    let stage2 = almost_strict(
+        multibalance_minmax_with_pi_ws(g, costs, &splitter, k, domain, &[weights], &pi, &ws)
+            .coloring;
+    let stage2 = almost_strict_ws(
         g,
         costs,
         &splitter,
@@ -241,6 +243,7 @@ pub fn e8(quick: bool) -> Table {
         weights,
         cfg.p,
         &cfg.shrink,
+        &ws,
     );
     let stage3 = binpack2(g, &splitter, &stage2, domain, weights);
     let served = Solver::for_instance(&inst)

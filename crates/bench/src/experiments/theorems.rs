@@ -6,10 +6,10 @@
 
 use mmb_core::api::{Instance, Solver};
 use mmb_core::bounds;
-use mmb_core::multibalance::multibalance;
+use mmb_core::multibalance::multibalance_ws;
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::measure::{norm_1, norm_inf, total_edge_norm_p};
-use mmb_graph::VertexSet;
+use mmb_graph::{VertexSet, Workspace};
 use mmb_instances::costs::CostFamily;
 use mmb_instances::weights::{WeightFamily, ALL_FAMILIES};
 use mmb_splitters::grid::{theorem19_bound, GridSplitter};
@@ -175,9 +175,10 @@ pub fn e3(quick: bool) -> Table {
         (0..n).map(|v| ((v * 37) % 11) as f64 + 0.1).collect(),
     ];
     let cnorm = total_edge_norm_p(&grid.graph, &costs, 2.0);
+    let ws = Workspace::new();
     for r in 1..=4usize {
         let ms: Vec<&[f64]> = measures[..r].iter().map(|m| m.as_slice()).collect();
-        let chi = multibalance(&sp, k, &domain, &ms);
+        let chi = multibalance_ws(&sp, k, &domain, &ms, &ws);
         let worst = ms
             .iter()
             .map(|m| {

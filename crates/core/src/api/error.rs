@@ -124,11 +124,10 @@ pub enum SolveError {
         p: f64,
     },
     /// The instance data is malformed, reported where one result type
-    /// carries both layers: raw batch admission ([`solve_many_raw`]),
-    /// delta application, and the baselines' raw-vector entry points.
-    /// The `Instance` constructor reports [`InstanceError`] directly.
-    ///
-    /// [`solve_many_raw`]: crate::api::solve_many_raw
+    /// carries both layers: raw request admission (`mmb-service`'s
+    /// `Service::serve`), delta application, and the baselines'
+    /// raw-vector entry points. The `Instance` constructor reports
+    /// [`InstanceError`] directly.
     Instance(InstanceError),
     /// The requested splitter family does not apply to this instance's
     /// structure (e.g. `SplitterChoice::Tree` on a graph with cycles).
@@ -139,25 +138,25 @@ pub enum SolveError {
         structure: &'static str,
     },
     /// A retryable failure: injected by an armed
-    /// [`failpoint`](crate::failpoint) schedule, or reported by a rung
-    /// adapter for a condition expected to clear on retry. The resilient
+    /// [`failpoint`](crate::failpoint) schedule, or reported by a custom
+    /// rung for a condition expected to clear on retry. The resilient
     /// ladder retries these (bounded, with backoff) before degrading.
     Transient {
-        /// The failpoint site (or adapter) that raised it.
+        /// The failpoint site (or custom rung) that raised it.
         site: &'static str,
     },
-    /// A panic caught at an isolation boundary ([`solve_many`]'s
-    /// per-item guard, the resilient ladder's rung boundary) and
-    /// converted into a typed error instead of crossing the public API.
-    ///
-    /// [`solve_many`]: crate::api::solve_many
+    /// A panic caught at an isolation boundary (`mmb-service`'s request
+    /// boundary) and converted into a typed error instead of crossing the
+    /// public API. The resilient ladder records a panicking rung as
+    /// [`RungOutcome::Panicked`](crate::resilient::RungOutcome::Panicked)
+    /// and falls through to the next rung.
     Panicked {
-        /// Which boundary caught it (e.g. `"solve_many"`).
+        /// Which boundary caught it (e.g. `"service"`).
         context: &'static str,
         /// The rendered panic payload.
         message: String,
     },
-    /// A rung adapter rejected its inner partitioner's output because it
+    /// A serving gate (`mmb-service`'s) rejected a coloring because it
     /// violates strict balance (eq. (1)) — the output exists but must not
     /// be served.
     NotStrict {

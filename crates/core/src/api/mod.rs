@@ -43,6 +43,4 @@ pub use error::{validate_costs, validate_weights, InstanceError, SolveError};
 pub use instance::Instance;
 pub use partitioner::{Partitioner, Theorem4Pipeline};
 pub use report::{ClassRow, Report};
-pub use solver::{
-    auto_splitter, solve_many, solve_many_raw, DeltaSolve, Solver, SolverBuilder, SplitterChoice,
-};
+pub use solver::{auto_splitter, DeltaSolve, Solver, SolverBuilder, SplitterChoice};

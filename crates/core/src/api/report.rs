@@ -59,8 +59,10 @@ pub struct Report {
     /// [`lower_bounds`](crate::lower_bounds) certifier stack paired with
     /// this solve's achieved cost. `None` from a plain
     /// [`Solver::solve`](crate::api::Solver::solve) (certification is
-    /// off the hot path); filled by
-    /// [`Solver::solve_certified`](crate::api::Solver::solve_certified).
+    /// off the hot path; [`certify`](crate::lower_bounds::certify) pairs
+    /// its cost with a gap); filled by
+    /// [`Solver::solve_anytime`](crate::api::Solver::solve_anytime) and
+    /// [`ResilientSolver::solve`](crate::resilient::ResilientSolver::solve).
     pub certified: Option<CertifiedGap>,
     /// How the degradation ladder served this report: which rung
     /// answered, what happened to the rungs above it, budget spent.

@@ -38,7 +38,6 @@ use mmb_splitters::grid::GridSplitter;
 use mmb_splitters::order::OrderSplitter;
 use mmb_splitters::tree::TreeSplitter;
 use mmb_splitters::Splitter;
-use rayon::prelude::*;
 
 use crate::api::artifacts::SolverArtifacts;
 use crate::api::delta::InstanceDelta;
@@ -48,7 +47,7 @@ use crate::api::report::Report;
 use crate::multibalance::multibalance_minmax_with_pi_ws;
 use crate::pi::splitting_cost_measure_within;
 use crate::pipeline::PipelineConfig;
-use crate::shrink::{almost_strict_ws, ShrinkParams};
+use crate::shrink::almost_strict_ws;
 use crate::strict::binpack2;
 
 /// Which splitter family drives the pipeline.
@@ -137,12 +136,6 @@ impl<'i> SolverBuilder<'i> {
     /// use `d/(d−1)` for `d`-dimensional grids).
     pub fn p(mut self, p: f64) -> Self {
         self.cfg.p = p;
-        self
-    }
-
-    /// Shrink-and-conquer tunables (default [`ShrinkParams::default`]).
-    pub fn shrink(mut self, params: ShrinkParams) -> Self {
-        self.cfg.shrink = params;
         self
     }
 
@@ -409,23 +402,6 @@ impl<'i> Solver<'i> {
         Some(self.report(stage3))
     }
 
-    /// [`Solver::solve`], plus a certified optimality gap: the
-    /// [`lower_bounds`](crate::lower_bounds) certifier stack runs on the
-    /// instance and its best bound is paired with the achieved cost into
-    /// [`Report::certified`]. Certification cost is independent of the
-    /// solve itself (sort/knapsack passes, a size-capped Stoer–Wagner,
-    /// exhaustive branch and bound only at `n ≤ 24`), so the plain
-    /// [`Solver::solve`] hot path never pays for it.
-    pub fn solve_certified(&self) -> Report {
-        let mut report = self.solve();
-        report.certified = Some(crate::lower_bounds::certify(
-            self.inst,
-            self.k,
-            report.max_boundary,
-        ));
-        report
-    }
-
     /// [`Solver::solve`], then spend the budgets in `cfg` improving the
     /// pipeline's coloring with the branch-and-bound engine of
     /// [`crate::bnb`], seeded from it. The returned report is **never
@@ -652,88 +628,4 @@ impl std::fmt::Debug for Solver<'_> {
             .field("family", &self.family)
             .finish()
     }
-}
-
-/// Solve one instance with per-item isolation: build, solve, and convert
-/// any panic into a typed [`SolveError::Panicked`] — the shared guts of
-/// the batch entry points. One bad request must not poison its batch.
-fn solve_one_isolated(
-    inst: &Instance,
-    k: usize,
-    cfg: &PipelineConfig,
-) -> Result<Report, SolveError> {
-    crate::failpoint::raise("batch::item")?;
-    // lint: allow(catch-unwind) — the batch isolation boundary: a panic in
-    // one instance's solve becomes that item's typed error instead of
-    // unwinding through the rayon worker and poisoning the whole batch.
-    // Per-item state is rebuilt from scratch each call and the pooled
-    // workspace rolls its epochs back via Drop, so the closure's captures
-    // are sound to reuse after an unwind.
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Solver::for_instance(inst)
-            .classes(k)
-            .config(cfg.clone())
-            .build()
-            .map(|solver| solver.solve())
-    }))
-    .unwrap_or_else(|payload| {
-        Err(SolveError::Panicked {
-            context: "solve_many",
-            message: crate::failpoint::panic_message(payload.as_ref()),
-        })
-    })
-}
-
-/// Solve a batch of instances with a shared configuration — the
-/// "serve many requests" entry point.
-///
-/// Instances are distributed over the `rayon` worker pool
-/// (`RAYON_NUM_THREADS`-style override honored); each worker builds the
-/// per-instance [`Solver`] with [`SplitterChoice::Auto`] and reuses its
-/// **thread-local [`Workspace`]** across every instance it processes, so a
-/// stream of requests pays for splitter construction once per instance and
-/// for scratch allocation (almost) never.
-///
-/// **Partial-failure semantics:** each instance gets its own `Result`
-/// slot, and a panic inside one item's solve is caught at the item
-/// boundary and returned as that slot's [`SolveError::Panicked`] — one
-/// poisoned request never takes down the rest of the batch (chaos-tested
-/// in `tests/chaos.rs`).
-///
-/// Deterministic: results come back in input order, and each coloring is
-/// bit-identical to what a one-at-a-time
-/// `Solver::for_instance(inst).classes(k).config(cfg).build()?.solve()`
-/// produces, for any thread count (property-tested in `tests/api.rs`).
-pub fn solve_many(
-    instances: &[Instance],
-    k: usize,
-    cfg: &PipelineConfig,
-) -> Vec<Result<Report, SolveError>> {
-    instances
-        .par_iter()
-        .map(|inst| solve_one_isolated(inst, k, cfg))
-        .collect()
-}
-
-/// [`solve_many`] for **unvalidated** inputs: each `(graph, costs,
-/// weights)` triple is validated into an [`Instance`] at its own batch
-/// slot, so one malformed request (wrong vector length, NaN weight)
-/// yields one typed `Err` — never a poisoned batch. The admission path a
-/// serving edge puts in front of the solver pool.
-pub fn solve_many_raw(
-    inputs: Vec<(mmb_graph::Graph, Vec<f64>, Vec<f64>)>,
-    k: usize,
-    cfg: &PipelineConfig,
-) -> Vec<Result<Report, SolveError>> {
-    let admitted: Vec<Result<Instance, SolveError>> = inputs
-        .into_iter()
-        .map(|(g, costs, weights)| Instance::new(g, costs, weights).map_err(SolveError::from))
-        .collect();
-    admitted
-        .par_iter()
-        .map(|slot| match slot {
-            Ok(inst) => solve_one_isolated(inst, k, cfg),
-            Err(e) => Err(e.clone()),
-        })
-        .collect()
 }

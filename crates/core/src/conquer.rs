@@ -14,7 +14,7 @@
 //! factor.
 
 use mmb_graph::measure::{set_max, set_sum};
-use mmb_graph::{Coloring, Graph, VertexSet};
+use mmb_graph::{Coloring, VertexSet};
 use mmb_splitters::Splitter;
 
 use crate::strict::carve_classes;
@@ -26,10 +26,7 @@ use crate::strict::carve_classes;
 ///   there is no `W₁`, e.g. in Proposition 11's base case).
 /// * `wmax` is the `‖w‖_∞` of the *enclosing* vertex set `W = W₀ ∪ W₁`
 ///   (passed in because `W₁`'s vertices are not visible here).
-#[allow(clippy::too_many_arguments)]
 pub fn binpack1<S: Splitter + ?Sized>(
-    g: &Graph,
-    _costs: &[f64],
     splitter: &S,
     chi0: &Coloring,
     w0_set: &VertexSet,
@@ -37,7 +34,7 @@ pub fn binpack1<S: Splitter + ?Sized>(
     w1: &[f64],
     wmax: f64,
 ) -> Coloring {
-    let n = g.num_vertices();
+    let n = chi0.num_vertices();
     let k = chi0.k();
     assert_eq!(w1.len(), k, "w1 must have one entry per color");
     let wmax = wmax.max(set_max(weights, w0_set));
@@ -151,7 +148,7 @@ mod tests {
             _ => 3,
         });
         let w1 = vec![0.0; k];
-        let out = binpack1(&grid.graph, &costs, &sp, &chi0, &w0, &weights, &w1, 1.0);
+        let out = binpack1(&sp, &chi0, &w0, &weights, &w1, 1.0);
         assert!(out.is_total_on(&w0));
         let cm = out.class_measures(&weights);
         assert!(
@@ -172,7 +169,7 @@ mod tests {
         // Companion weights force color 0 to stay small in W₀.
         let w1 = vec![80.0, 10.0, 0.0];
         let chi0 = Coloring::from_fn(n, k, |v| v % 3);
-        let out = binpack1(&grid.graph, &costs, &sp, &chi0, &w0, &weights, &w1, 1.0);
+        let out = binpack1(&sp, &chi0, &w0, &weights, &w1, 1.0);
         let cm = out.class_measures(&weights);
         let defect = almost_strict_defect(&cm, &w1, 1.0);
         assert!(defect <= 1e-9, "defect {defect}, classes {cm:?} + {w1:?}");
@@ -193,7 +190,7 @@ mod tests {
         let chi0 = Coloring::monochromatic(n, k);
         let w1 = vec![0.0; k];
         let wmax = norm_inf(&weights);
-        let out = binpack1(&grid.graph, &costs, &sp, &chi0, &w0, &weights, &w1, wmax);
+        let out = binpack1(&sp, &chi0, &w0, &weights, &w1, wmax);
         let cm = out.class_measures(&weights);
         assert!(
             almost_strict_defect(&cm, &w1, wmax) <= 1e-9,
@@ -209,16 +206,7 @@ mod tests {
         let w0 = VertexSet::full(16);
         let weights = vec![0.0; 16];
         let chi0 = Coloring::from_fn(16, 2, |v| v % 2);
-        let out = binpack1(
-            &grid.graph,
-            &costs,
-            &sp,
-            &chi0,
-            &w0,
-            &weights,
-            &[0.0, 0.0],
-            0.0,
-        );
+        let out = binpack1(&sp, &chi0, &w0, &weights, &[0.0, 0.0], 0.0);
         assert_eq!(out, chi0);
     }
 }

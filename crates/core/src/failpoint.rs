@@ -48,7 +48,6 @@ pub const SITES: &[&str] = &[
     "splitter::split",
     "bnb::solve",
     "bnb::node",
-    "batch::item",
 ];
 
 /// The failpoint sites of the `mmb-service` serving layer: request
@@ -504,14 +503,9 @@ mod tests {
 
     #[test]
     fn transient_error_is_typed_with_the_site() {
-        let schedule = FaultSchedule::new().once("batch::item", 0, FaultAction::Transient);
-        let (err, _) = with_faults(&schedule, || raise("batch::item").unwrap_err());
-        assert_eq!(
-            err,
-            SolveError::Transient {
-                site: "batch::item"
-            }
-        );
+        let schedule = FaultSchedule::new().once("bnb::solve", 0, FaultAction::Transient);
+        let (err, _) = with_faults(&schedule, || raise("bnb::solve").unwrap_err());
+        assert_eq!(err, SolveError::Transient { site: "bnb::solve" });
     }
 
     #[test]
@@ -565,13 +559,13 @@ mod tests {
 
     #[test]
     fn guard_disarms_even_when_the_closure_unwinds() {
-        let schedule = FaultSchedule::new().always("batch::item", FaultAction::Panic);
+        let schedule = FaultSchedule::new().always("bnb::solve", FaultAction::Panic);
         let attempt = std::panic::catch_unwind(|| {
-            with_faults(&schedule, || raise_any("batch::item"));
+            with_faults(&schedule, || raise_any("bnb::solve"));
         });
         assert!(attempt.is_err());
         assert!(!armed(), "unwind must not leak an armed schedule");
-        assert!(raise("batch::item").is_ok());
+        assert!(raise("bnb::solve").is_ok());
     }
 
     #[test]

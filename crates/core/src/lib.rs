@@ -72,7 +72,7 @@
 //! knapsack packing — fractional and whole-edge, min-cut and
 //! forced-pair cuts, structure-aware isoperimetry, and exhaustive
 //! branch and bound below its size cap) whose best bound
-//! [`api::Solver::solve_certified`] threads into the report as a
+//! [`lower_bounds::certify`] pairs with a solved cost into a
 //! [`lower_bounds::CertifiedGap`]. Bridging the two sides, the anytime
 //! branch-and-bound engine of [`bnb`] searches the restricted-growth
 //! coloring space under any node/time budget, seeds from the pipeline,
@@ -104,9 +104,9 @@ pub mod two_color;
 pub mod verify;
 
 pub use api::{
-    auto_splitter, solve_many, solve_many_raw, AppliedDelta, CacheLookup, CacheStats, DeltaSolve,
-    Instance, InstanceDelta, InstanceError, Partitioner, Report, SolveError, Solver,
-    SolverArtifacts, SolverBuilder, SolverCache, SplitterChoice, Theorem4Pipeline,
+    auto_splitter, AppliedDelta, CacheLookup, CacheStats, DeltaSolve, Instance, InstanceDelta,
+    InstanceError, Partitioner, Report, SolveError, Solver, SolverArtifacts, SolverBuilder,
+    SolverCache, SplitterChoice, Theorem4Pipeline,
 };
 pub use bnb::{BnbBound, BnbConfig, BnbPartitioner, BnbSolution};
 pub use coarsen::{CoarsenParams, CoarseningFront};
@@ -123,8 +123,8 @@ pub use resilient::{
 /// Commonly used items for downstream crates.
 pub mod prelude {
     pub use crate::api::{
-        solve_many, solve_many_raw, DeltaSolve, Instance, InstanceDelta, InstanceError,
-        Partitioner, Report, SolveError, Solver, SolverCache, SplitterChoice,
+        DeltaSolve, Instance, InstanceDelta, InstanceError, Partitioner, Report, SolveError,
+        Solver, SolverCache, SplitterChoice,
     };
     pub use crate::bnb::{BnbConfig, BnbPartitioner};
     pub use crate::bounds;

@@ -56,12 +56,11 @@
 //! exhaustive search — which double as the B&B engine's root bound (the
 //! full stack there would recurse). [`best_lower_bound`] runs the whole
 //! [`standard_certifiers`] stack and keeps every certificate;
-//! [`certify`] pairs the best one with an achieved cost into a
-//! [`CertifiedGap`] `{ lower, upper, ratio }`, which
-//! [`Solver::solve_certified`](crate::api::Solver::solve_certified)
-//! threads into [`Report`](crate::api::Report), the corpus table
+//! [`certify`] pairs the best one with an achieved cost — a solved
+//! [`Report`](crate::api::Report)'s `max_boundary` — into a
+//! [`CertifiedGap`] `{ lower, upper, ratio }`, which the corpus table
 //! (`reproduce corpus` gains a gap column and gate) and the perf
-//! baselines (`BENCH_6.json`).
+//! baselines (`BENCH_6.json`) carry.
 //!
 //! ## Soundness discipline
 //!

@@ -1,13 +1,13 @@
 //! Multi-balanced colorings: Lemma 6 (min-average boundary) and
 //! Proposition 7 (min-maximum boundary).
 //!
-//! * [`multibalance`] builds a coloring balanced with respect to **all**
+//! * [`multibalance_ws`] builds a coloring balanced with respect to **all**
 //!   given measures by induction on their number: the base is the
 //!   monochromatic coloring, and each step is one
-//!   [`rebalance`](crate::rebalance::rebalance) run that
+//!   [`rebalance_ws`] run that
 //!   adds balance in one more measure while degrading the others by at most
 //!   a constant factor (Lemma 9).
-//! * [`multibalance_minmax`] is Proposition 7: first balance the
+//! * [`multibalance_minmax_with_pi_ws`] is Proposition 7: first balance the
 //!   splitting-cost measure `π` together with the user measures (Lemma 6),
 //!   then balance the *boundary cost* itself by modeling it as the vertex
 //!   measure `Ψ(v) = c({uv ∈ E : χ(u) ≠ χ(v)})` and running one more
@@ -18,7 +18,6 @@ use mmb_graph::workspace::Workspace;
 use mmb_graph::{Coloring, Graph, VertexSet};
 use mmb_splitters::Splitter;
 
-use crate::pi::splitting_cost_measure_within;
 use crate::rebalance::{rebalance_ws, RebalanceStats, ScratchDynamicMeasureFn};
 
 /// Heavy-threshold coefficient for a rebalance over `r` measures: the
@@ -29,18 +28,8 @@ pub fn heavy_factor(r: usize) -> f64 {
 
 /// Lemma 6: a `k`-coloring of `domain` balanced with respect to every
 /// measure in `measures` (later measures are balanced first; all stay
-/// balanced up to the lemma's constants).
-pub fn multibalance<S: Splitter + ?Sized>(
-    splitter: &S,
-    k: usize,
-    domain: &VertexSet,
-    measures: &[&[f64]],
-) -> Coloring {
-    Workspace::with_local(|ws| multibalance_ws(splitter, k, domain, measures, ws))
-}
-
-/// [`multibalance`] against an explicit [`Workspace`] shared by every
-/// [`rebalance_ws`] round.
+/// balanced up to the lemma's constants). Every [`rebalance_ws`] round
+/// shares the caller's [`Workspace`].
 pub fn multibalance_ws<S: Splitter + ?Sized>(
     splitter: &S,
     k: usize,
@@ -86,46 +75,16 @@ pub struct MinMaxBalanced {
 
 /// Proposition 7: a coloring balanced w.r.t. all `user_measures` whose
 /// **maximum** boundary cost is `O_r(σ_p·(q·k^{−1/p}·‖c‖_p + Δ_c))`.
-pub fn multibalance_minmax<S: Splitter + ?Sized>(
-    g: &Graph,
-    costs: &[f64],
-    splitter: &S,
-    k: usize,
-    domain: &VertexSet,
-    user_measures: &[&[f64]],
-    p: f64,
-) -> MinMaxBalanced {
-    // Φ^{(2)} := π, the splitting cost measure (Definition 10).
-    let pi = splitting_cost_measure_within(g, costs, p, 1.0, domain);
-    multibalance_minmax_with_pi(g, costs, splitter, k, domain, user_measures, &pi)
-}
-
-/// [`multibalance_minmax`] with the splitting-cost measure `π`
-/// precomputed by the caller.
 ///
-/// `π` depends only on `(G, c, p, domain)`, so a reusable
-/// [`Solver`](crate::api::Solver) computes it once at build time and
-/// amortizes it across solves; this entry point is what makes that
-/// possible.
-#[allow(clippy::too_many_arguments)] // the paper's procedure parameters plus the cached π
-pub fn multibalance_minmax_with_pi<S: Splitter + ?Sized>(
-    g: &Graph,
-    costs: &[f64],
-    splitter: &S,
-    k: usize,
-    domain: &VertexSet,
-    user_measures: &[&[f64]],
-    pi: &[f64],
-) -> MinMaxBalanced {
-    Workspace::with_local(|ws| {
-        multibalance_minmax_with_pi_ws(g, costs, splitter, k, domain, user_measures, pi, ws)
-    })
-}
-
-/// [`multibalance_minmax_with_pi`] against an explicit [`Workspace`]:
+/// `Φ^{(2)} = π`, the splitting-cost measure of Definition 10
+/// ([`splitting_cost_measure_within`](crate::pi::splitting_cost_measure_within)).
+/// It depends only on `(G, c, p, domain)`, so the caller computes it: a
+/// reusable [`Solver`](crate::api::Solver) does so once at build time and
+/// amortizes it across solves.
+///
 /// `Ψ`, the monochromatic-edge marks and every per-`Move` dynamic measure
-/// live in reusable scratch buffers (zero per-call allocation beyond the
-/// colorings themselves).
+/// live in reusable scratch buffers of `ws` (zero per-call allocation
+/// beyond the colorings themselves).
 #[allow(clippy::too_many_arguments)] // the paper's parameters plus π and the workspace
 pub fn multibalance_minmax_with_pi_ws<S: Splitter + ?Sized>(
     g: &Graph,
@@ -206,9 +165,24 @@ pub fn multibalance_minmax_with_pi_ws<S: Splitter + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pi::splitting_cost_measure_within;
     use mmb_graph::gen::grid::GridGraph;
     use mmb_graph::measure::{norm_1, norm_inf};
     use mmb_splitters::grid::GridSplitter;
+
+    /// Proposition 7 on `grid` with `π` computed for `p = 2`.
+    fn minmax(
+        grid: &GridGraph,
+        costs: &[f64],
+        sp: &GridSplitter,
+        k: usize,
+        w: &[f64],
+    ) -> MinMaxBalanced {
+        let domain = VertexSet::full(grid.graph.num_vertices());
+        let pi = splitting_cost_measure_within(&grid.graph, costs, 2.0, 1.0, &domain);
+        let ws = Workspace::new();
+        multibalance_minmax_with_pi_ws(&grid.graph, costs, sp, k, &domain, &[w], &pi, &ws)
+    }
 
     #[test]
     fn multibalance_balances_all_measures() {
@@ -222,7 +196,7 @@ mod tests {
         let m2: Vec<f64> = (0..n as u32)
             .map(|v| if grid.coord(v)[0] < 4 { 9.0 } else { 0.3 })
             .collect();
-        let chi = multibalance(&sp, k, &domain, &[&m1, &m2]);
+        let chi = multibalance_ws(&sp, k, &domain, &[&m1, &m2], &Workspace::new());
         assert!(chi.is_total());
         for (name, m) in [("m1", &m1), ("m2", &m2)] {
             let avg = norm_1(m) / k as f64;
@@ -241,10 +215,9 @@ mod tests {
         let n = grid.graph.num_vertices();
         let costs = vec![1.0; grid.graph.num_edges()];
         let sp = GridSplitter::new(&grid, &costs);
-        let domain = VertexSet::full(n);
         let k = 8;
         let w: Vec<f64> = (0..n).map(|v| 1.0 + (v % 4) as f64).collect();
-        let out = multibalance_minmax(&grid.graph, &costs, &sp, k, &domain, &[&w], 2.0);
+        let out = minmax(&grid, &costs, &sp, k, &w);
         assert!(out.coloring.is_total());
 
         // The boundary-balancing step must not leave one class carrying
@@ -274,9 +247,8 @@ mod tests {
             .map(|e| 1.0 + ((e * 13) % 7) as f64)
             .collect();
         let sp = GridSplitter::new(&grid, &costs);
-        let domain = VertexSet::full(n);
         let w = vec![1.0; n];
-        let out = multibalance_minmax(&grid.graph, &costs, &sp, 16, &domain, &[&w], 2.0);
+        let out = minmax(&grid, &costs, &sp, 16, &w);
         let final_max = out.coloring.max_boundary_cost(&grid.graph, &costs);
         let inter_max = out.intermediate.max_boundary_cost(&grid.graph, &costs);
         assert!(
@@ -291,9 +263,8 @@ mod tests {
         let n = grid.graph.num_vertices();
         let costs = vec![1.0; grid.graph.num_edges()];
         let sp = GridSplitter::new(&grid, &costs);
-        let domain = VertexSet::full(n);
         let w = vec![1.0; n];
-        let out = multibalance_minmax(&grid.graph, &costs, &sp, 1, &domain, &[&w], 2.0);
+        let out = minmax(&grid, &costs, &sp, 1, &w);
         assert!(out.coloring.is_total());
         assert_eq!(out.coloring.max_boundary_cost(&grid.graph, &costs), 0.0);
     }

@@ -2,10 +2,10 @@
 //! Proposition 11 → Proposition 12.
 //!
 //! ```text
-//! χ₁ = multibalance_minmax(w, π, extra measures)   // weakly balanced,
-//!                                                  // bounded max boundary
-//! χ₂ = almost_strict(χ₁)                           // within 2‖w‖∞ of avg
-//! χ₃ = binpack2(χ₂)                                // eq. (1) exactly
+//! χ₁ = multibalance_minmax_with_pi_ws(w, π, extra)   // weakly balanced,
+//!                                                    // bounded max boundary
+//! χ₂ = almost_strict_ws(χ₁)                          // within 2‖w‖∞ of avg
+//! χ₃ = binpack2(χ₂)                                  // eq. (1) exactly
 //! ```
 //!
 //! The result is a strictly balanced `k`-coloring with maximum boundary

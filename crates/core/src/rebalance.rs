@@ -26,13 +26,8 @@ use crate::two_color::two_color;
 
 /// Hook producing the *dynamic* measure `Φ^{(r+1)}` of Proposition 7 at the
 /// moment `Move(i)` fires: given the color `i` and its incoming set
-/// `Vin(i)`, return a dense measure to include in the Lemma 8 call for
-/// `Vout(i)`.
-pub type DynamicMeasureFn<'a> = dyn FnMut(u32, &VertexSet) -> Vec<f64> + 'a;
-
-/// Workspace-backed variant of [`DynamicMeasureFn`]: the hook *fills* a
-/// zeroed scratch measure instead of allocating a dense vector per `Move`
-/// — the hot-path shape used by [`rebalance_ws`].
+/// `Vin(i)`, *fill* the zeroed scratch measure that joins the Lemma 8 call
+/// for `Vout(i)` (no dense vector is allocated per `Move`).
 pub type ScratchDynamicMeasureFn<'a> = dyn FnMut(u32, &VertexSet, &mut ScratchMeasure<'_>) + 'a;
 
 /// Diagnostics of a rebalancing run.
@@ -51,52 +46,13 @@ pub struct RebalanceStats {
 /// constants.
 ///
 /// `heavy_factor` is the paper's `2^r` coefficient in the Heavy threshold
-/// `3·‖Ψ‖_avg + 2^r·‖Ψ‖_∞`; [`crate::pipeline::PipelineConfig`] sets it to
-/// `2^r` by default.
+/// `3·‖Ψ‖_avg + 2^r·‖Ψ‖_∞`;
+/// [`multibalance::heavy_factor`](crate::multibalance::heavy_factor)
+/// computes it for `r` measures.
 ///
 /// `dynamic` optionally appends a Move-time measure to each Lemma 8 call
-/// (Proposition 7's `Φ^{(r+1)}`).
-pub fn rebalance<S: Splitter + ?Sized>(
-    splitter: &S,
-    chi: &Coloring,
-    domain: &VertexSet,
-    measures: &[&[f64]],
-    heavy_factor: f64,
-    mut dynamic: Option<&mut DynamicMeasureFn<'_>>,
-) -> (Coloring, RebalanceStats) {
-    // Adapt the legacy Vec-returning hook onto the scratch-filling shape;
-    // the dense views are identical, so so are the results. This compat
-    // path pays the hook's original O(n) allocation *plus* one O(n) copy
-    // per Move — fine for its remaining users (tests, external callers of
-    // the legacy signature); hot-path callers use `rebalance_ws` with a
-    // scratch-filling hook directly.
-    let mut adapted = dynamic.as_mut().map(|f| {
-        move |i: u32, vin: &VertexSet, sm: &mut ScratchMeasure<'_>| {
-            for (v, &x) in f(i, vin).iter().enumerate() {
-                if x != 0.0 {
-                    sm.set(v as VertexId, x);
-                }
-            }
-        }
-    });
-    Workspace::with_local(|ws| {
-        rebalance_ws(
-            splitter,
-            chi,
-            domain,
-            measures,
-            heavy_factor,
-            adapted
-                .as_mut()
-                .map(|f| f as &mut ScratchDynamicMeasureFn<'_>),
-            ws,
-        )
-    })
-}
-
-/// [`rebalance`] against an explicit [`Workspace`], with the dynamic
-/// measure written into a reusable scratch buffer per `Move` instead of a
-/// fresh `O(n)` vector.
+/// (Proposition 7's `Φ^{(r+1)}`), written into a reusable scratch buffer
+/// of `ws` per `Move`.
 pub fn rebalance_ws<S: Splitter + ?Sized>(
     splitter: &S,
     chi: &Coloring,
@@ -258,7 +214,8 @@ mod tests {
         let chi = Coloring::monochromatic(n, k);
         let domain = VertexSet::full(n);
         let psi: Vec<f64> = (0..n).map(|v| 1.0 + (v % 3) as f64).collect();
-        let (chi_hat, stats) = rebalance(&sp, &chi, &domain, &[&psi], 2.0, None);
+        let ws = Workspace::new();
+        let (chi_hat, stats) = rebalance_ws(&sp, &chi, &domain, &[&psi], 2.0, None, &ws);
         assert!(chi_hat.is_total());
         let avg: f64 = psi.iter().sum::<f64>() / k as f64;
         let maxw = norm_inf(&psi);
@@ -292,7 +249,8 @@ mod tests {
         let psi: Vec<f64> = (0..n as u32)
             .map(|v| if grid.coord(v)[1] < 2 { 10.0 } else { 0.1 })
             .collect();
-        let (chi_hat, _) = rebalance(&sp, &chi, &domain, &[&psi, &phi2], 4.0, None);
+        let ws = Workspace::new();
+        let (chi_hat, _) = rebalance_ws(&sp, &chi, &domain, &[&psi, &phi2], 4.0, None, &ws);
         assert!(chi_hat.is_total());
         let psi_avg: f64 = psi.iter().sum::<f64>() / k as f64;
         let after1 = norm_inf(&chi_hat.class_measures(&psi));
@@ -316,7 +274,8 @@ mod tests {
         let chi = Coloring::from_fn(n, 3, |v| v % 3);
         let domain = VertexSet::full(n);
         let psi = vec![0.0; n];
-        let (chi_hat, stats) = rebalance(&sp, &chi, &domain, &[&psi], 2.0, None);
+        let ws = Workspace::new();
+        let (chi_hat, stats) = rebalance_ws(&sp, &chi, &domain, &[&psi], 2.0, None, &ws);
         assert_eq!(stats.moves, 0);
         assert_eq!(chi_hat, chi);
     }
@@ -331,11 +290,21 @@ mod tests {
         let domain = VertexSet::full(n);
         let psi = vec![1.0; n];
         let mut calls = 0u32;
-        let mut hook = |_i: u32, _vin: &VertexSet| {
+        let mut hook = |_i: u32, vin: &VertexSet, m: &mut ScratchMeasure<'_>| {
             calls += 1;
-            vec![0.0; n]
+            for v in vin.iter() {
+                m.set(v, 1.0);
+            }
         };
-        let (_, stats) = rebalance(&sp, &chi, &domain, &[&psi], 2.0, Some(&mut hook));
+        let (_, stats) = rebalance_ws(
+            &sp,
+            &chi,
+            &domain,
+            &[&psi],
+            2.0,
+            Some(&mut hook as &mut ScratchDynamicMeasureFn<'_>),
+            &Workspace::new(),
+        );
         assert_eq!(calls as u64, stats.moves);
         assert!(calls >= 1);
     }
@@ -351,7 +320,8 @@ mod tests {
             chi.set(v, 0);
         }
         let psi = vec![1.0; n];
-        let (chi_hat, _) = rebalance(&sp, &chi, &domain, &[&psi], 2.0, None);
+        let ws = Workspace::new();
+        let (chi_hat, _) = rebalance_ws(&sp, &chi, &domain, &[&psi], 2.0, None, &ws);
         assert_eq!(chi_hat.num_colored(), domain.len());
         assert!(chi_hat.is_total_on(&domain));
         // Classes stay within the domain.

@@ -2,7 +2,7 @@
 //! of Proposition 11.
 //!
 //! Given a weakly balanced coloring `χ` of `W` (`‖wχ⁻¹‖_∞ ≤ M·Ψ*` with
-//! `Ψ* = w(W)/k`), [`shrink`] produces two colorings:
+//! `Ψ* = w(W)/k`), [`shrink_ws`] produces two colorings:
 //!
 //! * `χ₀` on `W₀` — **almost strictly balanced**, every class of weight
 //!   `≈ ε·Ψ*` (one *rich* extraction per class, Corollary 18), and
@@ -17,7 +17,7 @@
 //! [`extract_rich`] unions the per-measure heaviest pieces and tops up
 //! (Lemma 30 / Corollary 18).
 //!
-//! [`almost_strict`] (Proposition 11) recurses: shrink, recursively fix
+//! [`almost_strict_ws`] (Proposition 11) recurses: shrink, recursively fix
 //! `χ₁`, then re-merge with the conquer bin packing of Lemma 15
 //! ([`crate::conquer::binpack1`]). Costs do not accumulate across levels
 //! because each level's `χ₁` carries geometrically smaller costs.
@@ -176,24 +176,11 @@ pub struct ShrinkOutput {
 /// buffer, `AddTo` underweight classes from the buffer (or from wealthy
 /// donors, Corollary 17), `ReduceBuffer` leftovers onto light classes, then
 /// extract one rich layer `X_i` per class (Corollary 18) to form `χ₀`.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's procedure parameters
-pub fn shrink<S: Splitter + ?Sized>(
-    g: &Graph,
-    costs: &[f64],
-    splitter: &S,
-    chi: &Coloring,
-    domain: &VertexSet,
-    weights: &[f64],
-    p: f64,
-    params: &ShrinkParams,
-) -> ShrinkOutput {
-    Workspace::with_local(|ws| shrink_ws(g, costs, splitter, chi, domain, weights, p, params, ws))
-}
-
-/// [`shrink`] against an explicit [`Workspace`]: every dense measure this
-/// level materializes (`π`, `deg_W`, per-class boundary measures) comes
-/// from the reusable scratch pool, so one shrink level costs
-/// `O(vol(W) + k)` in buffer work instead of `O(n)` per measure.
+///
+/// Every dense measure this level materializes (`π`, `deg_W`, per-class
+/// boundary measures) comes from the reusable scratch pool of `ws`, so one
+/// shrink level costs `O(vol(W) + k)` in buffer work instead of `O(n)` per
+/// measure.
 #[allow(clippy::too_many_arguments)] // the paper's parameters plus the workspace
 pub fn shrink_ws<S: Splitter + ?Sized>(
     g: &Graph,
@@ -311,26 +298,11 @@ pub fn shrink_ws<S: Splitter + ?Sized>(
 /// Proposition 11: transform a weakly `w`-balanced coloring of `domain`
 /// into an **almost strictly balanced** one (every class within `2·‖w‖_∞`
 /// of the average) without blowing up boundary or splitting costs.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's procedure parameters
-pub fn almost_strict<S: Splitter + ?Sized>(
-    g: &Graph,
-    costs: &[f64],
-    splitter: &S,
-    chi: &Coloring,
-    domain: &VertexSet,
-    weights: &[f64],
-    p: f64,
-    params: &ShrinkParams,
-) -> Coloring {
-    Workspace::with_local(|ws| {
-        almost_strict_ws(g, costs, splitter, chi, domain, weights, p, params, ws)
-    })
-}
-
-/// [`almost_strict`] against an explicit [`Workspace`], shared by **every
-/// recursion level**: the shrink-and-conquer descent re-uses the same few
-/// scratch buffers from the root call down to the base case, which is what
-/// makes a level cost `O(vol(W))` instead of `O(n)`.
+///
+/// `ws` is shared by **every recursion level**: the shrink-and-conquer
+/// descent re-uses the same few scratch buffers from the root call down to
+/// the base case, which is what makes a level cost `O(vol(W))` instead of
+/// `O(n)`.
 #[allow(clippy::too_many_arguments)] // the paper's parameters plus the workspace
 pub fn almost_strict_ws<S: Splitter + ?Sized>(
     g: &Graph,
@@ -372,8 +344,6 @@ fn almost_strict_rec<S: Splitter + ?Sized>(
     if wmax > params.epsilon / 2.0 * psi_star || depth >= params.max_depth {
         let w1 = vec![0.0; k];
         return binpack1(
-            g,
-            costs,
             splitter,
             &chi.restrict_to(domain),
             domain,
@@ -388,8 +358,6 @@ fn almost_strict_rec<S: Splitter + ?Sized>(
         // Defensive: shrink made no progress; fall back to direct packing.
         let w1 = vec![0.0; k];
         return binpack1(
-            g,
-            costs,
             splitter,
             &chi.restrict_to(domain),
             domain,
@@ -413,16 +381,7 @@ fn almost_strict_rec<S: Splitter + ?Sized>(
     );
     // Conquer (Lemma 15): re-pack χ₀ so that χ̃₀ ⊕ χ̂₁ is almost strict.
     let w1_weights = chi1_hat.class_measures(weights);
-    let chi0_tilde = binpack1(
-        g,
-        costs,
-        splitter,
-        &sh.chi0,
-        &sh.w0,
-        weights,
-        &w1_weights,
-        wmax,
-    );
+    let chi0_tilde = binpack1(splitter, &sh.chi0, &sh.w0, weights, &w1_weights, wmax);
     chi0_tilde.direct_sum(&chi1_hat)
 }
 
@@ -528,7 +487,7 @@ mod tests {
             _ => 3,
         });
         let params = ShrinkParams::default();
-        let out = shrink(
+        let out = shrink_ws(
             &grid.graph,
             &costs,
             &sp,
@@ -537,6 +496,7 @@ mod tests {
             &weights,
             2.0,
             &params,
+            &Workspace::new(),
         );
         // W₀/W₁ partition the domain.
         assert!(out.w0.is_disjoint(&out.w1));
@@ -576,7 +536,7 @@ mod tests {
             4..=7 => 2,
             _ => 3,
         });
-        let out = almost_strict(
+        let out = almost_strict_ws(
             &grid.graph,
             &costs,
             &sp,
@@ -585,6 +545,7 @@ mod tests {
             &weights,
             2.0,
             &ShrinkParams::default(),
+            &Workspace::new(),
         );
         assert!(out.is_total_on(&domain));
         let total: f64 = domain.iter().map(|v| weights[v as usize]).sum();
@@ -606,7 +567,7 @@ mod tests {
         let domain = VertexSet::full(16);
         let chi = Coloring::monochromatic(16, 2);
         let weights = vec![0.0; 16];
-        let out = almost_strict(
+        let out = almost_strict_ws(
             &grid.graph,
             &costs,
             &sp,
@@ -615,6 +576,7 @@ mod tests {
             &weights,
             2.0,
             &ShrinkParams::default(),
+            &Workspace::new(),
         );
         assert!(out.is_total_on(&domain));
     }

@@ -4,13 +4,14 @@
 //! forests (TreeSplitter), the Lemma-37 reduction, and mixed subsets.
 
 use mmb_core::conquer::binpack1;
-use mmb_core::multibalance::{heavy_factor, multibalance, multibalance_minmax};
-use mmb_core::rebalance::rebalance;
+use mmb_core::multibalance::{heavy_factor, multibalance_minmax_with_pi_ws, multibalance_ws};
+use mmb_core::pi::splitting_cost_measure_within;
+use mmb_core::rebalance::rebalance_ws;
 use mmb_core::shrink::{extract_lean, extract_rich, iterative_partition, ShrinkParams};
 use mmb_core::two_color::two_color;
 use mmb_graph::gen::tree::{complete_binary_tree, random_tree};
 use mmb_graph::measure::{norm_1, norm_inf, set_sum};
-use mmb_graph::{Coloring, VertexSet};
+use mmb_graph::{Coloring, VertexSet, Workspace};
 use mmb_splitters::separator::{SeparatorSplitter, TreeCentroidSeparator};
 use mmb_splitters::tree::TreeSplitter;
 
@@ -49,7 +50,8 @@ fn rebalance_on_trees_with_two_measures() {
     let chi = Coloring::monochromatic(n, k);
     let psi: Vec<f64> = (0..n).map(|v| 1.0 + (v % 5) as f64).collect();
     let phi: Vec<f64> = (0..n).map(|v| ((v * 13) % 7) as f64).collect();
-    let (out, stats) = rebalance(&sp, &chi, &domain, &[&psi, &phi], 4.0, None);
+    let ws = Workspace::new();
+    let (out, stats) = rebalance_ws(&sp, &chi, &domain, &[&psi, &phi], 4.0, None, &ws);
     assert!(out.is_total());
     assert!(stats.moves >= 1);
     let avg = norm_1(&psi) / k as f64;
@@ -73,7 +75,7 @@ fn multibalance_via_split_reduction() {
     let domain = VertexSet::full(n);
     let k = 5;
     let m: Vec<f64> = (0..n).map(|v| 1.0 + (v % 3) as f64).collect();
-    let chi = multibalance(&sp, k, &domain, &[&m]);
+    let chi = multibalance_ws(&sp, k, &domain, &[&m], &Workspace::new());
     assert!(chi.is_total());
     let avg = norm_1(&m) / k as f64;
     assert!(norm_inf(&chi.class_measures(&m)) <= 3.0 * avg + 2.0 * norm_inf(&m) + 1e-9);
@@ -87,7 +89,9 @@ fn minmax_prop7_on_trees() {
     let sp = TreeSplitter::new(&g);
     let domain = VertexSet::full(n);
     let w = vec![1.0; n];
-    let out = multibalance_minmax(&g, &costs, &sp, 8, &domain, &[&w], 2.0);
+    let pi = splitting_cost_measure_within(&g, &costs, 2.0, 1.0, &domain);
+    let ws = Workspace::new();
+    let out = multibalance_minmax_with_pi_ws(&g, &costs, &sp, 8, &domain, &[&w], &pi, &ws);
     assert!(out.coloring.is_total());
     // Boundary should not be concentrated on one class.
     let bc = out.coloring.boundary_costs(&g, &costs);
@@ -125,7 +129,6 @@ fn shrink_primitives_on_trees() {
 fn binpack1_with_tree_splitter() {
     let g = random_tree(200, 3, 31);
     let n = g.num_vertices();
-    let costs = vec![1.0; g.num_edges()];
     let sp = TreeSplitter::new(&g);
     let w0 = VertexSet::full(n);
     let weights: Vec<f64> = (0..n).map(|v| 1.0 + (v % 4) as f64).collect();
@@ -134,7 +137,7 @@ fn binpack1_with_tree_splitter() {
     let chi0 = Coloring::from_fn(n, k, |v| if v < 150 { 0 } else { 1 + v % 3 });
     let w1 = vec![0.0; k];
     let wmax = norm_inf(&weights);
-    let out = binpack1(&g, &costs, &sp, &chi0, &w0, &weights, &w1, wmax);
+    let out = binpack1(&sp, &chi0, &w0, &weights, &w1, wmax);
     assert!(out.is_total_on(&w0));
     let cm = out.class_measures(&weights);
     let avg = norm_1(&weights) / k as f64;

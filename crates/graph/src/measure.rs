@@ -167,15 +167,9 @@ pub fn ones(n: usize) -> Measure {
 }
 
 /// The degree measure `deg_W(v)` of the induced subgraph `G[W]`
-/// (0 outside `W`). Used by the shrinking procedure of Section 5 to control
-/// `|G[W₁]|`.
-pub fn induced_degree_measure(g: &Graph, w_set: &VertexSet) -> Measure {
-    Workspace::with_local(|ws| induced_degree_measure_ws(g, w_set, ws).to_measure())
-}
-
-/// [`induced_degree_measure`] into a reusable [`Workspace`] buffer:
-/// `O(vol(W))` with zero allocation; the dense view is bit-identical to
-/// the allocating variant.
+/// (0 outside `W`), in a reusable [`Workspace`] buffer: `O(vol(W))` with
+/// zero allocation. Used by the shrinking procedure of Section 5 to
+/// control `|G[W₁]|`.
 pub fn induced_degree_measure_ws<'ws>(
     g: &Graph,
     w_set: &VertexSet,
@@ -283,8 +277,9 @@ mod tests {
         assert!(close(tau[2], 5.0));
         assert!(close(tau[3], 3.0));
         let w = VertexSet::from_iter(4, [0u32, 1, 2]);
-        let d = induced_degree_measure(&g, &w);
-        assert_eq!(d, vec![1.0, 2.0, 1.0, 0.0]);
+        let ws = Workspace::new();
+        let d = induced_degree_measure_ws(&g, &w, &ws);
+        assert_eq!(d.as_slice(), [1.0, 2.0, 1.0, 0.0]);
     }
 
     #[test]

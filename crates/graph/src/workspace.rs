@@ -116,7 +116,7 @@ impl Workspace {
 
     /// Run `f` against this thread's shared workspace. The instance lives
     /// for the thread's lifetime, so buffers are amortized across *all*
-    /// solves on the thread — including every item a `solve_many` worker
+    /// solves on the thread — including every request a serving worker
     /// processes.
     pub fn with_local<R>(f: impl FnOnce(&Workspace) -> R) -> R {
         LOCAL.with(f)

@@ -1,11 +1,11 @@
 //! Property-based tests for the graph substrate.
 
-use mmb_graph::cut::{boundary_cost, boundary_cost_within, boundary_measure};
+use mmb_graph::cut::{boundary_cost, boundary_cost_within, boundary_measure_ws};
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::graph::{graph_from_edges, GraphBuilder};
 use mmb_graph::measure::{edge_norm_p, edge_norm_p_pow, norm_1, norm_inf, norm_p, pow_p, set_sum};
 use mmb_graph::union::{disjoint_copies, replicate_measure};
-use mmb_graph::{Coloring, VertexSet};
+use mmb_graph::{Coloring, VertexSet, Workspace};
 use proptest::prelude::*;
 
 /// Strategy: a random graph on `n ≤ 24` vertices as an edge probability mask.
@@ -55,8 +55,9 @@ proptest! {
         let n = g.num_vertices();
         let costs: Vec<f64> = (0..g.num_edges()).map(|e| 0.5 + (e as f64 % 5.0)).collect();
         let u = VertexSet::from_iter(n, (0..n as u32).filter(|v| (seed >> (v % 59)) & 1 == 1));
-        let m = boundary_measure(&g, &costs, &u);
-        let total: f64 = m.iter().sum();
+        let total: f64 = Workspace::with_local(|ws| {
+            boundary_measure_ws(&g, &costs, &u, ws).as_slice().iter().sum()
+        });
         prop_assert!((total - 2.0 * boundary_cost(&g, &costs, &u)).abs() < 1e-9);
     }
 

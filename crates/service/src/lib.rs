@@ -18,9 +18,11 @@
 //!   touched region, a strict re-pack only if eq. (1) broke, and the
 //!   resilient ladder's validation gate before anything is served.
 //!
-//! Batches are distributed over the same `rayon` worker pool that backs
-//! `solve_many`; each request is isolated — a panic in one becomes that
-//! request's typed [`SolveError::Panicked`], not the batch's.
+//! Batches are distributed over the `rayon` worker pool; each request is
+//! isolated — a panic in one becomes that request's typed
+//! [`SolveError::Panicked`], not the batch's. The service keeps every
+//! served instance under its ticket until [`Service::forget`]; a stateless
+//! batch is a `par_iter` over `Solver::solve`.
 //!
 //! ## Cache discipline
 //!
@@ -477,6 +479,29 @@ mod tests {
         assert!(matches!(out[0].outcome, Err(SolveError::Instance(_))));
         assert!(!out[0].record.admitted);
         assert_eq!(out[0].record.path, ServePath::Rejected);
+
+        // Malformed requests among valid ones: each gets its own typed
+        // rejection, and the valid neighbors are served.
+        let wrong_len = Request::Solve {
+            graph: GridGraph::lattice(&[3, 3]).graph,
+            costs: vec![1.0; 2], // costs length ≠ edge count
+            weights: vec![1.0; 9],
+        };
+        let out = service.serve(vec![
+            grid_solve_request(4, 1.0),
+            wrong_len,
+            grid_solve_request(5, 1.0),
+            grid_solve_request(4, f64::NAN),
+        ]);
+        assert_eq!(out.len(), 4);
+        for ok in [&out[0], &out[2]] {
+            assert!(ok.record.admitted);
+            assert!(ok.outcome.is_ok(), "{:?}", ok.outcome);
+        }
+        for bad in [&out[1], &out[3]] {
+            assert!(matches!(bad.outcome, Err(SolveError::Instance(_))));
+            assert!(!bad.record.admitted);
+        }
     }
 
     #[test]

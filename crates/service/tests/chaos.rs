@@ -1,6 +1,6 @@
 //! Chaos coverage for the serving layer: the `service::admit`,
-//! `service::cache`, and `service::worker` failpoint sites under seeded
-//! fault schedules.
+//! `service::cache`, and `service::worker` failpoint sites, and the
+//! solve-path sites behind them, under seeded fault schedules.
 //!
 //! The serving contract under faults:
 //!
@@ -21,9 +21,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use mmb_core::api::InstanceDelta;
+use mmb_core::api::{InstanceDelta, SolveError};
 use mmb_core::failpoint::{with_faults, FaultAction, FaultSchedule, SERVICE_SITES};
 use mmb_graph::gen::grid::GridGraph;
+use mmb_graph::gen::misc::{cycle, path, star};
+use mmb_graph::Graph;
 use mmb_service::{CacheEvent, Request, ServePath, Service, ServiceConfig};
 
 fn grid_solve_request(side: usize, w0: f64) -> Request {
@@ -36,6 +38,16 @@ fn grid_solve_request(side: usize, w0: f64) -> Request {
         graph: grid.graph,
         costs: vec![1.0; m],
         weights,
+    }
+}
+
+/// A solve request with unit costs and weights.
+fn unit_request(graph: Graph) -> Request {
+    let (m, n) = (graph.num_edges(), graph.num_vertices());
+    Request::Solve {
+        graph,
+        costs: vec![1.0; m],
+        weights: vec![1.0; n],
     }
 }
 
@@ -109,6 +121,26 @@ fn injected_panics_are_contained_per_request() {
             "service poisoned after {site} panic"
         );
     }
+    // A solve-path panic is its own request's alone: the first slot is
+    // rejected with the site named, its siblings are served.
+    let schedule = FaultSchedule::new().once("pipeline::multibalance", 0, FaultAction::Panic);
+    let batch = vec![
+        grid_solve_request(6, 3.0),
+        grid_solve_request(6, 4.0),
+        grid_solve_request(5, 1.0),
+    ];
+    let (out, injected) = serve_armed(&service, &schedule, batch);
+    assert_eq!(injected, 1, "exactly one fault fired");
+    match &out[0].outcome {
+        Err(SolveError::Panicked { message, .. }) => {
+            assert!(message.contains("pipeline::multibalance"), "{message}");
+        }
+        other => panic!("request 0 should be a caught panic, got {other:?}"),
+    }
+    assert_eq!(out[0].record.path, ServePath::Rejected);
+    for resp in &out[1..] {
+        assert!(resp.outcome.is_ok(), "siblings unaffected");
+    }
 }
 
 #[test]
@@ -174,6 +206,45 @@ fn seeded_service_chaos_sweep_holds_the_contract() {
                 }
             }
             assert!(resp.record.elapsed_millis >= 0.0);
+        }
+    }
+    assert!(
+        total_injected > 0,
+        "anti-vacuous: the seeded sweep injected nothing"
+    );
+}
+
+#[test]
+fn chaos_batches_return_typed_results_per_slot() {
+    // The solve-path schedules `FaultSchedule::chaos` draws, at the core
+    // chaos suite's seeds, over one served batch each: every slot is a
+    // valid strict coloring or a typed `Transient`/`Panicked` rejection,
+    // and no panic escapes `Service::serve`.
+    let mut total_injected = 0;
+    for seed in [1, 2, 3, 5, 8, 0xc0ffee] {
+        let graphs = [
+            path(12),
+            cycle(10),
+            star(9),
+            GridGraph::lattice(&[4, 4]).graph,
+        ];
+        let sizes: Vec<usize> = graphs.iter().map(Graph::num_vertices).collect();
+        let batch = graphs.into_iter().map(unit_request).collect();
+        let service = Service::new(ServiceConfig::new(2));
+        let (out, injected) = serve_armed(&service, &FaultSchedule::chaos(seed), batch);
+        total_injected += injected;
+        assert_eq!(out.len(), sizes.len());
+        for (resp, n) in out.iter().zip(sizes) {
+            match &resp.outcome {
+                Ok(served) => {
+                    let chi = &served.coloring;
+                    assert_eq!(chi.num_vertices(), n, "seed {seed}");
+                    assert!(chi.is_total(), "seed {seed}");
+                    assert!(chi.is_strictly_balanced(&vec![1.0; n]), "seed {seed}");
+                }
+                Err(SolveError::Transient { .. } | SolveError::Panicked { .. }) => {}
+                Err(other) => panic!("seed {seed}: unexpected error class {other:?}"),
+            }
         }
     }
     assert!(

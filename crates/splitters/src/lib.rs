@@ -35,7 +35,6 @@
 pub mod adversarial;
 pub mod bfs;
 pub mod contract;
-pub mod estimate;
 pub mod grid;
 pub mod order;
 pub mod recording;
@@ -48,7 +47,7 @@ use mmb_graph::{VertexId, VertexSet};
 ///
 /// `Sync` is a supertrait: the decomposition pipeline fans independent
 /// per-class splitting work out over threads (conquer bin packing, layer
-/// extraction, `solve_many` batches), so a splitter must be safe to call
+/// extraction, served batches), so a splitter must be safe to call
 /// from several workers at once. All splitters in this crate qualify —
 /// they hold only shared references and per-call state; the
 /// instrumentation wrapper ([`recording::RecordingSplitter`]) uses atomic

@@ -16,12 +16,12 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use mmb_core::api::{solve_many, Instance, SolveError, Solver, SplitterChoice};
-use mmb_core::pipeline::PipelineConfig;
+use mmb_core::api::{Instance, SolveError, Solver, SplitterChoice};
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::gen::misc::path;
 use mmb_graph::gen::tree::random_tree;
 use mmb_graph::{VertexId, VertexSet, Workspace};
+use mmb_service::{Request, Service, ServiceConfig};
 use mmb_splitters::grid::GridSplitter;
 use mmb_splitters::recording::RecordingSplitter;
 use mmb_splitters::tree::TreeSplitter;
@@ -40,13 +40,22 @@ fn det_weights(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// The raw triple a client would send for `inst`.
+fn solve_request(inst: &Instance) -> Request {
+    Request::Solve {
+        graph: inst.graph().clone(),
+        costs: inst.costs().to_vec(),
+        weights: inst.weights().to_vec(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     // An explicit GridSplitter handed in as `SplitterChoice::Custom` and
     // the `Auto` choice produce the *same coloring*, bit for bit — and so
-    // do the batch `solve_many` entry point and every thread count of the
-    // parallel shim.
+    // does a `Service::serve` batch at every thread count of the parallel
+    // shim.
     #[test]
     fn explicit_grid_splitter_matches_auto_on_random_grids(
         side in 4usize..11,
@@ -68,15 +77,14 @@ proptest! {
         prop_assert_eq!(&report.coloring, &explicit.coloring);
         prop_assert!(report.is_strictly_balanced());
 
-        // solve_many ≡ one-at-a-time solve, for 1 and several worker
+        // Service::serve ≡ one-at-a-time solve, for 1 and several worker
         // threads (the shim's deterministic chunked schedule).
-        let batch = [inst];
+        let service = Service::new(ServiceConfig::new(k));
         for threads in [1usize, 3] {
-            let results = rayon::with_num_threads(threads, || {
-                solve_many(&batch, k, &PipelineConfig::default())
-            });
-            prop_assert_eq!(results.len(), 1);
-            let got = results.into_iter().next().unwrap().unwrap();
+            let responses =
+                rayon::with_num_threads(threads, || service.serve(vec![solve_request(&inst)]));
+            prop_assert_eq!(responses.len(), 1);
+            let got = responses.into_iter().next().unwrap().outcome.unwrap();
             prop_assert_eq!(&got.coloring, &explicit.coloring, "threads = {}", threads);
         }
     }
@@ -404,23 +412,21 @@ fn report_class_table_is_consistent() {
 }
 
 #[test]
-fn solve_many_matches_individual_solves_across_families() {
-    // A mixed stream — grid, tree, path — through the batch entry point,
-    // at several thread counts: results in input order, colorings
-    // bit-identical to one-at-a-time solves, and the workspace pool
-    // amortized per worker.
+fn served_batches_match_individual_solves_across_families() {
+    // A mixed stream — grid, tree, path — served as one batch at several
+    // thread counts: responses in request order, colorings bit-identical
+    // to one-at-a-time solves.
     let grid = GridGraph::lattice(&[9, 9]);
     let gm = grid.graph.num_edges();
     let tree = random_tree(70, 3, 5);
     let tm = tree.num_edges();
     let line = path(40);
-    let instances = vec![
+    let instances = [
         Instance::from_grid(grid, det_costs(gm, 3), det_weights(81, 3)).unwrap(),
         Instance::new(tree, det_costs(tm, 4), det_weights(70, 4)).unwrap(),
         Instance::new(line, det_costs(39, 5), det_weights(40, 5)).unwrap(),
     ];
     let k = 4;
-    let cfg = PipelineConfig::default();
     let reference: Vec<_> = instances
         .iter()
         .map(|inst| {
@@ -432,20 +438,23 @@ fn solve_many_matches_individual_solves_across_families() {
                 .coloring
         })
         .collect();
+    let requests = || instances.iter().map(solve_request).collect::<Vec<_>>();
+    let service = Service::new(ServiceConfig::new(k));
     for threads in [1usize, 2, 4] {
-        let batch = rayon::with_num_threads(threads, || solve_many(&instances, k, &cfg));
+        let batch = rayon::with_num_threads(threads, || service.serve(requests()));
         assert_eq!(batch.len(), instances.len());
         for (i, (got, want)) in batch.iter().zip(&reference).enumerate() {
-            let got = got.as_ref().expect("valid instance");
+            assert_eq!(got.record.index, i);
+            let got = got.outcome.as_ref().expect("valid instance");
             assert_eq!(&got.coloring, want, "instance {i}, threads {threads}");
-            assert!(got.is_strictly_balanced());
+            assert!(got.coloring.is_strictly_balanced(instances[i].weights()));
         }
     }
-    // Build failures surface per item, not as a panic.
-    let errs = solve_many(&instances, 0, &cfg);
+    // Build failures surface per request, not as a panic.
+    let errs = Service::new(ServiceConfig::new(0)).serve(requests());
     assert!(errs
         .iter()
-        .all(|r| matches!(r, Err(SolveError::ZeroColors))));
+        .all(|r| matches!(r.outcome, Err(SolveError::ZeroColors))));
 }
 
 fn _object_safety_probe(s: &dyn Splitter) -> &str {

@@ -5,10 +5,10 @@
 mod common;
 
 use common::solve_with;
-use mmb_core::multibalance::multibalance_minmax_with_pi;
+use mmb_core::multibalance::multibalance_minmax_with_pi_ws;
 use mmb_core::pi::splitting_cost_measure_within;
 use mmb_core::prelude::*;
-use mmb_core::shrink::almost_strict;
+use mmb_core::shrink::almost_strict_ws;
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::gen::tree::{caterpillar, random_tree};
 use mmb_instances::weights::{WeightFamily, ALL_FAMILIES};
@@ -172,9 +172,10 @@ fn stage_outputs_are_consistent() {
     let domain = mmb_graph::VertexSet::full(n);
     let cfg = PipelineConfig::default();
     let pi = splitting_cost_measure_within(g, &costs, cfg.p, 1.0, &domain);
+    let ws = mmb_graph::Workspace::new();
     let stage1 =
-        multibalance_minmax_with_pi(g, &costs, &sp, 10, &domain, &[&weights], &pi).coloring;
-    let stage2 = almost_strict(
+        multibalance_minmax_with_pi_ws(g, &costs, &sp, 10, &domain, &[&weights], &pi, &ws).coloring;
+    let stage2 = almost_strict_ws(
         g,
         &costs,
         &sp,
@@ -183,6 +184,7 @@ fn stage_outputs_are_consistent() {
         &weights,
         cfg.p,
         &cfg.shrink,
+        &ws,
     );
     assert!(stage1.is_total());
     assert!(stage2.is_total());

@@ -1,8 +1,8 @@
 //! Differential tests for the certified lower-bound engine
 //! (`mmb_core::lower_bounds`): soundness against the exact optimum and
 //! every partitioner, machine-checkable derivations, run-to-run
-//! determinism, tightness on recognized families, and the
-//! `Solver::solve_certified` threading.
+//! determinism, tightness on recognized families, and `certify` paired
+//! with a solved report.
 //!
 //! The optimality chain being certified, on every instance the suite
 //! touches:
@@ -197,7 +197,7 @@ fn structure_bounds_are_tight_on_recognized_families() {
 }
 
 #[test]
-fn solve_certified_threads_the_gap_into_the_report() {
+fn certify_pairs_the_gap_with_the_solved_cost() {
     // The inputs: four quick-corpus entries, plus uniform grids at
     // k = 16 — a size where no search exhausts, so the gap rests on the
     // polynomial certifiers alone.
@@ -219,13 +219,9 @@ fn solve_certified_threads_the_gap_into_the_report() {
         .chain(grids.iter().map(|(name, inst)| (name.as_str(), inst, 16)));
     for (name, inst, k) in inputs {
         let solver = Solver::for_instance(inst).classes(k).build().unwrap();
-        let plain = solver.solve();
-        assert!(plain.certified.is_none(), "plain solve must not certify");
-        let report = solver.solve_certified();
-        let gap = report
-            .certified
-            .as_ref()
-            .expect("certified solve carries a gap");
+        let report = solver.solve();
+        assert!(report.certified.is_none(), "plain solve must not certify");
+        let gap = certify(inst, k, report.max_boundary);
         assert_eq!(gap.upper, report.max_boundary, "{name}");
         assert!(gap.lower > 0.0, "{name}: trivial bound");
         assert!(gap.lower <= gap.upper + tol(gap.upper), "{name}");
@@ -238,12 +234,12 @@ fn solve_certified_threads_the_gap_into_the_report() {
             !gap.certifier.is_empty() && gap.certifier != "none",
             "{name}"
         );
-        // The free function agrees with the threaded result.
-        let direct = certify(inst, k, report.max_boundary);
-        assert_eq!(direct.lower.to_bits(), gap.lower.to_bits(), "{name}");
-        assert_eq!(direct.certifier, gap.certifier, "{name}");
+        // Certification is deterministic: a second call agrees bit for bit.
+        let again = certify(inst, k, report.max_boundary);
+        assert_eq!(again.lower.to_bits(), gap.lower.to_bits(), "{name}");
+        assert_eq!(again.certifier, gap.certifier, "{name}");
         // Certification must not perturb the solve itself.
-        assert_eq!(plain.coloring, report.coloring, "{name}");
+        assert_eq!(solver.solve().coloring, report.coloring, "{name}");
     }
 }
 
@@ -264,14 +260,15 @@ fn certified_gap_composes_with_custom_configs() {
         .classes(entry.k)
         .build()
         .unwrap()
-        .solve_certified();
+        .solve();
     let b = Solver::for_instance(inst)
         .classes(entry.k)
         .config(custom_cfg)
         .build()
         .unwrap()
-        .solve_certified();
-    let (ga, gb) = (a.certified.unwrap(), b.certified.unwrap());
+        .solve();
+    let ga = certify(inst, entry.k, a.max_boundary);
+    let gb = certify(inst, entry.k, b.max_boundary);
     assert_eq!(ga.lower.to_bits(), gb.lower.to_bits());
     assert_eq!(ga.certifier, gb.certifier);
     assert_eq!(a.coloring, b.coloring);
