@@ -6,7 +6,7 @@ use crate::lexer::{lex, Token, TokenKind};
 /// How a file participates in the build — decides which rules apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileClass {
-    /// Library source (`crates/*/src`, the root facade). Full rule set.
+    /// Library source (`crates/*/src`). Full rule set.
     Lib,
     /// Test, bench, example or experiment-harness code (`tests/`,
     /// `benches/`, `examples/`, and the `mmb-bench` harness crate).

@@ -183,11 +183,11 @@ pub fn e7(quick: bool) -> Table {
         &Multilevel::default(),
     ];
     for algo in algos {
-        let (_, s) = run_scored(algo, &inst, k).expect("valid instance");
+        let (chi, s) = run_scored(algo, &inst, k).expect("valid instance");
         t.row(vec![
             algo.name().into(),
             fmt(s.balance_factor),
-            if s.is_strict(inst.weights()) {
+            if chi.is_strictly_balanced(inst.weights()) {
                 "yes".into()
             } else {
                 "no".into()
@@ -277,7 +277,10 @@ pub fn e8(quick: bool) -> Table {
     // weakly balanced coloring — more boundary damage).
     let ablated = Solver::for_instance(&inst)
         .classes(k)
-        .skip_shrink(true)
+        .config(PipelineConfig {
+            skip_shrink: true,
+            ..PipelineConfig::default()
+        })
         .build()
         .expect("valid instance")
         .solve();

@@ -58,13 +58,6 @@ pub struct Score {
     pub millis: f64,
 }
 
-impl Score {
-    /// Whether eq. (1) holds up to fp tolerance.
-    pub fn is_strict(&self, weights: &[f64]) -> bool {
-        self.strict_defect <= 1e-9 * (1.0 + norm_inf(weights))
-    }
-}
-
 /// Score a coloring.
 pub fn score(g: &Graph, costs: &[f64], weights: &[f64], chi: &Coloring) -> Score {
     let bc = chi.boundary_costs(g, costs);

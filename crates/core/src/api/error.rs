@@ -129,14 +129,6 @@ pub enum SolveError {
     /// raw-vector entry points. The `Instance` constructor reports
     /// [`InstanceError`] directly.
     Instance(InstanceError),
-    /// The requested splitter family does not apply to this instance's
-    /// structure (e.g. `SplitterChoice::Tree` on a graph with cycles).
-    SplitterUnavailable {
-        /// the requested family
-        requested: &'static str,
-        /// the structure detection verdict that refused it
-        structure: &'static str,
-    },
     /// A retryable failure: injected by an armed
     /// [`failpoint`](crate::failpoint) schedule, or reported by a custom
     /// rung for a condition expected to clear on retry. The resilient
@@ -177,8 +169,6 @@ impl_error_display!(SolveError {
     SolveError::InvalidExponent { p } =>
         "splittability exponent p must be finite and at least 1, got {p}",
     SolveError::Instance(e) => "invalid instance: {e}",
-    SolveError::SplitterUnavailable { requested, structure } =>
-        "splitter family `{requested}` unavailable on a `{structure}` instance",
     SolveError::Transient { site } =>
         "transient failure at `{site}`; safe to retry",
     SolveError::Panicked { context, message } =>
@@ -250,14 +240,6 @@ mod tests {
         assert_eq!(
             e.to_string(),
             "invalid instance: costs must be finite and non-negative"
-        );
-        let e = SolveError::SplitterUnavailable {
-            requested: "tree",
-            structure: "arbitrary",
-        };
-        assert_eq!(
-            e.to_string(),
-            "splitter family `tree` unavailable on a `arbitrary` instance"
         );
         assert_eq!(SolveError::ZeroColors.to_string(), "k must be at least 1");
     }

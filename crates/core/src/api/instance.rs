@@ -13,9 +13,9 @@
 //! integer embedding a [`GridGraph`] carries, and [`Instance::new`]
 //! lazily runs structure detection ([`mmb_graph::recognize`]) the first
 //! time someone asks — which is how
-//! [`SplitterChoice::Auto`](crate::api::SplitterChoice) picks GridSplit
-//! for lattices, the DFS splitter for forests, prefix splitting for
-//! paths, and the BFS fallback for everything else.
+//! [`auto_splitter`](crate::api::auto_splitter) picks GridSplit for
+//! lattices, the DFS splitter for forests, prefix splitting for paths,
+//! and the BFS fallback for everything else.
 
 use std::sync::OnceLock;
 
@@ -82,9 +82,9 @@ impl Instance {
     }
 
     /// Validate and cache an instance over a [`GridGraph`], preserving its
-    /// integer embedding so `SplitterChoice::Auto` (and explicit
-    /// `SplitterChoice::Grid`) can run GridSplit on *any* grid subset —
-    /// including irregular ones structure detection would refuse.
+    /// integer embedding so [`auto_splitter`](crate::api::auto_splitter)
+    /// can run GridSplit on *any* grid subset — including irregular ones
+    /// structure detection would refuse.
     pub fn from_grid(
         grid: GridGraph,
         costs: Vec<f64>,

@@ -4,7 +4,7 @@
 //! This module is the front door of the library. The flow:
 //!
 //! ```
-//! use mmb_core::api::{Instance, Solver, SplitterChoice};
+//! use mmb_core::api::{Instance, Solver};
 //! use mmb_graph::gen::grid::GridGraph;
 //!
 //! // 1. Bundle and validate the inputs once.
@@ -15,11 +15,7 @@
 //!
 //! // 2. Build a solver: splitter auto-selected from the structure,
 //! //    constructed once, reusable across solves.
-//! let solver = Solver::for_instance(&inst)
-//!     .classes(8)
-//!     .p(2.0)
-//!     .splitter(SplitterChoice::Auto)
-//!     .build()?;
+//! let solver = Solver::for_instance(&inst).classes(8).p(2.0).build()?;
 //!
 //! // 3. Solve (as often as you like) and read the structured report.
 //! let report = solver.solve();
@@ -36,11 +32,10 @@ pub mod partitioner;
 pub mod report;
 pub mod solver;
 
-pub use crate::lower_bounds::CertifiedGap;
 pub use artifacts::{CacheLookup, CacheStats, SolverArtifacts, SolverCache};
 pub use delta::{AppliedDelta, InstanceDelta};
 pub use error::{validate_costs, validate_weights, InstanceError, SolveError};
 pub use instance::Instance;
 pub use partitioner::{Partitioner, Theorem4Pipeline};
 pub use report::{ClassRow, Report};
-pub use solver::{auto_splitter, DeltaSolve, Solver, SolverBuilder, SplitterChoice};
+pub use solver::{auto_splitter, DeltaSolve, Solver, SolverBuilder};

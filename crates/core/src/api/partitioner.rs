@@ -33,8 +33,8 @@ pub trait Partitioner: Sync {
 }
 
 /// The Theorem 4 pipeline as a [`Partitioner`]: builds a fresh
-/// [`Solver`] with [`SplitterChoice::Auto`](crate::api::SplitterChoice)
-/// per call.
+/// [`Solver`] with the [`auto_splitter`](crate::api::auto_splitter) per
+/// call.
 ///
 /// This is the uniform-iteration adapter for harness loops that sweep
 /// `k`; serve-heavy callers that fix `(instance, k)` should build a

@@ -10,7 +10,7 @@
 //! pipeline itself.
 //!
 //! ```
-//! use mmb_core::api::{Instance, Solver, SplitterChoice};
+//! use mmb_core::api::{Instance, Solver};
 //! use mmb_graph::gen::grid::GridGraph;
 //!
 //! let grid = GridGraph::lattice(&[8, 8]);
@@ -20,7 +20,6 @@
 //! let solver = Solver::for_instance(&inst)
 //!     .classes(4)
 //!     .p(2.0)
-//!     .splitter(SplitterChoice::Auto)
 //!     .build()
 //!     .unwrap();
 //! let report = solver.solve(); // reusable: call again without rebuilding
@@ -48,49 +47,14 @@ use crate::multibalance::multibalance_minmax_with_pi_ws;
 use crate::pi::splitting_cost_measure_within;
 use crate::pipeline::PipelineConfig;
 use crate::shrink::almost_strict_ws;
-use crate::strict::binpack2;
+use crate::strict::{assign_lightest, binpack2};
 
-/// Which splitter family drives the pipeline.
-///
-/// The lifetime `'i` bounds a [`SplitterChoice::Custom`] splitter; the
-/// other variants are `'static` descriptions.
-pub enum SplitterChoice<'i> {
-    /// Pick by the instance's structure: grid geometry → GridSplit
-    /// (Theorem 19), forest → smallest-subtree DFS, union of paths →
-    /// prefix splitting along the walk, anything else → the BFS fallback.
-    Auto,
-    /// GridSplit; requires grid geometry (given or detected), else
-    /// [`SolveError::SplitterUnavailable`].
-    Grid,
-    /// The forest splitter; requires an acyclic instance.
-    Tree,
-    /// Prefix splitting in vertex-id order (always available; quality
-    /// depends entirely on the order's locality).
-    Order,
-    /// The BFS engineering baseline (always available, no guarantee).
-    Bfs,
-    /// Bring your own [`Splitter`] (e.g. a
-    /// [`SeparatorSplitter`](mmb_splitters::separator::SeparatorSplitter)
-    /// or an instrumented
-    /// [`RecordingSplitter`](mmb_splitters::recording::RecordingSplitter)).
-    Custom(Box<dyn Splitter + 'i>),
-}
-
-impl std::fmt::Debug for SplitterChoice<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SplitterChoice::Auto => "Auto",
-            SplitterChoice::Grid => "Grid",
-            SplitterChoice::Tree => "Tree",
-            SplitterChoice::Order => "Order",
-            SplitterChoice::Bfs => "Bfs",
-            SplitterChoice::Custom(_) => "Custom(..)",
-        })
-    }
-}
-
-/// Construct the splitter [`SplitterChoice::Auto`] would pick for `inst`,
-/// together with the family label it matched.
+/// The splitter a [`SolverBuilder`] without
+/// [`splitter`](SolverBuilder::splitter) drives the pipeline with, picked
+/// by `inst`'s structure, together with the family label it matched:
+/// grid geometry (given or detected) → GridSplit (Theorem 19), forest →
+/// smallest-subtree DFS, union of paths → prefix splitting along the
+/// walk, anything else → the BFS fallback.
 ///
 /// Exposed so baselines (recursive bisection) and harness code can drive
 /// *their* algorithms with the same automatically selected splitter.
@@ -120,7 +84,7 @@ pub struct SolverBuilder<'i> {
     inst: &'i Instance,
     k: usize,
     cfg: PipelineConfig,
-    choice: SplitterChoice<'i>,
+    splitter: Option<Box<dyn Splitter + 'i>>,
     artifacts: Option<Arc<SolverArtifacts>>,
 }
 
@@ -139,21 +103,20 @@ impl<'i> SolverBuilder<'i> {
         self
     }
 
-    /// Skip the Proposition 11 stage (ablation switch, experiment E8).
-    pub fn skip_shrink(mut self, skip: bool) -> Self {
-        self.cfg.skip_shrink = skip;
-        self
-    }
-
     /// Replace the whole pipeline configuration at once.
     pub fn config(mut self, cfg: PipelineConfig) -> Self {
         self.cfg = cfg;
         self
     }
 
-    /// Splitter family (default [`SplitterChoice::Auto`]).
-    pub fn splitter(mut self, choice: SplitterChoice<'i>) -> Self {
-        self.choice = choice;
+    /// Drive the pipeline with the caller's splitter instead of
+    /// [`auto_splitter`]'s: `Box::new(OrderSplitter::by_id(g))`, a
+    /// [`SeparatorSplitter`](mmb_splitters::separator::SeparatorSplitter),
+    /// an instrumented
+    /// [`RecordingSplitter`](mmb_splitters::recording::RecordingSplitter),
+    /// or any other [`Splitter`]. No structure recognition runs then.
+    pub fn splitter(mut self, splitter: Box<dyn Splitter + 'i>) -> Self {
+        self.splitter = Some(splitter);
         self
     }
 
@@ -194,34 +157,9 @@ impl<'i> SolverBuilder<'i> {
         if let Some(a) = &warm {
             inst.seed_structure(a.structure().clone());
         }
-        let (splitter, family): (Box<dyn Splitter + 'i>, &'static str) = match self.choice {
-            SplitterChoice::Auto => auto_splitter(inst),
-            SplitterChoice::Grid => match inst.grid() {
-                Some(grid) => (Box::new(GridSplitter::new(grid, inst.costs())), "grid"),
-                None => {
-                    return Err(SolveError::SplitterUnavailable {
-                        requested: "grid",
-                        structure: inst.family(),
-                    })
-                }
-            },
-            SplitterChoice::Tree => {
-                // Eligibility is actual acyclicity, not the detected
-                // family label — an acyclic grid subset is a fine forest.
-                let g = inst.graph();
-                let (_, components) = g.components();
-                if g.num_edges() + components == g.num_vertices() {
-                    (Box::new(TreeSplitter::new(g)), "forest")
-                } else {
-                    return Err(SolveError::SplitterUnavailable {
-                        requested: "tree",
-                        structure: inst.family(),
-                    });
-                }
-            }
-            SplitterChoice::Order => (Box::new(OrderSplitter::by_id(inst.graph())), "order"),
-            SplitterChoice::Bfs => (Box::new(BfsSplitter::new(inst.graph())), "bfs"),
-            SplitterChoice::Custom(b) => (b, "custom"),
+        let (splitter, family) = match self.splitter {
+            Some(splitter) => (splitter, "custom"),
+            None => auto_splitter(inst),
         };
         let (pi, c_norm_p): (Arc<[f64]>, f64) = match &warm {
             Some(a) => (Arc::clone(a.pi()), a.c_norm_p()),
@@ -277,7 +215,7 @@ impl<'i> Solver<'i> {
             inst,
             k: 0,
             cfg: PipelineConfig::default(),
-            choice: SplitterChoice::Auto,
+            splitter: None,
             artifacts: None,
         }
     }
@@ -438,7 +376,7 @@ impl<'i> Solver<'i> {
     /// balance. The candidate then faces **the same validation gate the
     /// resilient ladder serves through** — total, strictly balanced, no
     /// worse than the LPT floor — and on rejection the whole thing falls
-    /// back to a cold [`SplitterChoice::Auto`] solve of the mutated
+    /// back to a cold [`auto_splitter`] solve of the mutated
     /// instance (`DeltaSolve::warm` reports which path produced the
     /// served coloring). Either way, the returned coloring passed the
     /// gate: warm serving never trades away the strict-balance contract.
@@ -477,19 +415,11 @@ impl<'i> Solver<'i> {
         // Appended (and any previously uncolored) vertices go to the
         // lightest class — the same greedy that makes the ladder's floor
         // rungs strict in any order.
+        let uncolored: Vec<u32> = (0..inst2.num_vertices() as u32)
+            .filter(|&v| chi.get(v).is_none())
+            .collect();
         let mut loads = chi.class_measures(weights);
-        for v in 0..inst2.num_vertices() as u32 {
-            if chi.get(v).is_none() {
-                let lightest = loads
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| a.total_cmp(b))
-                    .map(|(c, _)| c)
-                    .unwrap_or(0);
-                chi.set(v, lightest as u32);
-                loads[lightest] += weights[v as usize];
-            }
-        }
+        assign_lightest(&mut chi, &mut loads, uncolored, weights);
         // KL repair, scoped to the touched closure, then one full-graph
         // sweep: the regional pass soaks up the local damage cheaply, and
         // the global pass lets repairs propagate past the closure when a
@@ -541,7 +471,7 @@ impl<'i> Solver<'i> {
             });
         }
 
-        // Cold fallback: a fresh Auto-splitter solve of the mutated
+        // Cold fallback: a fresh `auto_splitter` solve of the mutated
         // instance, still gate-checked; if even the pipeline's output
         // fails the gate (it can exceed the LPT floor on adversarial
         // costs), serve the floor itself — it passes by construction.
@@ -586,11 +516,10 @@ impl<'i> Solver<'i> {
         self.splitter.name()
     }
 
-    /// The family label the splitter choice resolved to. For
-    /// [`SplitterChoice::Auto`] this is the detected structure — `"grid"`,
-    /// `"forest"`, `"path"`, or `"arbitrary"` (BFS fallback) — and for
-    /// explicit choices it names the choice (`"order"`, `"bfs"`,
-    /// `"custom"`, …).
+    /// The family label of the splitter: for [`auto_splitter`]'s pick the
+    /// detected structure — `"grid"`, `"forest"`, `"path"`, or
+    /// `"arbitrary"` (BFS fallback) — and `"custom"` for a caller's
+    /// [`SolverBuilder::splitter`].
     pub fn family(&self) -> &'static str {
         self.family
     }

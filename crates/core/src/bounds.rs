@@ -22,16 +22,6 @@ pub fn lemma9_b(sigma_p: f64, p: f64, k: usize, c_norm_p: f64) -> f64 {
     dual_exponent(p) * (k as f64).powf(-1.0 / p) * sigma_p * c_norm_p
 }
 
-/// The quantity `B′ = σ_p·(q·k^{−1/p}·‖c‖_p + Δ_c)` of eq. (10).
-pub fn b_prime(sigma_p: f64, p: f64, k: usize, c_norm_p: f64, delta_c: f64) -> f64 {
-    sigma_p * (dual_exponent(p) * (k as f64).powf(-1.0 / p) * c_norm_p + delta_c)
-}
-
-/// Lemma 40's lower bound: `b · k^{−1/p} · ‖c̃‖_p / φ_ℓ`.
-pub fn lemma40_lower(b: f64, p: f64, k: usize, c_norm_p: f64, local_fluctuation: f64) -> f64 {
-    b * (k as f64).powf(-1.0 / p) * c_norm_p / local_fluctuation.max(1.0)
-}
-
 /// Strict balance slack of Definition 1: `(1 − 1/k)·‖w‖_∞`.
 pub fn strict_slack(k: usize, w_max: f64) -> f64 {
     (1.0 - 1.0 / k as f64) * w_max
@@ -59,20 +49,9 @@ mod tests {
     }
 
     #[test]
-    fn b_prime_dominates_lemma9_b() {
-        assert!(b_prime(1.5, 2.0, 8, 5.0, 1.0) >= lemma9_b(1.5, 2.0, 8, 5.0));
-    }
-
-    #[test]
     fn strict_slack_values() {
         assert!(close(strict_slack(2, 4.0), 2.0));
         assert!(close(strict_slack(4, 4.0), 3.0));
         assert_eq!(strict_slack(1, 4.0), 0.0);
-    }
-
-    #[test]
-    fn lemma40_guards_fluctuation() {
-        // φ_ℓ < 1 must not inflate the lower bound.
-        assert!(close(lemma40_lower(1.0, 2.0, 4, 8.0, 0.5), 4.0));
     }
 }

@@ -22,7 +22,7 @@
 //! [`solve()`](api::Solver::solve) as often as you like:
 //!
 //! ```
-//! use mmb_core::api::{Instance, Solver, SplitterChoice};
+//! use mmb_core::api::{Instance, Solver};
 //! use mmb_graph::gen::grid::GridGraph;
 //!
 //! let grid = GridGraph::lattice(&[8, 8]);
@@ -102,35 +102,3 @@ pub mod shrink;
 pub mod strict;
 pub mod two_color;
 pub mod verify;
-
-pub use api::{
-    auto_splitter, AppliedDelta, CacheLookup, CacheStats, DeltaSolve, Instance, InstanceDelta,
-    InstanceError, Partitioner, Report, SolveError, Solver, SolverArtifacts, SolverBuilder,
-    SolverCache, SplitterChoice, Theorem4Pipeline,
-};
-pub use bnb::{BnbBound, BnbConfig, BnbPartitioner, BnbSolution};
-pub use coarsen::{CoarsenParams, CoarseningFront};
-pub use lower_bounds::{
-    best_lower_bound, certify, static_lower_bound, Certificate, CertifiedGap, LowerBound,
-    LowerBoundReport,
-};
-pub use pipeline::{CoarsenConfig, PipelineConfig};
-pub use refine::{refine, refine_region, KlParams};
-pub use resilient::{
-    DeadlineBudget, Resilience, ResilientConfig, ResilientSolver, RetryPolicy, RungOutcome,
-};
-
-/// Commonly used items for downstream crates.
-pub mod prelude {
-    pub use crate::api::{
-        DeltaSolve, Instance, InstanceDelta, InstanceError, Partitioner, Report, SolveError,
-        Solver, SolverCache, SplitterChoice,
-    };
-    pub use crate::bnb::{BnbConfig, BnbPartitioner};
-    pub use crate::bounds;
-    pub use crate::lower_bounds::{best_lower_bound, certify, CertifiedGap, LowerBound};
-    pub use crate::pi::splitting_cost_measure;
-    pub use crate::pipeline::PipelineConfig;
-    pub use crate::resilient::{DeadlineBudget, Resilience, ResilientSolver, RetryPolicy};
-    pub use crate::verify::{verify_decomposition, DecompositionReport};
-}

@@ -376,12 +376,6 @@ impl CertifiedGap {
             certifier: certifier.into(),
         }
     }
-
-    /// Whether the lower bound is non-trivial (positive, hence the ratio
-    /// finite for any finite achieved cost).
-    pub fn is_nontrivial(&self) -> bool {
-        self.lower > 0.0 || self.upper <= 0.0
-    }
 }
 
 /// Run the certifier stack and pair its best bound with an achieved
@@ -487,13 +481,10 @@ mod tests {
     fn certified_gap_ratio_conventions() {
         let g = CertifiedGap::new(2.0, 3.0, "volume");
         assert_eq!(g.ratio, 1.5);
-        assert!(g.is_nontrivial());
         let zero = CertifiedGap::new(0.0, 0.0, "none");
         assert_eq!(zero.ratio, 1.0);
-        assert!(zero.is_nontrivial());
         let trivial = CertifiedGap::new(0.0, 5.0, "none");
         assert!(trivial.ratio.is_infinite());
-        assert!(!trivial.is_nontrivial());
     }
 
     #[test]

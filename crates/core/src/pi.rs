@@ -56,21 +56,11 @@ pub fn splitting_cost_measure_within_ws<'ws>(
     pi
 }
 
-/// [`splitting_cost_measure_within`] on the whole vertex set with `σ = 1`.
-pub fn splitting_cost_measure(g: &Graph, costs: &[f64], p: f64) -> Vec<f64> {
-    splitting_cost_measure_within(g, costs, p, 1.0, &VertexSet::full(g.num_vertices()))
-}
-
-/// The *splitting cost* `π^{1/p}(W) = (π(W))^{1/p}` of a vertex set.
-pub fn splitting_cost(pi: &[f64], set: &VertexSet, p: f64) -> f64 {
-    mmb_graph::measure::set_sum(pi, set).powf(1.0 / p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmb_graph::graph::graph_from_edges;
-    use mmb_graph::measure::edge_norm_p;
+    use mmb_graph::measure::{edge_norm_p, set_sum};
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()))
@@ -82,7 +72,7 @@ mod tests {
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]);
         let costs = vec![1.0, 2.0, 3.0, 4.0];
         let p = 2.0;
-        let pi = splitting_cost_measure(&g, &costs, p);
+        let pi = splitting_cost_measure_within(&g, &costs, p, 1.0, &VertexSet::full(4));
         let total: f64 = pi.iter().sum();
         let norm = edge_norm_p(&g, &costs, &VertexSet::full(4), p);
         assert!(close(total, norm.powf(p)));
@@ -95,11 +85,11 @@ mod tests {
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
         let costs = vec![1.0, 5.0, 2.0, 0.5, 3.0];
         let p = 1.5;
-        let pi = splitting_cost_measure(&g, &costs, p);
+        let pi = splitting_cost_measure_within(&g, &costs, p, 1.0, &VertexSet::full(5));
         for mask in 1u32..32 {
             let w = VertexSet::from_iter(5, (0..5u32).filter(|v| mask >> v & 1 == 1));
             let lhs = edge_norm_p(&g, &costs, &w, p);
-            let rhs = splitting_cost(&pi, &w, p);
+            let rhs = set_sum(&pi, &w).powf(1.0 / p);
             assert!(lhs <= rhs + 1e-9, "violated for mask {mask}: {lhs} > {rhs}");
         }
     }

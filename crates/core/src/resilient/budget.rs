@@ -1,14 +1,13 @@
 //! Deadline budgets and retry policy for the resilient ladder.
 //!
-//! A [`DeadlineBudget`] is split across rungs by *shares*: the certified
-//! rung may spend `certified_share` of the total, the pipeline rung
-//! `pipeline_share`, and whatever is left belongs to the cheap rungs
-//! (which are effectively instant). Shares are soft partitions of one
-//! hard wall: a rung's slice is always capped by the time actually
-//! remaining, and once the wall is crossed every remaining non-trivial
-//! rung is skipped — only the trivial floor rung, which is O(n log n)
-//! and panic-free, runs unconditionally. Overshoot is therefore bounded
-//! by the last rung's single-step latency, not by the ladder's length.
+//! A [`DeadlineBudget`] caps the certified rung's search at
+//! `certified_share` of the total; every other rung runs until it
+//! finishes. The share is a soft partition of one hard wall: the slice
+//! is always capped by the time actually remaining, and once the wall
+//! is crossed every remaining non-trivial rung is skipped — only the
+//! trivial floor rung, which is O(n log n) and panic-free, runs
+//! unconditionally. Overshoot is therefore bounded by the last rung's
+//! single-step latency, not by the ladder's length.
 
 use std::time::Duration;
 // lint: allow(nondeterminism) — import only; the one `Instant::now` call
@@ -24,8 +23,6 @@ pub struct DeadlineBudget {
     /// Fraction of `total` offered to the certified (branch-and-bound)
     /// rung as its `BnbConfig::time_budget`.
     pub certified_share: f64,
-    /// Fraction of `total` offered to the plain pipeline rung.
-    pub pipeline_share: f64,
 }
 
 impl Default for DeadlineBudget {
@@ -33,7 +30,6 @@ impl Default for DeadlineBudget {
         DeadlineBudget {
             total: None,
             certified_share: 0.5,
-            pipeline_share: 0.3,
         }
     }
 }
@@ -44,7 +40,7 @@ impl DeadlineBudget {
         Self::default()
     }
 
-    /// A hard wall-clock budget with the default share split.
+    /// A hard wall-clock budget with the default certified share.
     pub fn with_total(total: Duration) -> Self {
         DeadlineBudget {
             total: Some(total),

@@ -1,21 +1,17 @@
 //! The rungs of the degradation ladder and the validation gate every
 //! rung's output must pass before it is served.
 //!
-//! The two bottom rungs are implemented *here*, self-contained, rather
-//! than borrowed from `mmb-baselines`: that crate depends on `mmb-core`,
-//! so the ladder's floor cannot live there without a dependency cycle —
-//! and the floor must be dependency-free anyway, because it is the code
-//! path that still has to work when everything richer has failed. Both
-//! greedies assign each vertex to the currently lightest class, which
-//! yields strict balance (eq. (1)) *in any insertion order*: when the
-//! heaviest-loaded class received its last vertex it was the lightest, so
-//! `max − min ≤ ‖w‖_∞`, and averaging gives
-//! `max − avg ≤ (1 − 1/k)·(max − min) ≤ (1 − 1/k)·‖w‖_∞`.
+//! The two bottom rungs are [`assign_lightest`] in two vertex orders. It
+//! is strictly balanced (eq. (1)) in any order, needs no splitter,
+//! workspace or recursion, and is pure arithmetic over validated inputs:
+//! the code path that still has to work when everything richer has
+//! failed.
 
 use mmb_graph::Coloring;
 
 use crate::api::instance::Instance;
 use crate::resilient::record::RejectReason;
+use crate::strict::{assign_lightest, greedy_strict};
 
 /// The names of the built-in rungs, in ladder order.
 pub(crate) const RUNG_CERTIFIED: &str = "certified";
@@ -23,40 +19,12 @@ pub(crate) const RUNG_PIPELINE: &str = "pipeline";
 pub(crate) const RUNG_FIRST_FIT: &str = "first-fit";
 pub(crate) const RUNG_TRIVIAL: &str = "trivial";
 
-/// Greedy-lightest in a caller-chosen vertex order. Strictly balanced in
-/// any order (see the module docs); first-wins tie-break by class index
-/// via `total_cmp`, so the result is deterministic bit for bit.
-fn greedy_lightest(inst: &Instance, k: usize, order: &[u32]) -> Coloring {
-    let weights = inst.weights();
-    let mut loads = vec![0.0f64; k];
-    let mut chi = Coloring::new_uncolored(inst.num_vertices(), k);
-    for &v in order {
-        let lightest = loads
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.total_cmp(b))
-            .map(|(c, _)| c)
-            .unwrap_or(0);
-        loads[lightest] += weights[v as usize];
-        chi.set(v, lightest as u32);
-    }
-    chi
-}
-
 /// The trivial floor rung: LPT (longest-processing-time) greedy —
 /// vertices in descending weight order, each into the lightest class.
-/// Pure arithmetic over validated inputs, no splitter, no workspace, no
-/// recursion: panic-free by construction, and the quality floor every
-/// higher rung is validated against.
+/// Panic-free by construction, and the quality floor every higher rung
+/// is validated against.
 pub(crate) fn lpt_coloring(inst: &Instance, k: usize) -> Coloring {
-    let weights = inst.weights();
-    let mut order: Vec<u32> = (0..inst.num_vertices() as u32).collect();
-    order.sort_by(|&a, &b| {
-        weights[b as usize]
-            .total_cmp(&weights[a as usize])
-            .then(a.cmp(&b))
-    });
-    greedy_lightest(inst, k, &order)
+    greedy_strict(inst.num_vertices(), k, inst.domain(), inst.weights())
 }
 
 /// The cheap strict baseline rung: first-fit greedy in vertex-id order.
@@ -64,8 +32,10 @@ pub(crate) fn lpt_coloring(inst: &Instance, k: usize) -> Coloring {
 /// the instance's vertex numbering carries (row-major grids, path walks),
 /// so its boundary cost is usually far below the weight-sorted LPT's.
 pub(crate) fn first_fit_coloring(inst: &Instance, k: usize) -> Coloring {
-    let order: Vec<u32> = (0..inst.num_vertices() as u32).collect();
-    greedy_lightest(inst, k, &order)
+    let n = inst.num_vertices();
+    let mut chi = Coloring::new_uncolored(n, k);
+    assign_lightest(&mut chi, &mut vec![0.0; k], 0..n as u32, inst.weights());
+    chi
 }
 
 /// The validation gate: a rung's coloring is servable iff it is total,

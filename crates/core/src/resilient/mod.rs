@@ -65,7 +65,7 @@ use crate::api::error::SolveError;
 use crate::api::instance::Instance;
 use crate::api::partitioner::Partitioner;
 use crate::api::report::Report;
-use crate::api::solver::{auto_splitter, Solver, SplitterChoice};
+use crate::api::solver::{auto_splitter, Solver};
 use crate::bnb::BnbConfig;
 use crate::failpoint::{self, FailpointSplitter};
 use crate::pipeline::PipelineConfig;
@@ -154,12 +154,6 @@ impl<'i> ResilientBuilder<'i> {
         self
     }
 
-    /// Replace the whole ladder configuration at once.
-    pub fn resilient_config(mut self, cfg: ResilientConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
     /// Register a custom rung between the pipeline and the greedy floor
     /// rungs. Custom rungs run under the same isolation, retry and
     /// validation machinery as the built-in ones — a panicking or
@@ -242,9 +236,7 @@ impl<'i> ResilientSolver<'i> {
         Solver::for_instance(self.inst)
             .classes(self.k)
             .config(self.pipeline.clone())
-            .splitter(SplitterChoice::Custom(Box::new(FailpointSplitter::new(
-                splitter,
-            ))))
+            .splitter(Box::new(FailpointSplitter::new(splitter)))
             .build()
     }
 

@@ -75,9 +75,30 @@ where
     (classes, buffer)
 }
 
-/// Largest-first greedy assignment: vertices in decreasing weight order,
-/// each to the currently lightest class. Satisfies eq. (1) for every input
-/// (the pairwise class gap never exceeds `‖w‖∞`).
+/// Greedy-lightest: each vertex of `order`, in turn, goes to the class
+/// with the smallest entry of `loads` (ties to the lowest index), whose
+/// load then grows by the vertex's weight. Started from equal loads it
+/// satisfies eq. (1) in any order: when the heaviest class received its
+/// last vertex it was the lightest, so `max − min ≤ ‖w‖∞`, and averaging
+/// gives `max − avg ≤ (1 − 1/k)·‖w‖∞`.
+pub fn assign_lightest(
+    chi: &mut Coloring,
+    loads: &mut [f64],
+    order: impl IntoIterator<Item = VertexId>,
+    weights: &[f64],
+) {
+    for v in order {
+        let i = (0..loads.len())
+            .min_by(|&a, &b| loads[a].total_cmp(&loads[b]))
+            .expect("k >= 1 classes");
+        chi.set(v, i as u32);
+        loads[i] += weights[v as usize];
+    }
+}
+
+/// Largest-first greedy assignment: [`assign_lightest`] over the domain
+/// in decreasing weight order (ties by id). Satisfies eq. (1) for every
+/// input.
 pub fn greedy_strict(n: usize, k: usize, domain: &VertexSet, weights: &[f64]) -> Coloring {
     let mut order: Vec<VertexId> = domain.iter().collect();
     // `total_cmp`, not `partial_cmp(..).unwrap()`: instance validation
@@ -91,14 +112,7 @@ pub fn greedy_strict(n: usize, k: usize, domain: &VertexSet, weights: &[f64]) ->
             .then(a.cmp(&b))
     });
     let mut out = Coloring::new_uncolored(n, k);
-    let mut load = vec![0.0f64; k];
-    for v in order {
-        let i = (0..k)
-            .min_by(|&a, &b| load[a].total_cmp(&load[b]))
-            .expect("k >= 1 classes");
-        out.set(v, i as u32);
-        load[i] += weights[v as usize];
-    }
+    assign_lightest(&mut out, &mut vec![0.0; k], order, weights);
     out
 }
 

@@ -188,11 +188,6 @@ impl Coloring {
         out
     }
 
-    /// Maximum class measure `‖Φχ⁻¹‖_∞`.
-    pub fn max_class_measure(&self, phi: &[f64]) -> f64 {
-        norm_inf(&self.class_measures(phi))
-    }
-
     /// Boundary-cost vector `∂χ⁻¹ : [k] → R+`.
     ///
     /// Each edge whose endpoints are colored differently (or exactly one of

@@ -158,24 +158,6 @@ impl Graph {
             .unwrap_or(0)
     }
 
-    /// The other endpoint of edge `e` as seen from `v`.
-    ///
-    /// # Panics
-    /// Panics in debug builds if `v` is not an endpoint of `e`.
-    #[inline]
-    pub fn other_endpoint(&self, e: EdgeId, v: VertexId) -> VertexId {
-        let (a, b) = self.endpoints(e);
-        debug_assert!(
-            v == a || v == b,
-            "vertex {v} is not an endpoint of edge {e}"
-        );
-        if v == a {
-            b
-        } else {
-            a
-        }
-    }
-
     /// Whether an edge joins `u` and `v`: binary search of the shorter
     /// adjacency list (`O(log Δ)`; adjacency is sorted by neighbor id).
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
@@ -243,11 +225,6 @@ impl GraphBuilder {
     /// Number of vertices configured so far.
     pub fn num_vertices(&self) -> usize {
         self.n
-    }
-
-    /// Ensure at least `n` vertices exist.
-    pub fn grow_to(&mut self, n: usize) {
-        self.n = self.n.max(n);
     }
 
     /// Add an undirected edge `{u, v}`. Nothing is returned: edge ids are
@@ -499,13 +476,6 @@ mod tests {
         assert_eq!(g.components().1, 4);
         // The all-isolated graph has max degree 0.
         assert_eq!(GraphBuilder::new(3).build().max_degree(), 0);
-    }
-
-    #[test]
-    fn other_endpoint_works() {
-        let g = graph_from_edges(3, &[(0, 2)]);
-        assert_eq!(g.other_endpoint(0, 0), 2);
-        assert_eq!(g.other_endpoint(0, 2), 0);
     }
 
     #[test]

@@ -56,17 +56,3 @@ pub use fingerprint::Fingerprint;
 pub use graph::{csr_capacity_check, EdgeId, Graph, GraphBuilder, GraphCapacityError, VertexId};
 pub use vertex_set::VertexSet;
 pub use workspace::{ScratchMeasure, Workspace, WorkspaceStats};
-
-/// Commonly used items, re-exported for glob import in downstream crates.
-pub mod prelude {
-    pub use crate::coloring::Coloring;
-    pub use crate::cut::{boundary_cost, boundary_cost_within, cut_edges};
-    pub use crate::fingerprint::Fingerprint;
-    pub use crate::gen::grid::GridGraph;
-    pub use crate::graph::{EdgeId, Graph, GraphBuilder, VertexId};
-    pub use crate::measure::{self, Measure};
-    pub use crate::recognize::{recognize, Structure};
-    pub use crate::stats::InstanceStats;
-    pub use crate::vertex_set::VertexSet;
-    pub use crate::workspace::{ScratchMeasure, Workspace, WorkspaceStats};
-}

@@ -146,15 +146,6 @@ pub fn total_edge_norm_p(g: &Graph, costs: &[f64], p: f64) -> f64 {
     norm_p(costs, p)
 }
 
-/// Restriction `Φ|_U` materialized as a dense measure (0 outside `U`).
-pub fn restrict(phi: &[f64], set: &VertexSet) -> Measure {
-    let mut out = vec![0.0; phi.len()];
-    for v in set.iter() {
-        out[v as usize] = phi[v as usize];
-    }
-    out
-}
-
 /// Pointwise sum `f + g` of two dense measures of equal length.
 pub fn add(f: &[f64], g: &[f64]) -> Measure {
     assert_eq!(f.len(), g.len(), "measure length mismatch");
@@ -285,8 +276,6 @@ mod tests {
     #[test]
     fn restrict_and_add() {
         let phi = vec![1.0, 2.0, 3.0];
-        let s = VertexSet::from_iter(3, [2u32]);
-        assert_eq!(restrict(&phi, &s), vec![0.0, 0.0, 3.0]);
         assert_eq!(add(&phi, &[1.0, 1.0, 1.0]), vec![2.0, 3.0, 4.0]);
     }
 

@@ -78,11 +78,6 @@ impl InstanceStats {
             max_cost,
         }
     }
-
-    /// Heuristic well-behavedness check against explicit thresholds.
-    pub fn is_well_behaved(&self, max_degree: usize, max_local_fluctuation: f64) -> bool {
-        self.max_degree <= max_degree && self.local_fluctuation <= max_local_fluctuation
-    }
 }
 
 #[cfg(test)]
@@ -106,8 +101,6 @@ mod tests {
         assert!(close(s.fluctuation, 4.0));
         // Vertex 2 has τ = 6 and cheapest incident edge 2 → local ratio 3.
         assert!(close(s.local_fluctuation, 3.0));
-        assert!(s.is_well_behaved(2, 3.0));
-        assert!(!s.is_well_behaved(1, 3.0));
     }
 
     #[test]

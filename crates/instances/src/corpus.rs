@@ -471,7 +471,7 @@ mod tests {
             // The engine must exhaust them under its default
             // certification budget (proving the optimum).
             let cert = mmb_core::lower_bounds::LowerBound::certify(
-                &mmb_core::BnbBound::default(),
+                &mmb_core::bnb::BnbBound::default(),
                 &e.instance,
                 e.k,
             );

@@ -21,9 +21,9 @@
 //!   an `(s/3)×(s/3)` box — too small to be balanced. Hence `|S| ≥ s/3`
 //!   and, with `τ ≥ 2`, cost ≥ `2s/3`.
 
-use mmb_graph::measure::{norm_1, set_sum};
+use mmb_graph::measure::norm_1;
 use mmb_graph::union::{disjoint_copies, replicate_measure, DisjointUnion};
-use mmb_graph::{Coloring, Graph, VertexSet};
+use mmb_graph::{Coloring, Graph};
 use rayon::prelude::*;
 
 /// Exact minimum cost (w.r.t. `τ(v) = c(δ(v))`) of a `w`-balanced
@@ -196,20 +196,6 @@ impl TightInstance {
             self.is_roughly_balanced(chi),
         )
     }
-}
-
-/// Verify a separator set `S` is a valid balanced separation witness on a
-/// small graph (testing aid).
-pub fn is_balanced_separator(g: &Graph, weights: &[f64], sep: &VertexSet) -> bool {
-    let n = g.num_vertices();
-    let mask: u32 = sep.iter().fold(0, |m, v| m | 1 << v);
-    let _ = n;
-    separable_with(g, weights, mask, norm_1(weights))
-}
-
-/// Total `τ`-cost of a separator set.
-pub fn separator_tau_cost(g: &Graph, costs: &[f64], sep: &VertexSet) -> f64 {
-    set_sum(&mmb_graph::measure::cost_degree_measure(g, costs), sep)
 }
 
 #[cfg(test)]

@@ -47,20 +47,6 @@ pub fn check_split(
     }
 }
 
-/// Assert the contract (used in `debug_assert!` positions).
-#[track_caller]
-pub fn assert_split(w_set: &VertexSet, u_set: &VertexSet, weights: &[f64], target: f64) {
-    let r = check_split(w_set, u_set, weights, target);
-    assert!(
-        r.holds(),
-        "splitting contract violated: got {} target {} slack {} subset_ok {}",
-        r.got,
-        r.target,
-        r.slack,
-        r.subset_ok
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

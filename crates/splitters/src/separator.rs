@@ -474,20 +474,6 @@ impl<P: SeparatorProvider> Splitter for SeparatorSplitter<'_, P> {
     }
 }
 
-/// Total vertex cost `τ(S) = Σ_{s∈S} c(δ(s) ∩ E(W))` of a separator inside
-/// `G[W]` — the cost notion of Definition 34/35.
-pub fn separator_cost(g: &Graph, costs: &[f64], w_set: &VertexSet, sep: &[VertexId]) -> f64 {
-    sep.iter()
-        .map(|&v| {
-            g.neighbors(v)
-                .iter()
-                .filter(|&&(nb, _)| w_set.contains(nb))
-                .map(|&(_, e)| costs[e as usize])
-                .sum::<f64>()
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,14 +593,5 @@ mod tests {
         let cut = boundary_cost_within(&grid.graph, &costs, &w, &u);
         // Slab-based cuts should be O(side) on a square grid.
         assert!(cut <= 4.0 * 12.0, "slab cut {cut} too expensive");
-    }
-
-    #[test]
-    fn separator_cost_helper() {
-        let g = complete_binary_tree(3);
-        let costs = vec![2.0; g.num_edges()];
-        let w = VertexSet::full(g.num_vertices());
-        // Root has degree 2 inside W.
-        assert_eq!(separator_cost(&g, &costs, &w, &[0]), 4.0);
     }
 }

@@ -14,7 +14,7 @@
 use mmb_baselines::greedy::Lpt;
 use mmb_baselines::recursive_bisection::RecursiveBisection;
 use mmb_core::api::{Instance, Partitioner, Theorem4Pipeline};
-use mmb_core::prelude::verify_decomposition;
+use mmb_core::verify::verify_decomposition;
 use mmb_instances::climate::{climate, ClimateParams};
 
 fn main() {

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use mmb_core::api::{Instance, Solver, SplitterChoice};
+use mmb_core::api::{Instance, Solver};
 use mmb_graph::gen::grid::GridGraph;
 
 fn main() {
@@ -25,7 +25,6 @@ fn main() {
     let solver = Solver::for_instance(&inst)
         .classes(8)
         .p(2.0)
-        .splitter(SplitterChoice::Auto)
         .build()
         .expect("valid configuration");
     println!(

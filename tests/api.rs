@@ -1,28 +1,30 @@
 //! Integration tests of the `Instance`/`Solver` API.
 //!
 //! Covers the redesign's contract points:
-//! * an explicit splitter passed as `SplitterChoice::Custom` and the
-//!   `Auto` choice produce *identical* colorings on random instances
+//! * a caller's splitter passed to `SolverBuilder::splitter` and the
+//!   auto-selected one produce *identical* colorings on random instances
 //!   (property test);
-//! * `SplitterChoice::Auto` picks the expected family on grid / tree /
-//!   path / arbitrary inputs;
+//! * `auto_splitter` picks the expected family on grid / tree / path /
+//!   arbitrary inputs;
 //! * a built `Solver` reuses its constructed splitter across `solve()`
 //!   calls (constructions counted, calls recorded);
-//! * `Box<dyn Splitter>` / `Arc<dyn Splitter>` work end to end as
-//!   `SplitterChoice::Custom` (trait-object story);
+//! * `Box<dyn Splitter>` / `Arc<dyn Splitter>` work end to end as a
+//!   caller's splitter (trait-object story);
 //! * builder/validation errors surface as typed `SolveError`s;
 //! * the pooled scratch workspace leaves no trace between solves.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use mmb_core::api::{Instance, SolveError, Solver, SplitterChoice};
+use mmb_core::api::{Instance, SolveError, Solver};
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::gen::misc::path;
 use mmb_graph::gen::tree::random_tree;
 use mmb_graph::{VertexId, VertexSet, Workspace};
 use mmb_service::{Request, Service, ServiceConfig};
+use mmb_splitters::bfs::BfsSplitter;
 use mmb_splitters::grid::GridSplitter;
+use mmb_splitters::order::OrderSplitter;
 use mmb_splitters::recording::RecordingSplitter;
 use mmb_splitters::tree::TreeSplitter;
 use mmb_splitters::Splitter;
@@ -52,8 +54,8 @@ fn solve_request(inst: &Instance) -> Request {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    // An explicit GridSplitter handed in as `SplitterChoice::Custom` and
-    // the `Auto` choice produce the *same coloring*, bit for bit — and so
+    // An explicit GridSplitter handed to `SolverBuilder::splitter` and the
+    // auto-selected one produce the *same coloring*, bit for bit — and so
     // does a `Service::serve` batch at every thread count of the parallel
     // shim.
     #[test]
@@ -69,7 +71,7 @@ proptest! {
         let inst = Instance::from_grid(grid.clone(), costs, weights).unwrap();
         let explicit = Solver::for_instance(&inst)
             .classes(k)
-            .splitter(SplitterChoice::Custom(Box::new(&sp)))
+            .splitter(Box::new(&sp))
             .build()
             .unwrap()
             .solve();
@@ -102,7 +104,7 @@ proptest! {
         let sp = TreeSplitter::new(&g);
         let explicit = Solver::for_instance(&inst)
             .classes(k)
-            .splitter(SplitterChoice::Custom(Box::new(&sp)))
+            .splitter(Box::new(&sp))
             .build()
             .unwrap()
             .solve();
@@ -213,7 +215,7 @@ fn built_solver_reuses_its_splitter_across_solves() {
     let inst = Instance::from_grid(grid.clone(), costs.clone(), weights.clone()).unwrap();
     let solver = Solver::for_instance(&inst)
         .classes(6)
-        .splitter(SplitterChoice::Custom(Box::new(&rec)))
+        .splitter(Box::new(&rec))
         .build()
         .unwrap();
 
@@ -243,7 +245,7 @@ fn boxed_and_arc_splitters_run_as_custom() {
     let solve = |sp: Box<dyn Splitter + '_>| {
         Solver::for_instance(&inst)
             .classes(4)
-            .splitter(SplitterChoice::Custom(sp))
+            .splitter(sp)
             .build()
             .unwrap()
             .solve()
@@ -276,37 +278,10 @@ fn builder_errors_are_typed() {
         Solver::for_instance(&inst).build().unwrap_err(),
         SolveError::ZeroColors
     );
-    // Tree splitter on a cyclic instance.
-    assert_eq!(
-        Solver::for_instance(&inst)
-            .classes(2)
-            .splitter(SplitterChoice::Tree)
-            .build()
-            .unwrap_err(),
-        SolveError::SplitterUnavailable {
-            requested: "tree",
-            structure: "grid"
-        }
-    );
-    // Grid splitter without geometry.
-    let tree = random_tree(20, 3, 1);
-    let m = tree.num_edges();
-    let tree_inst = Instance::new(tree, vec![1.0; m], vec![1.0; 20]).unwrap();
-    assert_eq!(
-        Solver::for_instance(&tree_inst)
-            .classes(2)
-            .splitter(SplitterChoice::Grid)
-            .build()
-            .unwrap_err(),
-        SolveError::SplitterUnavailable {
-            requested: "grid",
-            structure: "forest"
-        }
-    );
     // Invalid splittability exponent is a typed error, not a panic.
     for bad_p in [0.5, f64::NAN, f64::INFINITY] {
         assert!(matches!(
-            Solver::for_instance(&tree_inst)
+            Solver::for_instance(&inst)
                 .classes(2)
                 .p(bad_p)
                 .build()
@@ -317,46 +292,33 @@ fn builder_errors_are_typed() {
 }
 
 #[test]
-fn tree_choice_works_on_acyclic_grid_hosted_instances() {
-    // A straight line of lattice points is a grid *and* a forest; the Tree
-    // choice must go by actual acyclicity, not the "grid" family label.
-    let pts: Vec<Vec<i64>> = (0..12).map(|x| vec![x, 0]).collect();
-    let line = GridGraph::from_points(2, pts);
-    let n = line.graph.num_vertices();
-    let m = line.graph.num_edges();
-    let inst = Instance::from_grid(line, vec![1.0; m], vec![1.0; n]).unwrap();
-    assert_eq!(inst.family(), "grid");
-    let solver = Solver::for_instance(&inst)
-        .classes(3)
-        .splitter(SplitterChoice::Tree)
-        .build()
-        .unwrap();
-    assert_eq!(solver.splitter_name(), "tree");
-    assert!(solver.solve().is_strictly_balanced());
-}
-
-#[test]
 fn explicit_choices_and_auto_agree_where_applicable() {
-    // On a path instance, Auto picks the walk order; the generic
-    // Order/Bfs choices still deliver strictness.
+    // On a path instance, auto selection picks the walk order; the
+    // generic order and BFS splitters still deliver strictness.
     let g = path(30);
-    let inst = Instance::new(g, vec![1.0; 29], vec![1.0; 30]).unwrap();
-    for choice in [
-        SplitterChoice::Auto,
-        SplitterChoice::Order,
-        SplitterChoice::Bfs,
-    ] {
+    let inst = Instance::new(g.clone(), vec![1.0; 29], vec![1.0; 30]).unwrap();
+    assert!(Solver::for_instance(&inst)
+        .classes(3)
+        .build()
+        .unwrap()
+        .solve()
+        .is_strictly_balanced());
+    let caller: [Box<dyn Splitter + '_>; 2] = [
+        Box::new(OrderSplitter::by_id(&g)),
+        Box::new(BfsSplitter::new(&g)),
+    ];
+    for splitter in caller {
         let solver = Solver::for_instance(&inst)
             .classes(3)
-            .splitter(choice)
+            .splitter(splitter)
             .build()
             .unwrap();
         assert!(solver.solve().is_strictly_balanced());
     }
-    // Tree choice also applies (a path is a forest).
+    // The tree splitter also applies (a path is a forest).
     let solver = Solver::for_instance(&inst)
         .classes(3)
-        .splitter(SplitterChoice::Tree)
+        .splitter(Box::new(TreeSplitter::new(&g)))
         .build()
         .unwrap();
     assert_eq!(solver.splitter_name(), "tree");
@@ -597,14 +559,13 @@ fn path_positions_used_by_auto_follow_the_walk() {
 }
 
 /// PR-2-style construction accounting, extended to recognition: explicit
-/// splitter choices must not pay the `recognize()` scan at all — the
+/// caller's splitter must not pay the `recognize()` scan at all — the
 /// whole point of caching a recognition verdict in `SolverArtifacts` is
 /// that construction phases are separable and individually skippable.
 #[test]
 fn explicit_splitter_choices_skip_recognition() {
     use mmb_core::api::SolverCache;
     use mmb_graph::recognize::recognition_count;
-    use mmb_splitters::bfs::BfsSplitter;
 
     // Plain-graph instance (no `GridGraph` handle attached): recognition
     // is the only way to *detect* the lattice, so any recognition this
@@ -614,62 +575,25 @@ fn explicit_splitter_choices_skip_recognition() {
     let weights = det_weights(grid.graph.num_vertices(), 12);
     let inst = Instance::new(grid.graph.clone(), costs.clone(), weights.clone()).unwrap();
 
-    // Explicit Order / Bfs: zero recognitions across build + solve.
-    for (choice, label) in [
-        (SplitterChoice::Order, "order"),
-        (SplitterChoice::Bfs, "bfs"),
-    ] {
+    // A caller's splitter (order, BFS): zero recognitions across build +
+    // solve — recognizing anyway would be pure waste.
+    let caller: [(Box<dyn Splitter + '_>, &str); 2] = [
+        (Box::new(OrderSplitter::by_id(inst.graph())), "order"),
+        (Box::new(BfsSplitter::new(inst.graph())), "bfs"),
+    ];
+    for (splitter, label) in caller {
         let before = recognition_count();
         let solver = Solver::for_instance(&inst)
             .classes(4)
-            .splitter(choice)
+            .splitter(splitter)
             .build()
             .unwrap();
+        assert_eq!(solver.family(), "custom");
         assert!(solver.solve().is_strictly_balanced());
         assert_eq!(
             recognition_count(),
             before,
-            "explicit {label} splitter must skip recognition"
-        );
-    }
-
-    // Custom: the caller brought their own splitter; recognizing anyway
-    // would be pure waste.
-    {
-        let before = recognition_count();
-        let solver = Solver::for_instance(&inst)
-            .classes(4)
-            .splitter(SplitterChoice::Custom(Box::new(BfsSplitter::new(
-                inst.graph(),
-            ))))
-            .build()
-            .unwrap();
-        assert!(solver.solve().is_strictly_balanced());
-        assert_eq!(
-            recognition_count(),
-            before,
-            "custom splitter must skip recognition"
-        );
-    }
-
-    // Tree: eligibility is a plain acyclicity check (`components()`),
-    // not a full recognition scan.
-    {
-        let tree = random_tree(60, 3, 7);
-        let tw = det_weights(60, 13);
-        let tc = det_costs(tree.num_edges(), 14);
-        let tinst = Instance::new(tree, tc, tw).unwrap();
-        let before = recognition_count();
-        let solver = Solver::for_instance(&tinst)
-            .classes(3)
-            .splitter(SplitterChoice::Tree)
-            .build()
-            .unwrap();
-        assert!(solver.solve().is_strictly_balanced());
-        assert_eq!(
-            recognition_count(),
-            before,
-            "tree eligibility must not run recognition"
+            "caller's {label} splitter must skip recognition"
         );
     }
 

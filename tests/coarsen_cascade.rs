@@ -28,10 +28,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use mmb_bench::perf::large_budget;
+use mmb_core::api::Instance;
 use mmb_core::api::{Report, Solver};
 use mmb_core::pipeline::{CoarsenConfig, PipelineConfig};
 use mmb_core::strict::binpack2;
-use mmb_core::Instance;
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::io::{parse_metis, write_metis};
 use mmb_graph::{Coloring, VertexSet, Workspace};

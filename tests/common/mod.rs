@@ -1,6 +1,6 @@
 //! Helpers shared by the integration suites.
 
-use mmb_core::api::{Instance, Report, Solver, SplitterChoice};
+use mmb_core::api::{Instance, Report, Solver};
 use mmb_graph::Graph;
 use mmb_splitters::Splitter;
 
@@ -16,7 +16,7 @@ pub fn solve_with<S: Splitter + ?Sized>(
     let inst = Instance::new(g.clone(), costs.to_vec(), weights.to_vec()).expect("valid instance");
     let solver = Solver::for_instance(&inst)
         .classes(k)
-        .splitter(SplitterChoice::Custom(Box::new(splitter)))
+        .splitter(Box::new(splitter))
         .build()
         .expect("k >= 1");
     solver.solve()

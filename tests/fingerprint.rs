@@ -16,7 +16,8 @@
 use std::collections::BTreeMap;
 use std::io::BufReader;
 
-use mmb_core::prelude::*;
+use mmb_core::api::{InstanceDelta, Solver};
+use mmb_core::pipeline::PipelineConfig;
 use mmb_graph::fingerprint::structure_digest;
 use mmb_graph::io::{parse_metis_reader, write_metis};
 use mmb_graph::Fingerprint;

@@ -5,10 +5,12 @@
 mod common;
 
 use common::solve_with;
+use mmb_core::api::{Instance, Report, Solver};
 use mmb_core::multibalance::multibalance_minmax_with_pi_ws;
 use mmb_core::pi::splitting_cost_measure_within;
-use mmb_core::prelude::*;
+use mmb_core::pipeline::PipelineConfig;
 use mmb_core::shrink::almost_strict_ws;
+use mmb_core::verify::verify_decomposition;
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::gen::tree::{caterpillar, random_tree};
 use mmb_instances::weights::{WeightFamily, ALL_FAMILIES};
@@ -73,7 +75,7 @@ fn three_dimensional_grid() {
     let d = Solver::for_instance(&inst)
         .classes(9)
         .p(1.5)
-        .splitter(SplitterChoice::Custom(Box::new(&sp)))
+        .splitter(Box::new(&sp))
         .build()
         .unwrap()
         .solve();

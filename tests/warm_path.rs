@@ -11,8 +11,8 @@
 //!   bit-identical to one built cold (cache miss) — reusing recognition,
 //!   `π`, and `‖c‖_p` must not perturb a single decision downstream.
 
-use mmb_core::api::CacheLookup;
-use mmb_core::prelude::*;
+use mmb_core::api::{CacheLookup, InstanceDelta, Solver, SolverCache};
+use mmb_core::pipeline::PipelineConfig;
 use mmb_instances::corpus::Corpus;
 
 /// splitmix64 — seeded churn, replayable.
