@@ -1,14 +1,14 @@
 //! Cacheable solver-construction artifacts and the LRU cache over them.
 //!
-//! [`SolverBuilder::build`](crate::api::SolverBuilder::build) spends its
-//! time on three things that depend only on the instance's **graph,
-//! costs, and the exponent `p`** — never on the weights, `k`, or the run
-//! itself:
+//! A cold [`Solver`](crate::api::Solver) spends its construction time on
+//! three things that depend only on the instance's **graph, costs, and the
+//! exponent `p`** — never on the weights, `k`, or the run itself:
 //!
-//! 1. structure recognition (`recognize`, `O((n + m)·d)`),
+//! 1. structure recognition (`recognize`, `O((n + m)·d)`), when the
+//!    automatic splitter is first built,
 //! 2. the splitting-cost measure `π` (Definition 10, one pass over the
-//!    cost-degree profile),
-//! 3. `‖c‖_p` for the Theorem 5 bound in reports.
+//!    cost-degree profile), on the first direct solve,
+//! 3. `‖c‖_p` for the Theorem 5 bound in reports, at build time.
 //!
 //! [`SolverArtifacts`] snapshots all three. A [`SolverCache`] keyed by
 //! [`Fingerprint::artifact_key`] (structure ⊕ costs — weights excluded,
@@ -341,6 +341,36 @@ mod tests {
         assert_eq!(cache.get_or_compute(&a, 2.0).1, CacheLookup::Miss);
         assert_eq!(cache.get_or_compute(&a, 2.0).1, CacheLookup::Miss);
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn grid_verdicts_share_one_grid_graph() {
+        let grid_of = |s: &Structure| match s {
+            Structure::Grid(gg) => Arc::clone(gg),
+            other => panic!("a lattice recognized as {}", other.name()),
+        };
+        // A grid host's verdict is its own geometry.
+        let hosted = grid_instance(5, 1.0);
+        let (a, _) = SolverCache::new(1).get_or_compute(&hosted, 2.0);
+        let cached = grid_of(a.structure());
+        assert!(Arc::ptr_eq(&cached, &grid_of(hosted.structure())));
+        assert!(std::ptr::eq(hosted.grid().unwrap(), &*cached));
+
+        // A plain lattice's reconstructed geometry is shared by the
+        // instance's memo, the cache, and a warm build's fresh instance.
+        let lattice = GridGraph::lattice(&[6, 7]);
+        let (n, m) = (lattice.graph.num_vertices(), lattice.graph.num_edges());
+        let plain = Instance::new(lattice.graph.clone(), vec![1.0; m], vec![1.0; n]).unwrap();
+        let (a, _) = SolverCache::new(1).get_or_compute(&plain, 2.0);
+        let cached = grid_of(a.structure());
+        assert!(Arc::ptr_eq(&cached, &grid_of(plain.structure())));
+        let fresh = Instance::new(lattice.graph, vec![1.0; m], vec![2.0; n]).unwrap();
+        crate::api::Solver::for_instance(&fresh)
+            .classes(3)
+            .artifacts(a)
+            .build()
+            .unwrap();
+        assert!(std::ptr::eq(fresh.grid().unwrap(), &*cached));
     }
 
     #[test]

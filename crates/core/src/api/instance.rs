@@ -17,7 +17,7 @@
 //! lattices, the DFS splitter for forests, prefix splitting for paths,
 //! and the BFS fallback for everything else.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use mmb_graph::fingerprint::Fingerprint;
 use mmb_graph::gen::grid::GridGraph;
@@ -28,10 +28,11 @@ use mmb_graph::{Graph, VertexSet};
 
 use crate::api::error::{validate_costs, validate_weights, InstanceError};
 
-/// How the instance holds its graph: bare, or with grid geometry.
+/// How the instance holds its graph: bare, or with grid geometry (shared
+/// with the memoized [`Structure::Grid`] verdict, never copied).
 enum Host {
     Plain(Graph),
-    Grid(GridGraph),
+    Grid(Arc<GridGraph>),
 }
 
 /// A validated decomposition instance `(G, c, w[, extra measures])` with
@@ -57,12 +58,18 @@ pub struct Instance {
 }
 
 impl std::fmt::Debug for Instance {
+    /// Prints the family only if it is already known: formatting must not
+    /// run structure detection, which is `O((n + m)·d)`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let family = match &self.host {
+            Host::Grid(_) => "grid",
+            Host::Plain(_) => self.detected.get().map_or("undetected", Structure::name),
+        };
         f.debug_struct("Instance")
             .field("n", &self.graph().num_vertices())
             .field("m", &self.graph().num_edges())
             .field("extras", &self.extras.len())
-            .field("family", &self.family())
+            .field("family", &family)
             .finish()
     }
 }
@@ -91,7 +98,7 @@ impl Instance {
         weights: Vec<f64>,
     ) -> Result<Self, InstanceError> {
         validate(&grid.graph, &costs, &weights)?;
-        Ok(Self::build(Host::Grid(grid), costs, weights))
+        Ok(Self::build(Host::Grid(Arc::new(grid)), costs, weights))
     }
 
     fn build(host: Host, costs: Vec<f64>, weights: Vec<f64>) -> Self {
@@ -271,7 +278,7 @@ impl Instance {
     /// instances).
     pub fn structure(&self) -> &Structure {
         self.detected.get_or_init(|| match &self.host {
-            Host::Grid(gg) => Structure::Grid(Box::new(gg.clone())),
+            Host::Grid(gg) => Structure::Grid(Arc::clone(gg)),
             Host::Plain(g) => recognize(g),
         })
     }

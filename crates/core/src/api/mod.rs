@@ -14,7 +14,7 @@
 //! let inst = Instance::from_grid(grid, costs, weights)?;
 //!
 //! // 2. Build a solver: splitter auto-selected from the structure,
-//! //    constructed once, reusable across solves.
+//! //    constructed once by the first solve, reused by the rest.
 //! let solver = Solver::for_instance(&inst).classes(8).p(2.0).build()?;
 //!
 //! // 3. Solve (as often as you like) and read the structured report.

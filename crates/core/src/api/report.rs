@@ -46,7 +46,11 @@ pub struct Report {
     /// `max_boundary / bound` — must stay bounded across instance sweeps
     /// for the theorem to count as reproduced.
     pub bound_ratio: f64,
-    /// Name of the splitter that drove the pipeline.
+    /// Name of the splitter that ran the three pipeline stages. On the
+    /// coarsening cascade that is the coarse solver's own pick (e.g.
+    /// `"bfs"` on a contracted grid), even when the caller passed a
+    /// splitter: there the caller's splitter only backs the host
+    /// `BinPack2` pass.
     pub splitter: String,
     /// Number of classes.
     pub k: usize,

@@ -2,12 +2,14 @@
 //!
 //! [`Solver`] is the serve-heavy entry point of the library. Building one
 //! (via the [`SolverBuilder`]) fixes the instance, the class count `k`,
-//! the pipeline configuration, and — crucially — *constructs the splitter
-//! once*: GridSplit's cost scaling, the tree splitter's forest check, the
-//! path order, all happen at [`SolverBuilder::build`] time, together with
-//! the splitting-cost measure `π` (Definition 10) and `‖c‖_p`, so
-//! repeated [`Solver::solve`] calls on the same instance only pay for the
-//! pipeline itself.
+//! the pipeline configuration and `‖c‖_p`. The splitter — GridSplit's
+//! cost scaling, the tree splitter's forest check, the path order — and
+//! the splitting-cost measure `π` (Definition 10) are built *once, on
+//! first use*: the first direct solve builds both, and later
+//! [`Solver::solve`] calls on the same instance only pay for the pipeline
+//! itself. Above the coarsening target the three stages run on the coarse
+//! instance with its own splitter and `π`, so the host's are built only if
+//! the host `BinPack2` pass calls its splitter, and `π` never is.
 //!
 //! ```
 //! use mmb_core::api::{Instance, Solver};
@@ -27,11 +29,11 @@
 //! assert_eq!(solver.family(), "grid");
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mmb_graph::recognize::Structure;
 use mmb_graph::workspace::Workspace;
-use mmb_graph::Coloring;
+use mmb_graph::{Coloring, VertexSet};
 use mmb_splitters::bfs::BfsSplitter;
 use mmb_splitters::grid::GridSplitter;
 use mmb_splitters::order::OrderSplitter;
@@ -58,7 +60,9 @@ use crate::strict::{assign_lightest, binpack2};
 ///
 /// Exposed so baselines (recursive bisection) and harness code can drive
 /// *their* algorithms with the same automatically selected splitter.
-pub fn auto_splitter(inst: &Instance) -> (Box<dyn Splitter + '_>, &'static str) {
+/// Every pick is `Send`, so a [`Solver`] can build it on whichever thread
+/// first needs it.
+pub fn auto_splitter(inst: &Instance) -> (Box<dyn Splitter + Send + '_>, &'static str) {
     if let Some(grid) = inst.grid() {
         return (Box::new(GridSplitter::new(grid, inst.costs())), "grid");
     }
@@ -114,7 +118,9 @@ impl<'i> SolverBuilder<'i> {
     /// [`SeparatorSplitter`](mmb_splitters::separator::SeparatorSplitter),
     /// an instrumented
     /// [`RecordingSplitter`](mmb_splitters::recording::RecordingSplitter),
-    /// or any other [`Splitter`]. No structure recognition runs then.
+    /// or any other [`Splitter`]. No structure recognition runs then. Above
+    /// the coarsening target it backs only the host `BinPack2` pass; the
+    /// coarse solve picks its own.
     pub fn splitter(mut self, splitter: Box<dyn Splitter + 'i>) -> Self {
         self.splitter = Some(splitter);
         self
@@ -123,7 +129,7 @@ impl<'i> SolverBuilder<'i> {
     /// Warm-start construction from cached [`SolverArtifacts`] (usually
     /// handed out by a [`SolverCache`](crate::api::SolverCache)). If the
     /// snapshot [`matches`](SolverArtifacts::matches) this builder's
-    /// instance and `p` exactly, `build` reuses its recognition verdict,
+    /// instance and `p` exactly, the solver reuses its recognition verdict,
     /// `π`, and `‖c‖_p` instead of recomputing them; a non-matching
     /// snapshot is silently ignored and construction runs cold, so stale
     /// cache handoffs can never corrupt a solver.
@@ -132,9 +138,11 @@ impl<'i> SolverBuilder<'i> {
         self
     }
 
-    /// Resolve the splitter, precompute `π` and `‖c‖_p` (or reuse them
-    /// from [`SolverBuilder::artifacts`]), and return the reusable
-    /// [`Solver`].
+    /// Check `k` and `p`, compute `‖c‖_p` (or take it, the recognition
+    /// verdict and `π` from matching [`SolverBuilder::artifacts`]), and
+    /// return the reusable [`Solver`]. The splitter and, unless the
+    /// artifacts supplied it, `π` are left for the first solve that reads
+    /// them.
     pub fn build(self) -> Result<Solver<'i>, SolveError> {
         if self.k == 0 {
             return Err(SolveError::ZeroColors);
@@ -147,65 +155,69 @@ impl<'i> SolverBuilder<'i> {
         }
         let inst = self.inst;
         // Exact-match check before anything downstream consumes the
-        // snapshot; seeding the memoized structure slot must happen
-        // before the splitter resolution below triggers detection.
-        let warm = self
-            .artifacts
-            .as_ref()
-            .filter(|a| a.matches(inst, self.cfg.p))
-            .cloned();
-        if let Some(a) = &warm {
-            inst.seed_structure(a.structure().clone());
-        }
-        let (splitter, family) = match self.splitter {
-            Some(splitter) => (splitter, "custom"),
-            None => auto_splitter(inst),
+        // snapshot; the memoized structure slot is seeded before anything
+        // can ask for it and trigger detection.
+        let (pi, c_norm_p) = match self.artifacts.filter(|a| a.matches(inst, self.cfg.p)) {
+            Some(a) => {
+                inst.seed_structure(a.structure().clone());
+                (OnceLock::from(Arc::clone(a.pi())), a.c_norm_p())
+            }
+            None => (OnceLock::new(), inst.cost_norm(self.cfg.p)),
         };
-        let (pi, c_norm_p): (Arc<[f64]>, f64) = match &warm {
-            Some(a) => (Arc::clone(a.pi()), a.c_norm_p()),
-            None => (
-                splitting_cost_measure_within(
-                    inst.graph(),
-                    inst.costs(),
-                    self.cfg.p,
-                    1.0,
-                    inst.domain(),
-                )
-                .into(),
-                inst.cost_norm(self.cfg.p),
-            ),
+        let splitter = match self.splitter {
+            Some(splitter) => SplitterSlot::Caller(splitter),
+            None => SplitterSlot::Auto(OnceLock::new()),
         };
         Ok(Solver {
             inst,
             k: self.k,
             cfg: self.cfg,
             splitter,
-            family,
             pi,
             c_norm_p,
         })
     }
 }
 
+/// Where a [`Solver`]'s splitter comes from.
+enum SplitterSlot<'i> {
+    /// The caller's [`SolverBuilder::splitter`].
+    Caller(Box<dyn Splitter + 'i>),
+    /// [`auto_splitter`]'s pick and its family label, built on first use.
+    Auto(OnceLock<(Box<dyn Splitter + Send + 'i>, &'static str)>),
+}
+
 /// A built, reusable solver: the Theorem 4 pipeline bound to one
 /// [`Instance`], one `k`, one splitter.
 ///
-/// All per-instance work that does not depend on the run itself — input
-/// validation, splitter construction, the splitting-cost measure `π`,
-/// `‖c‖_p` — happened at build time; [`Solver::solve`] only runs the
-/// three pipeline stages. See the [module docs](self) for an example.
+/// Input validation and `‖c‖_p` happen at build time. The splitter and
+/// the splitting-cost measure `π` are built once, by the first solve that
+/// reads them (or by [`Solver::family`] / [`Solver::splitter_name`]), and
+/// reused by every later call. See the [module docs](self) for an example.
 pub struct Solver<'i> {
     inst: &'i Instance,
     k: usize,
     cfg: PipelineConfig,
-    splitter: Box<dyn Splitter + 'i>,
-    family: &'static str,
-    /// Splitting-cost measure `π` (Definition 10), precomputed per `p`;
+    splitter: SplitterSlot<'i>,
+    /// Splitting-cost measure `π` (Definition 10) for the configured `p`;
     /// refcounted so a [`SolverCache`](crate::api::SolverCache) snapshot
     /// and any number of warm solvers share one buffer.
-    pi: Arc<[f64]>,
+    pi: OnceLock<Arc<[f64]>>,
     /// `‖c‖_p` for the Theorem 5 bound in reports.
     c_norm_p: f64,
+}
+
+/// A [`Solver`]'s splitter behind a handle that builds it on the first
+/// `split` call: the cascade's host `BinPack2` pass usually makes none.
+struct OnFirstSplit<'s, 'i>(&'s Solver<'i>);
+
+impl Splitter for OnFirstSplit<'_, '_> {
+    fn split(&self, w_set: &VertexSet, weights: &[f64], target: f64) -> VertexSet {
+        self.0.resolved().0.split(w_set, weights, target)
+    }
+    fn name(&self) -> &str {
+        self.0.resolved().0.name()
+    }
 }
 
 impl<'i> Solver<'i> {
@@ -229,6 +241,18 @@ impl<'i> Solver<'i> {
         Workspace::with_local(|ws| self.solve_in(ws))
     }
 
+    /// The splitter and its family label, building [`auto_splitter`]'s
+    /// pick on first use.
+    fn resolved(&self) -> (&dyn Splitter, &'static str) {
+        match &self.splitter {
+            SplitterSlot::Caller(s) => (s.as_ref(), "custom"),
+            SplitterSlot::Auto(slot) => {
+                let (s, family) = slot.get_or_init(|| auto_splitter(self.inst));
+                (s.as_ref(), family)
+            }
+        }
+    }
+
     fn solve_in(&self, ws: &Workspace) -> Report {
         if let Some(cc) = self.cfg.coarsen {
             if self.inst.num_vertices() > cc.params.target_vertices {
@@ -241,18 +265,14 @@ impl<'i> Solver<'i> {
         let (g, costs, weights) = (inst.graph(), inst.costs(), inst.weights());
         let domain = inst.domain();
         let user = inst.balance_measures();
+        let splitter = self.resolved().0;
+        let pi = self.pi.get_or_init(|| {
+            splitting_cost_measure_within(g, costs, self.cfg.p, 1.0, domain).into()
+        });
 
         crate::failpoint::raise_any("pipeline::multibalance");
-        let stage1 = multibalance_minmax_with_pi_ws(
-            g,
-            costs,
-            &self.splitter,
-            self.k,
-            domain,
-            &user,
-            &self.pi,
-            ws,
-        );
+        let stage1 =
+            multibalance_minmax_with_pi_ws(g, costs, splitter, self.k, domain, &user, pi, ws);
         crate::failpoint::raise_any("pipeline::shrink");
         let stage2 = if self.cfg.skip_shrink {
             stage1.coloring
@@ -260,7 +280,7 @@ impl<'i> Solver<'i> {
             almost_strict_ws(
                 g,
                 costs,
-                &self.splitter,
+                splitter,
                 &stage1.coloring,
                 domain,
                 weights,
@@ -270,13 +290,14 @@ impl<'i> Solver<'i> {
             )
         };
         crate::failpoint::raise_any("pipeline::binpack");
-        let stage3 = binpack2(g, &self.splitter, &stage2, domain, weights);
+        let stage3 = binpack2(g, splitter, &stage2, domain, weights);
         debug_assert!(stage3.is_total(), "pipeline must color every vertex");
-        self.report(stage3)
+        self.report(splitter.name().to_owned(), stage3)
     }
 
-    /// The [`Report`] of a final coloring of this solver's instance.
-    fn report(&self, coloring: Coloring) -> Report {
+    /// The [`Report`] of a final coloring of this solver's instance,
+    /// naming the splitter that ran the three stages.
+    fn report(&self, splitter: String, coloring: Coloring) -> Report {
         let inst = self.inst;
         Report::assemble(
             inst.graph(),
@@ -287,7 +308,7 @@ impl<'i> Solver<'i> {
             self.c_norm_p,
             self.k,
             self.cfg.p,
-            self.splitter.name().to_owned(),
+            splitter,
             coloring,
         )
     }
@@ -298,7 +319,10 @@ impl<'i> Solver<'i> {
     /// per-level KL refinement, and restore strict balance on the host
     /// with a final `BinPack2` — projection preserves class weights
     /// exactly, but the host's smaller `‖w‖∞` tightens eq. (1), so the
-    /// rebalance is mandatory, not defensive. Returns `None` when no
+    /// rebalance is mandatory, not defensive. That pass reaches this
+    /// solver's splitter through [`OnFirstSplit`], so the host splitter
+    /// (and its recognition) is built only if `BinPack2` splits; the report
+    /// names the coarse solver's splitter. Returns `None` when no
     /// contraction was possible (edgeless host), in which case the caller
     /// falls through to the direct solve.
     fn solve_coarsened(
@@ -335,9 +359,9 @@ impl<'i> Solver<'i> {
                 crate::refine::refine(fg, fc, fw, chi, &cc.kl)
             })
             .expect("level triples are valid by construction");
-        let stage3 = binpack2(g, &self.splitter, &projected, inst.domain(), weights);
+        let stage3 = binpack2(g, &OnFirstSplit(self), &projected, inst.domain(), weights);
         debug_assert!(stage3.is_total(), "cascade must color every vertex");
-        Some(self.report(stage3))
+        Some(self.report(coarse.splitter, stage3))
     }
 
     /// [`Solver::solve`], then spend the budgets in `cfg` improving the
@@ -357,7 +381,7 @@ impl<'i> Solver<'i> {
             .expect("k ≥ 1 was checked at build time");
         if sol.max_boundary < report.max_boundary {
             // The search improved on the pipeline: report its coloring.
-            report = self.report(sol.coloring);
+            report = self.report(report.splitter, sol.coloring);
         }
         report.certified = Some(sol.gap);
         report
@@ -510,18 +534,18 @@ impl<'i> Solver<'i> {
         &self.cfg
     }
 
-    /// Name of the constructed splitter (e.g. `"gridsplit"`, `"tree"`,
-    /// `"order/path"`, `"bfs"`).
+    /// Name of this solver's splitter (e.g. `"gridsplit"`, `"tree"`,
+    /// `"order/path"`, `"bfs"`); builds it if no solve has yet.
     pub fn splitter_name(&self) -> &str {
-        self.splitter.name()
+        self.resolved().0.name()
     }
 
     /// The family label of the splitter: for [`auto_splitter`]'s pick the
     /// detected structure — `"grid"`, `"forest"`, `"path"`, or
-    /// `"arbitrary"` (BFS fallback) — and `"custom"` for a caller's
-    /// [`SolverBuilder::splitter`].
+    /// `"arbitrary"` (BFS fallback), building the pick if no solve has
+    /// yet — and `"custom"` for a caller's [`SolverBuilder::splitter`].
     pub fn family(&self) -> &'static str {
-        self.family
+        self.resolved().1
     }
 }
 
@@ -549,12 +573,22 @@ pub struct DeltaSolve {
 }
 
 impl std::fmt::Debug for Solver<'_> {
+    /// Prints the splitter only if it is already built: formatting must
+    /// not build it (or run the recognition behind it).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (splitter, family) = match &self.splitter {
+            SplitterSlot::Caller(s) => (s.name(), "custom"),
+            SplitterSlot::Auto(slot) => slot
+                .get()
+                .map_or(("unresolved", "unresolved"), |(s, family)| {
+                    (s.name(), *family)
+                }),
+        };
         f.debug_struct("Solver")
             .field("k", &self.k)
             .field("p", &self.cfg.p)
-            .field("splitter", &self.splitter.name())
-            .field("family", &self.family)
+            .field("splitter", &splitter)
+            .field("family", &family)
             .finish()
     }
 }

@@ -79,8 +79,8 @@ pub struct MinMaxBalanced {
 /// `Φ^{(2)} = π`, the splitting-cost measure of Definition 10
 /// ([`splitting_cost_measure_within`](crate::pi::splitting_cost_measure_within)).
 /// It depends only on `(G, c, p, domain)`, so the caller computes it: a
-/// reusable [`Solver`](crate::api::Solver) does so once at build time and
-/// amortizes it across solves.
+/// reusable [`Solver`](crate::api::Solver) does so once, on its first
+/// direct solve, and amortizes it across solves.
 ///
 /// `Ψ`, the monochromatic-edge marks and every per-`Move` dynamic measure
 /// live in reusable scratch buffers of `ws` (zero per-call allocation

@@ -18,6 +18,8 @@
 //! (percolation subsets, blobs) should carry a [`GridGraph`] instead of a
 //! bare [`Graph`] and skip detection.
 
+use std::sync::Arc;
+
 use crate::gen::grid::GridGraph;
 use crate::graph::{Graph, VertexId};
 use crate::vertex_set::VertexSet;
@@ -35,8 +37,9 @@ pub enum Structure {
     /// An acyclic graph that is not a union of paths.
     Forest,
     /// A full rectangular lattice; carries the reconstructed embedding
-    /// (vertex ids identical to the input graph's).
-    Grid(Box<GridGraph>),
+    /// (vertex ids identical to the input graph's), shared so that cloning
+    /// a verdict never copies the graph and its coordinates.
+    Grid(Arc<GridGraph>),
     /// None of the above.
     Arbitrary,
 }
@@ -88,7 +91,7 @@ pub fn recognize(g: &Graph) -> Structure {
         return Structure::Forest;
     }
     match try_lattice_embedding(g) {
-        Some(grid) => Structure::Grid(Box::new(grid)),
+        Some(grid) => Structure::Grid(Arc::new(grid)),
         None => Structure::Arbitrary,
     }
 }

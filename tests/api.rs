@@ -11,12 +11,16 @@
 //! * `Box<dyn Splitter>` / `Arc<dyn Splitter>` work end to end as a
 //!   caller's splitter (trait-object story);
 //! * builder/validation errors surface as typed `SolveError`s;
-//! * the pooled scratch workspace leaves no trace between solves.
+//! * the pooled scratch workspace leaves no trace between solves;
+//! * recognition runs only where a splitter is built, and never to
+//!   format an `Instance` or a `Solver`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mmb_core::api::{Instance, SolveError, Solver};
+use mmb_core::coarsen::CoarsenParams;
+use mmb_core::pipeline::{CoarsenConfig, PipelineConfig};
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::gen::misc::path;
 use mmb_graph::gen::tree::random_tree;
@@ -632,4 +636,79 @@ fn explicit_splitter_choices_skip_recognition() {
             "artifact-seeded build must skip recognition on a fresh instance"
         );
     }
+
+    // Cascade: the three stages run on the coarse instance with its own
+    // splitter, so build + solve recognize the coarse graph only. The
+    // host splitter, and the host recognition behind it, is built only if
+    // the host `BinPack2` splits, which it does not here.
+    {
+        let lattice = GridGraph::lattice(&[64, 64]);
+        let (n, m) = (lattice.graph.num_vertices(), lattice.graph.num_edges());
+        let host = |g| Instance::new(g, det_costs(m, 13), det_weights(n, 14)).unwrap();
+        let cfg = PipelineConfig {
+            coarsen: Some(CoarsenConfig {
+                params: CoarsenParams {
+                    target_vertices: 512,
+                    ..CoarsenParams::default()
+                },
+                ..CoarsenConfig::default()
+            }),
+            ..PipelineConfig::default()
+        };
+        let solver_for = |inst| {
+            Solver::for_instance(inst)
+                .classes(4)
+                .config(cfg.clone())
+                .build()
+                .unwrap()
+        };
+        let (inst, twin) = (host(lattice.graph.clone()), host(lattice.graph));
+        let before = recognition_count();
+        let lazy = solver_for(&inst);
+        let report = lazy.solve();
+        assert!(report.is_strictly_balanced());
+        assert_eq!(
+            recognition_count(),
+            before + 1,
+            "the cascade recognizes the coarse graph only"
+        );
+        assert_eq!(report.splitter, "bfs", "the coarse solver's splitter");
+        // The count is per thread and a host split may run on a pool
+        // worker; the memo shows the host verdict was never computed.
+        assert!(format!("{inst:?}").contains("undetected"), "{inst:?}");
+        assert_eq!(lazy.family(), "grid");
+        assert_eq!(lazy.splitter_name(), "gridsplit");
+        assert_eq!(recognition_count(), before + 2, "asking recognizes once");
+        assert_eq!((lazy.family(), lazy.splitter_name()), ("grid", "gridsplit"));
+        assert_eq!(recognition_count(), before + 2, "and memoizes it");
+
+        // Resolving the host splitter before the solve changes nothing.
+        let eager = solver_for(&twin);
+        assert_eq!(eager.family(), "grid");
+        assert!(eager.solve().coloring == report.coloring);
+    }
+}
+
+/// Formatting an `Instance` or a `Solver` prints only what is already
+/// known: it must not run structure detection or build a splitter.
+#[test]
+fn debug_formatting_runs_no_recognition() {
+    use mmb_graph::recognize::recognition_count;
+
+    let lattice = GridGraph::lattice(&[10, 10]);
+    let (n, m) = (lattice.graph.num_vertices(), lattice.graph.num_edges());
+    let inst = Instance::new(lattice.graph, vec![1.0; m], vec![1.0; n]).unwrap();
+    let before = recognition_count();
+    let shown = format!("{inst:?}");
+    assert_eq!(recognition_count(), before, "Instance's Debug recognized");
+    assert!(shown.contains("undetected"), "{shown}");
+
+    let solver = Solver::for_instance(&inst).classes(4).build().unwrap();
+    let shown = format!("{solver:?}");
+    assert_eq!(recognition_count(), before, "Solver's Debug recognized");
+    assert!(shown.contains("unresolved"), "{shown}");
+
+    assert_eq!(solver.family(), "grid");
+    assert!(format!("{inst:?}").contains("\"grid\""));
+    assert!(format!("{solver:?}").contains("\"gridsplit\""));
 }

@@ -14,10 +14,13 @@
 //! re-ingestion, cascade solve. The `n ≈ 10^5` row is held to that row's
 //! max boundary, to a digest of its coloring, and to the [`large_budget`]
 //! wall-clock and peak-bytes budgets. The `10^6` and `10^7` rows are
-//! `#[ignore]`d; run them by hand in release, alone on the host:
+//! `#[ignore]`d. CI runs the `10^6` row in release by name; the `10^7`
+//! row runs by hand, alone on the host. Each prints the process's
+//! `VmHWM` next to the workspace proxy, so run one row per process:
 //!
 //! ```text
-//! cargo test --release --test coarsen_cascade -- --ignored --nocapture
+//! cargo test --release --test coarsen_cascade -- --ignored --nocapture \
+//!     metis_round_trip_at_1e6_matches_bench_6
 //! ```
 //!
 //! The scaling gate times the host `BinPack2` alone at two sizes and
@@ -201,14 +204,31 @@ fn metis_round_trip_at_1e5_matches_bench_6_within_budget() {
     );
 }
 
+/// The process's resident-set high-water mark, `VmHWM` in
+/// `/proc/self/status` (Linux), or `"n/a"` where that file does not exist.
+/// Unlike the workspace proxy it sees every allocation, the solver's own
+/// included.
+fn vm_hwm() -> String {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            status
+                .lines()
+                .find_map(|l| Some(l.strip_prefix("VmHWM:")?.trim().to_owned()))
+        })
+        .unwrap_or_else(|| "n/a".to_owned())
+}
+
 /// Print a by-hand row: what EXPERIMENTS.md records for it.
 fn print_row(row: &LargeRow) {
     println!(
-        "n = {}: ingest {:.0} ms, solve {:.0} ms, peak {} bytes, max boundary {}, digest {:016x}",
+        "n = {}: ingest {:.0} ms, solve {:.0} ms, peak {} bytes, VmHWM {}, max boundary {}, \
+         digest {:016x}",
         row.n,
         row.ingest_ms,
         row.solve_ms,
         row.peak_bytes,
+        vm_hwm(),
         row.report.max_boundary,
         coloring_digest(&row.report.coloring)
     );
