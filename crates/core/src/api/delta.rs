@@ -18,6 +18,14 @@
 //! if eq. (1) broke) instead of solving from scratch — see
 //! [`crate::api::Solver::resolve_delta`].
 //!
+//! A *value-only* delta (weight and cost overwrites, no vertex or edge
+//! added or removed) keeps the base topology, so `apply` copies the base
+//! CSR as it is and writes the overrides into a copy of the costs; only a
+//! structural delta re-sorts the edge list and rebuilds the CSR. Both
+//! give the same instance: every [`Graph`] is assembled canonically, by
+//! [`Graph::from_sorted_edges`], so a rebuild of an unchanged edge list
+//! reproduces the base graph.
+//!
 //! ## Edge-id canonicalization
 //!
 //! [`Graph`] stores edges canonically (`u < v`, sorted), so adding or
@@ -126,7 +134,8 @@ impl InstanceDelta {
     /// touched vertex set.
     ///
     /// Extra balance measures carry over; appended vertices contribute 0
-    /// to every extra measure.
+    /// to every extra measure. A value-only delta reuses the base CSR
+    /// (copied, not rebuilt); see the [module docs](self).
     pub fn apply(&self, base: &Instance) -> Result<AppliedDelta, InstanceError> {
         let g = base.graph();
         let n = g.num_vertices();
@@ -160,12 +169,10 @@ impl InstanceDelta {
             touched.push(u);
             touched.push(v);
         }
-        let mut removed = vec![false; m];
         for &e in &self.removed_edges {
             if (e as usize) >= m {
                 return Err(InstanceError::EdgeOutOfRange { got: e, m });
             }
-            removed[e as usize] = true;
             let (u, v) = g.endpoints(e);
             touched.push(u);
             touched.push(v);
@@ -197,10 +204,60 @@ impl InstanceDelta {
             touched.push((n + i) as VertexId);
         }
 
-        // --- edges: cost overwrites key by *base* edge id, so apply them
-        // on the base-indexed view first, then drop removed edges and
-        // append additions, and re-sort into the canonical CSR order so
-        // edge ids and the cost vector line up in the mutated instance.
+        // --- edges: a value-only delta keeps the base topology, and every
+        // `Graph` is assembled canonically, so the base CSR is the one a
+        // rebuild would produce; only the cost overrides need writing.
+        let (graph, costs) = if self.is_value_only() {
+            let mut costs = base.costs().to_vec();
+            for &(e, c) in &self.cost_updates {
+                costs[e as usize] = c;
+            }
+            (g.clone(), costs)
+        } else {
+            self.rebuild_edges(base, n2)?
+        };
+
+        // --- extras carry over; appended vertices contribute nothing.
+        let extras: Vec<Vec<f64>> = base
+            .extra_measures()
+            .iter()
+            .map(|ex| {
+                let mut ex = ex.clone();
+                ex.resize(n2, 0.0);
+                ex
+            })
+            .collect();
+
+        touched.sort_unstable();
+        touched.dedup();
+        Ok(AppliedDelta {
+            instance: Instance::from_validated_parts(graph, costs, weights, extras),
+            touched,
+        })
+    }
+
+    /// Whether the delta only overwrites values: it adds or removes no
+    /// vertex and no edge.
+    fn is_value_only(&self) -> bool {
+        self.new_vertices.is_empty() && self.new_edges.is_empty() && self.removed_edges.is_empty()
+    }
+
+    /// The mutated graph and costs of a structural delta whose entries
+    /// [`InstanceDelta::apply`] validated: cost overwrites key by *base*
+    /// edge id, so apply them on the base-indexed view first, then drop
+    /// removed edges and append additions, and re-sort into the canonical
+    /// CSR order so edge ids and the cost vector line up in the mutated
+    /// instance.
+    fn rebuild_edges(
+        &self,
+        base: &Instance,
+        n2: usize,
+    ) -> Result<(Graph, Vec<f64>), InstanceError> {
+        let g = base.graph();
+        let mut removed = vec![false; g.num_edges()];
+        for &e in &self.removed_edges {
+            removed[e as usize] = true;
+        }
         let mut base_view: Vec<(VertexId, VertexId, f64)> = g
             .edge_list()
             .iter()
@@ -237,24 +294,7 @@ impl InstanceDelta {
         let costs: Vec<f64> = edges.iter().map(|&(_, _, c)| c).collect();
         let graph: Graph = graph_from_edges(n2, &pairs);
         debug_assert_eq!(graph.edge_list(), pairs.as_slice());
-
-        // --- extras carry over; appended vertices contribute nothing.
-        let extras: Vec<Vec<f64>> = base
-            .extra_measures()
-            .iter()
-            .map(|ex| {
-                let mut ex = ex.clone();
-                ex.resize(n2, 0.0);
-                ex
-            })
-            .collect();
-
-        touched.sort_unstable();
-        touched.dedup();
-        Ok(AppliedDelta {
-            instance: Instance::from_validated_parts(graph, costs, weights, extras),
-            touched,
-        })
+        Ok((graph, costs))
     }
 }
 

@@ -166,7 +166,7 @@ impl<'i> SolverBuilder<'i> {
         };
         let splitter = match self.splitter {
             Some(splitter) => SplitterSlot::Caller(splitter),
-            None => SplitterSlot::Auto(OnceLock::new()),
+            None => SplitterSlot::Auto(AutoSplitter::new(inst)),
         };
         Ok(Solver {
             inst,
@@ -183,8 +183,41 @@ impl<'i> SolverBuilder<'i> {
 enum SplitterSlot<'i> {
     /// The caller's [`SolverBuilder::splitter`].
     Caller(Box<dyn Splitter + 'i>),
-    /// [`auto_splitter`]'s pick and its family label, built on first use.
-    Auto(OnceLock<(Box<dyn Splitter + Send + 'i>, &'static str)>),
+    /// [`auto_splitter`]'s pick, built on first use.
+    Auto(AutoSplitter<'i>),
+}
+
+/// [`auto_splitter`]'s pick for one instance and its family label,
+/// built on the first call that reads either. A [`Solver`] without a
+/// caller's splitter holds one; so does each solver rung of the
+/// resilient ladder, behind its failpoint wrapper.
+pub(crate) struct AutoSplitter<'i> {
+    inst: &'i Instance,
+    slot: OnceLock<(Box<dyn Splitter + Send + 'i>, &'static str)>,
+}
+
+impl<'i> AutoSplitter<'i> {
+    pub(crate) fn new(inst: &'i Instance) -> Self {
+        AutoSplitter {
+            inst,
+            slot: OnceLock::new(),
+        }
+    }
+
+    /// The splitter and its family label, building them on first use.
+    fn resolved(&self) -> (&dyn Splitter, &'static str) {
+        let (s, family) = self.slot.get_or_init(|| auto_splitter(self.inst));
+        (s.as_ref(), family)
+    }
+}
+
+impl Splitter for AutoSplitter<'_> {
+    fn split(&self, w_set: &VertexSet, weights: &[f64], target: f64) -> VertexSet {
+        self.resolved().0.split(w_set, weights, target)
+    }
+    fn name(&self) -> &str {
+        self.resolved().0.name()
+    }
 }
 
 /// A built, reusable solver: the Theorem 4 pipeline bound to one
@@ -246,10 +279,7 @@ impl<'i> Solver<'i> {
     fn resolved(&self) -> (&dyn Splitter, &'static str) {
         match &self.splitter {
             SplitterSlot::Caller(s) => (s.as_ref(), "custom"),
-            SplitterSlot::Auto(slot) => {
-                let (s, family) = slot.get_or_init(|| auto_splitter(self.inst));
-                (s.as_ref(), family)
-            }
+            SplitterSlot::Auto(auto) => auto.resolved(),
         }
     }
 
@@ -404,6 +434,14 @@ impl<'i> Solver<'i> {
     /// instance (`DeltaSolve::warm` reports which path produced the
     /// served coloring). Either way, the returned coloring passed the
     /// gate: warm serving never trades away the strict-balance contract.
+    ///
+    /// Cost: a value-only delta (weights and costs, no vertex or edge
+    /// added or removed) copies the base CSR instead of rebuilding it, and
+    /// each of the three KL runs (the touched closure, the full sweep, the
+    /// restart from the LPT floor) pays `O(n + m)` to set up and then only
+    /// for the boundary vertices it visits. The LPT floor, the gate's
+    /// validations and the copies of the instance's vectors stay `O(n)`
+    /// or `O(n log n)`.
     ///
     /// Errors: [`SolveError::WarmStartMismatch`] when `previous` does not
     /// fit this solver's instance or `k`, or the delta's own typed
@@ -578,7 +616,8 @@ impl std::fmt::Debug for Solver<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (splitter, family) = match &self.splitter {
             SplitterSlot::Caller(s) => (s.name(), "custom"),
-            SplitterSlot::Auto(slot) => slot
+            SplitterSlot::Auto(auto) => auto
+                .slot
                 .get()
                 .map_or(("unresolved", "unresolved"), |(s, family)| {
                     (s.name(), *family)

@@ -32,7 +32,8 @@ pub struct CoarsenConfig {
     /// Cascade stops (target size, level cap, matching seed).
     pub params: CoarsenParams,
     /// Per-level KL refinement applied on the way back up. Kept light by
-    /// default (2 passes) — at `n = 10^6` every pass is a full sweep.
+    /// default (2 passes): each level pays an `O(n + m)` set-up, then
+    /// each pass visits only that level's boundary vertices.
     pub kl: KlParams,
 }
 

@@ -6,9 +6,21 @@
 //! balance tightness or per-class boundary — which is exactly what the E7
 //! comparison demonstrates against the Theorem 4 pipeline.
 //!
+//! A pass visits only *candidates*: the colored vertices of its region
+//! with a colored neighbor in another class, since no other vertex has a
+//! move to make. They sit in a bitset visited in ascending id, the order
+//! of a full sweep, so the moves are exactly a full sweep's. A visit that
+//! finds its vertex interior drops it; a move re-arms the mover's
+//! neighbors in the class it left, the only vertices it can turn into
+//! candidates, and a re-armed id above the mover's joins the running
+//! pass. The set-up (copying the coloring, the class loads, the first
+//! candidate scan) is `O(n + m)`; after it each pass costs `O(n/64)`
+//! plus the degrees of the candidates it visits, not `O(n + m)`.
+//!
 //! The multilevel baseline (`mmb_baselines::multilevel`) and the
 //! coarsening cascade ([`crate::coarsen`]) both run it once per level
-//! while uncoarsening.
+//! while uncoarsening; [`crate::api::Solver::resolve_delta`] runs it to
+//! repair a mutated instance.
 
 use mmb_graph::{Coloring, Graph};
 
@@ -17,7 +29,9 @@ use crate::api::{validate_costs, validate_weights, SolveError};
 /// Refinement parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct KlParams {
-    /// Maximum number of full passes over the boundary vertices.
+    /// Maximum number of passes over the candidates (the boundary
+    /// vertices of the region); refinement stops early after a pass that
+    /// moves nothing.
     pub max_passes: usize,
     /// A class may grow to at most `balance_factor × average weight`.
     pub balance_factor: f64,
@@ -40,8 +54,7 @@ pub fn refine(
     chi: &Coloring,
     params: &KlParams,
 ) -> Result<Coloring, SolveError> {
-    let order: Vec<u32> = (0..g.num_vertices() as u32).collect();
-    refine_over(g, costs, weights, chi, &order, params)
+    refine_over(g, costs, weights, chi, None, params)
 }
 
 /// [`refine`], restricted to a *region*: only `region`'s vertices and
@@ -61,28 +74,43 @@ pub fn refine_region(
     region: &[u32],
     params: &KlParams,
 ) -> Result<Coloring, SolveError> {
-    let mut order: Vec<u32> = Vec::with_capacity(region.len() * 4);
+    let mut closure = vec![0u64; g.num_vertices().div_ceil(64)];
     for &v in region {
-        order.push(v);
+        arm(&mut closure, v);
         for &(nb, _) in g.neighbors(v) {
-            order.push(nb);
+            arm(&mut closure, nb);
         }
     }
-    order.sort_unstable();
-    order.dedup();
-    refine_over(g, costs, weights, chi, &order, params)
+    refine_over(g, costs, weights, chi, Some(&closure), params)
 }
 
-/// The shared pass: greedy gain moves over `order`'s vertices, repeated
-/// until a pass moves nothing or `max_passes` is hit. `refine` passes
-/// `0..n` (the historical full sweep, bit-identical); `refine_region`
-/// passes the touched closure.
+#[inline]
+fn arm(bits: &mut [u64], v: u32) {
+    bits[v as usize / 64] |= 1 << (v % 64);
+}
+
+#[inline]
+fn armed(bits: &[u64], v: u32) -> bool {
+    bits[v as usize / 64] >> (v % 64) & 1 == 1
+}
+
+/// Whether colored vertex `v` (of class `c`) has a colored neighbor in
+/// another class.
+fn has_foreign_neighbor(g: &Graph, chi: &Coloring, v: u32, c: u32) -> bool {
+    g.neighbors(v)
+        .iter()
+        .any(|&(nb, _)| chi.get(nb).is_some_and(|d| d != c))
+}
+
+/// The shared pass: greedy gain moves over the candidates of `region`
+/// (every vertex when `None`, else the armed bits), visited in ascending
+/// id and repeated until a pass moves nothing or `max_passes` is hit.
 fn refine_over(
     g: &Graph,
     costs: &[f64],
     weights: &[f64],
     chi: &Coloring,
-    order: &[u32],
+    region: Option<&[u64]>,
     params: &KlParams,
 ) -> Result<Coloring, SolveError> {
     let n = g.num_vertices();
@@ -100,39 +128,72 @@ fn refine_over(
     let cap = params.balance_factor * total_w / k as f64;
     let mut load = out.class_measures(weights);
 
+    let in_region = |v: u32| region.is_none_or(|r| armed(r, v));
+    let mut candidates = vec![0u64; n.div_ceil(64)];
+    for v in (0..n as u32).filter(|&v| in_region(v)) {
+        if let Some(c) = out.get(v) {
+            if has_foreign_neighbor(g, &out, v, c) {
+                arm(&mut candidates, v);
+            }
+        }
+    }
+
+    let mut external: Vec<(u32, f64)> = Vec::new();
     for _pass in 0..params.max_passes {
         let mut improved = false;
-        for &v in order {
-            let Some(c) = out.get(v) else { continue };
-            // Gains per adjacent class.
-            let mut internal = 0.0;
-            let mut external: Vec<(u32, f64)> = Vec::new();
-            for &(nb, e) in g.neighbors(v) {
-                let Some(d) = out.get(nb) else { continue };
-                let w = costs[e as usize];
-                if d == c {
-                    internal += w;
-                } else if let Some(entry) = external.iter_mut().find(|(x, _)| *x == d) {
-                    entry.1 += w;
-                } else {
-                    external.push((d, w));
+        for i in 0..candidates.len() {
+            let mut word = candidates[i];
+            while word != 0 {
+                let bit = word.trailing_zeros();
+                let v = (i * 64) as u32 + bit;
+                // Only colored vertices are ever armed.
+                let c = out.raw(v);
+                // Gains per adjacent class.
+                let mut internal = 0.0;
+                external.clear();
+                for &(nb, e) in g.neighbors(v) {
+                    let Some(d) = out.get(nb) else { continue };
+                    let w = costs[e as usize];
+                    if d == c {
+                        internal += w;
+                    } else if let Some(entry) = external.iter_mut().find(|(x, _)| *x == d) {
+                        entry.1 += w;
+                    } else {
+                        external.push((d, w));
+                    }
                 }
-            }
-            // total_cmp + class-id tie-break: ties between equally-attractive
-            // target classes must not depend on neighbor-list order.
-            let Some(&(best_d, best_ext)) = external
-                .iter()
-                .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
-            else {
-                continue;
-            };
-            let gain = best_ext - internal;
-            let wv = weights[v as usize];
-            if gain > 1e-12 && load[best_d as usize] + wv <= cap && load[c as usize] - wv >= 0.0 {
-                out.set(v, best_d);
-                load[c as usize] -= wv;
-                load[best_d as usize] += wv;
-                improved = true;
+                // total_cmp + class-id tie-break: ties between equally-attractive
+                // target classes must not depend on neighbor-list order.
+                let best = external
+                    .iter()
+                    .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
+                if let Some(&(best_d, best_ext)) = best {
+                    let gain = best_ext - internal;
+                    let wv = weights[v as usize];
+                    if gain > 1e-12
+                        && load[best_d as usize] + wv <= cap
+                        && load[c as usize] - wv >= 0.0
+                    {
+                        out.set(v, best_d);
+                        load[c as usize] -= wv;
+                        load[best_d as usize] += wv;
+                        improved = true;
+                        // Only neighbors left behind in `c` gain a foreign
+                        // neighbor; every other colored one already had `v`
+                        // as one, so it is armed if it is in the region.
+                        for &(nb, _) in g.neighbors(v) {
+                            if out.get(nb) == Some(c) && in_region(nb) {
+                                arm(&mut candidates, nb);
+                            }
+                        }
+                    }
+                } else {
+                    // Interior: out of the set until a neighbor's move re-arms it.
+                    candidates[i] &= !(1 << bit);
+                }
+                // Re-read the word: a move may have armed a higher id in
+                // it, which this pass must still reach.
+                word = candidates[i] & (u64::MAX << bit << 1);
             }
         }
         if !improved {

@@ -65,7 +65,7 @@ use crate::api::error::SolveError;
 use crate::api::instance::Instance;
 use crate::api::partitioner::Partitioner;
 use crate::api::report::Report;
-use crate::api::solver::{auto_splitter, Solver};
+use crate::api::solver::{AutoSplitter, Solver};
 use crate::bnb::BnbConfig;
 use crate::failpoint::{self, FailpointSplitter};
 use crate::pipeline::PipelineConfig;
@@ -230,13 +230,14 @@ impl<'i> ResilientSolver<'i> {
     }
 
     /// Build the inner [`Solver`] for the solver rungs: the auto-selected
-    /// splitter, wrapped so the `splitter::split` failpoint reaches it.
+    /// splitter, built on first use and wrapped so the `splitter::split`
+    /// failpoint reaches it.
     fn inner_solver(&self) -> Result<Solver<'i>, SolveError> {
-        let (splitter, _family) = auto_splitter(self.inst);
+        let splitter = FailpointSplitter::new(AutoSplitter::new(self.inst));
         Solver::for_instance(self.inst)
             .classes(self.k)
             .config(self.pipeline.clone())
-            .splitter(Box::new(FailpointSplitter::new(splitter)))
+            .splitter(Box::new(splitter))
             .build()
     }
 
@@ -486,4 +487,43 @@ fn report_with_gap(inst: &Instance, k: usize, mut report: Report) -> Report {
         ));
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coarsen::CoarsenParams;
+    use crate::pipeline::CoarsenConfig;
+    use mmb_graph::gen::grid::GridGraph;
+    use mmb_graph::recognize::recognition_count;
+
+    /// A solver rung's splitter is built on first use: a cascade rung
+    /// recognizes the coarse graph only and leaves the host undetected.
+    #[test]
+    fn cascade_rung_leaves_the_host_undetected() {
+        let lattice = GridGraph::lattice(&[64, 64]);
+        let (n, m) = (lattice.graph.num_vertices(), lattice.graph.num_edges());
+        let weights = (0..n).map(|v| 1.0 + (v % 5) as f64).collect();
+        let inst = Instance::new(lattice.graph, vec![1.0; m], weights).unwrap();
+        let cfg = PipelineConfig {
+            coarsen: Some(CoarsenConfig {
+                params: CoarsenParams {
+                    target_vertices: 512,
+                    ..CoarsenParams::default()
+                },
+                ..CoarsenConfig::default()
+            }),
+            ..PipelineConfig::default()
+        };
+        let ladder = ResilientSolver::for_instance(&inst)
+            .classes(4)
+            .config(cfg)
+            .build()
+            .unwrap();
+        let before = recognition_count();
+        let report = ladder.inner_solver().unwrap().solve();
+        assert!(report.is_strictly_balanced());
+        assert_eq!(recognition_count(), before + 1, "the coarse graph only");
+        assert!(format!("{inst:?}").contains("undetected"), "{inst:?}");
+    }
 }

@@ -317,3 +317,68 @@ fn solve_is_total_under_a_panicking_ladder_and_a_zero_deadline_combined() {
     assert!(report.is_strictly_balanced());
     assert_eq!(report.resilience.as_ref().unwrap().served_by, "trivial");
 }
+
+/// The solver rungs build their automatic splitter on first use, as a
+/// `Solver` without a caller's splitter does, so a cascade rung reads the
+/// coarse graph's structure only. The served report's static certificate
+/// still reads the host's (its lattice bound needs it), so with k ≥ 2 the
+/// ladder recognizes the host once, after the rung; with one class the
+/// certificate declines first and the host stays undetected. Either way
+/// the coloring is the one served once the host was recognized.
+#[test]
+fn cascade_rung_builds_its_host_splitter_on_first_use() {
+    use mmb_core::coarsen::CoarsenParams;
+    use mmb_core::pipeline::{CoarsenConfig, PipelineConfig};
+    use mmb_graph::recognize::recognition_count;
+
+    let lattice = GridGraph::lattice(&[64, 64]);
+    let (n, m) = (lattice.graph.num_vertices(), lattice.graph.num_edges());
+    let host = || {
+        let costs = (0..m).map(|e| 0.5 + (e % 7) as f64).collect();
+        let weights = (0..n).map(|v| 1.0 + (v % 5) as f64).collect();
+        Instance::new(lattice.graph.clone(), costs, weights).unwrap()
+    };
+    let cfg = PipelineConfig {
+        coarsen: Some(CoarsenConfig {
+            params: CoarsenParams {
+                target_vertices: 512,
+                ..CoarsenParams::default()
+            },
+            ..CoarsenConfig::default()
+        }),
+        ..PipelineConfig::default()
+    };
+    let solve = |inst: &Instance, k: usize| {
+        ResilientSolver::for_instance(inst)
+            .classes(k)
+            .config(cfg.clone())
+            .certified(false)
+            .build()
+            .unwrap()
+            .solve()
+    };
+
+    for (k, host_recognitions) in [(1, 0), (4, 1)] {
+        let (inst, twin) = (host(), host());
+        let before = recognition_count();
+        let report = solve(&inst, k);
+        assert_eq!(
+            recognition_count(),
+            before + 1 + host_recognitions,
+            "k = {k}: the coarse graph, and the host only for the certificate"
+        );
+        let detected = format!("{inst:?}");
+        assert_eq!(
+            detected.contains("undetected"),
+            host_recognitions == 0,
+            "k = {k}: {detected}"
+        );
+        let res = report.resilience.as_ref().unwrap();
+        assert_eq!(res.served_by, "pipeline");
+        assert_eq!(report.splitter, "bfs", "the coarse solver's splitter");
+
+        let _ = twin.structure();
+        let eager = solve(&twin, k);
+        assert!(eager.coloring == report.coloring, "k = {k}");
+    }
+}
