@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use mmb_graph::fingerprint::Fingerprint;
 use mmb_graph::recognize::Structure;
-use mmb_graph::Graph;
+use mmb_graph::VertexId;
 
 use crate::api::instance::Instance;
 use crate::pi::splitting_cost_measure_within;
@@ -48,9 +48,11 @@ use crate::pi::splitting_cost_measure_within;
 /// costs (weights may differ freely).
 #[derive(Clone, Debug)]
 pub struct SolverArtifacts {
-    /// The graph the artifacts were computed over (owned snapshot, used
-    /// for the exact collision check).
-    graph: Graph,
+    /// The vertex count and canonical edge list of the graph the
+    /// artifacts were computed over (the exact collision check reads
+    /// nothing else of it).
+    num_vertices: usize,
+    edges: Vec<(VertexId, VertexId)>,
     /// The cost vector the artifacts were computed over.
     costs: Vec<f64>,
     /// The exponent `p` the `π` measure and `‖c‖_p` were computed for.
@@ -76,7 +78,8 @@ impl SolverArtifacts {
         let pi: Arc<[f64]> =
             splitting_cost_measure_within(g, inst.costs(), p, 1.0, inst.domain()).into();
         SolverArtifacts {
-            graph: g.clone(),
+            num_vertices: g.num_vertices(),
+            edges: g.edge_list().to_vec(),
             costs: inst.costs().to_vec(),
             p,
             structure: inst.structure().clone(),
@@ -91,8 +94,8 @@ impl SolverArtifacts {
     /// so a fingerprint collision can never smuggle in wrong artifacts.
     pub fn matches(&self, inst: &Instance, p: f64) -> bool {
         self.p.to_bits() == p.to_bits()
-            && self.graph.num_vertices() == inst.num_vertices()
-            && self.graph.edge_list() == inst.graph().edge_list()
+            && self.num_vertices == inst.num_vertices()
+            && self.edges == inst.graph().edge_list()
             && self.costs.len() == inst.costs().len()
             && self
                 .costs

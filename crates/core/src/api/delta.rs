@@ -8,15 +8,11 @@
 //! on untouched entries**: only the values the delta introduces are
 //! checked (finiteness, non-negativity, index ranges, self-loops,
 //! duplicate edges), everything else was validated when the base instance
-//! was admitted. The cheap derived aggregates (`‖w‖_∞`, `Δ_c`, …) are
-//! recomputed in one branch-free streaming pass — they are data-dependent
-//! on every entry, so there is nothing conditional to skip.
-//!
-//! `apply` also reports the **touched region**: every vertex whose
-//! incident data changed. `Solver::resolve_delta` repairs exactly this
-//! region (KL moves on the touched frontier, then a strict re-pack only
-//! if eq. (1) broke) instead of solving from scratch — see
-//! [`crate::api::Solver::resolve_delta`].
+//! was admitted. The cached aggregates (`‖w‖_∞`, `‖w‖₁`, `‖c‖_∞`) are
+//! recomputed over every entry, since each depends on all of them.
+//! [`Solver::resolve_delta`](crate::api::Solver::resolve_delta) applies
+//! the delta and repairs the previous coloring on the result instead of
+//! solving from scratch.
 //!
 //! A *value-only* delta (weight and cost overwrites, no vertex or edge
 //! added or removed) keeps the base topology, so `apply` copies the base
@@ -61,18 +57,6 @@ pub struct InstanceDelta {
     cost_updates: Vec<(EdgeId, f64)>,
 }
 
-/// The result of [`InstanceDelta::apply`]: the mutated instance plus the
-/// sorted, deduplicated set of vertices whose incident data changed.
-#[derive(Debug)]
-pub struct AppliedDelta {
-    /// The mutated, validated instance.
-    pub instance: Instance,
-    /// Vertices touched by the delta (new vertices, endpoints of
-    /// added/removed/re-priced edges, re-weighted vertices), sorted by
-    /// id. The repair region of the warm re-solve.
-    pub touched: Vec<VertexId>,
-}
-
 impl InstanceDelta {
     /// An empty delta.
     pub fn new() -> Self {
@@ -111,37 +95,17 @@ impl InstanceDelta {
         self
     }
 
-    /// Whether the delta mutates nothing.
-    pub fn is_empty(&self) -> bool {
-        self.new_vertices.is_empty()
-            && self.new_edges.is_empty()
-            && self.removed_edges.is_empty()
-            && self.weight_updates.is_empty()
-            && self.cost_updates.is_empty()
-    }
-
-    /// Number of individual mutations carried.
-    pub fn len(&self) -> usize {
-        self.new_vertices.len()
-            + self.new_edges.len()
-            + self.removed_edges.len()
-            + self.weight_updates.len()
-            + self.cost_updates.len()
-    }
-
-    /// Apply the delta to `base`, validating **only the touched
-    /// entries**, and return the mutated instance together with the
-    /// touched vertex set.
+    /// Apply the delta to `base`, validating **only the entries it
+    /// introduces**, and return the mutated instance.
     ///
     /// Extra balance measures carry over; appended vertices contribute 0
     /// to every extra measure. A value-only delta reuses the base CSR
     /// (copied, not rebuilt); see the [module docs](self).
-    pub fn apply(&self, base: &Instance) -> Result<AppliedDelta, InstanceError> {
+    pub fn apply(&self, base: &Instance) -> Result<Instance, InstanceError> {
         let g = base.graph();
         let n = g.num_vertices();
         let m = g.num_edges();
         let n2 = n + self.new_vertices.len();
-        let mut touched: Vec<VertexId> = Vec::with_capacity(2 * self.len());
 
         // --- incremental validation: exactly the entries the delta touches.
         for &w in &self.new_vertices {
@@ -156,7 +120,6 @@ impl InstanceDelta {
             if !w.is_finite() || w < 0.0 {
                 return Err(InstanceError::NotFinite { what: "weights" });
             }
-            touched.push(v);
         }
         for &(e, c) in &self.cost_updates {
             if (e as usize) >= m {
@@ -165,17 +128,11 @@ impl InstanceDelta {
             if !c.is_finite() || c < 0.0 {
                 return Err(InstanceError::NotFinite { what: "costs" });
             }
-            let (u, v) = g.endpoints(e);
-            touched.push(u);
-            touched.push(v);
         }
         for &e in &self.removed_edges {
             if (e as usize) >= m {
                 return Err(InstanceError::EdgeOutOfRange { got: e, m });
             }
-            let (u, v) = g.endpoints(e);
-            touched.push(u);
-            touched.push(v);
         }
         for &(u, v, c) in &self.new_edges {
             if (u as usize) >= n2 {
@@ -190,8 +147,6 @@ impl InstanceDelta {
             if !c.is_finite() || c < 0.0 {
                 return Err(InstanceError::NotFinite { what: "costs" });
             }
-            touched.push(u);
-            touched.push(v);
         }
 
         // --- weights: overwrite in place, append the new tail.
@@ -200,9 +155,6 @@ impl InstanceDelta {
             weights[v as usize] = w;
         }
         weights.extend_from_slice(&self.new_vertices);
-        for i in 0..self.new_vertices.len() {
-            touched.push((n + i) as VertexId);
-        }
 
         // --- edges: a value-only delta keeps the base topology, and every
         // `Graph` is assembled canonically, so the base CSR is the one a
@@ -228,12 +180,9 @@ impl InstanceDelta {
             })
             .collect();
 
-        touched.sort_unstable();
-        touched.dedup();
-        Ok(AppliedDelta {
-            instance: Instance::from_validated_parts(graph, costs, weights, extras),
-            touched,
-        })
+        Ok(Instance::from_validated_parts(
+            graph, costs, weights, extras,
+        ))
     }
 
     /// Whether the delta only overwrites values: it adds or removes no
@@ -313,11 +262,10 @@ mod tests {
     fn empty_delta_is_identity() {
         let b = base();
         let out = InstanceDelta::new().apply(&b).expect("empty delta applies");
-        assert_eq!(out.instance.graph().edge_list(), b.graph().edge_list());
-        assert_eq!(out.instance.costs(), b.costs());
-        assert_eq!(out.instance.weights(), b.weights());
-        assert!(out.touched.is_empty());
-        assert_eq!(out.instance.fingerprint(), b.fingerprint());
+        assert_eq!(out.graph().edge_list(), b.graph().edge_list());
+        assert_eq!(out.costs(), b.costs());
+        assert_eq!(out.weights(), b.weights());
+        assert_eq!(out.fingerprint(), b.fingerprint());
     }
 
     #[test]
@@ -328,18 +276,14 @@ mod tests {
             .set_cost(0, 5.5)
             .apply(&b)
             .expect("update applies");
-        assert_eq!(out.instance.weights(), &[1.0, 2.0, 9.0, 4.0]);
-        assert_eq!(out.instance.costs(), &[5.5, 2.0, 3.0]);
-        assert_eq!(out.touched, vec![0, 1, 2]);
+        assert_eq!(out.weights(), &[1.0, 2.0, 9.0, 4.0]);
+        assert_eq!(out.costs(), &[5.5, 2.0, 3.0]);
         // Aggregates track the mutation.
-        assert_eq!(out.instance.max_weight(), 9.0);
-        assert_eq!(out.instance.max_cost(), 5.5);
+        assert_eq!(out.max_weight(), 9.0);
+        assert_eq!(out.max_cost(), 5.5);
         // Structure unchanged ⇒ structure digest unchanged.
-        assert_eq!(
-            out.instance.fingerprint().structure,
-            b.fingerprint().structure
-        );
-        assert_ne!(out.instance.fingerprint().weights, b.fingerprint().weights);
+        assert_eq!(out.fingerprint().structure, b.fingerprint().structure);
+        assert_ne!(out.fingerprint().weights, b.fingerprint().weights);
     }
 
     #[test]
@@ -350,16 +294,12 @@ mod tests {
             .add_edge(4, 0, 0.5) // appended vertex, reversed endpoints
             .apply(&b)
             .expect("growth applies");
-        assert_eq!(out.instance.num_vertices(), 5);
-        assert_eq!(out.instance.num_edges(), 4);
-        assert_eq!(out.instance.weights()[4], 7.0);
+        assert_eq!(out.num_vertices(), 5);
+        assert_eq!(out.num_edges(), 4);
+        assert_eq!(out.weights()[4], 7.0);
         // Canonical edge order: (0,1), (0,4), (1,2), (2,3).
-        assert_eq!(
-            out.instance.graph().edge_list(),
-            &[(0, 1), (0, 4), (1, 2), (2, 3)]
-        );
-        assert_eq!(out.instance.costs(), &[1.0, 0.5, 2.0, 3.0]);
-        assert_eq!(out.touched, vec![0, 4]);
+        assert_eq!(out.graph().edge_list(), &[(0, 1), (0, 4), (1, 2), (2, 3)]);
+        assert_eq!(out.costs(), &[1.0, 0.5, 2.0, 3.0]);
     }
 
     #[test]
@@ -369,9 +309,8 @@ mod tests {
             .remove_edge(1)
             .apply(&b)
             .expect("removal applies");
-        assert_eq!(out.instance.graph().edge_list(), &[(0, 1), (2, 3)]);
-        assert_eq!(out.instance.costs(), &[1.0, 3.0]);
-        assert_eq!(out.touched, vec![1, 2]);
+        assert_eq!(out.graph().edge_list(), &[(0, 1), (2, 3)]);
+        assert_eq!(out.costs(), &[1.0, 3.0]);
     }
 
     #[test]
@@ -454,12 +393,12 @@ mod tests {
             .set_weight(8, 20.0)
             .apply(&b)
             .expect("up");
-        assert_eq!(up.instance.max_weight(), 20.0);
+        assert_eq!(up.max_weight(), 20.0);
         let down = InstanceDelta::new()
             .set_weight(0, 0.5)
             .apply(&b)
             .expect("down");
-        assert_eq!(down.instance.max_weight(), 1.0);
+        assert_eq!(down.max_weight(), 1.0);
     }
 
     #[test]
@@ -471,11 +410,8 @@ mod tests {
             .add_vertex(1.0)
             .apply(&b)
             .expect("applies");
-        assert_eq!(out.instance.extra_measures().len(), 1);
-        assert_eq!(
-            out.instance.extra_measures()[0],
-            vec![1.0, 1.0, 1.0, 1.0, 0.0]
-        );
+        assert_eq!(out.extra_measures().len(), 1);
+        assert_eq!(out.extra_measures()[0], vec![1.0, 1.0, 1.0, 1.0, 0.0]);
     }
 
     #[test]
@@ -486,7 +422,7 @@ mod tests {
             .add_edge(0, 1, 9.0)
             .apply(&b)
             .expect("replace applies");
-        assert_eq!(out.instance.graph().edge_list(), b.graph().edge_list());
-        assert_eq!(out.instance.costs(), &[9.0, 2.0, 3.0]);
+        assert_eq!(out.graph().edge_list(), b.graph().edge_list());
+        assert_eq!(out.costs(), &[9.0, 2.0, 3.0]);
     }
 }

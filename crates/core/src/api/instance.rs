@@ -4,10 +4,10 @@
 //! graph, edge costs `c`, vertex weights `w`, and any extra measures for
 //! the multi-balanced variant — behind a constructor that validates once
 //! (lengths, finiteness, non-negativity) and precomputes the derived
-//! quantities every downstream consumer keeps re-deriving: `‖w‖_∞`,
-//! `‖w‖₁`, `‖c‖_∞`, `‖c‖₁`, the maximum cost-weighted degree `Δ_c`, and
-//! the full-domain [`VertexSet`]. Construction is `O(n + m)`; everything
-//! after is a field read.
+//! quantities the solvers read: `‖w‖_∞`, `‖w‖₁`, `‖c‖_∞` and the
+//! full-domain [`VertexSet`]. Construction is `O(n + m)`; each of these
+//! is a field read after it. `‖c‖₁` and the maximum cost-weighted degree
+//! `Δ_c` are computed when asked for.
 //!
 //! Geometry travels with the instance: [`Instance::from_grid`] keeps the
 //! integer embedding a [`GridGraph`] carries, and [`Instance::new`]
@@ -51,8 +51,6 @@ pub struct Instance {
     w_max: f64,
     w_total: f64,
     c_max: f64,
-    c_total: f64,
-    delta_c: f64,
     detected: OnceLock<Structure>,
     fingerprint: OnceLock<Fingerprint>,
 }
@@ -107,9 +105,8 @@ impl Instance {
             Host::Grid(gg) => &gg.graph,
         };
         let domain = VertexSet::full(graph.num_vertices());
-        let delta_c = norm_inf(&cost_degree_measure(graph, &costs));
         let (w_max, w_total) = (norm_inf(&weights), norm_1(&weights));
-        let (c_max, c_total) = (norm_inf(&costs), norm_1(&costs));
+        let c_max = norm_inf(&costs);
         Instance {
             host,
             costs,
@@ -119,8 +116,6 @@ impl Instance {
             w_max,
             w_total,
             c_max,
-            c_total,
-            delta_c,
             detected: OnceLock::new(),
             fingerprint: OnceLock::new(),
         }
@@ -130,9 +125,8 @@ impl Instance {
     /// validated by [`InstanceDelta::apply`](crate::api::InstanceDelta) —
     /// the warm-mutation constructor. Skips the `O(n + m)` finiteness
     /// checks (the untouched entries passed them when the base instance
-    /// was built); the cheap derived aggregates (`‖w‖_∞`, `Δ_c`, …) are
-    /// recomputed in one streaming pass, since each is data-dependent on
-    /// every entry.
+    /// was built); the cached aggregates (`‖w‖_∞`, `‖w‖₁`, `‖c‖_∞`) are
+    /// recomputed, since each depends on every entry.
     pub(crate) fn from_validated_parts(
         graph: Graph,
         costs: Vec<f64>,
@@ -247,16 +241,15 @@ impl Instance {
         self.c_max
     }
 
-    /// `‖c‖₁`, cached.
-    #[inline]
+    /// `‖c‖₁` (computed on demand, `O(m)`).
     pub fn total_cost(&self) -> f64 {
-        self.c_total
+        norm_1(&self.costs)
     }
 
-    /// The maximum cost-weighted degree `Δ_c = max_v c(δ(v))`, cached.
-    #[inline]
+    /// The maximum cost-weighted degree `Δ_c = max_v c(δ(v))` (computed
+    /// on demand, `O(n + m)`).
     pub fn max_cost_degree(&self) -> f64 {
-        self.delta_c
+        norm_inf(&cost_degree_measure(self.graph(), &self.costs))
     }
 
     /// `‖c‖_p` (computed on demand, `O(m)`; the [`Solver`] caches it per

@@ -33,7 +33,7 @@ pub mod report;
 pub mod solver;
 
 pub use artifacts::{CacheLookup, CacheStats, SolverArtifacts, SolverCache};
-pub use delta::{AppliedDelta, InstanceDelta};
+pub use delta::InstanceDelta;
 pub use error::{validate_costs, validate_weights, InstanceError, SolveError};
 pub use instance::Instance;
 pub use partitioner::{Partitioner, Theorem4Pipeline};

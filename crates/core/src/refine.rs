@@ -6,21 +6,21 @@
 //! balance tightness or per-class boundary — which is exactly what the E7
 //! comparison demonstrates against the Theorem 4 pipeline.
 //!
-//! A pass visits only *candidates*: the colored vertices of its region
-//! with a colored neighbor in another class, since no other vertex has a
-//! move to make. They sit in a bitset visited in ascending id, the order
-//! of a full sweep, so the moves are exactly a full sweep's. A visit that
-//! finds its vertex interior drops it; a move re-arms the mover's
-//! neighbors in the class it left, the only vertices it can turn into
-//! candidates, and a re-armed id above the mover's joins the running
-//! pass. The set-up (copying the coloring, the class loads, the first
-//! candidate scan) is `O(n + m)`; after it each pass costs `O(n/64)`
-//! plus the degrees of the candidates it visits, not `O(n + m)`.
+//! A pass visits only *candidates*: the colored vertices with a colored
+//! neighbor in another class, since no other vertex has a move to make.
+//! They sit in a bitset visited in ascending id, the order of a full
+//! sweep, so the moves are exactly a full sweep's. A visit that finds its
+//! vertex interior drops it; a move re-arms the mover's neighbors in the
+//! class it left, the only vertices it can turn into candidates, and a
+//! re-armed id above the mover's joins the running pass. The set-up
+//! (copying the coloring, the class loads, the first candidate scan) is
+//! `O(n + m)`; after it each pass costs `O(n/64)` plus the degrees of the
+//! candidates it visits, not `O(n + m)`.
 //!
 //! The multilevel baseline (`mmb_baselines::multilevel`) and the
 //! coarsening cascade ([`crate::coarsen`]) both run it once per level
-//! while uncoarsening; [`crate::api::Solver::resolve_delta`] runs it to
-//! repair a mutated instance.
+//! while uncoarsening; [`crate::api::Solver::resolve_delta`] runs it
+//! twice on a mutated instance, from the incumbent and from the LPT floor.
 
 use mmb_graph::{Coloring, Graph};
 
@@ -30,8 +30,7 @@ use crate::api::{validate_costs, validate_weights, SolveError};
 #[derive(Clone, Copy, Debug)]
 pub struct KlParams {
     /// Maximum number of passes over the candidates (the boundary
-    /// vertices of the region); refinement stops early after a pass that
-    /// moves nothing.
+    /// vertices); refinement stops early after a pass that moves nothing.
     pub max_passes: usize,
     /// A class may grow to at most `balance_factor × average weight`.
     pub balance_factor: f64,
@@ -46,71 +45,14 @@ impl Default for KlParams {
     }
 }
 
-/// Refine `chi` by greedy gain moves; returns the improved coloring.
+/// Refine `chi` by greedy gain moves over its candidates, visited in
+/// ascending id and repeated until a pass moves nothing or `max_passes` is
+/// hit; returns the improved coloring.
 pub fn refine(
     g: &Graph,
     costs: &[f64],
     weights: &[f64],
     chi: &Coloring,
-    params: &KlParams,
-) -> Result<Coloring, SolveError> {
-    refine_over(g, costs, weights, chi, None, params)
-}
-
-/// [`refine`], restricted to a *region*: only `region`'s vertices and
-/// their direct neighbors are candidates for moves. The warm-path repair
-/// primitive — after an [`InstanceDelta`](crate::api::InstanceDelta)
-/// perturbs a few weights or edges, only the touched closure needs KL
-/// attention; the rest of the coloring is already converged.
-///
-/// The balance envelope stays **global** (computed over all colored
-/// vertices), so regional moves cannot silently unbalance far-away
-/// classes. Vertex ids in `region` must be in range for `g`.
-pub fn refine_region(
-    g: &Graph,
-    costs: &[f64],
-    weights: &[f64],
-    chi: &Coloring,
-    region: &[u32],
-    params: &KlParams,
-) -> Result<Coloring, SolveError> {
-    let mut closure = vec![0u64; g.num_vertices().div_ceil(64)];
-    for &v in region {
-        arm(&mut closure, v);
-        for &(nb, _) in g.neighbors(v) {
-            arm(&mut closure, nb);
-        }
-    }
-    refine_over(g, costs, weights, chi, Some(&closure), params)
-}
-
-#[inline]
-fn arm(bits: &mut [u64], v: u32) {
-    bits[v as usize / 64] |= 1 << (v % 64);
-}
-
-#[inline]
-fn armed(bits: &[u64], v: u32) -> bool {
-    bits[v as usize / 64] >> (v % 64) & 1 == 1
-}
-
-/// Whether colored vertex `v` (of class `c`) has a colored neighbor in
-/// another class.
-fn has_foreign_neighbor(g: &Graph, chi: &Coloring, v: u32, c: u32) -> bool {
-    g.neighbors(v)
-        .iter()
-        .any(|&(nb, _)| chi.get(nb).is_some_and(|d| d != c))
-}
-
-/// The shared pass: greedy gain moves over the candidates of `region`
-/// (every vertex when `None`, else the armed bits), visited in ascending
-/// id and repeated until a pass moves nothing or `max_passes` is hit.
-fn refine_over(
-    g: &Graph,
-    costs: &[f64],
-    weights: &[f64],
-    chi: &Coloring,
-    region: Option<&[u64]>,
     params: &KlParams,
 ) -> Result<Coloring, SolveError> {
     let n = g.num_vertices();
@@ -128,9 +70,8 @@ fn refine_over(
     let cap = params.balance_factor * total_w / k as f64;
     let mut load = out.class_measures(weights);
 
-    let in_region = |v: u32| region.is_none_or(|r| armed(r, v));
     let mut candidates = vec![0u64; n.div_ceil(64)];
-    for v in (0..n as u32).filter(|&v| in_region(v)) {
+    for v in 0..n as u32 {
         if let Some(c) = out.get(v) {
             if has_foreign_neighbor(g, &out, v, c) {
                 arm(&mut candidates, v);
@@ -180,9 +121,9 @@ fn refine_over(
                         improved = true;
                         // Only neighbors left behind in `c` gain a foreign
                         // neighbor; every other colored one already had `v`
-                        // as one, so it is armed if it is in the region.
+                        // as one, so it is armed.
                         for &(nb, _) in g.neighbors(v) {
-                            if out.get(nb) == Some(c) && in_region(nb) {
+                            if out.get(nb) == Some(c) {
                                 arm(&mut candidates, nb);
                             }
                         }
@@ -201,6 +142,19 @@ fn refine_over(
         }
     }
     Ok(out)
+}
+
+#[inline]
+fn arm(bits: &mut [u64], v: u32) {
+    bits[v as usize / 64] |= 1 << (v % 64);
+}
+
+/// Whether colored vertex `v` (of class `c`) has a colored neighbor in
+/// another class.
+fn has_foreign_neighbor(g: &Graph, chi: &Coloring, v: u32, c: u32) -> bool {
+    g.neighbors(v)
+        .iter()
+        .any(|&(nb, _)| chi.get(nb).is_some_and(|d| d != c))
 }
 
 #[cfg(test)]
@@ -259,55 +213,6 @@ mod tests {
             total_cut(&grid.graph, &costs, &refined)
                 <= total_cut(&grid.graph, &costs, &start) + 1e-9
         );
-    }
-
-    #[test]
-    fn full_region_matches_full_refine() {
-        let grid = GridGraph::lattice(&[8, 8]);
-        let costs = vec![1.0; grid.graph.num_edges()];
-        let weights = vec![1.0; 64];
-        let start = Coloring::from_fn(64, 4, |v| v % 4);
-        let all: Vec<u32> = (0..64).collect();
-        let full = refine(&grid.graph, &costs, &weights, &start, &KlParams::default()).unwrap();
-        let regional = refine_region(
-            &grid.graph,
-            &costs,
-            &weights,
-            &start,
-            &all,
-            &KlParams::default(),
-        )
-        .unwrap();
-        assert_eq!(full, regional);
-    }
-
-    #[test]
-    fn empty_region_is_a_noop() {
-        let g = path(10);
-        let start = Coloring::from_fn(10, 2, |v| v % 2);
-        let out =
-            refine_region(&g, &[1.0; 9], &[1.0; 10], &start, &[], &KlParams::default()).unwrap();
-        assert_eq!(out, start);
-    }
-
-    #[test]
-    fn regional_moves_stay_near_the_region() {
-        // Alternating colors on a path; repair only around vertex 2.
-        // Vertices beyond the region's neighbor closure keep their colors.
-        let g = path(20);
-        let start = Coloring::from_fn(20, 2, |v| v % 2);
-        let out = refine_region(
-            &g,
-            &[1.0; 19],
-            &[1.0; 20],
-            &start,
-            &[2],
-            &KlParams::default(),
-        )
-        .unwrap();
-        for v in 5..20u32 {
-            assert_eq!(out.get(v), start.get(v), "vertex {v} moved outside region");
-        }
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   yields one typed rejection, never a poisoned batch.
 //! * [`Request::Mutate`] — a [`InstanceDelta`] against the *ticket* of a
 //!   previously served response. The service re-seeds the pipeline from
-//!   the incumbent coloring (`Solver::resolve_delta`): KL repair on the
-//!   touched region, a strict re-pack only if eq. (1) broke, and the
-//!   resilient ladder's validation gate before anything is served.
+//!   the incumbent coloring (`Solver::resolve_delta`): KL repair of the
+//!   incumbent and of an LPT restart, a strict re-pack of either only if
+//!   eq. (1) broke, and the resilient ladder's validation gate before
+//!   anything is served.
 //!
 //! Batches are distributed over the `rayon` worker pool; each request is
 //! isolated — a panic in one becomes that request's typed

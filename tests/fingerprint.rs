@@ -133,7 +133,7 @@ fn weight_only_deltas_keep_the_artifact_key() {
         .set_weight(0, e.instance.weights()[0] + 1.0)
         .apply(&e.instance)
         .expect("weight delta applies");
-    let fp = applied.instance.fingerprint();
+    let fp = applied.fingerprint();
     assert_eq!(fp.artifact_key(), base.artifact_key());
     assert_ne!(fp.combined(), base.combined());
 
@@ -142,7 +142,7 @@ fn weight_only_deltas_keep_the_artifact_key() {
         .set_cost(0, e.instance.costs()[0] + 0.5)
         .apply(&e.instance)
         .expect("cost delta applies");
-    let fp = applied.instance.fingerprint();
+    let fp = applied.fingerprint();
     assert_ne!(fp.artifact_key(), base.artifact_key());
     assert_ne!(fp.combined(), base.combined());
 }

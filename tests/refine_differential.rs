@@ -1,10 +1,9 @@
 //! Differential suite for boundary-only KL refinement
 //! (`mmb_core::refine`) and value-only `InstanceDelta::apply`.
 //!
-//! [`reference`] keeps the sweep that preceded candidate tracking,
-//! verbatim: every pass visits every vertex of its order (`0..n` for
-//! `refine`, the sorted touched closure for `refine_region`). The
-//! boundary-only pass must return the **same coloring** on every case:
+//! [`reference`] keeps the sweep that preceded candidate tracking: every
+//! pass visits every vertex, in `0..n`. The boundary-only pass must
+//! return the **same coloring** on every case:
 //!
 //! * hosts: a 64 × 64 grid, a torus, a random geometric graph, a random
 //!   tree, preferential attachment, Watts–Strogatz, a star and a path;
@@ -12,9 +11,7 @@
 //!   and random with a fifth of the vertices uncolored;
 //! * k ∈ {1, 2, 3, 8, 16}; unit, uniform `[1, 2)` and zero costs;
 //!   uniform, tied, `±0` and spike weights; balance factor 1.0, 1.1 and
-//!   1.25; `max_passes` 1, 8 and 30;
-//! * `refine`, and `refine_region` over an empty region, one vertex, a
-//!   random 5% and every vertex.
+//!   1.25; `max_passes` 1, 8 and 30.
 //!
 //! `apply` is checked against an instance rebuilt independently through
 //! `graph_from_edges` for value-only deltas on a bare and a grid-hosted
@@ -22,7 +19,7 @@
 //! which must still rebuild.
 
 use mmb_core::api::{Instance, InstanceDelta};
-use mmb_core::refine::{refine, refine_region, KlParams};
+use mmb_core::refine::{refine, KlParams};
 use mmb_core::strict::greedy_strict;
 use mmb_graph::gen::attachment::preferential_attachment;
 use mmb_graph::gen::geometric::random_geometric;
@@ -36,64 +33,19 @@ use mmb_graph::{Coloring, Graph, VertexId, VertexSet};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// The KL sweep that preceded candidate tracking, kept verbatim as the
-/// oracle.
+/// The KL sweep that preceded candidate tracking, kept as the oracle.
 mod reference {
     use mmb_core::api::{validate_costs, validate_weights, SolveError};
     use mmb_core::refine::KlParams;
     use mmb_graph::{Coloring, Graph};
 
-    /// Refine `chi` by greedy gain moves; returns the improved coloring.
+    /// Refine `chi` by greedy gain moves over every vertex in `0..n`;
+    /// returns the improved coloring.
     pub fn refine(
         g: &Graph,
         costs: &[f64],
         weights: &[f64],
         chi: &Coloring,
-        params: &KlParams,
-    ) -> Result<Coloring, SolveError> {
-        let order: Vec<u32> = (0..g.num_vertices() as u32).collect();
-        refine_over(g, costs, weights, chi, &order, params)
-    }
-
-    /// [`refine`], restricted to a *region*: only `region`'s vertices and
-    /// their direct neighbors are candidates for moves. The warm-path repair
-    /// primitive — after an [`InstanceDelta`](crate::api::InstanceDelta)
-    /// perturbs a few weights or edges, only the touched closure needs KL
-    /// attention; the rest of the coloring is already converged.
-    ///
-    /// The balance envelope stays **global** (computed over all colored
-    /// vertices), so regional moves cannot silently unbalance far-away
-    /// classes. Vertex ids in `region` must be in range for `g`.
-    pub fn refine_region(
-        g: &Graph,
-        costs: &[f64],
-        weights: &[f64],
-        chi: &Coloring,
-        region: &[u32],
-        params: &KlParams,
-    ) -> Result<Coloring, SolveError> {
-        let mut order: Vec<u32> = Vec::with_capacity(region.len() * 4);
-        for &v in region {
-            order.push(v);
-            for &(nb, _) in g.neighbors(v) {
-                order.push(nb);
-            }
-        }
-        order.sort_unstable();
-        order.dedup();
-        refine_over(g, costs, weights, chi, &order, params)
-    }
-
-    /// The shared pass: greedy gain moves over `order`'s vertices, repeated
-    /// until a pass moves nothing or `max_passes` is hit. `refine` passes
-    /// `0..n` (the historical full sweep, bit-identical); `refine_region`
-    /// passes the touched closure.
-    fn refine_over(
-        g: &Graph,
-        costs: &[f64],
-        weights: &[f64],
-        chi: &Coloring,
-        order: &[u32],
         params: &KlParams,
     ) -> Result<Coloring, SolveError> {
         let n = g.num_vertices();
@@ -113,7 +65,7 @@ mod reference {
 
         for _pass in 0..params.max_passes {
             let mut improved = false;
-            for &v in order {
+            for v in 0..n as u32 {
                 let Some(c) = out.get(v) else { continue };
                 // Gains per adjacent class.
                 let mut internal = 0.0;
@@ -250,24 +202,9 @@ fn start(kind: Start, n: usize, k: usize, w: &[f64], rng: &mut StdRng) -> Colori
     }
 }
 
-/// The regions `refine_region` is checked on: empty, one vertex, a
-/// random 5% and every vertex.
-fn regions(n: usize, rng: &mut StdRng) -> Vec<(&'static str, Vec<VertexId>)> {
-    let one = vec![rng.random_range(0..n as VertexId)];
-    let sample: Vec<VertexId> = (0..n as VertexId)
-        .filter(|_| rng.random_range(0..20u32) == 0)
-        .collect();
-    vec![
-        ("empty", Vec::new()),
-        ("one vertex", one),
-        ("5%", sample),
-        ("all", (0..n as VertexId).collect()),
-    ]
-}
-
 /// Every graph × start × k, with the cost, weight, balance and pass
 /// families rotated through the cases (each pair of cost and weight
-/// families meets), on `refine` and on every region.
+/// families meets).
 #[test]
 fn boundary_only_passes_match_the_full_sweep() {
     let mut cases = 0usize;
@@ -299,21 +236,10 @@ fn boundary_only_passes_match_the_full_sweep() {
                     .filter(|&v| want.get(v) != chi.get(v))
                     .count();
                 cases += 1;
-
-                for (region_name, region) in regions(n, &mut rng) {
-                    let want =
-                        reference::refine_region(&g, &c, &w, &chi, &region, &params).unwrap();
-                    let got = refine_region(&g, &c, &w, &chi, &region, &params).unwrap();
-                    assert!(
-                        got == want,
-                        "refine_region ({region_name}) differs: {label}"
-                    );
-                    cases += 1;
-                }
             }
         }
     }
-    assert_eq!(cases, 8 * 5 * 5 * 5);
+    assert_eq!(cases, 8 * 5 * 5);
     assert!(moved > 10_000, "the suite must exercise moves, saw {moved}");
 }
 
@@ -350,23 +276,19 @@ impl Edit {
     }
 
     /// The mutated instance built from scratch through
-    /// `graph_from_edges`, and the touched vertex set.
-    fn rebuild(&self, base: &Instance) -> (Instance, Vec<VertexId>) {
+    /// `graph_from_edges`.
+    fn rebuild(&self, base: &Instance) -> Instance {
         let g = base.graph();
         let n = g.num_vertices() + self.new_vertices.len();
         let mut w = base.weights().to_vec();
         let mut c = base.costs().to_vec();
-        let mut touched: Vec<VertexId> = Vec::new();
         for &(v, x) in &self.weights {
             w[v as usize] = x;
-            touched.push(v);
         }
         for &(e, x) in &self.costs {
             c[e as usize] = x;
-            touched.extend([g.endpoints(e).0, g.endpoints(e).1]);
         }
         w.extend(&self.new_vertices);
-        touched.extend(g.num_vertices() as VertexId..n as VertexId);
         let mut edges: Vec<(VertexId, VertexId, f64)> = g
             .edge_list()
             .iter()
@@ -375,12 +297,8 @@ impl Edit {
             .filter(|(e, _)| !self.removed.contains(&(*e as u32)))
             .map(|(_, (&(u, v), &x))| (u, v, x))
             .collect();
-        for &e in &self.removed {
-            touched.extend([g.endpoints(e).0, g.endpoints(e).1]);
-        }
         for &(u, v, x) in &self.new_edges {
             edges.push((u.min(v), u.max(v), x));
-            touched.extend([u, v]);
         }
         edges.sort_by_key(|&(u, v, _)| (u, v));
         let pairs: Vec<(VertexId, VertexId)> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
@@ -391,9 +309,7 @@ impl Edit {
             ex.resize(n, 0.0);
             inst = inst.with_extra_measure(ex).unwrap();
         }
-        touched.sort_unstable();
-        touched.dedup();
-        (inst, touched)
+        inst
     }
 }
 
@@ -510,12 +426,10 @@ fn value_only_apply_matches_a_rebuild() {
         for (edit_name, edit) in edits {
             let label = format!("{name} base, {edit_name}");
             let applied = edit.delta().apply(&base).unwrap();
-            let (want, touched) = edit.rebuild(&base);
-            assert_same_instance(&label, &applied.instance, &want);
-            assert_eq!(applied.touched, touched, "{label}: touched");
+            assert_same_instance(&label, &applied, &edit.rebuild(&base));
             // Nothing structural changed.
             assert_eq!(
-                applied.instance.fingerprint().structure,
+                applied.fingerprint().structure,
                 base.fingerprint().structure,
                 "{label}"
             );
@@ -532,11 +446,9 @@ fn value_only_apply_matches_a_rebuild() {
         };
         let label = format!("{name} base, structural");
         let applied = edit.delta().apply(&base).unwrap();
-        let (want, touched) = edit.rebuild(&base);
-        assert_same_instance(&label, &applied.instance, &want);
-        assert_eq!(applied.touched, touched, "{label}: touched");
+        assert_same_instance(&label, &applied, &edit.rebuild(&base));
         assert_ne!(
-            applied.instance.graph().edge_list(),
+            applied.graph().edge_list(),
             base.graph().edge_list(),
             "{label}"
         );
