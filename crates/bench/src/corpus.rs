@@ -34,14 +34,13 @@
 //! entry proven optimal (`bnb_proven ≥ 1`): the acceptance bar that
 //! exact solving reaches past `n = 16`.
 
-use mmb_core::api::{Partitioner, Theorem4Pipeline};
+use mmb_core::api::{Partitioner, Report, Theorem4Pipeline};
 use mmb_core::bnb::{BnbConfig, BnbPartitioner};
-use mmb_core::bounds;
 use mmb_core::lower_bounds::{best_lower_bound, CertifiedGap};
 use mmb_instances::corpus::{Corpus, CorpusEntry};
 
 use crate::table::Table;
-use crate::{fmt, run_scored, score_instance, standard_baselines};
+use crate::{fmt, run_scored, standard_baselines};
 
 /// Outcome of a corpus sweep: the printable table plus the CI gate data.
 #[derive(Clone, Debug)]
@@ -71,44 +70,34 @@ pub struct CorpusOutcome {
     pub gate_ok: bool,
 }
 
-/// Format one already-scored `(coloring, score)` pair into a table row;
-/// `lower` is the entry's certified lower bound. Returns the row, the
-/// Theorem-5 ratio and, when the coloring is strictly balanced, the
-/// achieved cost (for the soundness prong).
-fn format_row(
-    entry: &CorpusEntry,
-    algo_name: &str,
-    chi: &mmb_graph::Coloring,
-    s: &crate::Score,
-    lower: f64,
-) -> (Vec<String>, f64, Option<f64>) {
+/// Format one coloring's [`Report`] into a table row; `lower` is the
+/// entry's certified lower bound. Returns the row, the Theorem-5 ratio
+/// and, when the coloring is strictly balanced, the achieved cost (for
+/// the soundness prong).
+fn format_row(entry: &CorpusEntry, r: &Report, lower: f64) -> (Vec<String>, f64, Option<f64>) {
     let inst = &entry.instance;
-    let bound = bounds::theorem5(entry.p, entry.k, inst.cost_norm(entry.p), inst.max_cost());
-    let ratio = s.max_boundary / bound.max(1e-300);
-    let slack = bounds::strict_slack(entry.k, inst.max_weight());
-    let gap = CertifiedGap::new(lower, s.max_boundary, "");
-    let strict = chi.is_strictly_balanced(inst.weights());
+    let gap = CertifiedGap::new(lower, r.max_boundary, "");
     let row = vec![
         entry.family.to_string(),
         entry.name.clone(),
-        algo_name.to_string(),
+        r.splitter.clone(),
         inst.num_vertices().to_string(),
         inst.num_edges().to_string(),
         entry.k.to_string(),
-        fmt(s.max_boundary),
-        fmt(bound),
-        fmt(ratio),
+        fmt(r.max_boundary),
+        fmt(r.bound),
+        fmt(r.bound_ratio),
         fmt(lower),
         if gap.ratio.is_finite() {
             fmt(gap.ratio)
         } else {
             "∞".into()
         },
-        fmt(slack),
-        fmt(s.strict_defect),
-        if strict { "yes".into() } else { "no".into() },
+        fmt(r.strict_slack),
+        fmt(r.strict_defect),
+        if r.strict { "yes".into() } else { "no".into() },
     ];
-    (row, ratio, strict.then_some(s.max_boundary))
+    (row, r.bound_ratio, r.strict.then_some(r.max_boundary))
 }
 
 /// Run one algorithm on one entry and format the result
@@ -118,8 +107,8 @@ fn score_row(
     algo: &dyn Partitioner,
     lower: f64,
 ) -> Option<(Vec<String>, f64, Option<f64>)> {
-    let (chi, s) = run_scored(algo, &entry.instance, entry.k).ok()?;
-    Some(format_row(entry, algo.name(), &chi, &s, lower))
+    let (report, _) = run_scored(algo, &entry.instance, entry.k, entry.p).ok()?;
+    Some(format_row(entry, &report, lower))
 }
 
 /// Tolerance for the soundness prong: a certified bound may exceed an
@@ -233,9 +222,9 @@ pub fn run_corpus(quick: bool) -> CorpusOutcome {
             check_soundness(entry, pipeline.name(), lower, cost);
             table.row(row);
         }
-        if let Some(sol) = &sol {
-            let s = score_instance(&entry.instance, &sol.coloring);
-            let (row, _, cost) = format_row(entry, bnb.name(), &sol.coloring, &s, lower);
+        if let Some(sol) = sol {
+            let report = Report::of(&entry.instance, entry.p, bnb.name(), sol.coloring);
+            let (row, _, cost) = format_row(entry, &report, lower);
             check_soundness(entry, bnb.name(), lower, cost);
             table.row(row);
         }

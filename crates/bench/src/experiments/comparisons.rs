@@ -7,8 +7,9 @@
 use mmb_baselines::greedy::{FirstFit, Lpt};
 use mmb_baselines::multilevel::Multilevel;
 use mmb_baselines::recursive_bisection::{recursive_bisection, RecursiveBisection};
-use mmb_core::api::{auto_splitter, Instance, Partitioner, SolveError, Solver, Theorem4Pipeline};
-use mmb_core::bounds;
+use mmb_core::api::{
+    auto_splitter, Instance, Partitioner, Report, SolveError, Solver, Theorem4Pipeline,
+};
 use mmb_core::multibalance::multibalance_minmax_with_pi_ws;
 use mmb_core::pi::splitting_cost_measure_within;
 use mmb_core::pipeline::PipelineConfig;
@@ -17,7 +18,7 @@ use mmb_core::shrink::almost_strict_ws;
 use mmb_core::strict::binpack2;
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::gen::tree::complete_binary_tree;
-use mmb_graph::measure::{norm_1, total_edge_norm_p};
+use mmb_graph::measure::{norm_1, norm_inf, total_edge_norm_p};
 use mmb_graph::{Coloring, VertexSet, Workspace};
 use mmb_instances::climate::{climate, ClimateParams, ClimateWorkload};
 use mmb_instances::costs::CostFamily;
@@ -30,6 +31,10 @@ use rayon::prelude::*;
 
 use crate::table::Table;
 use crate::{fmt, run_scored};
+
+/// The exponent `p` of the comparison tables' reports: the pipeline's
+/// default (no table here prints a Theorem-5 bound that depends on it).
+const P: f64 = 2.0;
 
 /// Build the GridGraph twin of a `TightInstance::grid` union so GridSplit
 /// can drive our pipeline on it (same ids: copy-major, then base id).
@@ -112,21 +117,17 @@ pub fn e4(quick: bool) -> Table {
             let lb = tight.avg_boundary_lower_bound();
             algos
                 .iter()
-                .map(|algo| {
-                    let chi = algo.partition(&inst, k).expect("valid instance");
-                    let (avg, lower, rough) = tight.check(&chi);
+                .map(|&algo| {
+                    let (r, _) = run_scored(algo, &inst, k, P).expect("valid instance");
+                    let (avg, lower, rough) = tight.check(&r.coloring);
                     vec![
                         k.to_string(),
-                        algo.name().into(),
+                        r.splitter,
                         fmt(avg),
                         fmt(lower),
                         fmt(avg / lb.max(1e-300)),
                         if rough { "yes".into() } else { "no*".into() },
-                        if chi.is_strictly_balanced(&tight.weights) {
-                            "yes".into()
-                        } else {
-                            "no".into()
-                        },
+                        if r.strict { "yes".into() } else { "no".into() },
                     ]
                 })
                 .collect()
@@ -183,18 +184,20 @@ pub fn e7(quick: bool) -> Table {
         &Multilevel::default(),
     ];
     for algo in algos {
-        let (chi, s) = run_scored(algo, &inst, k).expect("valid instance");
+        let (r, millis) = run_scored(algo, &inst, k, P).expect("valid instance");
+        let avg_w = norm_1(&r.class_weights) / r.k as f64;
+        let max_over_avg = if avg_w > 0.0 {
+            norm_inf(&r.class_weights) / avg_w
+        } else {
+            1.0
+        };
         t.row(vec![
-            algo.name().into(),
-            fmt(s.balance_factor),
-            if chi.is_strictly_balanced(inst.weights()) {
-                "yes".into()
-            } else {
-                "no".into()
-            },
-            fmt(s.max_boundary),
-            fmt(s.avg_boundary),
-            fmt(s.millis),
+            r.splitter,
+            fmt(max_over_avg),
+            if r.strict { "yes".into() } else { "no".into() },
+            fmt(r.max_boundary),
+            fmt(r.avg_boundary),
+            fmt(millis),
         ]);
     }
     t.note("claim reproduced if ours is the only strict row whose max ∂ is within a small factor of the best");
@@ -248,7 +251,7 @@ pub fn e8(quick: bool) -> Table {
     let stage3 = binpack2(g, &splitter, &stage2, domain, weights);
     let served = Solver::for_instance(&inst)
         .classes(k)
-        .config(cfg)
+        .config(cfg.clone())
         .build()
         .expect("valid instance")
         .solve();
@@ -256,23 +259,6 @@ pub fn e8(quick: bool) -> Table {
         stage3, served.coloring,
         "E8's stage-by-stage run diverged from Solver::solve"
     );
-    let stages: [(&str, &Coloring); 3] = [
-        ("1: Prop 7 (weakly balanced)", &stage1),
-        ("2: Prop 11 (almost strict)", &stage2),
-        ("3: Prop 12 (strict)", &stage3),
-    ];
-    for (name, chi) in stages {
-        t.row(vec![
-            name.into(),
-            fmt(chi.max_boundary_cost(inst.graph(), inst.costs())),
-            fmt(chi.strict_balance_defect(inst.weights())),
-            if chi.is_strictly_balanced(inst.weights()) {
-                "yes".into()
-            } else {
-                "no".into()
-            },
-        ]);
-    }
     // Ablation: skipping the shrink stage (BinPack2 alone must repair a
     // weakly balanced coloring — more boundary damage).
     let ablated = Solver::for_instance(&inst)
@@ -284,16 +270,21 @@ pub fn e8(quick: bool) -> Table {
         .build()
         .expect("valid instance")
         .solve();
-    t.row(vec![
-        "ablation: skip shrink".into(),
-        fmt(ablated.max_boundary),
-        fmt(ablated.strict_defect),
-        if ablated.is_strictly_balanced() {
-            "yes".into()
-        } else {
-            "no".into()
-        },
-    ]);
+    let rows = [
+        ("1: Prop 7 (weakly balanced)", stage1),
+        ("2: Prop 11 (almost strict)", stage2),
+        ("3: Prop 12 (strict)", stage3),
+        ("ablation: skip shrink", ablated.coloring),
+    ];
+    for (name, chi) in rows {
+        let r = Report::of(&inst, cfg.p, name, chi);
+        t.row(vec![
+            r.splitter,
+            fmt(r.max_boundary),
+            fmt(r.strict_defect),
+            if r.strict { "yes".into() } else { "no".into() },
+        ]);
+    }
     t.note(
         "stage 3 / stage 1 max-∂ ratio bounded by a constant ⇒ strictness is (asymptotically) free",
     );
@@ -417,15 +408,15 @@ pub fn e10(quick: bool) -> Table {
     for &k in ks {
         let tight = TightInstance::grid(side, k);
         let inst = tight_instance(&tight, side, k);
-        let (_, s) = run_scored(&Theorem4Pipeline::default(), &inst, k).expect("valid instance");
+        let (r, _) = run_scored(&Theorem4Pipeline::default(), &inst, k, P).expect("valid instance");
         let lb = tight.avg_boundary_lower_bound();
         t.row(vec![
             k.to_string(),
-            fmt(s.avg_boundary),
-            fmt(s.max_boundary),
+            fmt(r.avg_boundary),
+            fmt(r.max_boundary),
             fmt(lb),
-            fmt(s.avg_boundary / lb.max(1e-300)),
-            fmt(s.max_boundary / s.avg_boundary.max(1e-300)),
+            fmt(r.avg_boundary / lb.max(1e-300)),
+            fmt(r.max_boundary / r.avg_boundary.max(1e-300)),
         ]);
     }
     t.note("avg/LB ≥ 1 and max/avg = O(1): the average is as lower-bounded as the max");
@@ -549,15 +540,7 @@ pub fn e12(quick: bool) -> Table {
         ]);
     }
     t.row(vec!["max ∂".into(), fmt(report.max_boundary)]);
-    t.row(vec![
-        "Thm 5 bound".into(),
-        fmt(bounds::theorem5(
-            2.0,
-            k,
-            inst.cost_norm(2.0),
-            inst.max_cost(),
-        )),
-    ]);
+    t.row(vec!["Thm 5 bound".into(), fmt(report.bound)]);
     t.note(
         "weak-balance factors O(1) while eq. (1) holds in w ⇒ the conclusion's remark reproduced",
     );

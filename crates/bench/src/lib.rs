@@ -25,9 +25,7 @@ pub mod table;
 use mmb_baselines::greedy::{FirstFit, Lpt, RoundRobin};
 use mmb_baselines::multilevel::Multilevel;
 use mmb_baselines::recursive_bisection::RecursiveBisection;
-use mmb_core::api::{Instance, Partitioner, SolveError};
-use mmb_graph::measure::{norm_1, norm_inf};
-use mmb_graph::{Coloring, Graph};
+use mmb_core::api::{Instance, Partitioner, Report, SolveError};
 
 /// The standard baseline roster every cross-partitioner sweep scores —
 /// one constructor so the corpus table and the exact-optimum differential
@@ -43,58 +41,18 @@ pub fn standard_baselines() -> Vec<Box<dyn Partitioner>> {
     ]
 }
 
-/// Uniform quality score of a coloring on an instance.
-#[derive(Clone, Debug)]
-pub struct Score {
-    /// `‖∂χ⁻¹‖∞`.
-    pub max_boundary: f64,
-    /// `‖∂χ⁻¹‖_avg`.
-    pub avg_boundary: f64,
-    /// Strict-balance defect (≤ 0 means eq. (1) holds).
-    pub strict_defect: f64,
-    /// Max class weight / average class weight (rough-balance factor).
-    pub balance_factor: f64,
-    /// Wall-clock milliseconds (filled by the caller when relevant).
-    pub millis: f64,
-}
-
-/// Score a coloring.
-pub fn score(g: &Graph, costs: &[f64], weights: &[f64], chi: &Coloring) -> Score {
-    let bc = chi.boundary_costs(g, costs);
-    let k = chi.k();
-    let cm = chi.class_measures(weights);
-    let avg_w = norm_1(&cm) / k as f64;
-    Score {
-        max_boundary: norm_inf(&bc),
-        avg_boundary: norm_1(&bc) / k as f64,
-        strict_defect: chi.strict_balance_defect(weights),
-        balance_factor: if avg_w > 0.0 {
-            norm_inf(&cm) / avg_w
-        } else {
-            1.0
-        },
-        millis: 0.0,
-    }
-}
-
-/// Score a coloring of an [`Instance`] (same metrics as [`score`]).
-pub fn score_instance(inst: &Instance, chi: &Coloring) -> Score {
-    score(inst.graph(), inst.costs(), inst.weights(), chi)
-}
-
-/// Run a [`Partitioner`] on an instance, returning the coloring and its
-/// timed [`Score`] — the uniform "ours vs baselines" code path of
-/// experiments E4, E7 and E10.
+/// Run a [`Partitioner`] on an instance and take the [`Report::of`] its
+/// coloring at exponent `p`, with the partition's wall-clock
+/// milliseconds — the uniform "ours vs baselines" code path of the
+/// corpus table and experiments E4, E7 and E10.
 pub fn run_scored(
     algo: &dyn Partitioner,
     inst: &Instance,
     k: usize,
-) -> Result<(Coloring, Score), SolveError> {
+    p: f64,
+) -> Result<(Report, f64), SolveError> {
     let (chi, millis) = timed(|| algo.partition(inst, k));
-    let chi = chi?;
-    let mut s = score_instance(inst, &chi);
-    s.millis = millis;
-    Ok((chi, s))
+    Ok((Report::of(inst, p, algo.name(), chi?), millis))
 }
 
 /// Run `f`, returning its result and the elapsed milliseconds.

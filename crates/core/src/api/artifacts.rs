@@ -17,13 +17,15 @@
 //!
 //! ## Fingerprints filter, equality decides
 //!
-//! The 64-bit key is a *filter*, not a proof: on every hit the cache
-//! re-checks the candidate against the instance with
-//! [`SolverArtifacts::matches`] — full structural equality of the edge
-//! list, bit-equality of the costs, bit-equality of `p`. A colliding key
-//! is reported as [`CacheLookup::Collision`] and recomputed; a stale or
-//! poisoned entry can be dropped with [`SolverCache::evict_for`]. Served
-//! results therefore never depend on the hash being collision-free.
+//! The 64-bit key is a *filter*, not a proof: a hit is an entry under
+//! the instance's key that also passes [`SolverArtifacts::matches`] —
+//! full structural equality of the edge list, bit-equality of the costs,
+//! bit-equality of `p`. A key that only other instances' entries carry is
+//! reported as [`CacheLookup::Collision`] and recomputed, and each
+//! instance whose key collides with another keeps its own entry, so
+//! later lookups of either hit. A stale or poisoned entry can be dropped
+//! with [`SolverCache::evict_for`]. Served results therefore never
+//! depend on the hash being collision-free.
 //!
 //! ## Determinism
 //!
@@ -128,11 +130,6 @@ impl SolverArtifacts {
     pub fn fingerprint(&self) -> Fingerprint {
         self.fingerprint
     }
-
-    /// The cache key: weight-independent fingerprint parts ⊕ `p` bits.
-    fn key(&self) -> u64 {
-        mix_key(self.fingerprint, self.p)
-    }
 }
 
 /// Splitmix of the weight-independent fingerprint parts with `p`'s bit
@@ -153,8 +150,8 @@ pub enum CacheLookup {
     Hit,
     /// No entry under the key: artifacts computed and inserted.
     Miss,
-    /// Key matched but the exact check refused (hash collision):
-    /// artifacts computed and inserted alongside.
+    /// Entries under the key, none passing the exact check (hash
+    /// collision): artifacts computed and inserted alongside.
     Collision,
 }
 
@@ -165,7 +162,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Cold lookups (no entry under the key).
     pub misses: u64,
-    /// Key matches refused by the exact check.
+    /// Lookups whose key only other instances' entries carry.
     pub collisions: u64,
     /// Entries dropped by the LRU bound or [`SolverCache::evict_for`].
     pub evictions: u64,
@@ -174,8 +171,9 @@ pub struct CacheStats {
 /// A bounded, deterministic LRU cache of [`SolverArtifacts`].
 ///
 /// Most-recently-used entries sit at the front of a plain `Vec`; lookups
-/// scan by 64-bit key and confirm with the exact [`SolverArtifacts::matches`]
-/// check. Capacity 0 degenerates to "always compute" (still counted).
+/// scan for an entry under the 64-bit key that passes the exact
+/// [`SolverArtifacts::matches`] check. Capacity 0 degenerates to "always
+/// compute" (still counted).
 #[derive(Debug)]
 pub struct SolverCache {
     entries: Vec<(u64, Arc<SolverArtifacts>)>,
@@ -201,34 +199,46 @@ impl SolverCache {
         inst: &Instance,
         p: f64,
     ) -> (Arc<SolverArtifacts>, CacheLookup) {
-        let key = mix_key(inst.fingerprint(), p);
-        if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
-            if self.entries[pos].1.matches(inst, p) {
-                self.stats.hits += 1;
-                let entry = self.entries.remove(pos);
-                self.entries.insert(0, entry);
-                return (Arc::clone(&self.entries[0].1), CacheLookup::Hit);
-            }
-            // Same 64-bit key, different instance: a genuine collision.
-            // Recompute; the insert below replaces the colliding entry's
-            // slot ordering but both remain addressable by exact check.
-            self.stats.collisions += 1;
-            let artifacts = Arc::new(SolverArtifacts::compute(inst, p));
-            self.insert(Arc::clone(&artifacts));
-            return (artifacts, CacheLookup::Collision);
-        }
-        self.stats.misses += 1;
-        let artifacts = Arc::new(SolverArtifacts::compute(inst, p));
-        self.insert(Arc::clone(&artifacts));
-        (artifacts, CacheLookup::Miss)
+        self.get_or_compute_keyed(mix_key(inst.fingerprint(), p), inst, p)
     }
 
-    /// Insert precomputed artifacts at the most-recently-used position.
-    pub fn insert(&mut self, artifacts: Arc<SolverArtifacts>) {
+    /// [`get_or_compute`](Self::get_or_compute) under a given key.
+    fn get_or_compute_keyed(
+        &mut self,
+        key: u64,
+        inst: &Instance,
+        p: f64,
+    ) -> (Arc<SolverArtifacts>, CacheLookup) {
+        let hit = self
+            .entries
+            .iter()
+            .position(|(k, a)| *k == key && a.matches(inst, p));
+        if let Some(pos) = hit {
+            self.stats.hits += 1;
+            let entry = self.entries.remove(pos);
+            self.entries.insert(0, entry);
+            return (Arc::clone(&self.entries[0].1), CacheLookup::Hit);
+        }
+        // No entry passed the exact check. Entries under the same key
+        // belong to other instances (a genuine collision); the recomputed
+        // entry joins them instead of shadowing them.
+        let lookup = if self.entries.iter().any(|(k, _)| *k == key) {
+            self.stats.collisions += 1;
+            CacheLookup::Collision
+        } else {
+            self.stats.misses += 1;
+            CacheLookup::Miss
+        };
+        let artifacts = Arc::new(SolverArtifacts::compute(inst, p));
+        self.insert(key, Arc::clone(&artifacts));
+        (artifacts, lookup)
+    }
+
+    /// Insert artifacts under `key` at the most-recently-used position.
+    fn insert(&mut self, key: u64, artifacts: Arc<SolverArtifacts>) {
         if self.capacity == 0 {
             return;
         }
-        let key = artifacts.key();
         self.entries.insert(0, (key, artifacts));
         while self.entries.len() > self.capacity {
             self.entries.pop();
@@ -335,6 +345,29 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.get_or_compute(&b, 2.0).1, CacheLookup::Hit);
         assert_eq!(cache.get_or_compute(&a, 2.0).1, CacheLookup::Miss);
+    }
+
+    #[test]
+    fn colliding_keys_keep_both_entries() {
+        let mut cache = SolverCache::new(4);
+        let a = grid_instance(3, 1.0);
+        let b = grid_instance(4, 1.0);
+        let key = 0x5eed;
+        let lookups: Vec<_> = [&a, &b, &a, &b]
+            .into_iter()
+            .map(|inst| cache.get_or_compute_keyed(key, inst, 2.0).1)
+            .collect();
+        assert_eq!(
+            lookups,
+            [
+                CacheLookup::Miss,
+                CacheLookup::Collision,
+                CacheLookup::Hit,
+                CacheLookup::Hit
+            ]
+        );
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().collisions, 1);
     }
 
     #[test]

@@ -37,5 +37,5 @@ pub use delta::InstanceDelta;
 pub use error::{validate_costs, validate_weights, InstanceError, SolveError};
 pub use instance::Instance;
 pub use partitioner::{Partitioner, Theorem4Pipeline};
-pub use report::{ClassRow, Report};
+pub use report::Report;
 pub use solver::{auto_splitter, DeltaSolve, Solver, SolverBuilder};

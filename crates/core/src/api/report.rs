@@ -1,32 +1,26 @@
-//! The structured result of a [`Solver::solve`](crate::api::Solver::solve)
-//! call.
+//! [`Report`]: the one summary of a coloring — what every solver returns
+//! and what [`Report::of`] makes of any other coloring.
 //!
-//! A [`Report`] carries the coloring, the per-class weight/boundary
-//! table, strict-balance defect and slack, and the Theorem-4/5 bound
-//! right-hand side with the measured/bound ratio.
+//! A [`Report`] carries the coloring, the per-class weights and boundary
+//! costs, the strict-balance defect, slack and verdict (Definition 1,
+//! eq. (1)), and the Theorem-4/5 bound right-hand side with the
+//! measured/bound ratio. Its [`splitter`](Report::splitter) field names
+//! the splitter that ran the pipeline, the ladder rung that served, or
+//! the label passed to [`Report::of`].
 
 use mmb_graph::measure::{norm_1, norm_inf};
 use mmb_graph::Coloring;
 
+use crate::api::instance::Instance;
 use crate::bounds;
 use crate::lower_bounds::CertifiedGap;
 
-/// One row of the per-class table: `(class, weight, boundary cost)`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ClassRow {
-    /// Class index `i ∈ [k]`.
-    pub class: usize,
-    /// `w(χ⁻¹(i))`.
-    pub weight: f64,
-    /// `∂χ⁻¹(i)`.
-    pub boundary_cost: f64,
-}
-
-/// Structured result of one solve: coloring, quality tables, and bound
-/// ratio.
+/// Structured summary of one coloring: the coloring, its quality
+/// tables, its strict-balance verdict, and its bound ratio.
 #[derive(Clone, Debug)]
 pub struct Report {
-    /// The strictly balanced `k`-coloring.
+    /// The coloring summarized; strictly balanced whenever a solver
+    /// served it.
     pub coloring: Coloring,
     /// Per-class weights `wχ⁻¹`.
     pub class_weights: Vec<f64>,
@@ -46,11 +40,13 @@ pub struct Report {
     /// `max_boundary / bound` — must stay bounded across instance sweeps
     /// for the theorem to count as reproduced.
     pub bound_ratio: f64,
-    /// Name of the splitter that ran the three pipeline stages. On the
-    /// coarsening cascade that is the coarse solver's own pick (e.g.
-    /// `"bfs"` on a contracted grid), even when the caller passed a
-    /// splitter: there the caller's splitter only backs the host
-    /// `BinPack2` pass.
+    /// What produced the coloring. From a solver, the splitter that ran
+    /// the three pipeline stages; on the coarsening cascade that is the
+    /// coarse solver's own pick (e.g. `"bfs"` on a contracted grid), even
+    /// when the caller passed a splitter: there the caller's splitter
+    /// only backs the host `BinPack2` pass. From the degradation ladder,
+    /// the name of the rung that served a bare coloring. From
+    /// [`Report::of`], the caller's label.
     pub splitter: String,
     /// Number of classes.
     pub k: usize,
@@ -62,42 +58,56 @@ pub struct Report {
     /// Certified optimality gap — the best lower bound from the
     /// [`lower_bounds`](crate::lower_bounds) certifier stack paired with
     /// this solve's achieved cost. `None` from a plain
-    /// [`Solver::solve`](crate::api::Solver::solve) (certification is
-    /// off the hot path; [`certify`](crate::lower_bounds::certify) pairs
-    /// its cost with a gap); filled by
+    /// [`Solver::solve`](crate::api::Solver::solve) or [`Report::of`]
+    /// (certification is off the hot path;
+    /// [`certify`](crate::lower_bounds::certify) pairs its cost with a
+    /// gap); filled by
     /// [`Solver::solve_anytime`](crate::api::Solver::solve_anytime) and
     /// [`ResilientSolver::solve`](crate::resilient::ResilientSolver::solve).
     pub certified: Option<CertifiedGap>,
     /// How the degradation ladder served this report: which rung
     /// answered, what happened to the rungs above it, budget spent.
-    /// `None` from the plain [`Solver`](crate::api::Solver) entry points;
-    /// filled by
+    /// `None` from the plain [`Solver`](crate::api::Solver) entry points
+    /// and [`Report::of`]; filled by
     /// [`ResilientSolver::solve`](crate::resilient::ResilientSolver::solve).
     pub resilience: Option<crate::resilient::Resilience>,
 }
 
 impl Report {
-    #[allow(clippy::too_many_arguments)] // internal assembly of the full report row
+    /// The report of any `coloring` of `inst` — a baseline's, a stage's,
+    /// an exact search's — at exponent `p`, with `k = coloring.k()` and
+    /// `label` in [`Report::splitter`]. It reads exactly what a solver's
+    /// own report reads, so the two agree bit for bit on the same
+    /// coloring. Partial colorings are summarized too: check
+    /// [`Coloring::is_total`] alongside [`Report::strict`].
+    ///
+    /// # Panics
+    /// If `coloring` and `inst` disagree on the number of vertices.
+    pub fn of(inst: &Instance, p: f64, label: &str, coloring: Coloring) -> Self {
+        assert_eq!(
+            coloring.num_vertices(),
+            inst.num_vertices(),
+            "coloring/instance vertex count mismatch"
+        );
+        Self::assemble(inst, inst.cost_norm(p), p, label.to_owned(), coloring)
+    }
+
+    /// [`Report::of`] with `‖c‖_p` already at hand (a solver caches it).
     pub(crate) fn assemble(
-        g: &mmb_graph::Graph,
-        costs: &[f64],
-        weights: &[f64],
-        w_max: f64,
-        c_max: f64,
+        inst: &Instance,
         c_norm_p: f64,
-        k: usize,
         p: f64,
         splitter: String,
         coloring: Coloring,
     ) -> Self {
-        let boundary_costs = coloring.boundary_costs(g, costs);
-        let class_weights = coloring.class_measures(weights);
+        let (weights, k) = (inst.weights(), coloring.k());
+        let boundary_costs = coloring.boundary_costs(inst.graph(), inst.costs());
         let max_boundary = norm_inf(&boundary_costs);
-        let bound = bounds::theorem5(p, k, c_norm_p, c_max);
+        let bound = bounds::theorem5(p, k, c_norm_p, inst.max_cost());
         Report {
-            class_weights,
+            class_weights: coloring.class_measures(weights),
             strict_defect: coloring.strict_balance_defect(weights),
-            strict_slack: bounds::strict_slack(k, w_max),
+            strict_slack: bounds::strict_slack(k, inst.max_weight()),
             max_boundary,
             avg_boundary: norm_1(&boundary_costs) / k as f64,
             bound,
@@ -119,18 +129,47 @@ impl Report {
     pub fn is_strictly_balanced(&self) -> bool {
         self.strict
     }
+}
 
-    /// The per-class table, one [`ClassRow`] per class.
-    pub fn class_table(&self) -> Vec<ClassRow> {
-        self.class_weights
-            .iter()
-            .zip(&self.boundary_costs)
-            .enumerate()
-            .map(|(class, (&weight, &boundary_cost))| ClassRow {
-                class,
-                weight,
-                boundary_cost,
-            })
-            .collect()
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmb_graph::coloring::UNCOLORED;
+    use mmb_graph::graph::graph_from_edges;
+
+    fn path4(costs: Vec<f64>, weights: Vec<f64>) -> Instance {
+        let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        Instance::new(g, costs, weights).unwrap()
+    }
+
+    #[test]
+    fn report_on_balanced_path() {
+        let inst = path4(vec![1.0, 2.0, 1.0], vec![1.0; 4]);
+        let chi = Coloring::from_vec(2, vec![0, 0, 1, 1]);
+        let r = Report::of(&inst, 2.0, "path", chi);
+        assert!(r.coloring.is_total());
+        assert!(r.is_strictly_balanced());
+        assert_eq!(r.max_boundary, 2.0);
+        assert_eq!(r.avg_boundary, 2.0);
+        assert_eq!(r.class_weights, vec![2.0, 2.0]);
+    }
+
+    #[test]
+    fn detects_partial_and_unbalanced() {
+        let inst = path4(vec![1.0; 3], vec![1.0; 4]);
+        let valid = |r: &Report| r.coloring.is_total() && r.is_strictly_balanced();
+        let partial = Coloring::from_vec(2, vec![0, 0, 1, UNCOLORED]);
+        assert!(!valid(&Report::of(&inst, 2.0, "partial", partial)));
+        let unbalanced = Coloring::from_vec(2, vec![0, 0, 0, 0]);
+        let r = Report::of(&inst, 2.0, "unbalanced", unbalanced.clone());
+        assert!(r.coloring.is_total());
+        assert!(!valid(&r));
+        assert!(r.strict_defect > 0.0);
+        // The verdict scales with the weights: at 1e-12 the defect is
+        // 1.5e-12, three times the slack, and no absolute floor hides it.
+        let tiny = path4(vec![1.0; 3], vec![1e-12; 4]);
+        let r = Report::of(&tiny, 2.0, "tiny", unbalanced);
+        assert!(r.strict_defect > 2.0 * r.strict_slack);
+        assert!(!valid(&r));
     }
 }

@@ -48,6 +48,7 @@ use crate::api::report::Report;
 use crate::multibalance::multibalance_minmax_with_pi_ws;
 use crate::pi::splitting_cost_measure_within;
 use crate::pipeline::PipelineConfig;
+use crate::resilient::ladder;
 use crate::shrink::almost_strict_ws;
 use crate::strict::{assign_lightest, binpack2};
 
@@ -328,19 +329,7 @@ impl<'i> Solver<'i> {
     /// The [`Report`] of a final coloring of this solver's instance,
     /// naming the splitter that ran the three stages.
     fn report(&self, splitter: String, coloring: Coloring) -> Report {
-        let inst = self.inst;
-        Report::assemble(
-            inst.graph(),
-            inst.costs(),
-            inst.weights(),
-            inst.max_weight(),
-            inst.max_cost(),
-            self.c_norm_p,
-            self.k,
-            self.cfg.p,
-            splitter,
-            coloring,
-        )
+        Report::assemble(self.inst, self.c_norm_p, self.cfg.p, splitter, coloring)
     }
 
     /// The large-`n` path (see [`crate::coarsen`] and DESIGN.md §13):
@@ -501,7 +490,7 @@ impl<'i> Solver<'i> {
         // balance landscape enough that the incumbent's basin is no
         // longer the good one, this restart escapes it — still without
         // touching the pipeline.
-        let lpt = crate::resilient::ladder::lpt_coloring(&inst2, self.k);
+        let lpt = ladder::lpt_coloring(&inst2, self.k);
         let floor_cost = lpt.max_boundary_cost(g, costs);
         let mut restart = crate::refine::refine(g, costs, weights, &lpt, &params)?;
         if !restart.is_strictly_balanced(weights) {
@@ -514,7 +503,7 @@ impl<'i> Solver<'i> {
         let warm_best = [chi, restart]
             .into_iter()
             .filter_map(|cand| {
-                crate::resilient::ladder::validate(&inst2, &cand, floor_cost)
+                ladder::validate(&inst2, self.k, &cand, floor_cost)
                     .ok()
                     .map(|cost| (cand, cost))
             })
@@ -539,7 +528,7 @@ impl<'i> Solver<'i> {
             .build()?
             .solve();
         let (coloring, max_boundary) =
-            match crate::resilient::ladder::validate(&inst2, &report.coloring, floor_cost) {
+            match ladder::validate(&inst2, self.k, &report.coloring, floor_cost) {
                 Ok(cost) => (report.coloring, cost),
                 Err(_) => (lpt, floor_cost),
             };

@@ -63,8 +63,9 @@
 //!
 //! ## Guarantees, exactly and empirically
 //!
-//! Strict balance is *enforced by construction* and checked by
-//! [`verify::verify_decomposition`]. The boundary-cost guarantee is
+//! Strict balance is *enforced by construction* and read off every
+//! coloring's [`api::Report`]: a solver's own, or [`api::Report::of`]
+//! for any other coloring. The boundary-cost guarantee is
 //! asymptotic; [`bounds`] computes the theorems' right-hand sides so tests
 //! and benchmarks can report measured/bound ratios (experiments E1–E12 in
 //! `DESIGN.md`). In the other direction, [`lower_bounds`] certifies
@@ -101,4 +102,3 @@ pub mod resilient;
 pub mod shrink;
 pub mod strict;
 pub mod two_color;
-pub mod verify;

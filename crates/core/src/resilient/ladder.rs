@@ -38,15 +38,23 @@ pub(crate) fn first_fit_coloring(inst: &Instance, k: usize) -> Coloring {
     chi
 }
 
-/// The validation gate: a rung's coloring is servable iff it is total,
-/// strictly balanced, and no worse than the floor rung's cost (monotone
-/// degradation — a rung must never serve worse than the rung below it).
-/// Returns the coloring's max boundary cost on success.
+/// The validation gate: a rung's coloring is servable iff it is a
+/// `k`-coloring of `inst`'s vertices, total, strictly balanced, and no
+/// worse than the floor rung's cost (monotone degradation — a rung must
+/// never serve worse than the rung below it). Returns the coloring's max
+/// boundary cost on success.
 pub(crate) fn validate(
     inst: &Instance,
+    k: usize,
     chi: &Coloring,
     floor_cost: f64,
 ) -> Result<f64, RejectReason> {
+    if chi.num_vertices() != inst.num_vertices() || chi.k() != k {
+        return Err(RejectReason::WrongShape {
+            vertices: chi.num_vertices(),
+            classes: chi.k(),
+        });
+    }
     if !chi.is_total() {
         return Err(RejectReason::NotTotal);
     }
@@ -119,14 +127,14 @@ mod tests {
 
         let partial = Coloring::new_uncolored(8, 2);
         assert_eq!(
-            validate(&inst, &partial, floor_cost),
+            validate(&inst, 2, &partial, floor_cost),
             Err(RejectReason::NotTotal)
         );
 
         // Everything in one class: total but grossly unbalanced.
         let lopsided = Coloring::from_fn(8, 2, |_| 0);
         assert!(matches!(
-            validate(&inst, &lopsided, floor_cost),
+            validate(&inst, 2, &lopsided, floor_cost),
             Err(RejectReason::NotStrict { defect }) if defect > 0.0
         ));
 
@@ -137,12 +145,12 @@ mod tests {
         // exercise this arm.)
         let shredded = Coloring::from_fn(8, 2, |v| v % 2);
         assert!(matches!(
-            validate(&inst, &shredded, 1.0),
+            validate(&inst, 2, &shredded, 1.0),
             Err(RejectReason::WorseThanFloor { cost, floor })
                 if cost > floor
         ));
 
         // The floor itself always passes.
-        assert_eq!(validate(&inst, &floor, floor_cost), Ok(floor_cost));
+        assert_eq!(validate(&inst, 2, &floor, floor_cost), Ok(floor_cost));
     }
 }

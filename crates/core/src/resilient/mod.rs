@@ -13,8 +13,9 @@
 //!
 //! Each rung runs inside a `catch_unwind` boundary with a slice of the
 //! per-call [`DeadlineBudget`]; a rung that panics, errors, blows its
-//! slice, or produces an output that fails validation (not total, not
-//! strictly balanced, or worse than the floor) is recorded and the
+//! slice, or produces an output that fails validation (not a `k`-coloring
+//! of the instance, not total, not strictly balanced, or worse than the
+//! floor) is recorded and the
 //! ladder falls through to the next rung. Transient failures
 //! ([`SolveError::Transient`]) are retried under the bounded
 //! [`RetryPolicy`] before the rung is declared failed. The outcome of
@@ -185,8 +186,8 @@ impl<'i> ResilientBuilder<'i> {
 enum RungProduct {
     /// A full report (solver rungs).
     Report(Box<Report>),
-    /// A bare coloring (custom and greedy rungs); the report is
-    /// assembled only if it validates.
+    /// A bare coloring (custom and greedy rungs); its [`Report::of`] is
+    /// taken only if it validates.
     Coloring(Coloring),
 }
 
@@ -263,24 +264,6 @@ impl<'i> ResilientSolver<'i> {
         }
     }
 
-    /// Assemble a minimal report around a bare coloring (custom/greedy
-    /// rungs): the splitter slot names the rung.
-    fn assemble(&self, rung: &str, chi: Coloring) -> Report {
-        let inst = self.inst;
-        Report::assemble(
-            inst.graph(),
-            inst.costs(),
-            inst.weights(),
-            inst.max_weight(),
-            inst.max_cost(),
-            inst.cost_norm(self.pipeline.p),
-            self.k,
-            self.pipeline.p,
-            rung.to_owned(),
-            chi,
-        )
-    }
-
     /// Run the degradation ladder. Total: always returns a strictly
     /// balanced coloring with [`Report::resilience`] populated; the
     /// certified gap of the served rung is filled in (the certified
@@ -348,11 +331,13 @@ impl<'i> ResilientSolver<'i> {
                             RungProduct::Report(r) => &r.coloring,
                             RungProduct::Coloring(c) => c,
                         };
-                        match ladder::validate(self.inst, chi, floor_cost) {
+                        match ladder::validate(self.inst, self.k, chi, floor_cost) {
                             Ok(_cost) => {
                                 let report = match product {
                                     RungProduct::Report(r) => *r,
-                                    RungProduct::Coloring(c) => self.assemble(&name, c),
+                                    RungProduct::Coloring(c) => {
+                                        Report::of(self.inst, self.pipeline.p, &name, c)
+                                    }
                                 };
                                 attempts.push(RungAttempt {
                                     rung: name.clone(),
@@ -409,7 +394,7 @@ impl<'i> ResilientSolver<'i> {
             outcome: RungOutcome::Served,
             millis: 0.0,
         });
-        let report = self.assemble(RUNG_TRIVIAL, floor_chi);
+        let report = Report::of(self.inst, self.pipeline.p, RUNG_TRIVIAL, floor_chi);
         self.finish(
             report_with_gap(self.inst, self.k, report),
             RUNG_TRIVIAL.to_owned(),

@@ -21,6 +21,13 @@ pub enum SkipReason {
 /// Why a rung's *output* was refused even though it ran to completion.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum RejectReason {
+    /// The coloring is not a `k`-coloring of the instance's vertices.
+    WrongShape {
+        /// The coloring's vertex count.
+        vertices: usize,
+        /// The coloring's class count.
+        classes: usize,
+    },
     /// The coloring left vertices uncolored.
     NotTotal,
     /// The coloring violates strict balance (eq. (1)).

@@ -11,7 +11,9 @@ use std::time::Duration;
 use mmb_core::api::{Instance, Partitioner, SolveError};
 use mmb_core::bnb::BnbConfig;
 use mmb_core::failpoint::{with_faults, FaultAction, FaultSchedule};
-use mmb_core::resilient::{DeadlineBudget, ResilientSolver, RetryPolicy, RungOutcome, SkipReason};
+use mmb_core::resilient::{
+    DeadlineBudget, RejectReason, ResilientSolver, RetryPolicy, RungOutcome, SkipReason,
+};
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::gen::misc::path;
 use mmb_graph::Coloring;
@@ -217,6 +219,59 @@ fn invalid_rung_output_is_rejected_not_served() {
         RungOutcome::Rejected(_)
     ));
     assert_eq!(res.served_by, "first-fit");
+    assert!(report.is_strictly_balanced());
+}
+
+/// A custom rung that colors one vertex too few.
+struct ShortRung;
+impl Partitioner for ShortRung {
+    fn name(&self) -> &str {
+        "short"
+    }
+    fn partition(&self, inst: &Instance, k: usize) -> Result<Coloring, SolveError> {
+        let n = inst.num_vertices() - 1;
+        Ok(Coloring::from_fn(n, k, |v| (v as usize * k / n) as u32))
+    }
+}
+
+/// A custom rung that ignores `k` and puts everything in one class —
+/// strictly balanced and free of boundary as a 1-coloring.
+struct OneClassRung;
+impl Partitioner for OneClassRung {
+    fn name(&self) -> &str {
+        "one-class"
+    }
+    fn partition(&self, inst: &Instance, _k: usize) -> Result<Coloring, SolveError> {
+        Ok(Coloring::from_fn(inst.num_vertices(), 1, |_| 0))
+    }
+}
+
+#[test]
+fn wrong_shape_rung_output_is_rejected_not_served() {
+    let inst = path_instance(12);
+    let solver = ResilientSolver::for_instance(&inst)
+        .classes(2)
+        .certified(false)
+        .retry(RetryPolicy::none())
+        .rung("short", Box::new(ShortRung))
+        .rung("one-class", Box::new(OneClassRung))
+        .build()
+        .unwrap();
+    let schedule = FaultSchedule::new().always("pipeline::multibalance", FaultAction::Panic);
+    let (report, _) = with_faults(&schedule, || solver.solve());
+    let res = report.resilience.as_ref().unwrap();
+    for rung in ["short", "one-class"] {
+        let outcome = &res.attempt_for(rung).unwrap().outcome;
+        assert!(
+            matches!(
+                outcome,
+                RungOutcome::Rejected(RejectReason::WrongShape { .. })
+            ),
+            "{rung}: {outcome:?}"
+        );
+    }
+    assert_eq!(res.served_by, "first-fit");
+    assert_eq!((report.k, report.coloring.k()), (2, 2));
     assert!(report.is_strictly_balanced());
 }
 

@@ -301,32 +301,29 @@ impl Service {
         if let Err(e) = failpoint::raise("service::worker") {
             return (Err(e), cache_event, ServePath::Rejected);
         }
-        let solved = {
-            let mut builder = Solver::for_instance(&inst)
-                .classes(self.cfg.k)
-                .config(self.cfg.pipeline.clone());
-            if let Some(a) = artifacts {
-                builder = builder.artifacts(a);
-            }
-            match builder.build() {
-                Ok(solver) => {
-                    let report = solver.solve();
-                    (report.coloring, report.max_boundary)
-                }
-                Err(e) => return (Err(e), cache_event, ServePath::Rejected),
-            }
+        let mut builder = Solver::for_instance(&inst)
+            .classes(self.cfg.k)
+            .config(self.cfg.pipeline.clone());
+        if let Some(a) = artifacts {
+            builder = builder.artifacts(a);
+        }
+        let report = match builder.build() {
+            Ok(solver) => solver.solve(),
+            Err(e) => return (Err(e), cache_event, ServePath::Rejected),
         };
-        let (coloring, max_boundary) = solved;
         // The serving gate: nothing non-strict leaves the service, even
-        // if an upstream stage misbehaves.
-        if !coloring.is_strictly_balanced(inst.weights()) {
-            let defect = coloring.strict_balance_defect(inst.weights());
+        // if an upstream stage misbehaves. The report's verdict is the
+        // coloring's own `is_strictly_balanced`.
+        if !report.strict {
             return (
-                Err(SolveError::NotStrict { defect }),
+                Err(SolveError::NotStrict {
+                    defect: report.strict_defect,
+                }),
                 cache_event,
                 ServePath::Rejected,
             );
         }
+        let (coloring, max_boundary) = (report.coloring, report.max_boundary);
         let ticket = inst.fingerprint().combined();
         let served = Served {
             ticket,

@@ -13,8 +13,7 @@
 
 use mmb_baselines::greedy::Lpt;
 use mmb_baselines::recursive_bisection::RecursiveBisection;
-use mmb_core::api::{Instance, Partitioner, Theorem4Pipeline};
-use mmb_core::verify::verify_decomposition;
+use mmb_core::api::{Instance, Partitioner, Report, Theorem4Pipeline};
 use mmb_instances::climate::{climate, ClimateParams};
 
 fn main() {
@@ -40,13 +39,14 @@ fn main() {
     ];
     for algo in algos {
         let chi = algo.partition(&inst, k).expect("valid instance");
-        let r = verify_decomposition(inst.graph(), inst.costs(), inst.weights(), &chi);
+        let r = Report::of(&inst, 2.0, algo.name(), chi);
         let avg_w: f64 = r.class_weights.iter().sum::<f64>() / r.class_weights.len() as f64;
         let max_w = r.class_weights.iter().cloned().fold(0.0, f64::max);
+        let valid = r.coloring.is_total() && r.is_strictly_balanced();
         println!(
             "  {:<18} makespan-proxy {max_w:8.1} (avg {avg_w:8.1})  strict: {:<3}  comm: max {:8.1} avg {:8.1}",
-            algo.name(),
-            if r.is_valid() { "yes" } else { "no" },
+            r.splitter,
+            if valid { "yes" } else { "no" },
             r.max_boundary,
             r.avg_boundary
         );

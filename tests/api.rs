@@ -11,6 +11,7 @@
 //! * `Box<dyn Splitter>` / `Arc<dyn Splitter>` work end to end as a
 //!   caller's splitter (trait-object story);
 //! * builder/validation errors surface as typed `SolveError`s;
+//! * `Report::of` on a served coloring is the served report, bit for bit;
 //! * the pooled scratch workspace leaves no trace between solves;
 //! * recognition runs only where a splitter is built, and never to
 //!   format an `Instance` or a `Solver`.
@@ -18,13 +19,14 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use mmb_core::api::{Instance, SolveError, Solver};
+use mmb_core::api::{Instance, Report, SolveError, Solver};
 use mmb_core::coarsen::CoarsenParams;
 use mmb_core::pipeline::{CoarsenConfig, PipelineConfig};
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::gen::misc::path;
 use mmb_graph::gen::tree::random_tree;
 use mmb_graph::{VertexId, VertexSet, Workspace};
+use mmb_instances::corpus::Corpus;
 use mmb_service::{Request, Service, ServiceConfig};
 use mmb_splitters::bfs::BfsSplitter;
 use mmb_splitters::grid::GridSplitter;
@@ -357,23 +359,46 @@ fn extra_measures_ride_the_instance() {
 }
 
 #[test]
-fn report_class_table_is_consistent() {
-    let grid = GridGraph::lattice(&[8, 8]);
-    let m = grid.graph.num_edges();
-    let weights: Vec<f64> = (0..64).map(|v| 1.0 + (v % 2) as f64).collect();
-    let inst = Instance::from_grid(grid, vec![1.0; m], weights.clone()).unwrap();
-    let report = Solver::for_instance(&inst)
-        .classes(4)
-        .build()
-        .unwrap()
-        .solve();
-    let table = report.class_table();
-    assert_eq!(table.len(), 4);
-    let total_w: f64 = table.iter().map(|r| r.weight).sum();
-    assert!((total_w - weights.iter().sum::<f64>()).abs() < 1e-9);
-    for (i, row) in table.iter().enumerate() {
-        assert_eq!(row.class, i);
-        assert!((row.boundary_cost - report.boundary_costs[i]).abs() < 1e-12);
+fn report_of_a_served_coloring_is_the_served_report() {
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for entry in &Corpus::quick() {
+        let (inst, name) = (&entry.instance, &entry.name);
+        let served = Solver::for_instance(inst)
+            .classes(entry.k)
+            .p(entry.p)
+            .build()
+            .unwrap()
+            .solve();
+        let audit = Report::of(inst, entry.p, &served.splitter, served.coloring.clone());
+        assert_eq!(
+            bits(&audit.class_weights),
+            bits(&served.class_weights),
+            "{name}"
+        );
+        assert_eq!(
+            bits(&audit.boundary_costs),
+            bits(&served.boundary_costs),
+            "{name}"
+        );
+        let scalars = |r: &Report| {
+            bits(&[
+                r.strict_defect,
+                r.strict_slack,
+                r.max_boundary,
+                r.avg_boundary,
+                r.bound,
+                r.bound_ratio,
+            ])
+        };
+        assert_eq!(scalars(&audit), scalars(&served), "{name}");
+        assert_eq!((audit.k, audit.strict), (served.k, served.strict), "{name}");
+        assert_eq!(served.class_weights.len(), entry.k, "{name}");
+        let total_w: f64 = served.class_weights.iter().sum();
+        assert!(
+            (total_w - inst.total_weight()).abs() <= 1e-9 * (1.0 + inst.total_weight()),
+            "{name}: class weights sum to {total_w}, not {}",
+            inst.total_weight()
+        );
     }
 }
 

@@ -25,9 +25,8 @@
 //!   gap (`lower ≤ OPT ≤ upper`, with `upper` the incumbent's
 //!   recomputable cost).
 
-use mmb_core::api::{Instance, Partitioner, Solver, Theorem4Pipeline};
+use mmb_core::api::{Instance, Partitioner, Report, Solver, Theorem4Pipeline};
 use mmb_core::bnb::{self, BnbConfig, BnbPartitioner};
-use mmb_core::verify::verify_decomposition;
 use mmb_graph::gen::lattice::hypercube;
 use mmb_graph::gen::misc::{cycle, path};
 use mmb_graph::gen::tree::random_tree;
@@ -122,9 +121,12 @@ fn incumbent_never_worse_than_the_pipeline_corpus_wide() {
         );
         // The returned coloring is always a *valid* solution whose cost
         // matches a from-scratch recomputation.
-        let report =
-            verify_decomposition(inst.graph(), inst.costs(), inst.weights(), &sol.coloring);
-        assert!(report.is_valid(), "{}: invalid bnb coloring", entry.name);
+        let report = Report::of(inst, entry.p, "bnb", sol.coloring.clone());
+        assert!(
+            report.coloring.is_total() && report.is_strictly_balanced(),
+            "{}: invalid bnb coloring",
+            entry.name
+        );
         assert!(
             (report.max_boundary - sol.max_boundary).abs() <= 1e-9 * (1.0 + sol.max_boundary),
             "{}: reported {} vs recomputed {}",
@@ -281,8 +283,8 @@ fn interrupt_clock_truncates_deterministically_with_a_sound_gap() {
     // The truncated result is still a valid strictly balanced coloring…
     assert!(a.coloring.is_total());
     assert!(a.coloring.is_strictly_balanced(inst.weights()));
-    let report = verify_decomposition(inst.graph(), inst.costs(), inst.weights(), &a.coloring);
-    assert!(report.is_valid());
+    let report = Report::of(&inst, 2.0, "bnb", a.coloring.clone());
+    assert!(report.coloring.is_total() && report.is_strictly_balanced());
     // …whose certified gap brackets the true optimum (n = 16: an
     // exhaustive run can still name it).
     let opt = bnb::solve(&inst, k, &BnbConfig::exhaustive())

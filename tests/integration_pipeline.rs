@@ -10,7 +10,6 @@ use mmb_core::multibalance::multibalance_minmax_with_pi_ws;
 use mmb_core::pi::splitting_cost_measure_within;
 use mmb_core::pipeline::PipelineConfig;
 use mmb_core::shrink::almost_strict_ws;
-use mmb_core::verify::verify_decomposition;
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::gen::tree::{caterpillar, random_tree};
 use mmb_instances::weights::{WeightFamily, ALL_FAMILIES};
@@ -30,13 +29,12 @@ fn check_strict<S: Splitter + ?Sized>(
     label: &str,
 ) -> Report {
     let d = solve_with(g, costs, weights, k, sp);
-    let r = verify_decomposition(g, costs, weights, &d.coloring);
-    assert!(r.is_partition, "{label}: not a partition");
+    assert!(d.coloring.is_total(), "{label}: not a partition");
     assert!(
-        r.is_valid(),
+        d.is_strictly_balanced(),
         "{label}: eq. (1) violated, defect {} slack {}",
-        r.strict_defect,
-        r.strict_slack
+        d.strict_defect,
+        d.strict_slack
     );
     d
 }

@@ -27,10 +27,9 @@
 //!   coloring as the direct call.
 
 use mmb_bench::standard_baselines;
-use mmb_core::api::{Partitioner, Theorem4Pipeline};
+use mmb_core::api::{Partitioner, Report, Theorem4Pipeline};
 use mmb_core::bnb::{self, BnbConfig, BnbPartitioner};
 use mmb_core::bounds;
-use mmb_core::verify::verify_decomposition;
 use mmb_instances::corpus::Corpus;
 
 #[test]
@@ -41,10 +40,9 @@ fn oracle_is_feasible_and_self_consistent_on_every_small_entry() {
             let s = bnb::solve(inst, k, &BnbConfig::exhaustive())
                 .unwrap_or_else(|e| panic!("{} k={k}: {e}", entry.name));
             assert!(s.coloring.is_total(), "{} k={k}", entry.name);
-            let report =
-                verify_decomposition(inst.graph(), inst.costs(), inst.weights(), &s.coloring);
+            let report = Report::of(inst, entry.p, "oracle", s.coloring.clone());
             assert!(
-                report.is_valid(),
+                report.coloring.is_total() && report.is_strictly_balanced(),
                 "{} k={k}: oracle output invalid",
                 entry.name
             );
