@@ -20,6 +20,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use mmb_core::api::Solver;
 use mmb_core::bnb::BnbConfig;
 use mmb_core::failpoint::{with_faults, FaultSchedule};
 use mmb_core::resilient::ResilientSolver;
@@ -90,13 +91,12 @@ pub fn run_chaos(quick: bool) -> ChaosOutcome {
         let schedule = FaultSchedule::chaos(seed);
         for entry in &corpus {
             let cell = format!("seed {seed} / entry `{}`", entry.name);
-            let solver = match ResilientSolver::for_instance(&entry.instance)
+            let solver = match Solver::for_instance(&entry.instance)
                 .classes(entry.k)
                 .p(entry.p)
-                .bnb(BnbConfig::with_node_budget(CHAOS_BNB_NODES))
                 .build()
             {
-                Ok(s) => s,
+                Ok(s) => ResilientSolver::new(s).bnb(BnbConfig::with_node_budget(CHAOS_BNB_NODES)),
                 Err(e) => {
                     violations.push(format!("{cell}: solver build failed: {e}"));
                     continue;

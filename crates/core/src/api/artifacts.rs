@@ -65,9 +65,6 @@ pub struct SolverArtifacts {
     pi: Arc<[f64]>,
     /// `‖c‖_p`.
     c_norm_p: f64,
-    /// Fingerprint of the source instance (structure + costs parts are
-    /// what [`Fingerprint::artifact_key`] digests).
-    fingerprint: Fingerprint,
 }
 
 impl SolverArtifacts {
@@ -87,7 +84,6 @@ impl SolverArtifacts {
             structure: inst.structure().clone(),
             pi,
             c_norm_p: inst.cost_norm(p),
-            fingerprint: inst.fingerprint(),
         }
     }
 
@@ -106,11 +102,6 @@ impl SolverArtifacts {
                 .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 
-    /// The exponent the artifacts were computed for.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
     /// The cached recognition verdict.
     pub fn structure(&self) -> &Structure {
         &self.structure
@@ -124,11 +115,6 @@ impl SolverArtifacts {
     /// The cached `‖c‖_p`.
     pub fn c_norm_p(&self) -> f64 {
         self.c_norm_p
-    }
-
-    /// Fingerprint of the instance the artifacts came from.
-    pub fn fingerprint(&self) -> Fingerprint {
-        self.fingerprint
     }
 }
 
@@ -415,7 +401,5 @@ mod tests {
         let art = SolverArtifacts::compute(&a, 2.0);
         assert_eq!(art.c_norm_p(), a.cost_norm(2.0));
         assert_eq!(art.pi().len(), a.num_vertices());
-        assert_eq!(art.fingerprint(), a.fingerprint());
-        assert_eq!(art.p(), 2.0);
     }
 }

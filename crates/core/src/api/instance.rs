@@ -23,7 +23,6 @@ use mmb_graph::fingerprint::Fingerprint;
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::measure::{cost_degree_measure, norm_1, norm_inf, total_edge_norm_p};
 use mmb_graph::recognize::{recognize, Structure};
-use mmb_graph::stats::InstanceStats;
 use mmb_graph::{Graph, VertexSet};
 
 use crate::api::error::{validate_costs, validate_weights, InstanceError};
@@ -258,12 +257,6 @@ impl Instance {
     /// [`Solver`]: crate::api::Solver
     pub fn cost_norm(&self, p: f64) -> f64 {
         total_edge_norm_p(self.graph(), &self.costs, p)
-    }
-
-    /// Full "well-behavedness" statistics (fluctuations, degrees);
-    /// computed on demand.
-    pub fn stats(&self) -> InstanceStats {
-        InstanceStats::compute(self.graph(), &self.costs)
     }
 
     /// The detected structure of the host graph (memoized; runs

@@ -121,7 +121,10 @@ impl<'i> SolverBuilder<'i> {
     /// [`RecordingSplitter`](mmb_splitters::recording::RecordingSplitter),
     /// or any other [`Splitter`]. No structure recognition runs then. Above
     /// the coarsening target it backs only the host `BinPack2` pass; the
-    /// coarse solve picks its own.
+    /// coarse solve picks its own. Like the automatic pick, it is reached
+    /// through the `splitter::split` failpoint, and a
+    /// [`ResilientSolver`](crate::resilient::ResilientSolver) over this
+    /// solver runs it in its solver rungs.
     pub fn splitter(mut self, splitter: Box<dyn Splitter + 'i>) -> Self {
         self.splitter = Some(splitter);
         self
@@ -167,7 +170,10 @@ impl<'i> SolverBuilder<'i> {
         };
         let splitter = match self.splitter {
             Some(splitter) => SplitterSlot::Caller(splitter),
-            None => SplitterSlot::Auto(AutoSplitter::new(inst)),
+            None => SplitterSlot::Auto {
+                inst,
+                pick: OnceLock::new(),
+            },
         };
         Ok(Solver {
             inst,
@@ -180,40 +186,39 @@ impl<'i> SolverBuilder<'i> {
     }
 }
 
-/// Where a [`Solver`]'s splitter comes from.
+/// Where a [`Solver`]'s splitter comes from: the caller's
+/// [`SolverBuilder::splitter`], or [`auto_splitter`]'s pick and its
+/// family label, built on the first `split` or `name` call. Every split
+/// passes the `splitter::split` failpoint first, so an armed
+/// [`FaultSchedule`](crate::failpoint::FaultSchedule) reaches any
+/// solver's splitter, a cascade's coarse solver included.
 enum SplitterSlot<'i> {
-    /// The caller's [`SolverBuilder::splitter`].
     Caller(Box<dyn Splitter + 'i>),
-    /// [`auto_splitter`]'s pick, built on first use.
-    Auto(AutoSplitter<'i>),
+    Auto {
+        inst: &'i Instance,
+        pick: OnceLock<(Box<dyn Splitter + Send + 'i>, &'static str)>,
+    },
 }
 
-/// [`auto_splitter`]'s pick for one instance and its family label,
-/// built on the first call that reads either. A [`Solver`] without a
-/// caller's splitter holds one; so does each solver rung of the
-/// resilient ladder, behind its failpoint wrapper.
-pub(crate) struct AutoSplitter<'i> {
-    inst: &'i Instance,
-    slot: OnceLock<(Box<dyn Splitter + Send + 'i>, &'static str)>,
-}
-
-impl<'i> AutoSplitter<'i> {
-    pub(crate) fn new(inst: &'i Instance) -> Self {
-        AutoSplitter {
-            inst,
-            slot: OnceLock::new(),
+impl SplitterSlot<'_> {
+    /// The splitter and its family label, building the automatic pick on
+    /// first use.
+    fn resolved(&self) -> (&dyn Splitter, &'static str) {
+        match self {
+            SplitterSlot::Caller(s) => (s.as_ref(), "custom"),
+            SplitterSlot::Auto { inst, pick } => {
+                let (s, family) = pick.get_or_init(|| auto_splitter(inst));
+                (s.as_ref(), family)
+            }
         }
     }
-
-    /// The splitter and its family label, building them on first use.
-    fn resolved(&self) -> (&dyn Splitter, &'static str) {
-        let (s, family) = self.slot.get_or_init(|| auto_splitter(self.inst));
-        (s.as_ref(), family)
-    }
 }
 
-impl Splitter for AutoSplitter<'_> {
+impl Splitter for SplitterSlot<'_> {
     fn split(&self, w_set: &VertexSet, weights: &[f64], target: f64) -> VertexSet {
+        // Splitter::split is infallible by contract, so transients unwind
+        // (the resilient ladder classifies and retries them).
+        crate::failpoint::raise_any("splitter::split");
         self.resolved().0.split(w_set, weights, target)
     }
     fn name(&self) -> &str {
@@ -241,19 +246,6 @@ pub struct Solver<'i> {
     c_norm_p: f64,
 }
 
-/// A [`Solver`]'s splitter behind a handle that builds it on the first
-/// `split` call: the cascade's host `BinPack2` pass usually makes none.
-struct OnFirstSplit<'s, 'i>(&'s Solver<'i>);
-
-impl Splitter for OnFirstSplit<'_, '_> {
-    fn split(&self, w_set: &VertexSet, weights: &[f64], target: f64) -> VertexSet {
-        self.0.resolved().0.split(w_set, weights, target)
-    }
-    fn name(&self) -> &str {
-        self.0.resolved().0.name()
-    }
-}
-
 impl<'i> Solver<'i> {
     /// Start building a solver for `inst`.
     pub fn for_instance(inst: &'i Instance) -> SolverBuilder<'i> {
@@ -275,15 +267,6 @@ impl<'i> Solver<'i> {
         Workspace::with_local(|ws| self.solve_in(ws))
     }
 
-    /// The splitter and its family label, building [`auto_splitter`]'s
-    /// pick on first use.
-    fn resolved(&self) -> (&dyn Splitter, &'static str) {
-        match &self.splitter {
-            SplitterSlot::Caller(s) => (s.as_ref(), "custom"),
-            SplitterSlot::Auto(auto) => auto.resolved(),
-        }
-    }
-
     fn solve_in(&self, ws: &Workspace) -> Report {
         if let Some(cc) = self.cfg.coarsen {
             if self.inst.num_vertices() > cc.params.target_vertices {
@@ -296,7 +279,7 @@ impl<'i> Solver<'i> {
         let (g, costs, weights) = (inst.graph(), inst.costs(), inst.weights());
         let domain = inst.domain();
         let user = inst.balance_measures();
-        let splitter = self.resolved().0;
+        let splitter = &self.splitter;
         let pi = self.pi.get_or_init(|| {
             splitting_cost_measure_within(g, costs, self.cfg.p, 1.0, domain).into()
         });
@@ -338,9 +321,9 @@ impl<'i> Solver<'i> {
     /// per-level KL refinement, and restore strict balance on the host
     /// with a final `BinPack2` — projection preserves class weights
     /// exactly, but the host's smaller `‖w‖∞` tightens eq. (1), so the
-    /// rebalance is mandatory, not defensive. That pass reaches this
-    /// solver's splitter through [`OnFirstSplit`], so the host splitter
-    /// (and its recognition) is built only if `BinPack2` splits; the report
+    /// rebalance is mandatory, not defensive. That pass calls this
+    /// solver's splitter slot, so the host splitter (and its
+    /// recognition) is built only if `BinPack2` splits; the report
     /// names the coarse solver's splitter. Returns `None` when no
     /// contraction was possible (edgeless host), in which case the caller
     /// falls through to the direct solve.
@@ -378,7 +361,7 @@ impl<'i> Solver<'i> {
                 crate::refine::refine(fg, fc, fw, chi, &cc.kl)
             })
             .expect("level triples are valid by construction");
-        let stage3 = binpack2(g, &OnFirstSplit(self), &projected, inst.domain(), weights);
+        let stage3 = binpack2(g, &self.splitter, &projected, inst.domain(), weights);
         debug_assert!(stage3.is_total(), "cascade must color every vertex");
         Some(self.report(coarse.splitter, stage3))
     }
@@ -559,7 +542,7 @@ impl<'i> Solver<'i> {
     /// Name of this solver's splitter (e.g. `"gridsplit"`, `"tree"`,
     /// `"order/path"`, `"bfs"`); builds it if no solve has yet.
     pub fn splitter_name(&self) -> &str {
-        self.resolved().0.name()
+        self.splitter.name()
     }
 
     /// The family label of the splitter: for [`auto_splitter`]'s pick the
@@ -567,7 +550,7 @@ impl<'i> Solver<'i> {
     /// `"arbitrary"` (BFS fallback), building the pick if no solve has
     /// yet — and `"custom"` for a caller's [`SolverBuilder::splitter`].
     pub fn family(&self) -> &'static str {
-        self.resolved().1
+        self.splitter.resolved().1
     }
 }
 
@@ -599,8 +582,7 @@ impl std::fmt::Debug for Solver<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (splitter, family) = match &self.splitter {
             SplitterSlot::Caller(s) => (s.name(), "custom"),
-            SplitterSlot::Auto(auto) => auto
-                .slot
+            SplitterSlot::Auto { pick, .. } => pick
                 .get()
                 .map_or(("unresolved", "unresolved"), |(s, family)| {
                     (s.name(), *family)

@@ -162,7 +162,7 @@ impl CoarseningFront {
     }
 
     /// Composed host vertex → coarsest vertex map (identity when empty).
-    pub fn host_map(&self, host_n: usize) -> Vec<VertexId> {
+    fn host_map(&self, host_n: usize) -> Vec<VertexId> {
         let mut map: Vec<VertexId> = (0..host_n as u32).collect();
         for level in &self.levels {
             for c in map.iter_mut() {

@@ -2,23 +2,23 @@
 //! suite and the resilient ladder's isolation tests.
 //!
 //! A *failpoint* is a named site in the solve path (`pipeline::shrink`,
-//! `bnb::node`, …) where a fault can be injected **only** by an explicit,
-//! seeded [`FaultSchedule`] armed for the current thread with
-//! [`with_faults`]. There are deliberately no environment variables, no
-//! global registries and no randomness sources here: a schedule is plain
-//! data, [`FaultSchedule::chaos`] derives one from a caller-provided seed
-//! with an internal splitmix64 stream, and two runs under the same
-//! schedule inject the same faults at the same hit indices — so every
-//! chaos failure replays from its seed (and the `nondeterminism` lint has
-//! nothing to flag).
+//! `bnb::node`, and `splitter::split` before every split of any `Solver`,
+//! a cascade's coarse solve included) where a fault can be injected
+//! **only** by an explicit, seeded [`FaultSchedule`] armed for the current
+//! thread with [`with_faults`]. There are deliberately no environment
+//! variables, no global registries and no randomness sources here: a
+//! schedule is plain data, [`FaultSchedule::chaos`] derives one from a
+//! caller-provided seed with an internal splitmix64 stream, and two runs
+//! under the same schedule inject the same faults at the same hit
+//! indices — so every chaos failure replays from its seed (and the
+//! `nondeterminism` lint has nothing to flag).
 //!
 //! ## Cost when disarmed
 //!
 //! Production code never arms a schedule, so the only cost a site pays on
 //! the hot path is [`armed`]: one thread-local `Cell<bool>` read behind an
-//! `#[inline]` fast path — a handful of instructions, no branch taken, no
-//! allocation. The schedule machinery is reached only while a test holds
-//! the arming guard.
+//! `#[inline]` fast path — no branch taken, no allocation. The schedule
+//! machinery is reached only while a test holds the arming guard.
 //!
 //! ## Fault actions
 //!
@@ -38,9 +38,9 @@ use std::time::Duration;
 
 use crate::api::error::SolveError;
 
-/// The canonical failpoint sites wired into the solve path. A
-/// [`FaultSchedule::chaos`] draws from exactly this list; handwritten
-/// schedules may also target custom sites in caller code.
+/// The canonical failpoint sites wired into the solve path (every
+/// `Solver` split passes `splitter::split`). [`FaultSchedule::chaos`]
+/// draws from exactly this list; handwritten schedules may add others.
 pub const SITES: &[&str] = &[
     "pipeline::multibalance",
     "pipeline::shrink",
@@ -388,42 +388,6 @@ pub fn with_faults<R>(schedule: &FaultSchedule, f: impl FnOnce() -> R) -> (R, Ve
     let log = ARMED.with(|a| a.borrow_mut().take().map_or_else(Vec::new, |s| s.log));
     drop(guard);
     (result, log)
-}
-
-/// A [`Splitter`](mmb_splitters::Splitter) adapter that checks the
-/// `splitter::split` failpoint before delegating — how fault schedules
-/// reach the splitters crate, which sits below `mmb-core` in the
-/// dependency DAG and cannot host sites itself. The resilient ladder
-/// wraps every splitter it builds in one of these; the overhead when
-/// disarmed is the [`armed`] flag read.
-pub struct FailpointSplitter<S> {
-    inner: S,
-}
-
-impl<S: mmb_splitters::Splitter> FailpointSplitter<S> {
-    /// Wrap `inner`, routing every `split` call through the
-    /// `splitter::split` site.
-    pub fn new(inner: S) -> Self {
-        FailpointSplitter { inner }
-    }
-}
-
-impl<S: mmb_splitters::Splitter> mmb_splitters::Splitter for FailpointSplitter<S> {
-    fn split(
-        &self,
-        w_set: &mmb_graph::VertexSet,
-        weights: &[f64],
-        target: f64,
-    ) -> mmb_graph::VertexSet {
-        // Splitter::split is infallible by contract, so transients unwind
-        // (classified and retried at the rung boundary).
-        raise_any("splitter::split");
-        self.inner.split(w_set, weights, target)
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
 }
 
 #[cfg(test)]

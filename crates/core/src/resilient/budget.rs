@@ -1,37 +1,26 @@
 //! Deadline budgets and retry policy for the resilient ladder.
 //!
-//! A [`DeadlineBudget`] caps the certified rung's search at
-//! `certified_share` of the total; every other rung runs until it
-//! finishes. The share is a soft partition of one hard wall: the slice
-//! is always capped by the time actually remaining, and once the wall
-//! is crossed every remaining non-trivial rung is skipped — only the
-//! trivial floor rung, which is O(n log n) and panic-free, runs
-//! unconditionally. Overshoot is therefore bounded by the last rung's
-//! single-step latency, not by the ladder's length.
+//! The ladder caps the certified rung's search at half of a
+//! [`DeadlineBudget`]'s total; every other rung runs until it finishes.
+//! The half is a soft partition of one hard wall: the slice is always
+//! capped by the time actually remaining, and once the wall is crossed
+//! every remaining non-trivial rung is skipped — only the trivial floor
+//! rung, which is O(n log n) and panic-free, runs unconditionally.
+//! Overshoot is therefore bounded by the last rung's single-step
+//! latency, not by the ladder's length.
 
 use std::time::Duration;
 // lint: allow(nondeterminism) — import only; the one `Instant::now` call
 // site below carries its own audited pragma.
 use std::time::Instant;
 
-/// Wall-clock budget for one resilient solve, split across rungs.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Wall-clock budget for one resilient solve. Half of it is offered to
+/// the certified (branch-and-bound) rung as its `BnbConfig::time_budget`.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DeadlineBudget {
     /// Total wall-clock budget (`None` = unlimited; rungs then run under
     /// their node budgets only, and nothing is ever skipped for time).
     pub total: Option<Duration>,
-    /// Fraction of `total` offered to the certified (branch-and-bound)
-    /// rung as its `BnbConfig::time_budget`.
-    pub certified_share: f64,
-}
-
-impl Default for DeadlineBudget {
-    fn default() -> Self {
-        DeadlineBudget {
-            total: None,
-            certified_share: 0.5,
-        }
-    }
 }
 
 impl DeadlineBudget {
@@ -40,12 +29,9 @@ impl DeadlineBudget {
         Self::default()
     }
 
-    /// A hard wall-clock budget with the default certified share.
+    /// A hard wall-clock budget.
     pub fn with_total(total: Duration) -> Self {
-        DeadlineBudget {
-            total: Some(total),
-            ..Self::default()
-        }
+        DeadlineBudget { total: Some(total) }
     }
 }
 

@@ -1,15 +1,19 @@
 //! The resilient solving harness: a degradation ladder that always
 //! returns a valid answer within a deadline.
 //!
-//! [`ResilientSolver`] wraps the existing solver stack in four rungs,
-//! best first:
+//! [`ResilientSolver::new`] wraps one built [`Solver`] in a ladder of
+//! rungs, best first:
 //!
 //! 1. **certified** — [`Solver::solve_anytime`]: the Theorem 4 pipeline
 //!    plus budgeted branch-and-bound refinement and a certified gap.
 //! 2. **pipeline** — plain [`Solver::solve`].
-//! 3. *(custom rungs, if registered via [`ResilientBuilder::rung`])*
+//! 3. *(custom rungs, if registered via [`ResilientSolver::rung`])*
 //! 4. **first-fit** — id-order greedy-lightest (strict, locality-aware).
 //! 5. **trivial** — LPT greedy-lightest: the panic-free floor.
+//!
+//! Both solver rungs, every retry and every later solve run that one
+//! solver, with whatever splitter it was built with, so its splitter and
+//! `π` are built once per ladder.
 //!
 //! Each rung runs inside a `catch_unwind` boundary with a slice of the
 //! per-call [`DeadlineBudget`]; a rung that panics, errors, blows its
@@ -32,17 +36,15 @@
 //! ```
 //! use std::time::Duration;
 //! use mmb_core::resilient::{DeadlineBudget, ResilientSolver};
-//! use mmb_core::api::Instance;
+//! use mmb_core::api::{Instance, Solver};
 //! use mmb_graph::gen::grid::GridGraph;
 //!
 //! let grid = GridGraph::lattice(&[8, 8]);
 //! let costs = vec![1.0; grid.graph.num_edges()];
 //! let weights = vec![1.0; grid.graph.num_vertices()];
 //! let inst = Instance::from_grid(grid, costs, weights)?;
-//! let solver = ResilientSolver::for_instance(&inst)
-//!     .classes(4)
-//!     .budget(DeadlineBudget::with_total(Duration::from_millis(250)))
-//!     .build()?;
+//! let solver = ResilientSolver::new(Solver::for_instance(&inst).classes(4).build()?)
+//!     .budget(DeadlineBudget::with_total(Duration::from_millis(250)));
 //! let report = solver.solve(); // infallible: some rung always serves
 //! let res = report.resilience.as_ref().unwrap();
 //! assert!(report.is_strictly_balanced());
@@ -63,16 +65,18 @@ use std::time::Duration;
 use mmb_graph::Coloring;
 
 use crate::api::error::SolveError;
-use crate::api::instance::Instance;
 use crate::api::partitioner::Partitioner;
 use crate::api::report::Report;
-use crate::api::solver::{AutoSplitter, Solver};
+use crate::api::solver::Solver;
 use crate::bnb::BnbConfig;
-use crate::failpoint::{self, FailpointSplitter};
-use crate::pipeline::PipelineConfig;
+use crate::failpoint;
 
 use budget::BudgetClock;
 use ladder::{RUNG_CERTIFIED, RUNG_FIRST_FIT, RUNG_PIPELINE, RUNG_TRIVIAL};
+
+/// The share of the deadline budget the certified rung's search may
+/// spend; the other rungs run until they finish.
+const CERTIFIED_SHARE: f64 = 0.5;
 
 /// Ladder-level configuration of a [`ResilientSolver`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -101,34 +105,35 @@ impl Default for ResilientConfig {
     }
 }
 
-/// Builder for a [`ResilientSolver`]; obtained from
-/// [`ResilientSolver::for_instance`].
-pub struct ResilientBuilder<'i> {
-    inst: &'i Instance,
-    k: usize,
-    pipeline: PipelineConfig,
+/// What a rung produced on one try, before validation.
+enum RungProduct {
+    /// A full report (solver rungs).
+    Report(Box<Report>),
+    /// A bare coloring (custom and greedy rungs); its [`Report::of`] is
+    /// taken only if it validates.
+    Coloring(Coloring),
+}
+
+/// The degradation-ladder solver: wrap a built [`Solver`] once,
+/// [`solve`](Self::solve) many times; every solve returns a valid
+/// strictly balanced coloring with a [`Resilience`] record, no matter
+/// what fails above the floor. See the [module docs](self).
+pub struct ResilientSolver<'i> {
+    solver: Solver<'i>,
     cfg: ResilientConfig,
     custom: Vec<(String, Box<dyn Partitioner + 'i>)>,
 }
 
-impl<'i> ResilientBuilder<'i> {
-    /// Number of classes `k` (required; `build` fails with
-    /// [`SolveError::ZeroColors`] if unset or 0).
-    pub fn classes(mut self, k: usize) -> Self {
-        self.k = k;
-        self
-    }
-
-    /// Norm exponent `p` of the splittability assumption (default 2).
-    pub fn p(mut self, p: f64) -> Self {
-        self.pipeline.p = p;
-        self
-    }
-
-    /// Replace the pipeline configuration used by the solver rungs.
-    pub fn config(mut self, cfg: PipelineConfig) -> Self {
-        self.pipeline = cfg;
-        self
+impl<'i> ResilientSolver<'i> {
+    /// The ladder over `solver`, with the default [`ResilientConfig`] and
+    /// no custom rungs. Its instance, `k` and pipeline configuration are
+    /// the solver's, and so is its splitter: the solver rungs run it.
+    pub fn new(solver: Solver<'i>) -> Self {
+        ResilientSolver {
+            solver,
+            cfg: ResilientConfig::default(),
+            custom: Vec::new(),
+        }
     }
 
     /// The per-call deadline budget.
@@ -164,65 +169,11 @@ impl<'i> ResilientBuilder<'i> {
         self
     }
 
-    /// Validate the configuration and return the reusable solver.
-    pub fn build(self) -> Result<ResilientSolver<'i>, SolveError> {
-        if self.k == 0 {
-            return Err(SolveError::ZeroColors);
-        }
-        if !(self.pipeline.p.is_finite() && self.pipeline.p >= 1.0) {
-            return Err(SolveError::InvalidExponent { p: self.pipeline.p });
-        }
-        Ok(ResilientSolver {
-            inst: self.inst,
-            k: self.k,
-            pipeline: self.pipeline,
-            cfg: self.cfg,
-            custom: self.custom,
-        })
-    }
-}
-
-/// What a rung produced on one try, before validation.
-enum RungProduct {
-    /// A full report (solver rungs).
-    Report(Box<Report>),
-    /// A bare coloring (custom and greedy rungs); its [`Report::of`] is
-    /// taken only if it validates.
-    Coloring(Coloring),
-}
-
-/// The degradation-ladder solver: build once, [`solve`](Self::solve) many
-/// times; every solve returns a valid strictly balanced coloring with a
-/// [`Resilience`] record, no matter what fails above the floor. See the
-/// [module docs](self).
-pub struct ResilientSolver<'i> {
-    inst: &'i Instance,
-    k: usize,
-    pipeline: PipelineConfig,
-    cfg: ResilientConfig,
-    custom: Vec<(String, Box<dyn Partitioner + 'i>)>,
-}
-
-impl<'i> ResilientSolver<'i> {
-    /// Start building a resilient solver for `inst`.
-    pub fn for_instance(inst: &'i Instance) -> ResilientBuilder<'i> {
-        ResilientBuilder {
-            inst,
-            k: 0,
-            pipeline: PipelineConfig::default(),
-            cfg: ResilientConfig::default(),
-            custom: Vec::new(),
-        }
-    }
-
-    /// The instance this solver is bound to.
-    pub fn instance(&self) -> &'i Instance {
-        self.inst
-    }
-
-    /// Number of classes `k`.
-    pub fn k(&self) -> usize {
-        self.k
+    /// The solver the solver rungs run; it answers the ladder's
+    /// [`instance`](Solver::instance), [`k`](Solver::k) and `p`
+    /// ([`config`](Solver::config)).
+    pub fn solver(&self) -> &Solver<'i> {
+        &self.solver
     }
 
     /// The ladder configuration.
@@ -230,36 +181,23 @@ impl<'i> ResilientSolver<'i> {
         &self.cfg
     }
 
-    /// Build the inner [`Solver`] for the solver rungs: the auto-selected
-    /// splitter, built on first use and wrapped so the `splitter::split`
-    /// failpoint reaches it.
-    fn inner_solver(&self) -> Result<Solver<'i>, SolveError> {
-        let splitter = FailpointSplitter::new(AutoSplitter::new(self.inst));
-        Solver::for_instance(self.inst)
-            .classes(self.k)
-            .config(self.pipeline.clone())
-            .splitter(Box::new(splitter))
-            .build()
-    }
-
     /// Run one rung once (inside the caller's unwind boundary).
     fn run_rung(&self, rung: usize, clock: &BudgetClock) -> Result<RungProduct, SolveError> {
         match rung {
             0 => {
                 let mut bnb = self.cfg.bnb;
-                if let Some(slice) = clock.slice(self.cfg.budget.certified_share) {
+                if let Some(slice) = clock.slice(CERTIFIED_SHARE) {
                     bnb.time_budget = Some(bnb.time_budget.map_or(slice, |t| t.min(slice)));
                 }
-                let solver = self.inner_solver()?;
-                Ok(RungProduct::Report(Box::new(solver.solve_anytime(&bnb))))
+                Ok(RungProduct::Report(Box::new(
+                    self.solver.solve_anytime(&bnb),
+                )))
             }
-            1 => {
-                let solver = self.inner_solver()?;
-                Ok(RungProduct::Report(Box::new(solver.solve())))
-            }
+            1 => Ok(RungProduct::Report(Box::new(self.solver.solve()))),
             i => {
                 let (_, p) = &self.custom[i - 2];
-                Ok(RungProduct::Coloring(p.partition(self.inst, self.k)?))
+                let (inst, k) = (self.solver.instance(), self.solver.k());
+                Ok(RungProduct::Coloring(p.partition(inst, k)?))
             }
         }
     }
@@ -271,11 +209,16 @@ impl<'i> ResilientSolver<'i> {
     pub fn solve(&self) -> Report {
         let clock = BudgetClock::start(self.cfg.budget.total);
         let faults_before = failpoint::injection_count();
+        let (inst, k, p) = (
+            self.solver.instance(),
+            self.solver.k(),
+            self.solver.config().p,
+        );
 
         // The floor is computed up front: it is the validation reference
         // for every rung and the answer of last resort.
-        let floor_chi = ladder::lpt_coloring(self.inst, self.k);
-        let floor_cost = floor_chi.max_boundary_cost(self.inst.graph(), self.inst.costs());
+        let floor_chi = ladder::lpt_coloring(inst, k);
+        let floor_cost = floor_chi.max_boundary_cost(inst.graph(), inst.costs());
 
         let mut attempts: Vec<RungAttempt> = Vec::new();
         let rung_count = 2 + self.custom.len() + 1; // certified, pipeline, custom…, first-fit
@@ -314,15 +257,18 @@ impl<'i> ResilientSolver<'i> {
                     // The greedy rung is pure; run it directly (still
                     // validated like everything else).
                     Ok(Ok(RungProduct::Coloring(ladder::first_fit_coloring(
-                        self.inst, self.k,
+                        inst, k,
                     ))))
                 } else {
                     // lint: allow(catch-unwind) — the rung boundary of the
                     // degradation ladder: a panicking rung must degrade the
-                    // answer, not take down the serve path. All state the
-                    // closure touches is rebuilt per try (solver, splitter,
-                    // scratch epochs roll back via Drop), so observing it
-                    // after an unwind is sound.
+                    // answer, not take down the serve path. Scratch epochs
+                    // roll back via Drop; the solver's splitter and π are
+                    // once-cells whose builds host no failpoint, so after
+                    // an unwind each is complete or still empty; a caller's
+                    // splitter is reached only through `&self` under its
+                    // `Sync` bound, so a panic inside it can at worst fail
+                    // later rungs, and the floor still serves.
                     catch_unwind(AssertUnwindSafe(|| self.run_rung(rung_idx, &clock)))
                 };
                 match product {
@@ -331,24 +277,20 @@ impl<'i> ResilientSolver<'i> {
                             RungProduct::Report(r) => &r.coloring,
                             RungProduct::Coloring(c) => c,
                         };
-                        match ladder::validate(self.inst, self.k, chi, floor_cost) {
+                        match ladder::validate(inst, k, chi, floor_cost) {
                             Ok(_cost) => {
                                 let report = match product {
                                     RungProduct::Report(r) => *r,
-                                    RungProduct::Coloring(c) => {
-                                        Report::of(self.inst, self.pipeline.p, &name, c)
-                                    }
+                                    RungProduct::Coloring(c) => Report::of(inst, p, &name, c),
                                 };
                                 attempts.push(RungAttempt {
-                                    rung: name.clone(),
+                                    rung: name,
                                     tries,
                                     outcome: RungOutcome::Served,
                                     millis: (clock.elapsed() - rung_start).as_secs_f64() * 1e3,
                                 });
                                 return self.finish(
-                                    report_with_gap(self.inst, self.k, report),
-                                    name,
-                                    rung_idx,
+                                    report,
                                     attempts,
                                     &clock,
                                     floor_cost,
@@ -394,16 +336,8 @@ impl<'i> ResilientSolver<'i> {
             outcome: RungOutcome::Served,
             millis: 0.0,
         });
-        let report = Report::of(self.inst, self.pipeline.p, RUNG_TRIVIAL, floor_chi);
-        self.finish(
-            report_with_gap(self.inst, self.k, report),
-            RUNG_TRIVIAL.to_owned(),
-            rung_count,
-            attempts,
-            &clock,
-            floor_cost,
-            faults_before,
-        )
+        let report = Report::of(inst, p, RUNG_TRIVIAL, floor_chi);
+        self.finish(report, attempts, &clock, floor_cost, faults_before)
     }
 
     /// Sleep the doubling backoff before retry number `retry`, capped by
@@ -418,24 +352,38 @@ impl<'i> ResilientSolver<'i> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // internal assembly of the final record
+    /// Assemble the served report: the serving rung and its index are
+    /// the last attempt's. The certified rung brought its own gap; every
+    /// lower rung gets the polynomial static stack's bound paired with its
+    /// achieved cost.
     fn finish(
         &self,
         mut report: Report,
-        served_by: String,
-        served_index: usize,
         attempts: Vec<RungAttempt>,
         clock: &BudgetClock,
         floor_cost: f64,
         faults_before: usize,
     ) -> Report {
+        if report.certified.is_none() {
+            let lb =
+                crate::lower_bounds::static_lower_bound(self.solver.instance(), self.solver.k());
+            report.certified = Some(crate::lower_bounds::CertifiedGap::new(
+                lb.value(),
+                report.max_boundary,
+                lb.winner(),
+            ));
+        }
         let degraded = attempts
             .iter()
             .take(attempts.len().saturating_sub(1))
             .any(|a| !matches!(a.outcome, RungOutcome::Skipped(SkipReason::Disabled)));
         report.resilience = Some(Resilience {
-            served_by,
-            served_index,
+            served_by: attempts
+                .last()
+                .expect("the serving rung is recorded")
+                .rung
+                .clone(),
+            served_index: attempts.len() - 1,
             degraded,
             attempts,
             budget_millis: self.cfg.budget.total.map(|d| d.as_secs_f64() * 1e3),
@@ -450,8 +398,7 @@ impl<'i> ResilientSolver<'i> {
 impl std::fmt::Debug for ResilientSolver<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResilientSolver")
-            .field("k", &self.k)
-            .field("p", &self.pipeline.p)
+            .field("solver", &self.solver)
             .field("budget", &self.cfg.budget)
             .field("certified", &self.cfg.certified)
             .field("custom_rungs", &self.custom.len())
@@ -459,31 +406,18 @@ impl std::fmt::Debug for ResilientSolver<'_> {
     }
 }
 
-/// Ensure the served report carries a certified gap: the certified rung
-/// brought its own; every lower rung gets the polynomial static stack's
-/// bound paired with its achieved cost.
-fn report_with_gap(inst: &Instance, k: usize, mut report: Report) -> Report {
-    if report.certified.is_none() {
-        let lb = crate::lower_bounds::static_lower_bound(inst, k);
-        report.certified = Some(crate::lower_bounds::CertifiedGap::new(
-            lb.value(),
-            report.max_boundary,
-            lb.winner(),
-        ));
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::instance::Instance;
     use crate::coarsen::CoarsenParams;
-    use crate::pipeline::CoarsenConfig;
+    use crate::pipeline::{CoarsenConfig, PipelineConfig};
     use mmb_graph::gen::grid::GridGraph;
     use mmb_graph::recognize::recognition_count;
 
-    /// A solver rung's splitter is built on first use: a cascade rung
-    /// recognizes the coarse graph only and leaves the host undetected.
+    /// The ladder's solver builds its splitter on first use: a cascade
+    /// solve recognizes the coarse graph only and leaves the host
+    /// undetected.
     #[test]
     fn cascade_rung_leaves_the_host_undetected() {
         let lattice = GridGraph::lattice(&[64, 64]);
@@ -500,13 +434,14 @@ mod tests {
             }),
             ..PipelineConfig::default()
         };
-        let ladder = ResilientSolver::for_instance(&inst)
+        let solver = Solver::for_instance(&inst)
             .classes(4)
             .config(cfg)
             .build()
             .unwrap();
+        let ladder = ResilientSolver::new(solver);
         let before = recognition_count();
-        let report = ladder.inner_solver().unwrap().solve();
+        let report = ladder.solver().solve();
         assert!(report.is_strictly_balanced());
         assert_eq!(recognition_count(), before + 1, "the coarse graph only");
         assert!(format!("{inst:?}").contains("undetected"), "{inst:?}");

@@ -15,7 +15,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use mmb_core::api::Instance;
+use mmb_core::api::{Instance, Solver};
 use mmb_core::bnb::BnbConfig;
 use mmb_core::failpoint::{with_faults, FaultSchedule};
 use mmb_core::resilient::{DeadlineBudget, ResilientSolver, RungOutcome};
@@ -48,11 +48,8 @@ fn chaos_solve(
     k: usize,
     schedule: &FaultSchedule,
 ) -> (mmb_core::api::Report, usize) {
-    let solver = ResilientSolver::for_instance(inst)
-        .classes(k)
-        .bnb(BnbConfig::with_node_budget(2_000))
-        .build()
-        .unwrap();
+    let solver = ResilientSolver::new(Solver::for_instance(inst).classes(k).build().unwrap())
+        .bnb(BnbConfig::with_node_budget(2_000));
     let (outcome, log) = with_faults(schedule, || {
         catch_unwind(AssertUnwindSafe(|| solver.solve()))
     });
@@ -129,11 +126,9 @@ fn chaos_deadline_overshoot_stays_bounded_while_sites_stall() {
     for seed in SEEDS {
         let schedule = FaultSchedule::chaos(seed);
         for (inst, k) in &corpus() {
-            let solver = ResilientSolver::for_instance(inst)
-                .classes(*k)
-                .budget(DeadlineBudget::with_total(budget))
-                .build()
-                .unwrap();
+            let solver =
+                ResilientSolver::new(Solver::for_instance(inst).classes(*k).build().unwrap())
+                    .budget(DeadlineBudget::with_total(budget));
             let (outcome, _) = with_faults(&schedule, || {
                 catch_unwind(AssertUnwindSafe(|| solver.solve()))
             });

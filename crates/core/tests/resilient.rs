@@ -6,17 +6,21 @@
 //! [`mmb_core::failpoint`] framework or through deliberately rigged
 //! custom rungs — no randomness, every failure replays.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use mmb_core::api::{Instance, Partitioner, SolveError};
+use mmb_core::api::{Instance, Partitioner, SolveError, Solver};
 use mmb_core::bnb::BnbConfig;
-use mmb_core::failpoint::{with_faults, FaultAction, FaultSchedule};
+use mmb_core::coarsen::CoarsenParams;
+use mmb_core::failpoint::{injected, with_faults, FaultAction, FaultSchedule};
+use mmb_core::pipeline::{CoarsenConfig, PipelineConfig};
 use mmb_core::resilient::{
     DeadlineBudget, RejectReason, ResilientSolver, RetryPolicy, RungOutcome, SkipReason,
 };
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::gen::misc::path;
 use mmb_graph::Coloring;
+use mmb_splitters::order::OrderSplitter;
 
 fn lattice_instance(dims: &[usize]) -> Instance {
     let grid = GridGraph::lattice(dims);
@@ -31,6 +35,11 @@ fn path_instance(n: usize) -> Instance {
     Instance::new(g, vec![1.0; m], vec![1.0; n]).unwrap()
 }
 
+/// The ladder over a plain solver of `inst` with `k` classes.
+fn ladder(inst: &Instance, k: usize) -> ResilientSolver<'_> {
+    ResilientSolver::new(Solver::for_instance(inst).classes(k).build().unwrap())
+}
+
 /// A small bnb budget so certified rungs stay fast under test.
 fn quick_bnb() -> BnbConfig {
     BnbConfig::with_node_budget(2_000)
@@ -39,11 +48,7 @@ fn quick_bnb() -> BnbConfig {
 #[test]
 fn healthy_solve_serves_the_certified_rung() {
     let inst = lattice_instance(&[6, 6]);
-    let solver = ResilientSolver::for_instance(&inst)
-        .classes(4)
-        .bnb(quick_bnb())
-        .build()
-        .unwrap();
+    let solver = ladder(&inst, 4).bnb(quick_bnb());
     let report = solver.solve();
     assert!(report.is_strictly_balanced());
     let res = report.resilience.as_ref().expect("record always attached");
@@ -60,11 +65,7 @@ fn healthy_solve_serves_the_certified_rung() {
 #[test]
 fn disabling_the_certified_rung_serves_the_pipeline() {
     let inst = lattice_instance(&[6, 6]);
-    let solver = ResilientSolver::for_instance(&inst)
-        .classes(4)
-        .certified(false)
-        .build()
-        .unwrap();
+    let solver = ladder(&inst, 4).certified(false);
     let report = solver.solve();
     let res = report.resilience.as_ref().unwrap();
     assert_eq!(res.served_by, "pipeline");
@@ -80,12 +81,7 @@ fn disabling_the_certified_rung_serves_the_pipeline() {
 #[test]
 fn splitter_panics_degrade_to_first_fit_and_are_named() {
     let inst = lattice_instance(&[6, 6]);
-    let solver = ResilientSolver::for_instance(&inst)
-        .classes(4)
-        .bnb(quick_bnb())
-        .retry(RetryPolicy::none())
-        .build()
-        .unwrap();
+    let solver = ladder(&inst, 4).bnb(quick_bnb()).retry(RetryPolicy::none());
     let schedule = FaultSchedule::new().always("splitter::split", FaultAction::Panic);
     let (report, log) = with_faults(&schedule, || solver.solve());
     assert!(report.is_strictly_balanced());
@@ -110,30 +106,97 @@ fn splitter_panics_degrade_to_first_fit_and_are_named() {
 #[test]
 fn workspace_survives_unwinds_and_later_solves_are_bit_identical() {
     let inst = lattice_instance(&[6, 6]);
-    let solver = ResilientSolver::for_instance(&inst)
-        .classes(4)
-        .bnb(quick_bnb())
-        .retry(RetryPolicy::none())
-        .build()
-        .unwrap();
-    // A never-faulted reference solve.
-    let reference = solver.solve();
+    let fresh = || ladder(&inst, 4).bnb(quick_bnb()).retry(RetryPolicy::none());
+    // A never-faulted reference solve, on a solver of its own.
+    let reference = fresh().solve();
     assert_eq!(
         reference.resilience.as_ref().unwrap().served_by,
         "certified"
     );
-    // Panic through every solver rung (pooled workspace buffers are in
-    // use when the unwind happens)…
+    // One shared solver: panic through every solver rung before its
+    // splitter was ever built (its π is, and pooled workspace buffers are
+    // in use when the unwind happens)…
+    let solver = fresh();
     let schedule = FaultSchedule::new().always("splitter::split", FaultAction::Panic);
     let (faulted, _) = with_faults(&schedule, || solver.solve());
     assert_eq!(faulted.resilience.as_ref().unwrap().served_by, "first-fit");
-    // …then solve cleanly on the same thread: the pool must be unpoisoned
-    // (no panic, no stale scratch state) and the result bit-identical to
-    // the never-faulted run.
+    // …then solve cleanly with the same solver on the same thread: the
+    // pool must be unpoisoned (no panic, no stale scratch state), the
+    // solver's once-cells complete or still empty, and the result
+    // bit-identical to the never-faulted run.
     let after = solver.solve();
     assert_eq!(after.resilience.as_ref().unwrap().served_by, "certified");
     assert_eq!(after.coloring, reference.coloring);
     assert_eq!(after.max_boundary, reference.max_boundary);
+}
+
+/// Every plain solve reaches the `splitter::split` failpoint: with the
+/// automatic pick, with a caller's splitter, and in a cascade's coarse
+/// solve.
+#[test]
+fn every_solve_passes_the_split_failpoint() {
+    let grid = lattice_instance(&[8, 8]);
+    let lattice = GridGraph::lattice(&[64, 64]);
+    let (n, m) = (lattice.graph.num_vertices(), lattice.graph.num_edges());
+    let plain = Instance::new(lattice.graph, vec![1.0; m], vec![1.0; n]).unwrap();
+    let cascade = PipelineConfig {
+        coarsen: Some(CoarsenConfig {
+            params: CoarsenParams {
+                target_vertices: 512,
+                ..CoarsenParams::default()
+            },
+            ..CoarsenConfig::default()
+        }),
+        ..PipelineConfig::default()
+    };
+    let solvers = [
+        Solver::for_instance(&grid).classes(4).build().unwrap(),
+        Solver::for_instance(&grid)
+            .classes(4)
+            .splitter(Box::new(OrderSplitter::by_id(grid.graph())))
+            .build()
+            .unwrap(),
+        Solver::for_instance(&plain)
+            .classes(4)
+            .config(cascade)
+            .build()
+            .unwrap(),
+    ];
+    let schedule = FaultSchedule::new().once("splitter::split", 0, FaultAction::Panic);
+    for solver in &solvers {
+        let (caught, log) = with_faults(&schedule, || {
+            catch_unwind(AssertUnwindSafe(|| solver.solve()))
+        });
+        let payload = caught.expect_err("the first split unwinds");
+        let fault = injected(payload.as_ref()).expect("an injected fault");
+        assert_eq!(fault.site, "splitter::split", "{solver:?}");
+        assert_eq!(log.len(), 1, "{solver:?}");
+    }
+}
+
+/// The ladder runs the solver it is given, a caller's splitter included.
+#[test]
+fn the_ladder_runs_the_callers_splitter() {
+    let inst = lattice_instance(&[6, 6]);
+    let solver = Solver::for_instance(&inst)
+        .classes(4)
+        .splitter(Box::new(OrderSplitter::by_id(inst.graph())))
+        .build()
+        .unwrap();
+    let solver = ResilientSolver::new(solver)
+        .certified(false)
+        .retry(RetryPolicy::none());
+    let report = solver.solve();
+    assert_eq!(report.resilience.as_ref().unwrap().served_by, "pipeline");
+    assert_eq!(report.splitter, "order/id");
+    let schedule = FaultSchedule::new().always("splitter::split", FaultAction::Panic);
+    let (report, _) = with_faults(&schedule, || solver.solve());
+    let res = report.resilience.as_ref().unwrap();
+    assert_eq!(res.served_by, "first-fit");
+    match &res.attempt_for("pipeline").unwrap().outcome {
+        RungOutcome::Panicked(msg) => assert!(msg.contains("splitter::split"), "{msg}"),
+        other => panic!("expected Panicked, got {other:?}"),
+    }
 }
 
 /// A custom rung rigged to panic — the "buggy plugin" scenario.
@@ -164,14 +227,11 @@ impl Partitioner for BlockRung {
 #[test]
 fn panicking_custom_rung_falls_through_and_the_record_names_it() {
     let inst = path_instance(12);
-    let solver = ResilientSolver::for_instance(&inst)
-        .classes(2)
+    let solver = ladder(&inst, 2)
         .certified(false)
         .retry(RetryPolicy::none())
         .rung("panicky", Box::new(PanickyRung))
-        .rung("blocks", Box::new(BlockRung))
-        .build()
-        .unwrap();
+        .rung("blocks", Box::new(BlockRung));
     // Panic the pipeline rung so the ladder reaches the custom rungs.
     let schedule = FaultSchedule::new().always("pipeline::multibalance", FaultAction::Panic);
     let (report, _) = with_faults(&schedule, || solver.solve());
@@ -204,13 +264,10 @@ impl Partitioner for LopsidedRung {
 #[test]
 fn invalid_rung_output_is_rejected_not_served() {
     let inst = path_instance(12);
-    let solver = ResilientSolver::for_instance(&inst)
-        .classes(2)
+    let solver = ladder(&inst, 2)
         .certified(false)
         .retry(RetryPolicy::none())
-        .rung("lopsided", Box::new(LopsidedRung))
-        .build()
-        .unwrap();
+        .rung("lopsided", Box::new(LopsidedRung));
     let schedule = FaultSchedule::new().always("pipeline::multibalance", FaultAction::Panic);
     let (report, _) = with_faults(&schedule, || solver.solve());
     let res = report.resilience.as_ref().unwrap();
@@ -249,14 +306,11 @@ impl Partitioner for OneClassRung {
 #[test]
 fn wrong_shape_rung_output_is_rejected_not_served() {
     let inst = path_instance(12);
-    let solver = ResilientSolver::for_instance(&inst)
-        .classes(2)
+    let solver = ladder(&inst, 2)
         .certified(false)
         .retry(RetryPolicy::none())
         .rung("short", Box::new(ShortRung))
-        .rung("one-class", Box::new(OneClassRung))
-        .build()
-        .unwrap();
+        .rung("one-class", Box::new(OneClassRung));
     let schedule = FaultSchedule::new().always("pipeline::multibalance", FaultAction::Panic);
     let (report, _) = with_faults(&schedule, || solver.solve());
     let res = report.resilience.as_ref().unwrap();
@@ -278,15 +332,10 @@ fn wrong_shape_rung_output_is_rejected_not_served() {
 #[test]
 fn transient_faults_are_retried_and_recover() {
     let inst = lattice_instance(&[5, 5]);
-    let solver = ResilientSolver::for_instance(&inst)
-        .classes(3)
-        .bnb(quick_bnb())
-        .retry(RetryPolicy {
-            max_retries: 2,
-            backoff: Duration::from_micros(100),
-        })
-        .build()
-        .unwrap();
+    let solver = ladder(&inst, 3).bnb(quick_bnb()).retry(RetryPolicy {
+        max_retries: 2,
+        backoff: Duration::from_micros(100),
+    });
     // Fire exactly once, on the first pipeline entry; the retry passes.
     let schedule = FaultSchedule::new().once("pipeline::multibalance", 0, FaultAction::Transient);
     let (report, log) = with_faults(&schedule, || solver.solve());
@@ -300,15 +349,10 @@ fn transient_faults_are_retried_and_recover() {
 #[test]
 fn exhausted_retries_fall_through_with_the_try_count_recorded() {
     let inst = lattice_instance(&[5, 5]);
-    let solver = ResilientSolver::for_instance(&inst)
-        .classes(3)
-        .bnb(quick_bnb())
-        .retry(RetryPolicy {
-            max_retries: 1,
-            backoff: Duration::from_micros(100),
-        })
-        .build()
-        .unwrap();
+    let solver = ladder(&inst, 3).bnb(quick_bnb()).retry(RetryPolicy {
+        max_retries: 1,
+        backoff: Duration::from_micros(100),
+    });
     let schedule = FaultSchedule::new().always("pipeline::multibalance", FaultAction::Transient);
     let (report, _) = with_faults(&schedule, || solver.solve());
     let res = report.resilience.as_ref().unwrap();
@@ -326,11 +370,7 @@ fn exhausted_retries_fall_through_with_the_try_count_recorded() {
 #[test]
 fn zero_budget_serves_the_trivial_floor_within_the_overshoot_allowance() {
     let inst = lattice_instance(&[6, 6]);
-    let solver = ResilientSolver::for_instance(&inst)
-        .classes(4)
-        .budget(DeadlineBudget::with_total(Duration::ZERO))
-        .build()
-        .unwrap();
+    let solver = ladder(&inst, 4).budget(DeadlineBudget::with_total(Duration::ZERO));
     let report = solver.solve();
     assert!(report.is_strictly_balanced());
     let res = report.resilience.as_ref().unwrap();
@@ -357,12 +397,9 @@ fn zero_budget_serves_the_trivial_floor_within_the_overshoot_allowance() {
 #[test]
 fn solve_is_total_under_a_panicking_ladder_and_a_zero_deadline_combined() {
     let inst = path_instance(16);
-    let solver = ResilientSolver::for_instance(&inst)
-        .classes(4)
+    let solver = ladder(&inst, 4)
         .budget(DeadlineBudget::with_total(Duration::ZERO))
-        .rung("panicky", Box::new(PanickyRung))
-        .build()
-        .unwrap();
+        .rung("panicky", Box::new(PanickyRung));
     let schedule = FaultSchedule::new()
         .always("splitter::split", FaultAction::Panic)
         .always("pipeline::multibalance", FaultAction::Panic)
@@ -382,8 +419,6 @@ fn solve_is_total_under_a_panicking_ladder_and_a_zero_deadline_combined() {
 /// the coloring is the one served once the host was recognized.
 #[test]
 fn cascade_rung_builds_its_host_splitter_on_first_use() {
-    use mmb_core::coarsen::CoarsenParams;
-    use mmb_core::pipeline::{CoarsenConfig, PipelineConfig};
     use mmb_graph::recognize::recognition_count;
 
     let lattice = GridGraph::lattice(&[64, 64]);
@@ -404,13 +439,12 @@ fn cascade_rung_builds_its_host_splitter_on_first_use() {
         ..PipelineConfig::default()
     };
     let solve = |inst: &Instance, k: usize| {
-        ResilientSolver::for_instance(inst)
+        let solver = Solver::for_instance(inst)
             .classes(k)
             .config(cfg.clone())
-            .certified(false)
             .build()
-            .unwrap()
-            .solve()
+            .unwrap();
+        ResilientSolver::new(solver).certified(false).solve()
     };
 
     for (k, host_recognitions) in [(1, 0), (4, 1)] {

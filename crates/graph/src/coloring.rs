@@ -112,12 +112,6 @@ impl Coloring {
         self.color[v as usize] = c;
     }
 
-    /// Remove the color of `v`.
-    #[inline]
-    pub fn unset(&mut self, v: VertexId) {
-        self.color[v as usize] = UNCOLORED;
-    }
-
     /// Number of currently colored vertices.
     pub fn num_colored(&self) -> usize {
         self.color.iter().filter(|&&c| c != UNCOLORED).count()
@@ -313,8 +307,6 @@ mod tests {
         c.set(0, 1);
         assert_eq!(c.get(0), Some(1));
         assert_eq!(c.num_colored(), 1);
-        c.unset(0);
-        assert_eq!(c.num_colored(), 0);
     }
 
     #[test]

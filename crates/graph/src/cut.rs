@@ -5,7 +5,7 @@
 //! also need the *relative* boundary `∂_W U` of `U` inside an induced
 //! subgraph `G[W]` (edges of `E(W)` with exactly one endpoint in `U`).
 
-use crate::graph::{EdgeId, Graph};
+use crate::graph::Graph;
 use crate::vertex_set::VertexSet;
 use crate::workspace::{ScratchMeasure, Workspace};
 
@@ -41,19 +41,6 @@ pub fn boundary_cost_within(g: &Graph, costs: &[f64], w_set: &VertexSet, u_set: 
         }
     }
     s
-}
-
-/// The cut `δ(U)` as a list of edge ids (host graph).
-pub fn cut_edges(g: &Graph, u_set: &VertexSet) -> Vec<EdgeId> {
-    let mut out = Vec::new();
-    for v in u_set.iter() {
-        for &(nb, e) in g.neighbors(v) {
-            if !u_set.contains(nb) {
-                out.push(e);
-            }
-        }
-    }
-    out
 }
 
 /// Number of edges in the relative cut `δ_{G[W]}(U)`.
@@ -114,7 +101,6 @@ mod tests {
         let costs = vec![1.0, 2.0, 3.0];
         let u = VertexSet::from_iter(4, [0u32, 1]);
         assert!(close(boundary_cost(&g, &costs, &u), 2.0));
-        assert_eq!(cut_edges(&g, &u).len(), 1);
         let empty = VertexSet::empty(4);
         assert_eq!(boundary_cost(&g, &costs, &empty), 0.0);
         let full = VertexSet::full(4);

@@ -29,12 +29,6 @@ impl DisjointUnion {
     pub fn base_vertex(&self, v: VertexId) -> VertexId {
         (v as usize % self.base_n) as VertexId
     }
-
-    /// Vertex ids of copy `i`.
-    pub fn copy_vertices(&self, i: usize) -> std::ops::Range<u32> {
-        let lo = (i * self.base_n) as u32;
-        lo..lo + self.base_n as u32
-    }
 }
 
 /// Build `copies` disjoint copies of `(base, base_costs)`.
@@ -100,7 +94,6 @@ mod tests {
         assert_eq!(u.graph.components().1, 3);
         assert_eq!(u.copy_of(7), 2);
         assert_eq!(u.base_vertex(7), 1);
-        assert_eq!(u.copy_vertices(1), 3..6);
     }
 
     #[test]
