@@ -5,16 +5,18 @@
 //! * [`InstanceError`] — the input data is malformed (wrong vector
 //!   lengths, non-finite or negative entries). Raised once, at
 //!   [`Instance`](crate::api::Instance) construction.
-//! * [`SolveError`] — the solver configuration cannot run (no classes, a
-//!   splitter family requested that the instance's structure does not
-//!   support), or wraps an [`InstanceError`] where one result type
-//!   carries both (raw batch admission, delta application, the
-//!   baselines' raw-vector entry points).
+//! * [`SolveError`] — the solver configuration cannot run (no classes, an
+//!   invalid exponent `p`), a solve or serve failed (a retryable
+//!   transient, a panic caught at an isolation boundary, a coloring a
+//!   serving gate refused, a warm start that does not fit the solver),
+//!   or it wraps an [`InstanceError`] where one result type carries both
+//!   (raw batch admission, delta application, the baselines' raw-vector
+//!   entry points).
 //!
 //! Every `Display` lives in this module, generated by one hand-rolled
 //! `thiserror`-style macro: each variant is declared next to its message,
 //! and the messages carry the offending values (lengths, indices, the
-//! requested splitter family and the structure that refused it).
+//! exponent, the failpoint site, the dimension that disagreed).
 
 /// Hand-rolled `thiserror`-style `Display` + `Error` impl: variant
 /// patterns on the left, format messages (with inline captures) on the

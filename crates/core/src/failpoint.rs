@@ -32,6 +32,11 @@
 //!   milliseconds, simulating an overrun search node or a slow stage for
 //!   deadline-overshoot tests. Deterministic in *behavior* (the output
 //!   never depends on it), not in wall time.
+//!
+//! Injected unwinds start with [`std::panic::resume_unwind`], which skips
+//! the panic hook: the isolation boundary that catches one reports it
+//! itself, so an injected fault prints nothing, while a genuine panic
+//! still reaches the hook.
 
 use std::cell::{Cell, RefCell};
 use std::time::Duration;
@@ -284,10 +289,10 @@ fn raise_slow(site: &'static str) -> Result<(), SolveError> {
     match check(site) {
         None => Ok(()),
         Some(FaultAction::Transient) => Err(SolveError::Transient { site }),
-        Some(FaultAction::Panic) => std::panic::panic_any(InjectedPanic {
+        Some(FaultAction::Panic) => std::panic::resume_unwind(Box::new(InjectedPanic {
             site,
             transient: false,
-        }),
+        })),
         Some(FaultAction::Stall { millis }) => {
             std::thread::sleep(Duration::from_millis(millis));
             Ok(())
@@ -311,14 +316,14 @@ pub fn raise_any(site: &'static str) {
 fn raise_any_slow(site: &'static str) {
     match check(site) {
         None => {}
-        Some(FaultAction::Panic) => std::panic::panic_any(InjectedPanic {
+        Some(FaultAction::Panic) => std::panic::resume_unwind(Box::new(InjectedPanic {
             site,
             transient: false,
-        }),
-        Some(FaultAction::Transient) => std::panic::panic_any(InjectedPanic {
+        })),
+        Some(FaultAction::Transient) => std::panic::resume_unwind(Box::new(InjectedPanic {
             site,
             transient: true,
-        }),
+        })),
         Some(FaultAction::Stall { millis }) => {
             std::thread::sleep(Duration::from_millis(millis));
         }

@@ -30,15 +30,6 @@ impl PlantedPartition {
     pub fn ground_truth(&self) -> Coloring {
         Coloring::from_vec(self.groups, self.communities.clone())
     }
-
-    /// Number of edges crossing between different planted communities.
-    pub fn cross_edges(&self) -> usize {
-        self.graph
-            .edge_list()
-            .iter()
-            .filter(|&&(u, v)| self.communities[u as usize] != self.communities[v as usize])
-            .count()
-    }
 }
 
 /// Sample a planted-partition graph: communities are contiguous id blocks
@@ -83,6 +74,15 @@ pub fn planted_partition(
 mod tests {
     use super::*;
 
+    /// Edges crossing between different planted communities.
+    fn cross_edges(pp: &PlantedPartition) -> usize {
+        let c = &pp.communities;
+        let edges = pp.graph.edge_list().iter();
+        edges
+            .filter(|&&(u, v)| c[u as usize] != c[v as usize])
+            .count()
+    }
+
     #[test]
     fn community_sizes_are_balanced() {
         let pp = planted_partition(50, 4, 0.5, 0.05, 1);
@@ -109,7 +109,7 @@ mod tests {
     fn planted_structure_is_visible() {
         // Within-community density must clearly exceed cross density.
         let pp = planted_partition(120, 4, 0.4, 0.02, 3);
-        let cross = pp.cross_edges();
+        let cross = cross_edges(&pp);
         let within = pp.graph.num_edges() - cross;
         // Expected within ≈ 0.4 · 4 · C(30,2) = 696; cross ≈ 0.02 · 4050 = 81.
         assert!(within > 4 * cross, "within {within} vs cross {cross}");
@@ -124,6 +124,6 @@ mod tests {
         // p_out = 0 disconnects the communities from each other.
         let iso = planted_partition(40, 4, 1.0, 0.0, 5);
         assert_eq!(iso.graph.components().1, 4);
-        assert_eq!(iso.cross_edges(), 0);
+        assert_eq!(cross_edges(&iso), 0);
     }
 }

@@ -95,12 +95,16 @@ impl GridGraph {
             probe.copy_from_slice(p);
             for axis in 0..dim {
                 // Only look in the +1 direction; the −1 neighbor adds the
-                // edge from its own scan.
-                probe[axis] += 1;
+                // edge from its own scan. A point at `i64::MAX` on this
+                // axis has no +1 neighbor.
+                let Some(up) = p[axis].checked_add(1) else {
+                    continue;
+                };
+                probe[axis] = up;
                 if let Some(&u) = index.get(probe.as_slice()) {
                     builder.add_edge(v as u32, u);
                 }
-                probe[axis] -= 1;
+                probe[axis] = p[axis];
             }
         }
         let coords = unique.iter().flat_map(|p| p.iter().copied()).collect();
@@ -273,6 +277,11 @@ mod tests {
         let g = GridGraph::from_points(2, pts);
         assert_eq!(g.graph.num_vertices(), 4);
         assert_eq!(g.graph.num_edges(), 2); // (0,0)-(1,0), (1,0)-(1,1)
+                                            // The +1 probe must not wrap at the top of the coordinate range.
+        let g = GridGraph::from_points(1, vec![vec![i64::MAX], vec![i64::MIN]]);
+        assert_eq!(g.graph.num_edges(), 0);
+        let g = GridGraph::from_points(1, vec![vec![i64::MAX - 1], vec![i64::MAX]]);
+        assert_eq!(g.graph.num_edges(), 1);
     }
 
     #[test]

@@ -25,11 +25,11 @@ use std::collections::HashMap;
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::{VertexId, VertexSet};
 
-use crate::{prefix_split, Splitter};
+use crate::Splitter;
 
-/// Reusable per-thread buffers of the fast `split` path: one split call
-/// makes `O(levels)` uses of each, and a solve makes thousands of split
-/// calls, so pulling these out of the call eliminates the per-call malloc
+/// Reusable per-thread buffers of `split`: one split call makes
+/// `O(levels)` uses of each, and a solve makes thousands of split calls,
+/// so pulling these out of the call eliminates the per-call malloc
 /// traffic entirely.
 #[derive(Default)]
 struct SplitScratch {
@@ -37,7 +37,9 @@ struct SplitScratch {
     edges: Vec<(i64, f64)>,
     per_alpha: HashMap<i64, f64>,
     alpha_dense: Vec<f64>,
-    keyed: Vec<(u64, u32, VertexId)>,
+    /// Comparison-sort rows, one per member: its `d` cell coordinates,
+    /// then its lex rank.
+    cells: Vec<u64>,
     keys_buf: Vec<u32>,
     counts: Vec<u32>,
     grouped: Vec<VertexId>,
@@ -50,7 +52,7 @@ thread_local! {
 }
 
 /// `val / ell` for `val < 2^51` via reciprocal multiplication with an
-/// exact fixup — the packed-key hot loop's division.
+/// exact fixup — the hot loop's division.
 #[inline]
 fn udiv_rcp(val: u64, ell: u64, inv: f64) -> u64 {
     let mut q = (val as f64 * inv) as u64;
@@ -83,22 +85,14 @@ pub struct GridSplitter<'g> {
     coord_lo: i64,
     /// See [`GridSplitter::coord_lo`].
     coord_hi: i64,
-    /// Whether `Π (max_a − min_a + 2)` fits in `u64`, i.e. cell keys of
-    /// every coarsening level pack into one machine word. (False only for
-    /// astronomically spread-out point sets; those route to the legacy
-    /// path.)
-    pack_safe: bool,
     /// `‖scaled‖_∞`: the first level `L` with `(c_max + 1)/2^L − 1 ≤ 0`
-    /// has **no** surviving edges, so the fast path can skip its edge scan
+    /// has **no** surviving edges, so `split` can skip its edge scan
     /// (`c1 = 0` exactly) and go straight to the lexicographic prefix.
     max_scaled: f64,
     /// Per edge: the smaller coordinate along the (unique) axis the edge
     /// spans — the `t` of the Lemma 20 shift accounting, precomputed so
     /// the hot scan does one load instead of two coordinate lookups.
     edge_t: Vec<i64>,
-    /// Whether every scaled cost is exactly 1.0 (unit-cost instances):
-    /// the scan then skips the cost load entirely.
-    uniform_cost: bool,
     name: &'static str,
 }
 
@@ -135,9 +129,9 @@ impl<'g> GridSplitter<'g> {
     }
 
     /// Shared construction tail: precompute the lex ranks and coordinate
-    /// bounds the fast path keys off, once per splitter, amortized across
-    /// every `split` call of a solver's lifetime. `O(n + m)` on a full box
-    /// (see [`box_lex_ranks`]), `O(n log n + m)` on any other point set.
+    /// bounds `split` keys off, once per splitter, amortized across every
+    /// `split` call of a solver's lifetime. `O(n + m)` on a full box (see
+    /// [`box_lex_ranks`]), `O(n log n + m)` on any other point set.
     fn finish(grid: &'g GridGraph, scaled: Vec<f64>, name: &'static str) -> Self {
         let n = grid.graph.num_vertices();
         let d = grid.dim;
@@ -158,21 +152,6 @@ impl<'g> GridSplitter<'g> {
             }
             lex_rank
         });
-        // Fast-path eligibility: per-axis cell ranges must pack into a
-        // u64 product, and absolute coordinate magnitudes must leave
-        // headroom for the shift arithmetic (`x + α − 1`, `base =
-        // (hi/ℓ + 1)·ℓ` with `ℓ ≤ 2^40`) — i64 overflow near the extremes
-        // routes to the legacy path instead.
-        let pack_safe = n > 0
-            && mins
-                .iter()
-                .zip(&maxs)
-                .try_fold(1u128, |acc, (&lo, &hi)| {
-                    acc.checked_mul((hi as i128 - lo as i128) as u128 + 2)
-                })
-                .is_some_and(|p| p <= u64::MAX as u128)
-            && mins.iter().all(|&lo| lo > i64::MIN / 4)
-            && maxs.iter().all(|&hi| hi < i64::MAX / 4);
         let max_scaled = scaled.iter().copied().fold(0.0f64, f64::max);
         let coord_lo = mins.iter().copied().min().unwrap_or(0);
         let coord_hi = maxs.iter().copied().max().unwrap_or(0);
@@ -188,9 +167,6 @@ impl<'g> GridSplitter<'g> {
                 cu[axis].min(cv[axis])
             })
             .collect();
-        // lint: allow(float-eq) — 1.0 is exactly representable; this is a
-        // fast-path dispatch on the scaler's exact sentinel, not arithmetic.
-        let uniform_cost = scaled.iter().all(|&c| c == 1.0);
         Self {
             grid,
             scaled,
@@ -199,10 +175,8 @@ impl<'g> GridSplitter<'g> {
             maxs,
             coord_lo,
             coord_hi,
-            pack_safe,
             max_scaled,
             edge_t,
-            uniform_cost,
             name,
         }
     }
@@ -252,168 +226,23 @@ impl<'g> GridSplitter<'g> {
         }
     }
 
-    /// The reference coarsening (single edge pass into a scratch `Vec`,
-    /// HashMap cell grouping with per-member key vectors): the
-    /// `!pack_safe` fallback, and the reference the fast path is tested
-    /// against.
-    fn coarsen_legacy(&self, members: &[VertexId], level: u32) -> Option<Vec<Vec<VertexId>>> {
-        let d = self.grid.dim;
-        let in_s = VertexSet::from_iter(self.grid.graph.num_vertices(), members.iter().copied());
-
-        // Inner edges with positive current cost, described by the axis they
-        // span and the smaller coordinate along it.
-        let mut c1 = 0.0f64;
-        let mut edges: Vec<(i64, f64)> = Vec::new(); // (min coordinate on the differing axis, cost)
-        for &v in members {
-            for &(nb, e) in self.grid.graph.neighbors(v) {
-                if nb <= v || !in_s.contains(nb) {
-                    continue;
-                }
-                let cur = if level == 0 {
-                    self.scaled[e as usize]
-                } else {
-                    self.level_cost(e, level)
-                };
-                if cur <= 0.0 {
-                    continue;
-                }
-                c1 += cur;
-                let (cv, cn) = (self.grid.coord(v), self.grid.coord(nb));
-                let axis = (0..d)
-                    .find(|&a| cv[a] != cn[a])
-                    .expect("edge endpoints share coords");
-                edges.push((cv[axis].min(cn[axis]), cur));
-            }
-        }
-
-        let ell = ((c1 / d as f64).powf(1.0 / d as f64).ceil() as i64).max(1);
-        // Guard against pathological cost magnitudes.
-        let ell = ell.min(1 << 40);
-        if ell <= 1 {
-            return None;
-        }
-
-        // Lemma 20: each edge is cut by exactly one shift α ∈ [1, ℓ];
-        // accumulate per-shift cost sparsely and pick the cheapest.
-        let mut per_alpha: HashMap<i64, f64> = HashMap::new();
-        for &(t, cost) in edges.iter() {
-            let mut alpha = (-t).rem_euclid(ell);
-            if alpha == 0 {
-                alpha = ell;
-            }
-            *per_alpha.entry(alpha).or_insert(0.0) += cost;
-        }
-        let alpha = if (per_alpha.len() as i64) < ell {
-            // Some shift cuts nothing at all.
-            (1..=ell)
-                .find(|a| !per_alpha.contains_key(a))
-                .expect("len < ell guarantees an uncut shift")
-        } else {
-            // Cheapest shift, ties broken by smallest α so two splitters
-            // built from the same instance always cut identically.
-            // lint: allow(hash-order-leak) — min under total_cmp with the
-            // α tie-break is iteration-order independent.
-            *per_alpha
-                .iter()
-                .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(b.0)))
-                .map(|(a, _)| a)
-                .expect("ell >= 1 shifts exist in this branch")
-        };
-
-        // Assign members to cells ϕ_α(x) = ⌊(x + (α−1)·1)/ℓ⌋.
-        let mut cell_map: HashMap<Vec<i64>, Vec<VertexId>> = HashMap::new();
-        for &v in members {
-            let key: Vec<i64> = self
-                .grid
-                .coord(v)
-                .iter()
-                .map(|&x| (x + alpha - 1).div_euclid(ell))
-                .collect();
-            cell_map.entry(key).or_default().push(v);
-        }
-        let mut keyed: Vec<(Vec<i64>, Vec<VertexId>)> = cell_map.into_iter().collect();
-        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        Some(keyed.into_iter().map(|(_, vs)| vs).collect())
-    }
-
-    /// Lexicographic order of `members` by coordinates (the ℓ = 1 case).
-    fn lex_order(&self, members: &mut [VertexId]) {
-        members.sort_unstable_by(|&a, &b| self.grid.coord(a).cmp(self.grid.coord(b)));
-    }
-
-    /// The reference `split` loop over [`GridSplitter::coarsen_legacy`]:
-    /// per-level cell materialization with per-member key allocations.
-    /// Runs for point sets whose coordinate spread defeats key packing
-    /// (`!pack_safe`), and is the reference [`GridSplitter::split_fast`]
-    /// is tested against.
-    fn split_legacy(&self, w_set: &VertexSet, weights: &[f64], target: f64) -> VertexSet {
-        let n = self.grid.graph.num_vertices();
-        let mut members: Vec<VertexId> = w_set.iter().collect();
-        let total: f64 = members.iter().map(|&v| weights[v as usize]).sum();
-        let mut rem = target.clamp(0.0, total);
-        let mut taken = VertexSet::empty(n);
-        let mut level = 0u32;
-
-        loop {
-            match self.coarsen_legacy(&members, level) {
-                None => {
-                    // ℓ = 1: lexicographic vertex prefix within the cell.
-                    self.lex_order(&mut members);
-                    let local = prefix_split(n, &members, weights, rem);
-                    taken.union_with(&local);
-                    return taken;
-                }
-                Some(cells) => {
-                    // Take whole cells in lex order while they fit; recurse
-                    // into the straddling cell.
-                    let mut straddle: Option<Vec<VertexId>> = None;
-                    for cell in cells {
-                        let wcell: f64 = cell.iter().map(|&v| weights[v as usize]).sum();
-                        if straddle.is_none() && wcell <= rem {
-                            rem -= wcell;
-                            for &v in &cell {
-                                taken.insert(v);
-                            }
-                        } else if straddle.is_none() {
-                            straddle = Some(cell);
-                        }
-                        // Cells after the straddling one are left out.
-                    }
-                    match straddle {
-                        None => return taken, // everything fit (rem ≈ 0 now)
-                        Some(cell) => {
-                            members = cell;
-                            level += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The overhauled `split` loop: counting-sort cell grouping over
-    /// packed `u64` keys, thread-local scratch buffers (zero steady-state
-    /// allocation beyond the returned set), reciprocal-multiply cell
-    /// arithmetic, and dead-level skipping — `O(vol)`-ish per level.
+    /// The one `split` loop, over thread-local scratch buffers (zero
+    /// steady-state allocation beyond the returned set) with
+    /// reciprocal-multiply cell arithmetic and dead-level skipping —
+    /// `O(vol)`-ish per level. Its index arithmetic cannot overflow, so
+    /// it serves every `i64` point set.
     ///
-    /// On the counting-sort grouping path (anything but sparse point sets
-    /// spread over astronomically large coordinate ranges) members keep
-    /// their id order inside every cell, so cell weight sums accumulate in
-    /// **exactly the legacy order** and the returned set is bit-identical
-    /// to [`GridSplitter::split_legacy`]. On the comparison-sort fallback
-    /// the within-cell order is lexicographic instead, which can flip
-    /// floating-point ties on inputs whose partial sums are inexact —
-    /// still within the Definition 3 contract.
-    fn split_fast(&self, w_set: &VertexSet, weights: &[f64], target: f64) -> VertexSet {
-        SPLIT_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut scratch) => self.split_fast_in(&mut scratch, w_set, weights, target),
-            // Defensive: if a caller ever re-enters split on this thread,
-            // fall back to fresh buffers instead of panicking.
-            Err(_) => self.split_fast_in(&mut SplitScratch::default(), w_set, weights, target),
-        })
-    }
-
-    fn split_fast_in(
+    /// Cells are grouped by a counting sort when their universe is small
+    /// next to the member count. It is stable, so members keep their id
+    /// order inside every cell and cell weight sums accumulate in exactly
+    /// the order of the reference HashMap loop the tests keep as an
+    /// oracle; the returned set is then bit-identical to the oracle's.
+    /// Sparse point sets over large coordinate ranges are grouped by a
+    /// comparison sort on (cells, lex rank) instead. Within-cell order is
+    /// then lexicographic, which can flip floating-point ties on inputs
+    /// whose partial sums are inexact — still within the Definition 3
+    /// contract.
+    fn split_in(
         &self,
         scratch: &mut SplitScratch,
         w_set: &VertexSet,
@@ -427,7 +256,7 @@ impl<'g> GridSplitter<'g> {
             edges,
             per_alpha,
             alpha_dense,
-            keyed,
+            cells,
             keys_buf,
             counts,
             grouped,
@@ -463,15 +292,12 @@ impl<'g> GridSplitter<'g> {
                     owned = VertexSet::from_iter(n, members.iter().copied());
                     &owned
                 };
-                let uniform = self.uniform_cost && level == 0;
                 for &v in members.iter() {
                     for &(nb, e) in self.grid.graph.neighbors(v) {
                         if nb <= v || !in_s.contains(nb) {
                             continue;
                         }
-                        let cur = if uniform {
-                            1.0
-                        } else if level == 0 {
+                        let cur = if level == 0 {
                             self.scaled[e as usize]
                         } else {
                             self.level_cost(e, level)
@@ -485,6 +311,7 @@ impl<'g> GridSplitter<'g> {
                 }
             }
             let ell = ((c1 / d as f64).powf(1.0 / d as f64).ceil() as i64).max(1);
+            // Guard against pathological cost magnitudes.
             let ell = ell.min(1 << 40);
             if ell <= 1 {
                 // ℓ = 1: lexicographic vertex prefix within the cell — one
@@ -498,21 +325,24 @@ impl<'g> GridSplitter<'g> {
                 }
                 return taken;
             }
-            // Lemma 20 per-shift accounting: a dense (reused) buffer when
-            // ℓ is small — direct indexing instead of hashing every edge —
-            // with the HashMap as the big-ℓ fallback. Same edge order, so
-            // identical sums and the identical α either way. The per-edge
-            // `(−t) mod ℓ` runs through the same reciprocal trick as the
-            // cell packing when the coordinate magnitudes allow it:
-            // `base − t ≥ 0` for `base` the smallest multiple of ℓ above
+            // Lemma 20 per-shift accounting: each edge is cut by exactly
+            // one shift α = ℓ − (t mod ℓ) ∈ [1, ℓ]. A dense (reused)
+            // buffer when ℓ is small — direct indexing instead of hashing
+            // every edge — with the HashMap as the big-ℓ fallback. Same
+            // edge order, so identical sums and the identical α either
+            // way. The per-edge `t mod ℓ` runs through the same reciprocal
+            // trick as the cells when the coordinate magnitudes allow it:
+            // `base − t > 0` for `base` the smallest multiple of ℓ above
             // every coordinate, and `(base − t) mod ℓ = (−t) mod ℓ`.
             let ell_u = ell as u64;
             let inv = 1.0 / ell as f64;
             let alpha = if ell <= (1 << 16) {
                 alpha_dense.clear();
                 alpha_dense.resize(ell as usize, 0.0);
-                let base = (self.coord_hi.div_euclid(ell) + 1) * ell;
-                if (base - self.coord_lo) < 1 << 51 {
+                let base = (self.coord_hi.div_euclid(ell) + 1)
+                    .checked_mul(ell)
+                    .filter(|base| base.abs_diff(self.coord_lo) < 1 << 51);
+                if let Some(base) = base {
                     for &(t, cost) in edges.iter() {
                         let val = (base - t) as u64;
                         let r = val - udiv_rcp(val, ell_u, inv) * ell_u;
@@ -521,46 +351,38 @@ impl<'g> GridSplitter<'g> {
                     }
                 } else {
                     for &(t, cost) in edges.iter() {
-                        let mut alpha = (-t).rem_euclid(ell);
-                        if alpha == 0 {
-                            alpha = ell;
-                        }
-                        alpha_dense[(alpha - 1) as usize] += cost;
+                        alpha_dense[(ell - 1 - t.rem_euclid(ell)) as usize] += cost;
                     }
                 }
                 Self::pick_alpha_dense(alpha_dense)
             } else {
                 per_alpha.clear();
                 for &(t, cost) in edges.iter() {
-                    let mut alpha = (-t).rem_euclid(ell);
-                    if alpha == 0 {
-                        alpha = ell;
-                    }
-                    *per_alpha.entry(alpha).or_insert(0.0) += cost;
+                    *per_alpha.entry(ell - t.rem_euclid(ell)).or_insert(0.0) += cost;
                 }
                 Self::pick_alpha(per_alpha, ell)
             };
 
-            // Pack each member's cell ϕ_α(x) = ⌊(x + (α−1)·1)/ℓ⌋, offset
-            // to the instance's minimum cell, into one u64 (mixed radix
-            // over the per-axis cell ranges; `pack_safe` guaranteed the
-            // product fits). The per-axis offset folds into a shifted
-            // non-negative division `(x − min_a + r_a) / ℓ`, computed by
-            // reciprocal multiplication with an exact fixup when the
-            // coordinate span allows it.
+            // A member's cell ϕ_α(x) = ⌊(x + (α−1)·1)/ℓ⌋, offset on each
+            // axis to the instance's minimum cell, is the non-negative
+            // division `(x − min_a + r_a) / ℓ` with `r_a = (min_a + α − 1)
+            // mod ℓ`. It runs by reciprocal multiplication with an exact
+            // fixup when the coordinate span allows it, and otherwise
+            // divides the offset and the remainder separately so no sum
+            // can leave `u64`.
             shifts.clear();
             extents.clear();
             let mut rcp_ok = true;
             for a in 0..d {
-                shifts.push((self.mins[a] + alpha - 1).rem_euclid(ell) as u64);
-                rcp_ok &= ((self.maxs[a] - self.mins[a]) as u64).saturating_add(ell_u) < 1 << 51;
+                shifts.push((self.mins[a].rem_euclid(ell) + alpha - 1).rem_euclid(ell) as u64);
+                rcp_ok &= self.maxs[a].abs_diff(self.mins[a]).saturating_add(ell_u) < 1 << 51;
             }
             let cell_of = |x: i64, a: usize| -> u64 {
-                let val = (x - self.mins[a]) as u64 + shifts[a];
+                let off = x.abs_diff(self.mins[a]);
                 if rcp_ok {
-                    udiv_rcp(val, ell_u, inv)
+                    udiv_rcp(off + shifts[a], ell_u, inv)
                 } else {
-                    val / ell_u
+                    off / ell_u + (off % ell_u + shifts[a]) / ell_u
                 }
             };
             let mut cell_count: u128 = 1;
@@ -569,33 +391,25 @@ impl<'g> GridSplitter<'g> {
                 extents.push(extent);
                 cell_count = cell_count.saturating_mul(extent as u128);
             }
-            let extents = &*extents;
-            let pack_key = |v: VertexId| {
-                let c = self.grid.coord(v);
-                let mut key = 0u64;
-                for a in 0..d {
-                    key = key * extents[a] + cell_of(c[a], a);
-                }
-                key
-            };
 
-            // Take whole cells (= maximal equal-key runs) in order while
-            // they fit; recurse into the straddling cell.
+            // Group the members cell by cell, cells in lexicographic
+            // order: `grouped` lists them, and `counts` holds each cell's
+            // end offset (an empty cell repeats the previous offset).
             //
-            // Primary grouping is a **counting sort** over the packed
-            // keys: stable, so members keep their id order inside every
-            // cell — the exact iteration (and f64 summation) order of the
-            // legacy HashMap grouping, at `O(vol + cells)`. When the cell
-            // universe is too large relative to the member count (sparse
-            // point sets over huge coordinate ranges), a comparison sort
-            // on (key, lex rank) steps in instead.
-            let mut straddle = false;
+            // Primary grouping is a **counting sort** over the mixed-radix
+            // cell index: stable, so members keep their id order inside
+            // every cell — the oracle's iteration (and f64 summation)
+            // order — at `O(vol + cells)`. When the cell universe is too
+            // large next to the member count (sparse point sets over huge
+            // coordinate ranges), a comparison sort of member positions
+            // on their (cells, lex rank) rows steps in instead.
             if cell_count <= (members.len() * 4 + 64) as u128 && cell_count <= u32::MAX as u128 {
                 keys_buf.clear();
                 counts.clear();
                 counts.resize(cell_count as usize, 0);
                 for &v in members.iter() {
-                    let k = pack_key(v) as u32;
+                    let c = self.grid.coord(v);
+                    let k = (0..d).fold(0, |k, a| k * extents[a] + cell_of(c[a], a)) as u32;
                     keys_buf.push(k);
                     counts[k as usize] += 1;
                 }
@@ -614,56 +428,51 @@ impl<'g> GridSplitter<'g> {
                     counts[k] += 1;
                 }
                 // After placement counts[k] is cell k's end offset.
-                let mut start = 0usize;
-                for &end in counts.iter() {
-                    let end = end as usize;
-                    if end == start {
-                        continue;
-                    }
-                    let cell = &grouped[start..end];
-                    let wcell: f64 = cell.iter().map(|&v| weights[v as usize]).sum();
-                    if wcell <= rem {
-                        rem -= wcell;
-                        for &v in cell {
-                            taken.insert(v);
-                        }
-                        start = end;
-                    } else {
-                        members.clear();
-                        members.extend_from_slice(cell);
-                        straddle = true;
-                        break;
-                    }
-                }
             } else {
-                keyed.clear();
+                cells.clear();
                 for &v in members.iter() {
-                    keyed.push((pack_key(v), self.lex_rank[v as usize], v));
+                    let c = self.grid.coord(v);
+                    cells.extend((0..d).map(|a| cell_of(c[a], a)));
+                    cells.push(u64::from(self.lex_rank[v as usize]));
                 }
-                keyed.sort_unstable();
-                let mut i = 0usize;
-                while i < keyed.len() {
-                    let mut j = i + 1;
-                    while j < keyed.len() && keyed[j].0 == keyed[i].0 {
-                        j += 1;
+                let row = |pos: u32| &cells[pos as usize * (d + 1)..][..d + 1];
+                grouped.clear();
+                grouped.extend(0..members.len() as u32);
+                grouped.sort_unstable_by(|&i, &j| row(i).cmp(row(j)));
+                counts.clear();
+                for pos in 1..grouped.len() {
+                    if row(grouped[pos - 1])[..d] != row(grouped[pos])[..d] {
+                        counts.push(pos as u32);
                     }
-                    let wcell: f64 = keyed[i..j]
-                        .iter()
-                        .map(|&(_, _, v)| weights[v as usize])
-                        .sum();
-                    if wcell <= rem {
-                        rem -= wcell;
-                        for &(_, _, v) in &keyed[i..j] {
-                            taken.insert(v);
-                        }
-                        i = j;
-                    } else {
-                        let run: Vec<VertexId> = keyed[i..j].iter().map(|&(_, _, v)| v).collect();
-                        members.clear();
-                        members.extend(run);
-                        straddle = true;
-                        break;
+                }
+                counts.push(grouped.len() as u32);
+                for g in grouped.iter_mut() {
+                    *g = members[*g as usize];
+                }
+            }
+
+            // Take whole cells in order while they fit; recurse into the
+            // straddling cell.
+            let mut start = 0usize;
+            let mut straddle = false;
+            for &end in counts.iter() {
+                let end = end as usize;
+                if end == start {
+                    continue;
+                }
+                let cell = &grouped[start..end];
+                let wcell: f64 = cell.iter().map(|&v| weights[v as usize]).sum();
+                if wcell <= rem {
+                    rem -= wcell;
+                    for &v in cell {
+                        taken.insert(v);
                     }
+                    start = end;
+                } else {
+                    members.clear();
+                    members.extend_from_slice(cell);
+                    straddle = true;
+                    break;
                 }
             }
             if !straddle {
@@ -676,11 +485,12 @@ impl<'g> GridSplitter<'g> {
 
 impl Splitter for GridSplitter<'_> {
     fn split(&self, w_set: &VertexSet, weights: &[f64], target: f64) -> VertexSet {
-        if self.pack_safe {
-            self.split_fast(w_set, weights, target)
-        } else {
-            self.split_legacy(w_set, weights, target)
-        }
+        SPLIT_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut scratch) => self.split_in(&mut scratch, w_set, weights, target),
+            // Defensive: if a caller ever re-enters split on this thread,
+            // fall back to fresh buffers instead of panicking.
+            Err(_) => self.split_in(&mut SplitScratch::default(), w_set, weights, target),
+        })
     }
 
     fn name(&self) -> &str {
@@ -747,8 +557,132 @@ pub fn is_monotone_in(grid: &GridGraph, set: &VertexSet, within: &VertexSet) -> 
 mod tests {
     use super::*;
     use crate::contract::check_split;
+    use crate::prefix_split;
     use mmb_graph::cut::boundary_cost_within;
     use mmb_graph::measure::edge_norm_p;
+
+    /// The oracle's coarsening: one edge pass into a fresh `Vec`, its own
+    /// α choice, and HashMap cell grouping on per-member key vectors,
+    /// members in id order inside every cell. `None` when ℓ = 1.
+    fn coarsen_legacy(
+        sp: &GridSplitter,
+        members: &[VertexId],
+        level: u32,
+    ) -> Option<Vec<Vec<VertexId>>> {
+        let d = sp.grid.dim;
+        let in_s = VertexSet::from_iter(sp.grid.graph.num_vertices(), members.iter().copied());
+
+        // Inner edges with positive current cost, described by the
+        // smaller coordinate along the axis they span.
+        let mut c1 = 0.0f64;
+        let mut edges: Vec<(i64, f64)> = Vec::new();
+        for &v in members {
+            for &(nb, e) in sp.grid.graph.neighbors(v) {
+                if nb <= v || !in_s.contains(nb) {
+                    continue;
+                }
+                let cur = if level == 0 {
+                    sp.scaled[e as usize]
+                } else {
+                    sp.level_cost(e, level)
+                };
+                if cur <= 0.0 {
+                    continue;
+                }
+                c1 += cur;
+                let (cv, cn) = (sp.grid.coord(v), sp.grid.coord(nb));
+                let axis = (0..d).find(|&a| cv[a] != cn[a]).unwrap();
+                edges.push((cv[axis].min(cn[axis]), cur));
+            }
+        }
+
+        let ell = ((c1 / d as f64).powf(1.0 / d as f64).ceil() as i64).clamp(1, 1 << 40);
+        if ell <= 1 {
+            return None;
+        }
+
+        // Lemma 20: each edge is cut by exactly one shift α ∈ [1, ℓ]; the
+        // first uncut shift if any, else the cheapest (ties to smallest α).
+        let mut per_alpha: HashMap<i64, f64> = HashMap::new();
+        for &(t, cost) in edges.iter() {
+            let mut alpha = (-t).rem_euclid(ell);
+            if alpha == 0 {
+                alpha = ell;
+            }
+            *per_alpha.entry(alpha).or_insert(0.0) += cost;
+        }
+        let alpha = if (per_alpha.len() as i64) < ell {
+            (1..=ell).find(|a| !per_alpha.contains_key(a)).unwrap()
+        } else {
+            // lint: allow(hash-order-leak) — min under total_cmp with the
+            // α tie-break is iteration-order independent.
+            *per_alpha
+                .iter()
+                .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(b.0)))
+                .unwrap()
+                .0
+        };
+
+        // Assign members to cells ϕ_α(x) = ⌊(x + (α−1)·1)/ℓ⌋.
+        let mut cell_map: HashMap<Vec<i64>, Vec<VertexId>> = HashMap::new();
+        for &v in members {
+            let key = sp
+                .grid
+                .coord(v)
+                .iter()
+                .map(|&x| (x + alpha - 1).div_euclid(ell));
+            cell_map.entry(key.collect()).or_default().push(v);
+        }
+        let mut keyed: Vec<(Vec<i64>, Vec<VertexId>)> = cell_map.into_iter().collect();
+        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        Some(keyed.into_iter().map(|(_, vs)| vs).collect())
+    }
+
+    /// Lexicographic order of `members` by coordinates (the ℓ = 1 case).
+    fn lex_order(sp: &GridSplitter, members: &mut [VertexId]) {
+        members.sort_unstable_by(|&a, &b| sp.grid.coord(a).cmp(sp.grid.coord(b)));
+    }
+
+    /// The oracle `split` loop over [`coarsen_legacy`]: take whole cells
+    /// in lex order while they fit, recurse into the straddling cell, and
+    /// finish with a lexicographic vertex prefix once ℓ = 1.
+    fn split_legacy(
+        sp: &GridSplitter,
+        w_set: &VertexSet,
+        weights: &[f64],
+        target: f64,
+    ) -> VertexSet {
+        let n = sp.grid.graph.num_vertices();
+        let mut members: Vec<VertexId> = w_set.iter().collect();
+        let total: f64 = members.iter().map(|&v| weights[v as usize]).sum();
+        let mut rem = target.clamp(0.0, total);
+        let mut taken = VertexSet::empty(n);
+        let mut level = 0u32;
+        while let Some(cells) = coarsen_legacy(sp, &members, level) {
+            let mut straddle = None;
+            for cell in cells {
+                let wcell: f64 = cell.iter().map(|&v| weights[v as usize]).sum();
+                if wcell <= rem {
+                    rem -= wcell;
+                    for &v in &cell {
+                        taken.insert(v);
+                    }
+                } else {
+                    // Cells after the straddling one are left out.
+                    straddle = Some(cell);
+                    break;
+                }
+            }
+            match straddle {
+                None => return taken, // everything fit (rem ≈ 0 now)
+                Some(cell) => members = cell,
+            }
+            level += 1;
+        }
+        lex_order(sp, &mut members);
+        taken.union_with(&prefix_split(n, &members, weights, rem));
+        taken
+    }
 
     fn unit_weights(n: usize) -> Vec<f64> {
         vec![1.0; n]
@@ -868,9 +802,8 @@ mod tests {
 
     #[test]
     fn fast_and_legacy_coarsening_split_identically() {
-        // Weighted 2D and 3D grids, many targets and subsets: the
-        // sort-based fast path must return bit-identical splitting sets to
-        // the reference HashMap grouping.
+        // Weighted 2D and 3D grids, many targets and subsets: `split`
+        // must return bit-identical splitting sets to the HashMap oracle.
         for dims in [vec![13usize, 11], vec![5, 4, 3]] {
             let grid = GridGraph::lattice(&dims);
             let n = grid.graph.num_vertices();
@@ -878,14 +811,13 @@ mod tests {
                 .map(|e| 0.5 + ((e * 13) % 29) as f64)
                 .collect();
             let sp = GridSplitter::new(&grid, &costs);
-            assert!(sp.pack_safe);
             let weights: Vec<f64> = (0..n).map(|v| 1.0 + ((v * 7) % 5) as f64).collect();
             for (mask_mod, frac) in [(1u32, 0.1), (1, 0.5), (1, 0.92), (3, 0.33), (7, 0.6)] {
                 let w = VertexSet::from_iter(n, (0..n as u32).filter(|v| v % mask_mod != 1));
                 let total: f64 = w.iter().map(|v| weights[v as usize]).sum();
                 let target = frac * total;
-                let fast = sp.split_fast(&w, &weights, target);
-                let legacy = sp.split_legacy(&w, &weights, target);
+                let fast = sp.split(&w, &weights, target);
+                let legacy = split_legacy(&sp, &w, &weights, target);
                 assert_eq!(fast, legacy, "dims {dims:?}, mask {mask_mod}, frac {frac}");
             }
         }
@@ -896,48 +828,70 @@ mod tests {
         // Dominoes (adjacent point pairs) scattered over a wide coordinate
         // range: the cell universe dwarfs the member count, forcing the
         // comparison-sort grouping instead of the counting sort. Unit
-        // weights keep every partial sum exact, so fast ≡ legacy bitwise.
-        let mut points = Vec::new();
+        // weights keep every partial sum exact, so split ≡ oracle bitwise.
+        let dominoes = |points: Vec<Vec<i64>>, fracs: &[f64]| {
+            let grid = GridGraph::from_points(points[0].len(), points);
+            let n = grid.graph.num_vertices();
+            let costs = vec![1.0; grid.graph.num_edges()];
+            let sp = GridSplitter::new(&grid, &costs);
+            let weights = vec![1.0; n];
+            let w = VertexSet::full(n);
+            for &frac in fracs {
+                let target = frac * n as f64;
+                let u = sp.split(&w, &weights, target);
+                assert_eq!(u, split_legacy(&sp, &w, &weights, target), "frac {frac}");
+                assert!(check_split(&w, &u, &weights, target).holds());
+            }
+        };
+        let mut flat = Vec::new();
         for i in 0..120i64 {
             let x = (i * 7919) % 1_000_003;
             let y = (i * 104_729) % 999_983;
-            points.push(vec![x, y]);
-            points.push(vec![x + 1, y]);
+            flat.push(vec![x, y]);
+            flat.push(vec![x + 1, y]);
         }
-        let grid = GridGraph::from_points(2, points);
-        let n = grid.graph.num_vertices();
-        let costs = vec![1.0; grid.graph.num_edges()];
-        let sp = GridSplitter::new(&grid, &costs);
-        assert!(sp.pack_safe);
-        let weights = vec![1.0; n];
-        let w = VertexSet::full(n);
-        for frac in [0.25, 0.5, 0.75] {
-            let target = frac * n as f64;
-            let fast = sp.split_fast(&w, &weights, target);
-            let legacy = sp.split_legacy(&w, &weights, target);
-            assert_eq!(fast, legacy, "frac {frac}");
-            assert!(check_split(&w, &fast, &weights, target).holds());
+        dominoes(flat, &[0.25, 0.5, 0.75]);
+        // Three-dimensional dominoes whose cell universe exceeds 2^64: no
+        // packed key could order their cells.
+        let mut spread = Vec::new();
+        for i in 0..40i64 {
+            let p = vec![i << 40, (i * 7919) << 30, -(i << 41)];
+            let mut q = p.clone();
+            q[2] += 1;
+            spread.push(p);
+            spread.push(q);
         }
-        // Astronomical spread on two axes defeats u64 key packing; the
-        // fast dispatch must fall back to the legacy path and still honor
-        // the contract.
-        let far = GridGraph::from_points(
-            2,
+        dominoes(spread, &[0.1, 0.25, 0.5, 0.75, 0.9]);
+        // Astronomical spread on two axes, then points at both ends of
+        // the i64 range on both axes: the cell arithmetic must not
+        // overflow, and the contract must hold.
+        let e = 4_000_000_000_000_000_000;
+        let (lo, hi) = (i64::MIN, i64::MAX);
+        for points in [
+            vec![vec![0, 0], vec![1, 0], vec![e, e], vec![e + 1, e]],
             vec![
-                vec![0, 0],
-                vec![1, 0],
-                vec![4_000_000_000_000_000_000, 4_000_000_000_000_000_000],
-                vec![4_000_000_000_000_000_001, 4_000_000_000_000_000_000],
+                vec![lo, lo],
+                vec![lo + 1, lo],
+                vec![lo, lo + 1],
+                vec![hi, hi],
+                vec![hi - 1, hi],
+                vec![hi, hi - 1],
+                vec![lo, hi],
+                vec![hi, lo],
             ],
-        );
-        let fn_ = far.graph.num_vertices();
-        let fcosts = vec![1.0; far.graph.num_edges()];
-        let fsp = GridSplitter::new(&far, &fcosts);
-        assert!(!fsp.pack_safe);
-        let fw = VertexSet::full(fn_);
-        let fweights = vec![1.0; fn_];
-        let u = fsp.split(&fw, &fweights, 2.0);
-        assert!(check_split(&fw, &u, &fweights, 2.0).holds());
+        ] {
+            let far = GridGraph::from_points(2, points);
+            let fn_ = far.graph.num_vertices();
+            let fcosts = vec![1.0; far.graph.num_edges()];
+            let fsp = GridSplitter::new(&far, &fcosts);
+            let fw = VertexSet::full(fn_);
+            let fweights = vec![1.0; fn_];
+            for target in [0.0, 1.0, 2.0, 3.5, 5.0, 8.0] {
+                let u = fsp.split(&fw, &fweights, target);
+                let holds = check_split(&fw, &u, &fweights, target).holds();
+                assert!(holds, "n {fn_}, target {target}");
+            }
+        }
     }
 
     #[test]
