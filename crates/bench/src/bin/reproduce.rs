@@ -10,8 +10,6 @@
 //!                                          #   or beaten certified bounds,
 //!                                          #   no bnb-proven optimum past
 //!                                          #   n = 16)
-//! reproduce bench-verify PATH              # CI guard: BENCH_6.json exists
-//!                                          #   and is valid
 //! reproduce gap-gate PATH                  # CI guard: fresh certified gaps
 //!                                          #   must not regress vs PATH
 //! reproduce lint [--json]                  # mmb-analyze soundness scan;
@@ -82,26 +80,6 @@ fn main() {
                 out.worst_certified.1,
                 out.bnb_proven
             );
-        }
-        Some(&"bench-verify") => {
-            let Some(path) = words.get(1) else {
-                eprintln!("usage: reproduce bench-verify <path>");
-                std::process::exit(2);
-            };
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("{path}: missing or unreadable: {e}");
-                    std::process::exit(1);
-                }
-            };
-            match perf::validate_bench_json(&text) {
-                Ok(()) => println!("{path}: valid mmb-bench-6 document"),
-                Err(e) => {
-                    eprintln!("{path}: malformed: {e}");
-                    std::process::exit(1);
-                }
-            }
         }
         Some(&"gap-gate") => {
             let Some(path) = words.get(1) else {
@@ -179,7 +157,7 @@ fn main() {
             {
                 eprintln!(
                     "unknown experiment id or subcommand: {bad} (ids: {}, all; \
-                     subcommands: corpus, bench-verify, gap-gate, lint, chaos)",
+                     subcommands: corpus, gap-gate, lint, chaos)",
                     experiments::ALL.join(" ")
                 );
                 std::process::exit(2);

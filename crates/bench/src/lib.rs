@@ -10,8 +10,9 @@
 //! ```
 //!
 //! Besides the tables, the binary runs the corpus, chaos and soundness-lint
-//! gates and guards the committed `BENCH_6.json` record ([`perf`]). Time
-//! and memory are measured by the end-to-end benchmark in `perfbench/`.
+//! gates and the gap gate against the committed `BENCH_6.json` corpus gap
+//! table ([`perf`]). Time and memory are measured by the end-to-end
+//! benchmark in `perfbench/`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

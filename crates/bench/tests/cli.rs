@@ -4,7 +4,11 @@ use std::process::Command;
 
 #[test]
 fn unknown_commands_exit_2_before_running_anything() {
-    for args in [&["bench", "--quick"][..], &["no-such-table"][..]] {
+    for args in [
+        &["bench", "--quick"][..],
+        &["no-such-table"][..],
+        &["bench-verify", "BENCH_6.json"][..],
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
             .args(args)
             .output()

@@ -376,10 +376,7 @@ impl<'i> Solver<'i> {
     /// when it was truncated.
     pub fn solve_anytime(&self, cfg: &crate::bnb::BnbConfig) -> Report {
         let mut report = self.solve();
-        let sol =
-            crate::bnb::solve_seeded(self.inst, self.k, cfg, Some(&report.coloring), &mut |_| {
-                false
-            })
+        let sol = crate::bnb::solve_seeded(self.inst, self.k, cfg, Some(&report.coloring))
             .expect("k ≥ 1 was checked at build time");
         if sol.max_boundary < report.max_boundary {
             // The search improved on the pipeline: report its coloring.

@@ -32,8 +32,10 @@
 //! budget, so `solve(inst, k, &BnbConfig::exhaustive())` is the exact
 //! optimum the differential suites score every partitioner against.
 //!
-//! Entry points: [`solve`] / [`solve_with_interrupt`] for direct use,
-//! [`BnbPartitioner`] for the `&[&dyn Partitioner]` harness loops, and
+//! Entry points: [`solve`] for direct use (its
+//! [`BnbConfig::node_budget`] is the deterministic node-count clock the
+//! anytime tests truncate with), [`BnbPartitioner`] for the
+//! `&[&dyn Partitioner]` harness loops, and
 //! [`Solver::solve_anytime`](crate::api::Solver::solve_anytime) for the
 //! front-door API.
 
@@ -209,20 +211,7 @@ impl Engine<'_, '_> {
 /// bit for bit. With [`BnbConfig::exhaustive`] the result is the proven
 /// optimum.
 pub fn solve(inst: &Instance, k: usize, cfg: &BnbConfig) -> Result<BnbSolution, SolveError> {
-    solve_with_interrupt(inst, k, cfg, &mut |_| false)
-}
-
-/// [`solve`] with an external interrupt hook: `interrupt(visited)` is
-/// polled at every node *before* it is counted, so a deterministic
-/// node-count "clock" makes truncation seed-stable (no wall time) — the
-/// hook the anytime-interruption tests use.
-pub fn solve_with_interrupt(
-    inst: &Instance,
-    k: usize,
-    cfg: &BnbConfig,
-    interrupt: &mut dyn FnMut(u64) -> bool,
-) -> Result<BnbSolution, SolveError> {
-    solve_seeded(inst, k, cfg, None, interrupt)
+    solve_seeded(inst, k, cfg, None)
 }
 
 /// Full-control entry: optionally seed the incumbent with a caller
@@ -232,7 +221,6 @@ pub(crate) fn solve_seeded(
     k: usize,
     cfg: &BnbConfig,
     seed: Option<&Coloring>,
-    interrupt: &mut dyn FnMut(u64) -> bool,
 ) -> Result<BnbSolution, SolveError> {
     if k == 0 {
         return Err(SolveError::ZeroColors);
@@ -294,7 +282,6 @@ pub(crate) fn solve_seeded(
         let mut stop = |visited: u64| {
             crate::failpoint::raise_any("bnb::node");
             visited >= budget
-                || interrupt(visited)
                 // lint: allow(nondeterminism) — deadline check, see above.
                 // Node 0 always satisfies the stride test, so the very
                 // first node is polled and a pre-expired deadline stops
@@ -545,12 +532,9 @@ mod tests {
     }
 
     #[test]
-    fn interrupt_hook_truncates_deterministically() {
+    fn node_budget_truncates_deterministically() {
         let inst = unit(cycle(14));
-        let run = |limit: u64| {
-            let mut hook = move |visited: u64| visited >= limit;
-            solve_with_interrupt(&inst, 3, &BnbConfig::exhaustive(), &mut hook).unwrap()
-        };
+        let run = |budget: u64| solve(&inst, 3, &BnbConfig::with_node_budget(budget)).unwrap();
         let a = run(50);
         let b = run(50);
         assert_eq!(a.nodes, b.nodes);

@@ -24,7 +24,7 @@
 //!
 //! Memory: each level's graph, costs, weights, and map are charged to the
 //! thread-local [`Workspace`] as arena bytes while the front is alive, so
-//! the scaling bench's RSS proxy (`WorkspaceStats::arena_peak_bytes`)
+//! the scale-path tests' RSS proxy (`WorkspaceStats::arena_peak_bytes`)
 //! sees the cascade's true footprint. Level sizes decay geometrically (a
 //! perfect matching halves the graph), so the whole front costs a small
 //! constant factor of the host CSR.

@@ -18,7 +18,7 @@ use mmb_graph::workspace::Workspace;
 use mmb_graph::{Coloring, Graph, VertexSet};
 use mmb_splitters::Splitter;
 
-use crate::rebalance::{rebalance_ws, RebalanceStats, ScratchDynamicMeasureFn};
+use crate::rebalance::{rebalance_ws, ScratchDynamicMeasureFn};
 
 /// Heavy-threshold coefficient for a rebalance over `r` measures: the
 /// paper's `2^r` (capped to keep thresholds meaningful for large `r`).
@@ -66,11 +66,10 @@ pub struct MinMaxBalanced {
     /// The final coloring (balanced in boundary cost, `π`, and all user
     /// measures).
     pub coloring: Coloring,
-    /// The intermediate Lemma 6 coloring (before boundary balancing) — kept
-    /// for the E3/E8 experiments.
+    /// The intermediate Lemma 6 coloring (before boundary balancing),
+    /// which the Proposition 7 unit test compares the final coloring
+    /// against.
     pub intermediate: Coloring,
-    /// Stats of the final (boundary-balancing) rebalance.
-    pub stats: RebalanceStats,
 }
 
 /// Proposition 7: a coloring balanced w.r.t. all `user_measures` whose
@@ -146,7 +145,7 @@ pub fn multibalance_minmax_with_pi_ws<S: Splitter + ?Sized>(
         ms.extend_from_slice(user_measures);
         ms
     };
-    let (coloring, stats) = rebalance_ws(
+    let (coloring, _) = rebalance_ws(
         splitter,
         &chi,
         domain,
@@ -158,7 +157,6 @@ pub fn multibalance_minmax_with_pi_ws<S: Splitter + ?Sized>(
     MinMaxBalanced {
         coloring,
         intermediate: chi,
-        stats,
     }
 }
 

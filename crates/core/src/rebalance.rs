@@ -35,8 +35,6 @@ pub type ScratchDynamicMeasureFn<'a> = dyn FnMut(u32, &VertexSet, &mut ScratchMe
 pub struct RebalanceStats {
     /// Number of `Move` invocations that split a heavy color.
     pub moves: u64,
-    /// Arcs `(parent color, child color)` of the induced forest `F`.
-    pub forest_arcs: Vec<(u32, u32)>,
     /// Depth of the deepest forest component (paper: ≤ log₂(max class / avg)).
     pub forest_depth: u32,
 }
@@ -167,7 +165,6 @@ pub fn rebalance_ws<S: Splitter + ?Sized>(
             debug_assert!(!is_pending_or_finished[xu], "light color was not untouched");
             is_pending_or_finished[xu] = true;
             depth[x as usize] = depth[iu] + 1;
-            stats.forest_arcs.push((i, x));
             stats.forest_depth = stats.forest_depth.max(depth[x as usize]);
             for v in half.iter() {
                 tent[xu].push(v);

@@ -600,7 +600,7 @@ pub fn parse_metis_reader<R: BufRead>(reader: R) -> Result<MetisGraph, MetisErro
     };
 
     // Record the ingestion high water (arenas + CSR coexist here) on the
-    // thread's workspace — the RSS proxy the scaling bench budgets.
+    // thread's workspace — the RSS proxy the scale-path tests budget.
     let arena_bytes = vec_bytes(&fwd_tgt)
         + vec_bytes(&fwd_back)
         + vec_bytes(&fwd_off)

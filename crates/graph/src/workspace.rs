@@ -37,7 +37,7 @@ use std::cell::RefCell;
 use crate::graph::VertexId;
 
 /// Allocation / reuse counters of a [`Workspace`] — the "RSS proxy" that
-/// `BENCH_6.json` records and the scale-path tests budget.
+/// the scale-path tests budget and `perfbench` reports per layer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkspaceStats {
     /// Buffer checkouts ([`Workspace::measure`] calls).
@@ -47,9 +47,6 @@ pub struct WorkspaceStats {
     /// Total entries written (and later re-zeroed) across all checkouts —
     /// the `O(vol(W))` work the workspace path actually does.
     pub cells_touched: u64,
-    /// Total dense entries the allocating path would have zeroed
-    /// (`Σ` universe size per checkout) — the `O(n)` work avoided.
-    pub cells_dense: u64,
     /// High-water mark of concurrently checked-out buffers.
     pub peak_live: usize,
     /// Currently checked-out buffers.
@@ -142,7 +139,6 @@ impl Workspace {
             if fresh {
                 s.fresh_allocs += 1;
             }
-            s.cells_dense += n as u64;
             s.live += 1;
             s.peak_live = s.peak_live.max(s.live);
         }
@@ -350,7 +346,6 @@ mod tests {
             "second checkout must reuse the pooled buffer"
         );
         assert_eq!(s.cells_touched, 50);
-        assert_eq!(s.cells_dense, 200);
     }
 
     #[test]

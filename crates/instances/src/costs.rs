@@ -47,42 +47,35 @@ impl CostFamily {
     }
 
     /// Generate costs for a grid graph with target fluctuation `phi ≥ 1`.
+    /// `Gradient` follows the axis-0 coordinate; every other family is
+    /// [`CostFamily::generate_for_graph`] on the grid's graph.
     pub fn generate(self, grid: &GridGraph, phi: f64, seed: u64) -> Vec<f64> {
-        assert!(phi >= 1.0, "fluctuation must be at least 1");
-        let m = grid.graph.num_edges();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA0761D6478BD642F);
-        match self {
-            CostFamily::Unit => vec![1.0; m],
-            CostFamily::LogUniform => (0..m).map(|_| phi.powf(rng.random::<f64>())).collect(),
-            CostFamily::TwoLevel => (0..m)
-                .map(|_| if rng.random::<f64>() < 0.1 { phi } else { 1.0 })
-                .collect(),
-            CostFamily::Gradient => {
-                let (lo, hi) = grid
-                    .graph
-                    .vertices()
-                    .map(|v| grid.coord(v)[0])
-                    .fold((i64::MAX, i64::MIN), |(lo, hi), x| (lo.min(x), hi.max(x)));
-                let span = (hi - lo).max(1) as f64;
-                grid.graph
-                    .edge_list()
-                    .iter()
-                    .map(|&(u, v)| {
-                        let x = (grid.coord(u)[0] + grid.coord(v)[0]) as f64 / 2.0;
-                        let t = (x - lo as f64) / span;
-                        phi.powf(t)
-                    })
-                    .collect()
-            }
+        if self != CostFamily::Gradient {
+            return self.generate_for_graph(&grid.graph, phi, seed);
         }
+        assert!(phi >= 1.0, "fluctuation must be at least 1");
+        let (lo, hi) = grid
+            .graph
+            .vertices()
+            .map(|v| grid.coord(v)[0])
+            .fold((i64::MAX, i64::MIN), |(lo, hi), x| (lo.min(x), hi.max(x)));
+        let span = (hi - lo).max(1) as f64;
+        grid.graph
+            .edge_list()
+            .iter()
+            .map(|&(u, v)| {
+                let x = (grid.coord(u)[0] + grid.coord(v)[0]) as f64 / 2.0;
+                let t = (x - lo as f64) / span;
+                phi.powf(t)
+            })
+            .collect()
     }
 
     /// Generate costs for a *bare* graph with target fluctuation
     /// `phi ≥ 1` — the corpus entry point for families without grid
-    /// geometry. Same RNG stream as [`CostFamily::generate`] (so
-    /// `Unit`/`LogUniform`/`TwoLevel` agree with it on a grid's
-    /// underlying graph given the same seed); `Gradient` ramps along
-    /// normalized vertex ids — edge `{u, v}` pays
+    /// geometry, and the one source of the i.i.d. families
+    /// (`Unit`/`LogUniform`/`TwoLevel`) for [`CostFamily::generate`] too.
+    /// `Gradient` ramps along normalized vertex ids — edge `{u, v}` pays
     /// `φ^{(u+v)/(2(n−1))}` — since no coordinates exist.
     pub fn generate_for_graph(self, g: &Graph, phi: f64, seed: u64) -> Vec<f64> {
         assert!(phi >= 1.0, "fluctuation must be at least 1");
@@ -169,9 +162,8 @@ mod tests {
 
     #[test]
     fn graph_variant_agrees_with_grid_variant_where_defined() {
-        // Unit/LogUniform/TwoLevel read only the edge count and the RNG
-        // stream, so the bare-graph path must be bit-identical to the
-        // grid path on the grid's own graph.
+        // `generate` hands Unit/LogUniform/TwoLevel to the bare-graph
+        // path, so the two must be bit-identical on the grid's own graph.
         let grid = GridGraph::lattice(&[9, 6]);
         for fam in [
             CostFamily::Unit,

@@ -18,9 +18,9 @@
 //!   incumbent, and the certified gap ratio is non-increasing in the
 //!   budget.
 //! * **Determinism.** Same instance, same budget, same solution — bit
-//!   for bit — across repeated solves and repeated runs of the
-//!   deterministic interrupt hook (a node-count "clock", no wall time).
-//! * **Sound truncation.** A budget- or interrupt-truncated run still
+//!   for bit — across repeated solves, including runs cut by a node
+//!   budget (a node-count "clock", no wall time).
+//! * **Sound truncation.** A budget-truncated run still
 //!   returns a valid strictly balanced coloring and a sound certified
 //!   gap (`lower ≤ OPT ≤ upper`, with `upper` the incumbent's
 //!   recomputable cost).
@@ -258,14 +258,12 @@ fn solve_anytime_is_deterministic_across_runs() {
 
 #[test]
 fn interrupt_clock_truncates_deterministically_with_a_sound_gap() {
-    // A deterministic "clock": interrupt after exactly 777 visited nodes.
-    // No wall time is involved, so two runs must agree bit for bit.
+    // A deterministic "clock": a node budget stops the search after
+    // exactly 777 visited nodes. No wall time is involved, so two runs
+    // must agree bit for bit.
     let inst = instance(hypercube(4));
     let k = 3;
-    let run = || {
-        let mut clock = |visited: u64| visited >= 777;
-        bnb::solve_with_interrupt(&inst, k, &BnbConfig::exhaustive(), &mut clock).unwrap()
-    };
+    let run = || bnb::solve(&inst, k, &BnbConfig::with_node_budget(777)).unwrap();
     let a = run();
     let b = run();
     assert!(!a.proven_optimal, "the clock must truncate this search");

@@ -9,11 +9,12 @@
 //! in ascending edge-id order, and KL is sweep-ordered, so nothing may
 //! depend on allocation or hash order).
 //!
-//! The round-trip tests replay rows of the committed `BENCH_6.json`
-//! through the full scale path — METIS serialization, streaming
-//! re-ingestion, cascade solve. The `n ≈ 10^5` row is held to that row's
-//! max boundary, to a digest of its coloring, and to the [`large_budget`]
-//! wall-clock and peak-bytes budgets. The `10^6` and `10^7` rows are
+//! The round-trip tests replay the large-`n` instances BENCH_6 recorded,
+//! whose values are pinned in the test, through the full scale path —
+//! METIS serialization, streaming re-ingestion, cascade solve. The
+//! `n ≈ 10^5` row is held to its pinned max boundary, to a digest of its
+//! coloring, and to the [`large_budget`] wall-clock and peak-bytes
+//! budgets. The `10^6` and `10^7` rows are
 //! `#[ignore]`d. CI runs the `10^6` row in release by name; the `10^7`
 //! row runs by hand, alone on the host. Each prints the process's
 //! `VmHWM` next to the workspace proxy, so run one row per process:
@@ -30,7 +31,6 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use mmb_bench::perf::large_budget;
 use mmb_core::api::Instance;
 use mmb_core::api::{Report, Solver};
 use mmb_core::pipeline::{CoarsenConfig, PipelineConfig};
@@ -41,6 +41,19 @@ use mmb_graph::{Coloring, VertexSet, Workspace};
 use mmb_splitters::grid::GridSplitter;
 
 const K: usize = 8;
+
+/// The budgets `(wall_clock_ms, peak_bytes)` of a large-`n` row, linear
+/// in `n`. The byte budget covers CSR + arenas + pooled scratch, all
+/// `O(n + m)` with `m ≈ 2n` on grids; the wall-clock budget carries a
+/// generous constant for slow CI hosts. Its per-vertex constant is
+/// calibrated against the measured `n = 10^7` run, where the working set
+/// no longer fits in cache — per-vertex cost there is ~10× the in-cache
+/// `n = 10^5` figure.
+fn large_budget(n: usize) -> (f64, u64) {
+    let ms = 10_000.0 + n as f64 * 0.04;
+    let bytes = 128 * 1024 * 1024 + 700 * n as u64;
+    (ms, bytes)
+}
 
 /// The tests of this file take turns: two of them time wall clock (the
 /// 10^5 row's budget and the scaling gate), which the others, run in
@@ -184,7 +197,7 @@ fn metis_round_trip_at_1e5_matches_bench_6_within_budget() {
         "cascade solve not strictly balanced (slack {})",
         row.report.strict_slack
     );
-    // BENCH_6.json's large[0].max_boundary: the cascade's coloring is
+    // The max boundary BENCH_6 recorded at 10^5: the cascade's coloring is
     // bit-reproducible, so any change here is a behaviour change. The
     // digest pins the coloring itself, not only its max boundary.
     assert_eq!(row.report.max_boundary, 2011.0);
