@@ -1,5 +1,5 @@
 //! Tricky-negative fixture: everything in here *looks* like a violation
-//! to a naive scanner but is clean under the strict policy. Zero findings
+//! to a naive scanner but is clean. Zero findings
 //! expected — each block documents the lexer or rule subtlety it guards.
 
 use std::collections::HashMap;

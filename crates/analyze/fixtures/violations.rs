@@ -1,5 +1,5 @@
 //! Seeded-violation fixture: every rule must fire at least once on this
-//! file under the strict policy. Scanned as `FileClass::Lib`; excluded
+//! file. Scanned as `FileClass::Lib`; excluded
 //! from the real workspace walk (see `scan::SKIP_PREFIXES`) and from
 //! compilation (not under `src/`). Each block is labeled with the rule it
 //! is there to trigger.
@@ -44,18 +44,11 @@ fn panics(flag: bool) {
     unreachable!();
 }
 
-// panic-in-lib (strict only): expect and indexing.
-fn strict_panics(v: &[f64], m: &HashMap<u32, f64>) -> f64 {
-    let x = m.get(&0).copied().expect("key 0 present");
-    x + v[3]
-}
-
-// float-eq, including the zero-literal form (strict only).
-fn float_eqs(a: f64, b: f64) -> bool {
+// float-eq.
+fn float_eqs(a: f64) -> bool {
     let exact = a == 1.5;
-    let zero = b == 0.0;
     let ne = a != 2.25;
-    exact || zero || ne
+    exact || ne
 }
 
 // nondeterminism: wall clock and environment reads.

@@ -60,8 +60,8 @@ pub mod scan;
 
 pub use context::{FileClass, FileContext};
 pub use report::Report;
-pub use rules::{check_file, Finding, RuleConfig, RULE_NAMES};
-pub use scan::{classify, scan_workspace, scan_workspace_with};
+pub use rules::{check_file, Finding, RULE_NAMES};
+pub use scan::{classify, scan_workspace};
 
 use std::path::PathBuf;
 
@@ -76,9 +76,9 @@ pub fn workspace_root() -> PathBuf {
 
 /// Analyze a single in-memory source file — the entry point the fixture
 /// tests drive.
-pub fn analyze_source(path: &str, src: &str, class: FileClass, cfg: &RuleConfig) -> Report {
+pub fn analyze_source(path: &str, src: &str, class: FileClass) -> Report {
     let ctx = FileContext::new(path, src, class);
-    let (findings, suppressed) = check_file(&ctx, cfg);
+    let (findings, suppressed) = check_file(&ctx);
     let mut report = Report {
         findings,
         files_scanned: 1,

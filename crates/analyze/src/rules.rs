@@ -34,45 +34,6 @@ pub const RULE_NAMES: &[&str] = &[
     "unused-pragma",
 ];
 
-/// Per-scan rule policy. [`RuleConfig::repo`] is the gate configuration;
-/// [`RuleConfig::strict`] turns every optional sub-pattern on (used by the
-/// fixture tests so each detector is exercised).
-#[derive(Clone, Copy, Debug)]
-pub struct RuleConfig {
-    /// `panic-in-lib` also fires on `.expect(…)`. Off in the repo policy:
-    /// `expect` with a message *is* the sanctioned escape hatch — the
-    /// message documents the invariant, exactly like a pragma reason.
-    pub panic_expect: bool,
-    /// `panic-in-lib` also fires on index expressions (`a[i]`). Off in the
-    /// repo policy: dense numeric kernels index arrays pervasively, and a
-    /// lexical rule cannot see bounds proofs; left available for audits.
-    pub panic_index: bool,
-    /// `float-eq` also fires on comparisons against zero literals. Off in
-    /// the repo policy: `0.0` is exactly representable and is this
-    /// codebase's "untouched / not cut" sentinel convention.
-    pub float_eq_zero: bool,
-}
-
-impl RuleConfig {
-    /// The repository gate policy (what `reproduce lint` enforces).
-    pub fn repo() -> Self {
-        RuleConfig {
-            panic_expect: false,
-            panic_index: false,
-            float_eq_zero: false,
-        }
-    }
-
-    /// Every optional sub-pattern enabled.
-    pub fn strict() -> Self {
-        RuleConfig {
-            panic_expect: true,
-            panic_index: true,
-            float_eq_zero: true,
-        }
-    }
-}
-
 /// One reported violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
@@ -94,13 +55,13 @@ pub struct Finding {
 /// but dropped, and pragmas that suppressed nothing become `unused-pragma`
 /// findings so stale exceptions cannot linger after the code they excused
 /// is gone.
-pub fn check_file(ctx: &FileContext, cfg: &RuleConfig) -> (Vec<Finding>, usize) {
+pub fn check_file(ctx: &FileContext) -> (Vec<Finding>, usize) {
     let mut raw = Vec::new();
     nan_unsafe_cmp(ctx, &mut raw);
     hash_order_leak(ctx, &mut raw);
     if ctx.class == FileClass::Lib {
-        panic_in_lib(ctx, cfg, &mut raw);
-        float_eq(ctx, cfg, &mut raw);
+        panic_in_lib(ctx, &mut raw);
+        float_eq(ctx, &mut raw);
         nondeterminism(ctx, &mut raw);
         catch_unwind_boundary(ctx, &mut raw);
     }
@@ -305,21 +266,14 @@ fn hash_order_leak(ctx: &FileContext, out: &mut Vec<Finding>) {
     }
 }
 
-/// Keywords that can directly precede `[` without forming an index
-/// expression.
-const NON_INDEX_KEYWORDS: &[&str] = &[
-    "in", "mut", "dyn", "return", "break", "continue", "else", "match", "if", "while", "for",
-    "loop", "move", "ref", "as", "where", "let", "unsafe", "pub", "use", "impl", "fn", "struct",
-    "enum", "trait", "type", "static", "const", "crate", "mod",
-];
-
 /// `panic-in-lib`: aborting constructs in non-test library code.
 ///
-/// Always: bare `.unwrap()`, `panic!`, `unreachable!`, `todo!`,
-/// `unimplemented!`. Policy-gated: `.expect(…)` (the message documents the
-/// invariant — allowed by the repo policy) and index expressions
-/// (available for audits via [`RuleConfig::strict`]).
-fn panic_in_lib(ctx: &FileContext, cfg: &RuleConfig, out: &mut Vec<Finding>) {
+/// Bare `.unwrap()`, `panic!`, `unreachable!`, `todo!`, `unimplemented!`.
+/// `.expect(…)` is not flagged: its message documents the invariant, like
+/// a pragma's reason. Index expressions are not flagged either: dense
+/// numeric kernels index arrays pervasively, and a lexical rule cannot see
+/// bounds proofs.
+fn panic_in_lib(ctx: &FileContext, out: &mut Vec<Finding>) {
     let code = &ctx.code;
     let n = code.len();
     for i in 0..n {
@@ -337,13 +291,6 @@ fn panic_in_lib(ctx: &FileContext, cfg: &RuleConfig, out: &mut Vec<Finding>) {
                  invariant with `.expect(\"why this cannot fail\")`, or restructure"
                     .to_string(),
             ));
-        } else if cfg.panic_expect && t.is_ident("expect") && next_is("(") {
-            out.push(finding(
-                ctx,
-                "panic-in-lib",
-                t.line,
-                "`.expect(…)` in library code (strict policy)".to_string(),
-            ));
         } else if next_is("!")
             && (t.is_ident("panic")
                 || t.is_ident("unreachable")
@@ -359,22 +306,6 @@ fn panic_in_lib(ctx: &FileContext, cfg: &RuleConfig, out: &mut Vec<Finding>) {
                     t.text
                 ),
             ));
-        } else if cfg.panic_index && t.is_punct("[") && i > 0 {
-            let p = &code[i - 1];
-            let indexable = (p.kind == TokenKind::Ident
-                && !NON_INDEX_KEYWORDS.contains(&p.text.as_str()))
-                || p.is_punct(")")
-                || p.is_punct("]");
-            if indexable {
-                out.push(finding(
-                    ctx,
-                    "panic-in-lib",
-                    t.line,
-                    "index expression in library code (strict policy): can panic out of \
-                     bounds"
-                        .to_string(),
-                ));
-            }
         }
     }
 }
@@ -391,14 +322,14 @@ fn is_zero_literal(text: &str) -> bool {
 /// code.
 ///
 /// Exact equality on computed floats is almost always a tolerance bug.
-/// Comparisons against zero are exempt under the repo policy (exactly
-/// representable, and `0.0` is this codebase's "untouched" sentinel);
+/// Comparisons against zero are exempt (exactly representable, and `0.0`
+/// is this codebase's "untouched" sentinel);
 /// other literals (`p == 1.0` dispatch constants) need a pragma arguing
 /// exact representability. Purely lexical: only literal operands are
 /// visible — `a == b` on two float *variables* is type information a
 /// lexer does not have, which is why the strict gates double-check
 /// determinism dynamically.
-fn float_eq(ctx: &FileContext, cfg: &RuleConfig, out: &mut Vec<Finding>) {
+fn float_eq(ctx: &FileContext, out: &mut Vec<Finding>) {
     let code = &ctx.code;
     let n = code.len();
     for i in 0..n {
@@ -418,7 +349,7 @@ fn float_eq(ctx: &FileContext, cfg: &RuleConfig, out: &mut Vec<Finding>) {
             None
         };
         let Some(lit) = lit else { continue };
-        if !cfg.float_eq_zero && is_zero_literal(lit) {
+        if is_zero_literal(lit) {
             continue;
         }
         out.push(finding(
@@ -537,9 +468,9 @@ mod tests {
     use super::*;
     use crate::context::{FileClass, FileContext};
 
-    fn run(src: &str, class: FileClass, cfg: RuleConfig) -> Vec<Finding> {
+    fn run(src: &str, class: FileClass) -> Vec<Finding> {
         let ctx = FileContext::new("t.rs", src, class);
-        check_file(&ctx, &cfg).0
+        check_file(&ctx).0
     }
 
     fn rules_of(f: &[Finding]) -> Vec<&'static str> {
@@ -550,7 +481,7 @@ mod tests {
     fn partial_cmp_fires_everywhere_even_tests() {
         let src =
             "#[cfg(test)]\nmod tests { fn t() { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); } }\n";
-        let f = run(src, FileClass::Lib, RuleConfig::repo());
+        let f = run(src, FileClass::Lib);
         assert!(rules_of(&f).contains(&"nan-unsafe-cmp"));
         // … but the unwrap inside cfg(test) is not a panic-in-lib finding.
         assert!(!rules_of(&f).contains(&"panic-in-lib"));
@@ -561,7 +492,6 @@ mod tests {
         let f = run(
             "fn f(v: &mut [f64]) { v.sort_by(|a, b| a.total_cmp(b)); }\n",
             FileClass::Lib,
-            RuleConfig::repo(),
         );
         assert!(f.is_empty());
     }
@@ -569,28 +499,22 @@ mod tests {
     #[test]
     fn hash_iteration_without_sort_fires() {
         let src = "use std::collections::HashMap;\nfn f() { let m: HashMap<u32, f64> = HashMap::new(); for (k, v) in &m { emit(k, v); } }\n";
-        let f = run(src, FileClass::Lib, RuleConfig::repo());
+        let f = run(src, FileClass::Lib);
         assert_eq!(rules_of(&f), ["hash-order-leak"]);
     }
 
     #[test]
     fn collect_then_sort_discharges() {
         let src = "fn f(m: std::collections::HashMap<u32, f64>) -> Vec<(u32, f64)> {\n  let mut v: Vec<_> = m.into_iter().collect();\n  v.sort_unstable_by(|a, b| a.0.cmp(&b.0));\n  v\n}\n";
-        let f = run(src, FileClass::Lib, RuleConfig::repo());
+        let f = run(src, FileClass::Lib);
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
-    fn unwrap_in_lib_fires_but_expect_is_policy() {
+    fn unwrap_in_lib_fires_but_expect_does_not() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() + y.expect(\"set\") }\n";
-        let f = run(src, FileClass::Lib, RuleConfig::repo());
-        assert_eq!(
-            rules_of(&f),
-            ["panic-in-lib"],
-            "only the bare unwrap under repo policy"
-        );
-        let f = run(src, FileClass::Lib, RuleConfig::strict());
-        assert_eq!(f.iter().filter(|x| x.rule == "panic-in-lib").count(), 2);
+        let f = run(src, FileClass::Lib);
+        assert_eq!(rules_of(&f), ["panic-in-lib"], "only the bare unwrap");
     }
 
     #[test]
@@ -598,7 +522,6 @@ mod tests {
         let f = run(
             "fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n",
             FileClass::Lib,
-            RuleConfig::repo(),
         );
         assert!(f.is_empty());
     }
@@ -608,27 +531,22 @@ mod tests {
         let f = run(
             "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
             FileClass::Harness,
-            RuleConfig::repo(),
         );
         assert!(f.is_empty());
     }
 
     #[test]
-    fn float_eq_zero_exempt_under_repo_policy() {
+    fn float_eq_zero_is_exempt() {
         let src = "fn f(p: f64) -> bool { p == 0.0 || p == -0.0 }\n";
-        assert!(run(src, FileClass::Lib, RuleConfig::repo()).is_empty());
-        assert_eq!(run(src, FileClass::Lib, RuleConfig::strict()).len(), 2);
+        assert!(run(src, FileClass::Lib).is_empty());
         let src = "fn f(p: f64) -> bool { p == 1.0 }\n";
-        assert_eq!(
-            rules_of(&run(src, FileClass::Lib, RuleConfig::repo())),
-            ["float-eq"]
-        );
+        assert_eq!(rules_of(&run(src, FileClass::Lib)), ["float-eq"]);
     }
 
     #[test]
     fn nondeterminism_fires_on_clocks_not_env_macro() {
         let src = "fn f() { let t = std::time::Instant::now(); let p = env!(\"CARGO_MANIFEST_DIR\"); let v = std::env::var(\"X\"); }\n";
-        let f = run(src, FileClass::Lib, RuleConfig::repo());
+        let f = run(src, FileClass::Lib);
         assert_eq!(f.iter().filter(|x| x.rule == "nondeterminism").count(), 2);
     }
 
@@ -636,7 +554,7 @@ mod tests {
     fn pragma_suppresses_and_unused_pragma_fires() {
         let src = "// lint: allow(float-eq) — 1.0 is exactly representable\nfn f(p: f64) -> bool { p == 1.0 }\n// lint: allow(unsafe-forbidden) — stale excuse\nfn g() {}\n";
         let ctx = FileContext::new("t.rs", src, FileClass::Lib);
-        let (f, suppressed) = check_file(&ctx, &RuleConfig::repo());
+        let (f, suppressed) = check_file(&ctx);
         assert_eq!(suppressed, 1);
         assert_eq!(rules_of(&f), ["unused-pragma"]);
     }
@@ -644,38 +562,28 @@ mod tests {
     #[test]
     fn unknown_rule_in_pragma_is_bad() {
         let src = "// lint: allow(no-such-rule) — whatever\nfn g() {}\n";
-        let f = run(src, FileClass::Lib, RuleConfig::repo());
+        let f = run(src, FileClass::Lib);
         assert_eq!(rules_of(&f), ["bad-pragma"]);
     }
 
     #[test]
-    fn indexing_strict_mode() {
+    fn indexing_is_not_flagged() {
         let src = "fn f(a: &[f64], i: usize) -> f64 { a[i] }\n";
-        assert!(run(src, FileClass::Lib, RuleConfig::repo()).is_empty());
-        assert_eq!(
-            rules_of(&run(src, FileClass::Lib, RuleConfig::strict())),
-            ["panic-in-lib"]
-        );
-        // Attributes and slice types must not count as indexing.
-        let src = "#[derive(Clone)]\nstruct S { xs: [f64; 4] }\n";
-        assert!(run(src, FileClass::Lib, RuleConfig::strict()).is_empty());
+        assert!(run(src, FileClass::Lib).is_empty());
     }
 
     #[test]
     fn catch_unwind_fires_in_lib_but_not_tests_imports_or_harness() {
         let src = "fn f() { let r = std::panic::catch_unwind(|| g()); }\n";
-        assert_eq!(
-            rules_of(&run(src, FileClass::Lib, RuleConfig::repo())),
-            ["catch-unwind"]
-        );
-        assert!(run(src, FileClass::Harness, RuleConfig::repo()).is_empty());
+        assert_eq!(rules_of(&run(src, FileClass::Lib)), ["catch-unwind"]);
+        assert!(run(src, FileClass::Harness).is_empty());
         // The import is not a boundary; the cfg(test) call site is exempt.
         let src = "use std::panic::catch_unwind;\n#[cfg(test)]\nmod tests { fn t() { let _ = catch_unwind(|| 1); } }\n";
-        assert!(run(src, FileClass::Lib, RuleConfig::repo()).is_empty());
+        assert!(run(src, FileClass::Lib).is_empty());
         // A pragma with the soundness argument suppresses it.
         let src = "// lint: allow(catch-unwind) — state is rebuilt per call\nfn f() { let r = std::panic::catch_unwind(|| g()); }\n";
         let ctx = FileContext::new("t.rs", src, FileClass::Lib);
-        let (f, suppressed) = check_file(&ctx, &RuleConfig::repo());
+        let (f, suppressed) = check_file(&ctx);
         assert!(f.is_empty(), "{f:?}");
         assert_eq!(suppressed, 1);
     }
@@ -683,7 +591,7 @@ mod tests {
     #[test]
     fn unsafe_fires_everywhere() {
         let src = "#[cfg(test)]\nmod tests { fn t() { unsafe { std::hint::unreachable_unchecked() } } }\n";
-        let f = run(src, FileClass::Harness, RuleConfig::repo());
+        let f = run(src, FileClass::Harness);
         assert_eq!(rules_of(&f), ["unsafe-forbidden"]);
     }
 }

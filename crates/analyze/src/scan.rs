@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 
 use crate::context::{FileClass, FileContext};
 use crate::report::Report;
-use crate::rules::{check_file, RuleConfig};
+use crate::rules::check_file;
 
 /// Directory names never descended into, at any depth.
 const SKIP_DIRS: &[&str] = &["target", ".git", ".github"];
@@ -41,13 +41,8 @@ pub fn classify(rel: &str) -> FileClass {
     }
 }
 
-/// Scan the workspace rooted at `root` under the repo gate policy.
+/// Scan the workspace rooted at `root`.
 pub fn scan_workspace(root: &Path) -> io::Result<Report> {
-    scan_workspace_with(root, &RuleConfig::repo())
-}
-
-/// Scan the workspace rooted at `root` under an explicit policy.
-pub fn scan_workspace_with(root: &Path, cfg: &RuleConfig) -> io::Result<Report> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
     // Deterministic order regardless of directory-entry order.
@@ -61,7 +56,7 @@ pub fn scan_workspace_with(root: &Path, cfg: &RuleConfig) -> io::Result<Report> 
         let src = fs::read_to_string(root.join(&rel))?;
         let rel_str = rel.to_string_lossy().replace('\\', "/");
         let ctx = FileContext::new(&rel_str, &src, classify(&rel_str));
-        let (findings, suppressed) = check_file(&ctx, cfg);
+        let (findings, suppressed) = check_file(&ctx);
         report.findings.extend(findings);
         report.suppressed += suppressed;
         report.files_scanned += 1;

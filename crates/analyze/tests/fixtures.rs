@@ -4,14 +4,14 @@
 //!   byte-for-byte against the golden `expected_violations.json` (so a
 //!   rule that drifts — new line numbers, reworded message, lost finding —
 //!   fails loudly with a diffable artifact).
-//! * `clean.rs` — tricky negatives; zero findings even under strict.
+//! * `clean.rs` — tricky negatives; zero findings.
 //! * `pragmas.rs` — suppressions hold, and the meta rules flag the one
 //!   malformed and the one stale pragma.
 
 use std::fs;
 use std::path::PathBuf;
 
-use mmb_analyze::{analyze_source, FileClass, Report, RuleConfig, RULE_NAMES};
+use mmb_analyze::{analyze_source, FileClass, Report, RULE_NAMES};
 
 fn fixture(name: &str) -> (String, String) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -21,14 +21,14 @@ fn fixture(name: &str) -> (String, String) {
     (format!("crates/analyze/fixtures/{name}"), src)
 }
 
-fn scan(name: &str, cfg: &RuleConfig) -> Report {
+fn scan(name: &str) -> Report {
     let (path, src) = fixture(name);
-    analyze_source(&path, &src, FileClass::Lib, cfg)
+    analyze_source(&path, &src, FileClass::Lib)
 }
 
 #[test]
 fn violations_match_golden_json() {
-    let report = scan("violations.rs", &RuleConfig::strict());
+    let report = scan("violations.rs");
     let golden_path =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/expected_violations.json");
     let golden = fs::read_to_string(&golden_path).expect("golden file present");
@@ -44,11 +44,8 @@ fn violations_match_golden_json() {
 #[test]
 fn every_rule_fires_on_the_seeded_fixtures() {
     let mut fired: Vec<&str> = Vec::new();
-    for (name, cfg) in [
-        ("violations.rs", RuleConfig::strict()),
-        ("pragmas.rs", RuleConfig::strict()),
-    ] {
-        for f in scan(name, &cfg).findings {
+    for name in ["violations.rs", "pragmas.rs"] {
+        for f in scan(name).findings {
             if !fired.contains(&f.rule) {
                 fired.push(f.rule);
             }
@@ -63,8 +60,8 @@ fn every_rule_fires_on_the_seeded_fixtures() {
 }
 
 #[test]
-fn clean_fixture_is_clean_even_under_strict() {
-    let report = scan("clean.rs", &RuleConfig::strict());
+fn clean_fixture_is_clean() {
+    let report = scan("clean.rs");
     assert!(
         report.is_clean(),
         "false positives on clean.rs:\n{}",
@@ -74,7 +71,7 @@ fn clean_fixture_is_clean_even_under_strict() {
 
 #[test]
 fn pragmas_suppress_and_meta_rules_fire() {
-    let report = scan("pragmas.rs", &RuleConfig::strict());
+    let report = scan("pragmas.rs");
     // The three real violations are pragma'd away…
     assert_eq!(
         report.suppressed, 4,
@@ -98,33 +95,14 @@ fn pragmas_suppress_and_meta_rules_fire() {
 
 #[test]
 fn test_regions_relax_panics_but_not_comparators() {
-    let report = scan("violations.rs", &RuleConfig::strict());
+    let report = scan("violations.rs");
     // The #[cfg(test)] mod at the bottom unwraps and float-compares
     // freely — but its partial_cmp comparator is still caught.
     let in_test_mod: Vec<&str> = report
         .findings
         .iter()
-        .filter(|f| f.line >= 80)
+        .filter(|f| f.line >= 74)
         .map(|f| f.rule)
         .collect();
     assert_eq!(in_test_mod, ["nan-unsafe-cmp"], "{}", report.render_table());
-}
-
-#[test]
-fn repo_policy_is_strictly_weaker_than_strict() {
-    for name in ["violations.rs", "clean.rs", "pragmas.rs"] {
-        let strict = scan(name, &RuleConfig::strict());
-        let repo = scan(name, &RuleConfig::repo());
-        let strict_set: Vec<(u32, &str)> =
-            strict.findings.iter().map(|f| (f.line, f.rule)).collect();
-        for f in &repo.findings {
-            assert!(
-                strict_set.contains(&(f.line, f.rule)),
-                "{name}: repo policy found {}:{} not found by strict",
-                f.rule,
-                f.line
-            );
-        }
-        assert!(repo.findings.len() <= strict.findings.len());
-    }
 }

@@ -45,7 +45,7 @@ pub struct ChaosOutcome {
     pub table: Table,
     /// Human-readable contract violations; the gate fails if non-empty.
     pub violations: Vec<String>,
-    /// Cells where the ladder degraded below its best enabled rung.
+    /// Cells where the ladder served below its certified rung.
     pub degraded_cells: usize,
     /// Total faults injected across the sweep (a zero here means the
     /// schedules never hit an armed site and the suite tests nothing).
@@ -167,7 +167,7 @@ pub fn run_chaos(quick: bool) -> ChaosOutcome {
         }
     }
     table.note(format!(
-        "{} cells degraded below their best enabled rung; {} faults injected \
+        "{} cells degraded below the certified rung; {} faults injected \
          across the sweep",
         degraded_cells, faults_injected
     ));

@@ -131,12 +131,10 @@ pub enum SolveError {
     /// raw-vector entry points. The `Instance` constructor reports
     /// [`InstanceError`] directly.
     Instance(InstanceError),
-    /// A retryable failure: injected by an armed
-    /// [`failpoint`](crate::failpoint) schedule, or reported by a custom
-    /// rung for a condition expected to clear on retry. The resilient
-    /// ladder retries these (bounded, with backoff) before degrading.
+    /// A retryable failure, injected by an armed
+    /// [`failpoint`](crate::failpoint) schedule at a fallible site.
     Transient {
-        /// The failpoint site (or custom rung) that raised it.
+        /// The failpoint site that raised it.
         site: &'static str,
     },
     /// A panic caught at an isolation boundary (`mmb-service`'s request

@@ -80,15 +80,15 @@ pub enum FaultAction {
 /// One injection rule: fire `action` at `site` on per-site hit indices
 /// `from..from + count` (hits are counted from 0 per site, per arming).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultRule {
+struct FaultRule {
     /// The site name this rule targets.
-    pub site: &'static str,
+    site: &'static str,
     /// First per-site hit index (0-based) the rule fires on.
-    pub from: u64,
+    from: u64,
     /// Number of consecutive hits to fire on (`u64::MAX` = forever).
-    pub count: u64,
+    count: u64,
     /// The action to take.
-    pub action: FaultAction,
+    action: FaultAction,
 }
 
 impl FaultRule {
@@ -97,7 +97,7 @@ impl FaultRule {
     }
 }
 
-/// An explicit, replayable set of [`FaultRule`]s. Plain data: arming one
+/// An explicit, replayable set of injection rules. Plain data: arming one
 /// ([`with_faults`]) is the only way any failpoint ever fires.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultSchedule {
@@ -129,12 +129,6 @@ impl FaultSchedule {
             count: u64::MAX,
             action,
         });
-        self
-    }
-
-    /// Add an explicit [`FaultRule`].
-    pub fn rule(mut self, rule: FaultRule) -> Self {
-        self.rules.push(rule);
         self
     }
 

@@ -60,16 +60,12 @@ pub fn multibalance_ws<S: Splitter + ?Sized>(
     chi
 }
 
-/// Output of Proposition 7.
+/// Output of Proposition 7: the stage-1 coloring of the pipeline.
 #[derive(Clone, Debug)]
 pub struct MinMaxBalanced {
-    /// The final coloring (balanced in boundary cost, `π`, and all user
-    /// measures).
+    /// The coloring, balanced in boundary cost, `π`, and all user
+    /// measures.
     pub coloring: Coloring,
-    /// The intermediate Lemma 6 coloring (before boundary balancing),
-    /// which the Proposition 7 unit test compares the final coloring
-    /// against.
-    pub intermediate: Coloring,
 }
 
 /// Proposition 7: a coloring balanced w.r.t. all `user_measures` whose
@@ -154,10 +150,7 @@ pub fn multibalance_minmax_with_pi_ws<S: Splitter + ?Sized>(
         Some(&mut hook as &mut ScratchDynamicMeasureFn<'_>),
         ws,
     );
-    MinMaxBalanced {
-        coloring,
-        intermediate: chi,
-    }
+    MinMaxBalanced { coloring }
 }
 
 #[cfg(test)]
@@ -238,7 +231,8 @@ mod tests {
     #[test]
     fn minmax_beats_intermediate_on_max_boundary_concentration() {
         // The final rebalance targets ‖∂χ⁻¹‖∞; it should never make the
-        // max/avg concentration dramatically worse than the intermediate's.
+        // max/avg concentration dramatically worse than that of the
+        // intermediate Lemma 6 coloring over the same [π, w].
         let grid = GridGraph::lattice(&[16, 16]);
         let n = grid.graph.num_vertices();
         let costs: Vec<f64> = (0..grid.graph.num_edges())
@@ -248,7 +242,10 @@ mod tests {
         let w = vec![1.0; n];
         let out = minmax(&grid, &costs, &sp, 16, &w);
         let final_max = out.coloring.max_boundary_cost(&grid.graph, &costs);
-        let inter_max = out.intermediate.max_boundary_cost(&grid.graph, &costs);
+        let domain = VertexSet::full(n);
+        let pi = splitting_cost_measure_within(&grid.graph, &costs, 2.0, 1.0, &domain);
+        let intermediate = multibalance_ws(&sp, 16, &domain, &[&pi, &w], &Workspace::new());
+        let inter_max = intermediate.max_boundary_cost(&grid.graph, &costs);
         assert!(
             final_max <= 2.0 * inter_max + 1e-9,
             "boundary balancing regressed: {inter_max} -> {final_max}"

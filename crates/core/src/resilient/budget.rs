@@ -1,4 +1,5 @@
-//! Deadline budgets and retry policy for the resilient ladder.
+//! The deadline budget and transient-retry backoff of the resilient
+//! ladder.
 //!
 //! The ladder caps the certified rung's search at half of a
 //! [`DeadlineBudget`]'s total; every other rung runs until it finishes.
@@ -8,6 +9,11 @@
 //! rung, which is O(n log n) and panic-free, runs unconditionally.
 //! Overshoot is therefore bounded by the last rung's single-step
 //! latency, not by the ladder's length.
+//!
+//! A rung whose injected transient fault unwinds is retried up to
+//! `MAX_RETRIES` times. The backoff before each retry doubles from
+//! 1 ms and is capped by the time remaining, so retrying can never be
+//! the reason a deadline is blown.
 
 use std::time::Duration;
 // lint: allow(nondeterminism) — import only; the one `Instant::now` call
@@ -16,6 +22,8 @@ use std::time::Instant;
 
 /// Wall-clock budget for one resilient solve. Half of it is offered to
 /// the certified (branch-and-bound) rung as its `BnbConfig::time_budget`.
+/// The default has no deadline: every rung runs under its own node
+/// budgets.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DeadlineBudget {
     /// Total wall-clock budget (`None` = unlimited; rungs then run under
@@ -24,56 +32,22 @@ pub struct DeadlineBudget {
 }
 
 impl DeadlineBudget {
-    /// No deadline: every rung runs under its own node budgets.
-    pub fn unlimited() -> Self {
-        Self::default()
-    }
-
     /// A hard wall-clock budget.
     pub fn with_total(total: Duration) -> Self {
         DeadlineBudget { total: Some(total) }
     }
 }
 
-/// Bounded retry-with-backoff for rungs that report
-/// [`SolveError::Transient`](crate::api::SolveError::Transient) failures.
-/// The backoff doubles per retry and every sleep is capped by the time
-/// remaining in the deadline budget, so retrying can never be the reason
-/// a deadline is blown.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum retries per rung after the first try (0 = never retry).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles each subsequent retry.
-    pub backoff: Duration,
-}
+/// Retries per rung after its first try, for injected transient faults.
+pub(super) const MAX_RETRIES: u32 = 2;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            backoff: Duration::from_millis(1),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Never retry.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            backoff: Duration::ZERO,
-        }
-    }
-
-    /// The backoff before retry number `retry` (1-based): doubling,
-    /// saturating.
-    pub fn backoff_for(&self, retry: u32) -> Duration {
-        self.backoff.saturating_mul(
-            1u32.checked_shl(retry.saturating_sub(1))
-                .unwrap_or(u32::MAX),
-        )
-    }
+/// The backoff before retry number `retry` (1-based): 1 ms, doubling,
+/// saturating.
+fn backoff_for(retry: u32) -> Duration {
+    Duration::from_millis(1).saturating_mul(
+        1u32.checked_shl(retry.saturating_sub(1))
+            .unwrap_or(u32::MAX),
+    )
 }
 
 /// The running clock of one resilient solve: started once, consulted at
@@ -110,6 +84,18 @@ impl BudgetClock {
 
     pub(crate) fn expired(&self) -> bool {
         self.remaining().is_some_and(|r| r.is_zero())
+    }
+
+    /// Sleep the backoff before retry number `retry`, capped by the time
+    /// remaining.
+    pub(crate) fn backoff(&self, retry: u32) {
+        let mut wait = backoff_for(retry);
+        if let Some(remaining) = self.remaining() {
+            wait = wait.min(remaining);
+        }
+        if wait > Duration::ZERO {
+            std::thread::sleep(wait);
+        }
     }
 
     /// The slice a rung with budget share `share` may spend now:
@@ -155,15 +141,10 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_saturates() {
-        let retry = RetryPolicy {
-            max_retries: 8,
-            backoff: Duration::from_millis(2),
-        };
-        assert_eq!(retry.backoff_for(1), Duration::from_millis(2));
-        assert_eq!(retry.backoff_for(2), Duration::from_millis(4));
-        assert_eq!(retry.backoff_for(3), Duration::from_millis(8));
+        assert_eq!(backoff_for(1), Duration::from_millis(1));
+        assert_eq!(backoff_for(2), Duration::from_millis(2));
+        assert_eq!(backoff_for(3), Duration::from_millis(4));
         // Deep retries must not overflow.
-        assert!(retry.backoff_for(u32::MAX) >= retry.backoff_for(3));
-        assert_eq!(RetryPolicy::none().max_retries, 0);
+        assert!(backoff_for(u32::MAX) >= backoff_for(3));
     }
 }

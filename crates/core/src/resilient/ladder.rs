@@ -125,6 +125,20 @@ mod tests {
         let floor = lpt_coloring(&inst, 2);
         let floor_cost = floor.max_boundary_cost(inst.graph(), inst.costs());
 
+        // One vertex too few, and every vertex in a single class.
+        for (chi, shape) in [
+            (Coloring::from_fn(7, 2, |v| v % 2), (7, 2)),
+            (Coloring::from_fn(8, 1, |_| 0), (8, 1)),
+        ] {
+            assert_eq!(
+                validate(&inst, 2, &chi, floor_cost),
+                Err(RejectReason::WrongShape {
+                    vertices: shape.0,
+                    classes: shape.1
+                })
+            );
+        }
+
         let partial = Coloring::new_uncolored(8, 2);
         assert_eq!(
             validate(&inst, 2, &partial, floor_cost),

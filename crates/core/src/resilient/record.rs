@@ -10,9 +10,6 @@
 /// Why a rung was skipped without being attempted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SkipReason {
-    /// The rung is disabled by configuration
-    /// (e.g. [`ResilientConfig::certified`](super::ResilientConfig) = false).
-    Disabled,
     /// The deadline budget was already exhausted when the ladder reached
     /// this rung; only the trivial floor rung runs past the deadline.
     DeadlineExhausted,
@@ -52,11 +49,9 @@ pub enum RungOutcome {
     Served,
     /// The rung was not attempted.
     Skipped(SkipReason),
-    /// The rung returned a typed error (after exhausting any transient
-    /// retries); the message is the error's `Display`.
-    Failed(String),
-    /// The rung panicked and the unwind was caught at the rung boundary;
-    /// the message is the rendered payload.
+    /// The rung panicked (after exhausting any transient retries) and the
+    /// unwind was caught at the rung boundary; the message is the
+    /// rendered payload.
     Panicked(String),
     /// The rung completed but its output failed validation.
     Rejected(RejectReason),
@@ -65,11 +60,11 @@ pub enum RungOutcome {
 /// One rung's entry in the [`Resilience`] record.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RungAttempt {
-    /// Rung name: `"certified"`, `"pipeline"`, a custom rung's name,
-    /// `"first-fit"`, or `"trivial"`.
+    /// Rung name: `"certified"`, `"pipeline"`, `"first-fit"`, or
+    /// `"trivial"`.
     pub rung: String,
-    /// How many times the rung was tried (> 1 only after transient
-    /// failures triggered bounded retry-with-backoff).
+    /// How many times the rung was tried (> 1 only after injected
+    /// transient faults were retried).
     pub tries: u32,
     /// The final outcome.
     pub outcome: RungOutcome,
@@ -83,11 +78,10 @@ pub struct RungAttempt {
 pub struct Resilience {
     /// Name of the rung whose output was served.
     pub served_by: String,
-    /// Index of that rung in the ladder (0 = best rung attempted first).
+    /// Index of that rung in the ladder (0 = certified, 3 = trivial).
     pub served_index: usize,
-    /// Whether any *enabled* rung above the serving one failed — `false`
-    /// when the first enabled rung served (rungs skipped as
-    /// [`SkipReason::Disabled`] do not count as degradation).
+    /// Whether a rung below the certified one served — `false` exactly
+    /// when the certified rung did.
     pub degraded: bool,
     /// Per-rung account, in ladder order, up to and including the rung
     /// that served.

@@ -1,25 +1,23 @@
 //! Degradation-ladder behavior of [`ResilientSolver`]: rung fall-through
-//! under rigged panics, bounded transient retries, deadline skipping, and
-//! the [`Resilience`] record naming every failure truthfully.
+//! under rigged panics and rejected outputs, bounded transient retries,
+//! deadline skipping, and the [`Resilience`] record naming every failure
+//! truthfully.
 //!
 //! Faults are injected only through the deterministic
-//! [`mmb_core::failpoint`] framework or through deliberately rigged
-//! custom rungs — no randomness, every failure replays.
+//! [`mmb_core::failpoint`] framework — no randomness, every failure
+//! replays.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use mmb_core::api::{Instance, Partitioner, SolveError, Solver};
+use mmb_core::api::{Instance, Solver};
 use mmb_core::bnb::BnbConfig;
 use mmb_core::coarsen::CoarsenParams;
 use mmb_core::failpoint::{injected, with_faults, FaultAction, FaultSchedule};
 use mmb_core::pipeline::{CoarsenConfig, PipelineConfig};
-use mmb_core::resilient::{
-    DeadlineBudget, RejectReason, ResilientSolver, RetryPolicy, RungOutcome, SkipReason,
-};
+use mmb_core::resilient::{DeadlineBudget, RejectReason, ResilientSolver, RungOutcome, SkipReason};
 use mmb_graph::gen::grid::GridGraph;
-use mmb_graph::gen::misc::path;
-use mmb_graph::Coloring;
+use mmb_graph::gen::misc::{path, star};
 use mmb_splitters::order::OrderSplitter;
 
 fn lattice_instance(dims: &[usize]) -> Instance {
@@ -54,7 +52,7 @@ fn healthy_solve_serves_the_certified_rung() {
     let res = report.resilience.as_ref().expect("record always attached");
     assert_eq!(res.served_by, "certified");
     assert_eq!(res.served_index, 0);
-    assert!(!res.degraded, "first enabled rung served: not degraded");
+    assert!(!res.degraded, "the first rung served: not degraded");
     assert_eq!(res.faults_observed, 0);
     assert_eq!(res.attempts.len(), 1);
     assert_eq!(res.attempts[0].outcome, RungOutcome::Served);
@@ -63,25 +61,9 @@ fn healthy_solve_serves_the_certified_rung() {
 }
 
 #[test]
-fn disabling_the_certified_rung_serves_the_pipeline() {
-    let inst = lattice_instance(&[6, 6]);
-    let solver = ladder(&inst, 4).certified(false);
-    let report = solver.solve();
-    let res = report.resilience.as_ref().unwrap();
-    assert_eq!(res.served_by, "pipeline");
-    assert!(!res.degraded, "a disabled skip is not degradation");
-    assert_eq!(
-        res.attempt_for("certified").unwrap().outcome,
-        RungOutcome::Skipped(SkipReason::Disabled)
-    );
-    // Lower rungs still get a certified gap from the static stack.
-    assert!(report.certified.is_some());
-}
-
-#[test]
 fn splitter_panics_degrade_to_first_fit_and_are_named() {
     let inst = lattice_instance(&[6, 6]);
-    let solver = ladder(&inst, 4).bnb(quick_bnb()).retry(RetryPolicy::none());
+    let solver = ladder(&inst, 4).bnb(quick_bnb());
     let schedule = FaultSchedule::new().always("splitter::split", FaultAction::Panic);
     let (report, log) = with_faults(&schedule, || solver.solve());
     assert!(report.is_strictly_balanced());
@@ -106,7 +88,7 @@ fn splitter_panics_degrade_to_first_fit_and_are_named() {
 #[test]
 fn workspace_survives_unwinds_and_later_solves_are_bit_identical() {
     let inst = lattice_instance(&[6, 6]);
-    let fresh = || ladder(&inst, 4).bnb(quick_bnb()).retry(RetryPolicy::none());
+    let fresh = || ladder(&inst, 4).bnb(quick_bnb());
     // A never-faulted reference solve, on a solver of its own.
     let reference = fresh().solve();
     assert_eq!(
@@ -183,159 +165,52 @@ fn the_ladder_runs_the_callers_splitter() {
         .splitter(Box::new(OrderSplitter::by_id(inst.graph())))
         .build()
         .unwrap();
-    let solver = ResilientSolver::new(solver)
-        .certified(false)
-        .retry(RetryPolicy::none());
+    let solver = ResilientSolver::new(solver).bnb(quick_bnb());
     let report = solver.solve();
-    assert_eq!(report.resilience.as_ref().unwrap().served_by, "pipeline");
+    assert_eq!(report.resilience.as_ref().unwrap().served_by, "certified");
     assert_eq!(report.splitter, "order/id");
     let schedule = FaultSchedule::new().always("splitter::split", FaultAction::Panic);
     let (report, _) = with_faults(&schedule, || solver.solve());
     let res = report.resilience.as_ref().unwrap();
     assert_eq!(res.served_by, "first-fit");
-    match &res.attempt_for("pipeline").unwrap().outcome {
-        RungOutcome::Panicked(msg) => assert!(msg.contains("splitter::split"), "{msg}"),
-        other => panic!("expected Panicked, got {other:?}"),
+    for rung in ["certified", "pipeline"] {
+        match &res.attempt_for(rung).unwrap().outcome {
+            RungOutcome::Panicked(msg) => assert!(msg.contains("splitter::split"), "{rung}: {msg}"),
+            other => panic!("{rung}: expected Panicked, got {other:?}"),
+        }
     }
 }
 
-/// A custom rung rigged to panic — the "buggy plugin" scenario.
-struct PanickyRung;
-impl Partitioner for PanickyRung {
-    fn name(&self) -> &str {
-        "panicky"
-    }
-    fn partition(&self, _inst: &Instance, _k: usize) -> Result<Coloring, SolveError> {
-        panic!("rigged rung blew up");
-    }
-}
-
-/// A custom rung that serves contiguous blocks — valid on unit-weight
-/// paths where `k` divides `n`.
-struct BlockRung;
-impl Partitioner for BlockRung {
-    fn name(&self) -> &str {
-        "blocks"
-    }
-    fn partition(&self, inst: &Instance, k: usize) -> Result<Coloring, SolveError> {
-        let n = inst.num_vertices();
-        let per = n.div_ceil(k);
-        Ok(Coloring::from_fn(n, k, |v| (v as usize / per) as u32))
-    }
-}
-
+/// The gate rejects a solver rung that runs clean but serves worse than
+/// the LPT floor, and the ladder falls through to the next rung. On this
+/// weighted star the pipeline cuts 12, the floor 7; at node budget 0 the
+/// certified rung serves the pipeline's coloring.
 #[test]
-fn panicking_custom_rung_falls_through_and_the_record_names_it() {
-    let inst = path_instance(12);
-    let solver = ladder(&inst, 2)
-        .certified(false)
-        .retry(RetryPolicy::none())
-        .rung("panicky", Box::new(PanickyRung))
-        .rung("blocks", Box::new(BlockRung));
-    // Panic the pipeline rung so the ladder reaches the custom rungs.
-    let schedule = FaultSchedule::new().always("pipeline::multibalance", FaultAction::Panic);
-    let (report, _) = with_faults(&schedule, || solver.solve());
-    assert!(report.is_strictly_balanced());
+fn a_pipeline_worse_than_the_floor_is_rejected_not_served() {
+    let inst = Instance::new(star(4), vec![5.0, 7.0, 2.0, 4.0], vec![1.0; 5]).unwrap();
+    let solver = ladder(&inst, 2).bnb(BnbConfig::with_node_budget(0));
+    let report = solver.solve();
     let res = report.resilience.as_ref().unwrap();
-    match &res.attempt_for("panicky").unwrap().outcome {
-        RungOutcome::Panicked(msg) => assert!(msg.contains("rigged rung blew up"), "{msg}"),
-        other => panic!("expected Panicked, got {other:?}"),
-    }
-    // The next custom rung serves (contiguous halves of a unit path are
-    // strictly balanced and at least as cheap as the floor).
-    assert_eq!(res.served_by, "blocks");
-    assert_eq!(res.served_index, 3);
-    assert!(res.degraded);
-    assert_eq!(report.splitter, "blocks");
-}
-
-/// A custom rung that returns a grossly unbalanced coloring — must be
-/// *rejected*, never served.
-struct LopsidedRung;
-impl Partitioner for LopsidedRung {
-    fn name(&self) -> &str {
-        "lopsided"
-    }
-    fn partition(&self, inst: &Instance, k: usize) -> Result<Coloring, SolveError> {
-        Ok(Coloring::from_fn(inst.num_vertices(), k, |_| 0))
-    }
-}
-
-#[test]
-fn invalid_rung_output_is_rejected_not_served() {
-    let inst = path_instance(12);
-    let solver = ladder(&inst, 2)
-        .certified(false)
-        .retry(RetryPolicy::none())
-        .rung("lopsided", Box::new(LopsidedRung));
-    let schedule = FaultSchedule::new().always("pipeline::multibalance", FaultAction::Panic);
-    let (report, _) = with_faults(&schedule, || solver.solve());
-    let res = report.resilience.as_ref().unwrap();
-    assert!(matches!(
-        res.attempt_for("lopsided").unwrap().outcome,
-        RungOutcome::Rejected(_)
-    ));
-    assert_eq!(res.served_by, "first-fit");
-    assert!(report.is_strictly_balanced());
-}
-
-/// A custom rung that colors one vertex too few.
-struct ShortRung;
-impl Partitioner for ShortRung {
-    fn name(&self) -> &str {
-        "short"
-    }
-    fn partition(&self, inst: &Instance, k: usize) -> Result<Coloring, SolveError> {
-        let n = inst.num_vertices() - 1;
-        Ok(Coloring::from_fn(n, k, |v| (v as usize * k / n) as u32))
-    }
-}
-
-/// A custom rung that ignores `k` and puts everything in one class —
-/// strictly balanced and free of boundary as a 1-coloring.
-struct OneClassRung;
-impl Partitioner for OneClassRung {
-    fn name(&self) -> &str {
-        "one-class"
-    }
-    fn partition(&self, inst: &Instance, _k: usize) -> Result<Coloring, SolveError> {
-        Ok(Coloring::from_fn(inst.num_vertices(), 1, |_| 0))
-    }
-}
-
-#[test]
-fn wrong_shape_rung_output_is_rejected_not_served() {
-    let inst = path_instance(12);
-    let solver = ladder(&inst, 2)
-        .certified(false)
-        .retry(RetryPolicy::none())
-        .rung("short", Box::new(ShortRung))
-        .rung("one-class", Box::new(OneClassRung));
-    let schedule = FaultSchedule::new().always("pipeline::multibalance", FaultAction::Panic);
-    let (report, _) = with_faults(&schedule, || solver.solve());
-    let res = report.resilience.as_ref().unwrap();
-    for rung in ["short", "one-class"] {
-        let outcome = &res.attempt_for(rung).unwrap().outcome;
-        assert!(
-            matches!(
-                outcome,
-                RungOutcome::Rejected(RejectReason::WrongShape { .. })
-            ),
-            "{rung}: {outcome:?}"
+    for rung in ["certified", "pipeline"] {
+        assert_eq!(
+            res.attempt_for(rung).unwrap().outcome,
+            RungOutcome::Rejected(RejectReason::WorseThanFloor {
+                cost: 12.0,
+                floor: 7.0
+            }),
+            "{rung}"
         );
     }
     assert_eq!(res.served_by, "first-fit");
-    assert_eq!((report.k, report.coloring.k()), (2, 2));
+    assert!(res.degraded);
     assert!(report.is_strictly_balanced());
+    assert!(report.max_boundary <= res.floor_cost);
 }
 
 #[test]
 fn transient_faults_are_retried_and_recover() {
     let inst = lattice_instance(&[5, 5]);
-    let solver = ladder(&inst, 3).bnb(quick_bnb()).retry(RetryPolicy {
-        max_retries: 2,
-        backoff: Duration::from_micros(100),
-    });
+    let solver = ladder(&inst, 3).bnb(quick_bnb());
     // Fire exactly once, on the first pipeline entry; the retry passes.
     let schedule = FaultSchedule::new().once("pipeline::multibalance", 0, FaultAction::Transient);
     let (report, log) = with_faults(&schedule, || solver.solve());
@@ -349,17 +224,14 @@ fn transient_faults_are_retried_and_recover() {
 #[test]
 fn exhausted_retries_fall_through_with_the_try_count_recorded() {
     let inst = lattice_instance(&[5, 5]);
-    let solver = ladder(&inst, 3).bnb(quick_bnb()).retry(RetryPolicy {
-        max_retries: 1,
-        backoff: Duration::from_micros(100),
-    });
+    let solver = ladder(&inst, 3).bnb(quick_bnb());
     let schedule = FaultSchedule::new().always("pipeline::multibalance", FaultAction::Transient);
     let (report, _) = with_faults(&schedule, || solver.solve());
     let res = report.resilience.as_ref().unwrap();
     assert_eq!(res.served_by, "first-fit");
     for rung in ["certified", "pipeline"] {
         let attempt = res.attempt_for(rung).unwrap();
-        assert_eq!(attempt.tries, 2, "{rung}: initial try + 1 retry");
+        assert_eq!(attempt.tries, 3, "{rung}: initial try + 2 retries");
         assert!(
             matches!(attempt.outcome, RungOutcome::Panicked(_)),
             "{rung}: transient through infallible code surfaces as a caught unwind"
@@ -397,9 +269,7 @@ fn zero_budget_serves_the_trivial_floor_within_the_overshoot_allowance() {
 #[test]
 fn solve_is_total_under_a_panicking_ladder_and_a_zero_deadline_combined() {
     let inst = path_instance(16);
-    let solver = ladder(&inst, 4)
-        .budget(DeadlineBudget::with_total(Duration::ZERO))
-        .rung("panicky", Box::new(PanickyRung));
+    let solver = ladder(&inst, 4).budget(DeadlineBudget::with_total(Duration::ZERO));
     let schedule = FaultSchedule::new()
         .always("splitter::split", FaultAction::Panic)
         .always("pipeline::multibalance", FaultAction::Panic)
@@ -444,7 +314,9 @@ fn cascade_rung_builds_its_host_splitter_on_first_use() {
             .config(cfg.clone())
             .build()
             .unwrap();
-        ResilientSolver::new(solver).certified(false).solve()
+        ResilientSolver::new(solver)
+            .bnb(BnbConfig::with_node_budget(0))
+            .solve()
     };
 
     for (k, host_recognitions) in [(1, 0), (4, 1)] {
@@ -463,7 +335,7 @@ fn cascade_rung_builds_its_host_splitter_on_first_use() {
             "k = {k}: {detected}"
         );
         let res = report.resilience.as_ref().unwrap();
-        assert_eq!(res.served_by, "pipeline");
+        assert_eq!(res.served_by, "certified");
         assert_eq!(report.splitter, "bfs", "the coarse solver's splitter");
 
         let _ = twin.structure();

@@ -76,7 +76,7 @@ pub fn csr_capacity_check(n: usize, m: usize) -> Result<(), GraphCapacityError> 
 /// An immutable undirected graph in CSR form.
 ///
 /// The size of the graph in the paper's sense is `|G| = |V| + |E|`
-/// ([`Graph::size`]); the running-time statements of Theorem 4 are linear
+/// (`num_vertices() + num_edges()`); the running-time statements of Theorem 4 are linear
 /// functions of this size.
 #[derive(Clone)]
 pub struct Graph {
@@ -109,12 +109,6 @@ impl Graph {
     #[inline]
     pub fn num_edges(&self) -> usize {
         self.edges.len()
-    }
-
-    /// The paper's size measure `|G| = |V| + |E|`.
-    #[inline]
-    pub fn size(&self) -> usize {
-        self.n + self.edges.len()
     }
 
     /// Iterator over all vertex ids `0..n`.
@@ -358,7 +352,6 @@ mod tests {
         let g = GraphBuilder::new(0).build();
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.size(), 0);
         assert!(g.is_connected());
     }
 
@@ -375,7 +368,6 @@ mod tests {
     fn triangle_basics() {
         let g = graph_from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
         assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.size(), 6);
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.max_degree(), 2);
         assert!(g.has_edge(0, 2));

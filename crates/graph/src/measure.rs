@@ -146,17 +146,6 @@ pub fn total_edge_norm_p(g: &Graph, costs: &[f64], p: f64) -> f64 {
     norm_p(costs, p)
 }
 
-/// Pointwise sum `f + g` of two dense measures of equal length.
-pub fn add(f: &[f64], g: &[f64]) -> Measure {
-    assert_eq!(f.len(), g.len(), "measure length mismatch");
-    f.iter().zip(g).map(|(a, b)| a + b).collect()
-}
-
-/// The constant-one measure `1_V` on `n` vertices.
-pub fn ones(n: usize) -> Measure {
-    vec![1.0; n]
-}
-
 /// The degree measure `deg_W(v)` of the induced subgraph `G[W]`
 /// (0 outside `W`), in a reusable [`Workspace`] buffer: `O(vol(W))` with
 /// zero allocation. Used by the shrinking procedure of Section 5 to
@@ -271,12 +260,6 @@ mod tests {
         let ws = Workspace::new();
         let d = induced_degree_measure_ws(&g, &w, &ws);
         assert_eq!(d.as_slice(), [1.0, 2.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn restrict_and_add() {
-        let phi = vec![1.0, 2.0, 3.0];
-        assert_eq!(add(&phi, &[1.0, 1.0, 1.0]), vec![2.0, 3.0, 4.0]);
     }
 
     #[test]
