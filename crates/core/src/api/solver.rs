@@ -376,8 +376,11 @@ impl<'i> Solver<'i> {
     /// when it was truncated.
     pub fn solve_anytime(&self, cfg: &crate::bnb::BnbConfig) -> Report {
         let mut report = self.solve();
-        let sol = crate::bnb::solve_seeded(self.inst, self.k, cfg, Some(&report.coloring))
-            .expect("k ≥ 1 was checked at build time");
+        let sol = match crate::bnb::solve_seeded(self.inst, self.k, cfg, Some(&report.coloring)) {
+            // An injected transient unwinds like one at an infallible site.
+            Err(SolveError::Transient { site }) => crate::failpoint::unwind_transient(site),
+            sol => sol.expect("k ≥ 1 was checked at build time"),
+        };
         if sol.max_boundary < report.max_boundary {
             // The search improved on the pipeline: report its coloring.
             report = self.report(report.splitter, sol.coloring);

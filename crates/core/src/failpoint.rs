@@ -314,14 +314,22 @@ fn raise_any_slow(site: &'static str) {
             site,
             transient: false,
         })),
-        Some(FaultAction::Transient) => std::panic::resume_unwind(Box::new(InjectedPanic {
-            site,
-            transient: true,
-        })),
+        Some(FaultAction::Transient) => unwind_transient(site),
         Some(FaultAction::Stall { millis }) => {
             std::thread::sleep(Duration::from_millis(millis));
         }
     }
+}
+
+/// Unwind with a `transient: true` [`InjectedPanic`] for `site`, without
+/// the panic hook: how infallible code passes on an injected transient,
+/// including a [`SolveError::Transient`] a fallible site returned to it,
+/// so an isolation boundary can retry.
+pub(crate) fn unwind_transient(site: &'static str) -> ! {
+    std::panic::resume_unwind(Box::new(InjectedPanic {
+        site,
+        transient: true,
+    }))
 }
 
 /// Render a caught panic payload for error reports: [`InjectedPanic`]s

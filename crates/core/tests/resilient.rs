@@ -222,6 +222,20 @@ fn transient_faults_are_retried_and_recover() {
 }
 
 #[test]
+fn a_transient_in_branch_and_bound_is_retried() {
+    let inst = lattice_instance(&[6, 6]);
+    let solver = ladder(&inst, 4).bnb(quick_bnb());
+    let schedule = FaultSchedule::new().once("bnb::solve", 0, FaultAction::Transient);
+    let (report, log) = with_faults(&schedule, || solver.solve());
+    let res = report.resilience.as_ref().unwrap();
+    assert_eq!(res.served_by, "certified");
+    let certified = res.attempt_for("certified").unwrap();
+    assert_eq!(certified.tries, 2, "one transient, one clean try");
+    assert_eq!(certified.outcome, RungOutcome::Served);
+    assert_eq!(log.len(), 1);
+}
+
+#[test]
 fn exhausted_retries_fall_through_with_the_try_count_recorded() {
     let inst = lattice_instance(&[5, 5]);
     let solver = ladder(&inst, 3).bnb(quick_bnb());

@@ -116,28 +116,60 @@ impl GridGraph {
     }
 
     /// The full lattice `[0, dims[0]) × … × [0, dims[d−1])`.
+    ///
+    /// Vertex ids follow the odometer, axis 0 fastest, so `v = Σ x_a ·
+    /// stride_a`; the edges `(v, v + stride_a)` come out in canonical
+    /// order straight from index arithmetic. The result equals
+    /// [`GridGraph::from_points`] over the same points.
+    ///
+    /// # Panics
+    /// Panics on no dimensions, a zero extent, or a lattice that exceeds
+    /// the `u32` id space.
     pub fn lattice(dims: &[usize]) -> Self {
         assert!(!dims.is_empty(), "need at least one dimension");
         assert!(dims.iter().all(|&d| d >= 1), "each extent must be >= 1");
-        let n: usize = dims.iter().product();
+        let n = dims
+            .iter()
+            .try_fold(1usize, |n, &e| n.checked_mul(e))
+            .filter(|&n| n < u32::MAX as usize)
+            .expect("vertex count exceeds u32 id space");
         let d = dims.len();
-        let mut points = Vec::with_capacity(n);
-        let mut cur = vec![0i64; d];
-        loop {
-            points.push(cur.clone());
-            // Odometer increment.
-            let mut axis = 0;
-            loop {
-                if axis == d {
-                    return GridGraph::from_points(d, points);
+        let strides: Vec<usize> = dims
+            .iter()
+            .scan(1, |stride, &e| {
+                let s = *stride;
+                *stride *= e;
+                Some(s)
+            })
+            .collect();
+        let mut coords = Vec::with_capacity(n * d);
+        let mut edges = Vec::with_capacity(dims.iter().map(|&e| n - n / e).sum());
+        let mut cur = vec![0usize; d];
+        for v in 0..n {
+            coords.extend(cur.iter().map(|&x| x as i64));
+            // Ascending axis order is ascending `v + stride`: an axis of
+            // extent 1 adds no edge, and any other stride exceeds every
+            // lower one.
+            for axis in 0..d {
+                if cur[axis] + 1 < dims[axis] {
+                    edges.push((v as u32, (v + strides[axis]) as u32));
                 }
+            }
+            // Odometer increment.
+            for axis in 0..d {
                 cur[axis] += 1;
-                if (cur[axis] as usize) < dims[axis] {
+                if cur[axis] < dims[axis] {
                     break;
                 }
                 cur[axis] = 0;
-                axis += 1;
             }
+        }
+        let graph = Graph::from_sorted_edges(n, edges)
+            .expect("a lattice within the u32 id space fits the CSR");
+        GridGraph {
+            graph,
+            dim: d,
+            coords,
         }
     }
 
@@ -244,6 +276,54 @@ impl GridGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The lattice's points in odometer order, through `from_points`.
+    fn lattice_from_points(dims: &[usize]) -> GridGraph {
+        let mut points = Vec::new();
+        let mut cur = vec![0i64; dims.len()];
+        'odometer: loop {
+            points.push(cur.clone());
+            for axis in 0..dims.len() {
+                cur[axis] += 1;
+                if (cur[axis] as usize) < dims[axis] {
+                    continue 'odometer;
+                }
+                cur[axis] = 0;
+            }
+            return GridGraph::from_points(dims.len(), points);
+        }
+    }
+
+    #[test]
+    fn lattice_equals_from_points() {
+        for dims in [
+            &[1][..],
+            &[5],
+            &[1, 1],
+            &[3, 1],
+            &[1, 4],
+            &[64, 48],
+            &[2, 3, 4],
+            &[7, 1, 5],
+        ] {
+            let (got, want) = (GridGraph::lattice(dims), lattice_from_points(dims));
+            assert_eq!(got.dim, want.dim, "{dims:?}");
+            assert_eq!(
+                got.graph.num_vertices(),
+                want.graph.num_vertices(),
+                "{dims:?}"
+            );
+            assert_eq!(got.graph.edge_list(), want.graph.edge_list(), "{dims:?}");
+            for v in want.graph.vertices() {
+                assert_eq!(
+                    got.graph.neighbors(v),
+                    want.graph.neighbors(v),
+                    "{dims:?}: {v}"
+                );
+            }
+            assert_eq!(got.coords(), want.coords(), "{dims:?}");
+        }
+    }
 
     #[test]
     fn lattice_counts() {

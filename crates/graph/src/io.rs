@@ -18,18 +18,26 @@
 //! per line (the `.part.k` convention).
 //!
 //! Ingestion is **streaming**: [`parse_metis_reader`] consumes any
-//! [`BufRead`] one line at a time, accumulates forward arcs in flat
-//! arenas (no `Vec<Vec<_>>` adjacency, no per-edge hash map), and hands
-//! the arena's edges, already in canonical order, to
-//! [`Graph::from_sorted_edges`]: one pass over the document, then an
-//! `O(n + m)` CSR assembly with no sort of the edge list. Peak memory is
-//! a small constant factor of the final CSR, which is what makes
-//! `n = 10^6`–`10^7` instances ingestible; the high water is recorded on
-//! the thread's [`Workspace`] as `arena_peak_bytes`. [`parse_metis`] is a
-//! thin `&str` wrapper over the same code path.
+//! [`BufRead`] in blocks of about 1 MiB of whole lines, holding one
+//! block of text at a time, parses each block on all threads,
+//! accumulates forward arcs in flat arenas (no `Vec<Vec<_>>` adjacency,
+//! no per-edge hash map), and hands the arena's edges, already in
+//! canonical order, to [`Graph::from_sorted_edges`]: one pass over the
+//! document, then an `O(n + m)` CSR assembly with no sort of the edge
+//! list. Peak memory is a small constant factor of the final CSR plus
+//! two blocks' buffers, which is what makes `n = 10^6`–`10^7` instances
+//! ingestible;
+//! the high water is recorded on the thread's [`Workspace`] as
+//! `arena_peak_bytes`. [`parse_metis`] is a thin `&str` wrapper over the
+//! same code path.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::BufRead;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use rayon::prelude::*;
 
 use crate::coloring::Coloring;
 use crate::graph::Graph;
@@ -156,9 +164,9 @@ pub fn parse_metis(input: &str) -> Result<MetisGraph, MetisError> {
     parse_metis_reader(input.as_bytes())
 }
 
-/// Incremental line feed over a [`BufRead`]: 1-based raw line numbers,
-/// running byte totals, and comment/blank skipping, holding at most one
-/// line in memory.
+/// Incremental line feed over a [`BufRead`] for the header: 1-based raw
+/// line numbers, running byte totals, and comment/blank skipping, holding
+/// at most one line in memory.
 struct LineFeed<R: BufRead> {
     reader: R,
     buf: String,
@@ -206,12 +214,6 @@ impl<R: BufRead> LineFeed<R> {
             }
         }
     }
-
-    /// Consume the rest of the input, counting lines and bytes only.
-    fn drain(&mut self) -> Result<(), MetisError> {
-        while self.next_raw()? {}
-        Ok(())
-    }
 }
 
 fn parse_count(s: &str, line: usize) -> Result<usize, MetisError> {
@@ -249,25 +251,844 @@ fn vec_bytes<T>(v: &[T]) -> u64 {
     std::mem::size_of_val(v) as u64
 }
 
+/// The error a line with invalid UTF-8 gives, as `read_line` words it.
+fn invalid_utf8(line: usize) -> MetisError {
+    MetisError::BadLine {
+        line,
+        what: "read error: stream did not contain valid UTF-8".into(),
+    }
+}
+
+/// Body text the reader holds at once, about: each block ends at its last
+/// line end (a single longer line makes a longer block).
+const BLOCK_BYTES: usize = 1 << 20;
+
+/// `char::is_whitespace` on ASCII bytes (`u8::is_ascii_whitespace` omits
+/// `\x0B`), so an ASCII line splits exactly as `str::split_whitespace`
+/// splits it.
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+/// Whether a raw line is data: not blank and not a `%` comment once
+/// trimmed.
+fn is_data(line: &str) -> bool {
+    line.trim_start().bytes().next().is_some_and(|b| b != b'%')
+}
+
+/// The first byte at or after `p` that is not whitespace other than `\n`.
+fn skip_blanks(b: &[u8], mut p: usize) -> usize {
+    while p < b.len() && b[p] != b'\n' && is_space(b[p]) {
+        p += 1;
+    }
+    p
+}
+
+/// A token of at most 15 digits at `b[*p..]`, moving `*p` past it; `None`,
+/// leaving `*p`, for any other token. Such a value is below `2^53`, so it
+/// converts to `f64` exactly.
+fn digits(b: &[u8], p: &mut usize) -> Option<u64> {
+    let (mut end, mut x) = (*p, 0u64);
+    while end < b.len() && end - *p < 16 {
+        let d = b[end].wrapping_sub(b'0');
+        if d > 9 {
+            break;
+        }
+        x = 10 * x + u64::from(d);
+        end += 1;
+    }
+    let whole = end > *p && end - *p <= 15 && b.get(end).is_none_or(|&c| is_space(c));
+    whole.then(|| {
+        *p = end;
+        x
+    })
+}
+
+/// The token at `text[*p..]`, up to the ASCII whitespace that ends it,
+/// moving `*p` past it.
+fn token<'a>(text: &'a str, p: &mut usize) -> Option<&'a str> {
+    let start = *p;
+    let b = text.as_bytes();
+    while *p < b.len() && !is_space(b[*p]) {
+        *p += 1;
+    }
+    text.get(start..*p)
+}
+
+/// The token at `text[*p..]` as `str::parse::<f64>` reads it.
+fn value(text: &str, p: &mut usize) -> Option<f64> {
+    match digits(text.as_bytes(), p) {
+        Some(x) => Some(x as f64),
+        None => token(text, p)?.parse().ok(),
+    }
+}
+
+/// The token at `text[*p..]` as `str::parse::<usize>` reads it.
+fn id(text: &str, p: &mut usize) -> Option<usize> {
+    match digits(text.as_bytes(), p) {
+        Some(x) => usize::try_from(x).ok(),
+        None => token(text, p)?.parse().ok(),
+    }
+}
+
+/// `text` cut at line ends into `parts` ranges of about equal length.
+fn cut_at_lines(text: &[u8], parts: usize) -> Vec<Range<usize>> {
+    let mut ranges = Vec::with_capacity(parts);
+    let mut start = 0;
+    for i in 1..=parts {
+        let end = if i == parts {
+            text.len()
+        } else {
+            let target = (text.len() / parts * i).max(start);
+            text[target..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(text.len(), |j| target + j + 1)
+        };
+        ranges.push(start..end);
+        start = end;
+    }
+    ranges
+}
+
+fn last_line_end(bytes: &[u8]) -> Option<usize> {
+    bytes.iter().rposition(|&b| b == b'\n').map(|i| i + 1)
+}
+
+/// The line ends in `bytes`, and those followed by a digit. Counts run in
+/// `u8` lanes over 255-byte chunks, which the compiler vectorizes.
+fn line_ends(bytes: &[u8]) -> (usize, usize) {
+    let Some((&last, init)) = bytes.split_last() else {
+        return (0, 0);
+    };
+    let (mut ends, mut digit_after) = (usize::from(last == b'\n'), 0);
+    for (a, b) in init.chunks(255).zip(bytes[1..].chunks(255)) {
+        let (e, d) = a.iter().zip(b).fold((0u8, 0u8), |(e, d), (&x, &y)| {
+            let end = u8::from(x == b'\n');
+            (e + end, d + (end & u8::from(y.is_ascii_digit())))
+        });
+        ends += usize::from(e);
+        digit_after += usize::from(d);
+    }
+    (ends, digit_after)
+}
+
+/// A part's first pass: its text once validated (or the number of whole
+/// lines before its first invalid one), its raw lines and its data lines.
+fn scan(bytes: &[u8]) -> (Result<&str, usize>, usize, usize) {
+    let text = match std::str::from_utf8(bytes) {
+        Ok(text) => text,
+        Err(e) => return (Err(line_ends(&bytes[..e.valid_up_to()]).0), 0, 0),
+    };
+    let Some(&first) = bytes.first() else {
+        return (Ok(text), 0, 0);
+    };
+    let (ends, digit_after) = line_ends(bytes);
+    let lines = ends + usize::from(!bytes.ends_with(b"\n"));
+    // A line that starts with a digit is data; only a part with other
+    // lines classifies each one.
+    let digit_starts = usize::from(first.is_ascii_digit()) + digit_after;
+    let data = if digit_starts == lines {
+        lines
+    } else {
+        text.split_inclusive('\n')
+            .filter(|line| is_data(line))
+            .count()
+    };
+    (Ok(text), lines, data)
+}
+
+/// What the header fixes for every vertex line.
+#[derive(Clone, Copy, Default)]
+struct Format {
+    n: usize,
+    ncon: usize,
+    has_eweights: bool,
+}
+
+/// A neighbor listed by the higher endpoint of its edge, resolved once
+/// the lower endpoint's forward range is final.
+struct Back {
+    lo: u32,
+    hi: u32,
+    cost: f64,
+    line: usize,
+}
+
+/// One thread's share of a block: the vertex lines it parsed and the
+/// backward listings it resolved. Its buffers are reused block to block.
+#[derive(Default)]
+struct Part {
+    weights: Vec<f64>,
+    /// End of each parsed vertex's forward range, within `arcs`.
+    ends: Vec<usize>,
+    /// Forward arcs `(v, target)`, sorted per vertex.
+    arcs: Vec<(u32, u32)>,
+    /// Costs parallel to `arcs` (fmt `xx1` only).
+    costs: Vec<f64>,
+    back: Vec<Back>,
+    sort: Vec<(u32, f64)>,
+    half_edges: usize,
+    /// Raw line of the data line after the last vertex line.
+    trailing: Option<usize>,
+    /// The error Phase A stopped at.
+    error: Option<MetisError>,
+    /// Backward listings that matched a forward arc.
+    hits: usize,
+    /// Backward listings without a forward arc: `(lo, hi, cost)`.
+    orphans: Vec<(u32, u32, f64)>,
+    /// The error Phase B stopped at.
+    back_error: Option<MetisError>,
+}
+
+impl Part {
+    fn bytes(&self) -> u64 {
+        fn cap<T>(v: &Vec<T>) -> u64 {
+            (v.capacity() * std::mem::size_of::<T>()) as u64
+        }
+        cap(&self.weights)
+            + cap(&self.ends)
+            + cap(&self.arcs)
+            + cap(&self.costs)
+            + cap(&self.back)
+            + cap(&self.sort)
+            + cap(&self.orphans)
+    }
+
+    /// Phase A: parse the vertex lines of `text`, whose first raw line
+    /// follows line `line0` and whose first data line is vertex `v0`.
+    fn parse(&mut self, text: &str, line0: usize, v0: usize, fmt: Format) {
+        self.weights.clear();
+        self.ends.clear();
+        self.arcs.clear();
+        self.costs.clear();
+        self.back.clear();
+        self.half_edges = 0;
+        self.trailing = None;
+        self.error = None;
+        let (mut at, mut lno, mut v) = (0, line0, v0);
+        while at < text.len() {
+            lno += 1;
+            if v < fmt.n {
+                let mark = self.mark();
+                if let Some(next) = self.fast_line(text, at, v, lno, fmt) {
+                    (at, v) = (next, v + 1);
+                    continue;
+                }
+                self.rewind(mark);
+            }
+            let end = text[at..].find('\n').map_or(text.len(), |i| at + i + 1);
+            let line = &text[at..end];
+            at = end;
+            if !is_data(line) {
+                continue;
+            }
+            if v >= fmt.n {
+                if v == fmt.n {
+                    self.trailing = Some(lno);
+                }
+                return;
+            }
+            if let Err(e) = self.vertex_line(v, lno, line, fmt) {
+                // The line's backward listings precede the error, and Phase
+                // B resolves them; its forward arcs lie past the last `ends`
+                // entry, where nothing reads them.
+                self.error = Some(e);
+                return;
+            }
+            v += 1;
+        }
+    }
+
+    /// The lengths a line may grow, to undo it.
+    fn mark(&self) -> [usize; 4] {
+        [
+            self.weights.len(),
+            self.arcs.len(),
+            self.back.len(),
+            self.half_edges,
+        ]
+    }
+
+    fn rewind(&mut self, [weights, arcs, back, half_edges]: [usize; 4]) {
+        self.weights.truncate(weights);
+        self.arcs.truncate(arcs);
+        self.costs.truncate(arcs);
+        self.back.truncate(back);
+        self.half_edges = half_edges;
+    }
+
+    /// Parse vertex `v`'s line at `text[at..]` in one pass over its bytes,
+    /// with tokens split at ASCII whitespace. Returns where the next line
+    /// starts, or `None` for a blank or comment line, a line with an
+    /// error, or a token that is no number (one holding non-ASCII
+    /// whitespace, say): the caller rewinds and hands that line to
+    /// [`Part::vertex_line`].
+    fn fast_line(
+        &mut self,
+        text: &str,
+        at: usize,
+        v: usize,
+        lno: usize,
+        fmt: Format,
+    ) -> Option<usize> {
+        let b = text.as_bytes();
+        let line_end = |p: usize| matches!(b.get(p), None | Some(b'\n'));
+        let vv = u32::try_from(v).ok().filter(|&x| x != u32::MAX)?;
+        let mut p = skip_blanks(b, at);
+        if line_end(p) || b[p] == b'%' {
+            return None;
+        }
+        let mut wv = 1.0;
+        for c in 0..fmt.ncon {
+            if line_end(p) {
+                return None;
+            }
+            let w = value(text, &mut p)?;
+            if c == 0 {
+                wv = w;
+            }
+            p = skip_blanks(b, p);
+        }
+        self.weights.push(wv);
+        let start = self.arcs.len();
+        while !line_end(p) {
+            let nb1 = id(text, &mut p)?;
+            if nb1 == 0 || nb1 > fmt.n || nb1 - 1 == v || nb1 > u32::MAX as usize {
+                return None;
+            }
+            p = skip_blanks(b, p);
+            let cost = if fmt.has_eweights {
+                if line_end(p) {
+                    return None;
+                }
+                let c = value(text, &mut p)?;
+                p = skip_blanks(b, p);
+                c
+            } else {
+                1.0
+            };
+            self.half_edges += 1;
+            self.push_arc(vv, (nb1 - 1) as u32, cost, lno, fmt.has_eweights);
+        }
+        self.finish_line(start, vv, lno, fmt.has_eweights).ok()?;
+        self.ends.push(self.arcs.len());
+        Some((p + 1).min(b.len()))
+    }
+
+    /// Record `v`'s listing of neighbor `u`: a forward arc when `u` is
+    /// above `v`, else a backward listing for Phase B.
+    fn push_arc(&mut self, v: u32, u: u32, cost: f64, line: usize, has_eweights: bool) {
+        if u > v {
+            self.arcs.push((v, u));
+            if has_eweights {
+                self.costs.push(cost);
+            }
+        } else {
+            self.back.push(Back {
+                lo: u,
+                hi: v,
+                cost,
+                line,
+            });
+        }
+    }
+
+    /// Parse vertex `v`'s line through `str::split_whitespace` and
+    /// `str::parse`, as the line-at-a-time reader did: weights, then
+    /// `(neighbor [cost])*`, stopping at the first error in token order.
+    fn vertex_line(
+        &mut self,
+        v: usize,
+        lno: usize,
+        line: &str,
+        fmt: Format,
+    ) -> Result<(), MetisError> {
+        let bad = |what: String| MetisError::BadLine { line: lno, what };
+        if v >= u32::MAX as usize {
+            // Unreachable for plausible headers (the caps bound n by the
+            // line count), but keeps the casts honest.
+            return Err(bad(format!("vertex {} exceeds the u32 id space", v + 1)));
+        }
+        let vv = v as u32;
+        let mut tok = line.split_whitespace();
+        let mut wv = 1.0;
+        for c in 0..fmt.ncon {
+            let Some(w) = tok.next() else {
+                return Err(bad("missing vertex weight".into()));
+            };
+            match w.parse::<f64>() {
+                Ok(val) if c == 0 => wv = val,
+                Ok(_) => {}
+                Err(_) => return Err(bad(format!("bad vertex weight '{w}'"))),
+            }
+        }
+        self.weights.push(wv);
+        let start = self.arcs.len();
+        while let Some(nb) = tok.next() {
+            let nb1 = parse_count(nb, lno)?;
+            if nb1 == 0 || nb1 > fmt.n {
+                return Err(bad(format!("neighbor {nb1} out of range 1..={}", fmt.n)));
+            }
+            let cost = if fmt.has_eweights {
+                let Some(c) = tok.next() else {
+                    return Err(bad("missing edge weight".into()));
+                };
+                c.parse::<f64>()
+                    .map_err(|_| bad(format!("bad edge weight '{c}'")))?
+            } else {
+                1.0
+            };
+            let u_us = nb1 - 1;
+            if u_us == v {
+                return Err(bad(format!("self-loop on vertex {}", v + 1)));
+            }
+            self.half_edges += 1;
+            if u_us >= u32::MAX as usize {
+                return Err(bad(format!("neighbor {nb1} exceeds the u32 id space")));
+            }
+            self.push_arc(vv, u_us as u32, cost, lno, fmt.has_eweights);
+        }
+        self.finish_line(start, vv, lno, fmt.has_eweights)?;
+        self.ends.push(self.arcs.len());
+        Ok(())
+    }
+
+    /// Sort the forward range `arcs[start..]` of vertex `v` by target (so
+    /// later backward listings can binary-search it) and reject same-line
+    /// duplicate listings.
+    fn finish_line(
+        &mut self,
+        start: usize,
+        v: u32,
+        lno: usize,
+        has_eweights: bool,
+    ) -> Result<(), MetisError> {
+        let arcs = &mut self.arcs[start..];
+        if arcs.windows(2).all(|w| w[0].1 < w[1].1) {
+            return Ok(());
+        }
+        if !has_eweights {
+            arcs.sort_unstable();
+            return match arcs.windows(2).find(|w| w[0] == w[1]) {
+                Some(w) => Err(listed_twice(lno, w[0].1 as usize + 1, v as usize)),
+                None => Ok(()),
+            };
+        }
+        self.sort.clear();
+        self.sort.extend(
+            arcs.iter()
+                .map(|a| a.1)
+                .zip(self.costs[start..].iter().copied()),
+        );
+        // Stable: the first listing's cost wins, as with the historical
+        // first-insert-wins map.
+        self.sort.sort_by_key(|&(t, _)| t);
+        if let Some(w) = self.sort.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(if costs_differ(w[0].1, w[1].1) {
+                asym_weight(lno, v, w[0].0, w[0].1, w[1].1)
+            } else {
+                listed_twice(lno, w[0].0 as usize + 1, v as usize)
+            });
+        }
+        for (i, &(t, c)) in self.sort.iter().enumerate() {
+            self.arcs[start + i].1 = t;
+            self.costs[start + i] = c;
+        }
+        Ok(())
+    }
+
+    /// Phase B: look every backward listing up in its lower endpoint's
+    /// final forward range, check its cost, and mark the arc matched.
+    fn resolve(&mut self, arena: &Arena<'_>) {
+        self.hits = 0;
+        self.orphans.clear();
+        self.back_error = None;
+        // First cost of each backward listing without a forward arc. Only
+        // vertex `hi`'s own line can list `(lo, hi)`, so a repeat is a
+        // same-line duplicate of a one-sided listing.
+        let mut one_sided: HashMap<(u32, u32), f64> = HashMap::new();
+        for b in &self.back {
+            let (lo, hi) = (arena.off[b.lo as usize], arena.off[b.lo as usize + 1]);
+            let error = match arena.edges[lo..hi].binary_search_by_key(&b.hi, |a| a.1) {
+                Ok(i) => {
+                    let idx = lo + i;
+                    let stored = arena.costs.map_or(1.0, |c| c[idx]);
+                    if costs_differ(stored, b.cost) {
+                        asym_weight(b.line, b.lo, b.hi, stored, b.cost)
+                    } else if arena.matched[idx].load(Ordering::Relaxed) {
+                        listed_twice(b.line, b.lo as usize + 1, b.hi as usize)
+                    } else {
+                        arena.matched[idx].store(true, Ordering::Relaxed);
+                        self.hits += 1;
+                        continue;
+                    }
+                }
+                Err(_) => match one_sided.get(&(b.lo, b.hi)) {
+                    Some(&first) if costs_differ(first, b.cost) => {
+                        asym_weight(b.line, b.lo, b.hi, first, b.cost)
+                    }
+                    Some(_) => listed_twice(b.line, b.lo as usize + 1, b.hi as usize),
+                    None => {
+                        one_sided.insert((b.lo, b.hi), b.cost);
+                        self.orphans.push((b.lo, b.hi, b.cost));
+                        continue;
+                    }
+                },
+            };
+            self.back_error = Some(error);
+            return;
+        }
+    }
+
+    /// The part's first error in document order. Phase B's comes first:
+    /// every listing it resolved was parsed before the token or line end
+    /// where Phase A stopped.
+    fn first_error(&mut self) -> Option<MetisError> {
+        self.back_error.take().or(self.error.take())
+    }
+}
+
+/// The forward arcs of every finished vertex, as Phase B reads them.
+struct Arena<'a> {
+    off: &'a [usize],
+    edges: &'a [(u32, u32)],
+    costs: Option<&'a [f64]>,
+    /// Only the part holding line `hi` touches arc `(lo, hi)`'s flag, and
+    /// the flags publish no other data, so `Relaxed` suffices; the
+    /// threads' join orders them before the end-of-input scan.
+    matched: &'a [AtomicBool],
+}
+
+/// The body pass of [`parse_metis_reader`]: flat arenas that grow with the
+/// document, the deferred error, and the line and byte totals the caps
+/// read at end of input.
+#[derive(Default)]
+struct Body {
+    fmt: Format,
+    /// Raw lines and bytes consumed, header included.
+    lines: usize,
+    bytes: usize,
+    /// Data lines seen after the header.
+    data_lines: usize,
+    deferred: Option<MetisError>,
+    trailing: Option<usize>,
+    weights: Vec<f64>,
+    /// Vertex `v`'s forward arcs are `edges[off[v]..off[v + 1]]`.
+    off: Vec<usize>,
+    /// Each edge once, from its lower endpoint, targets ascending per
+    /// endpoint: the canonical `(lo, hi)` order.
+    edges: Vec<(u32, u32)>,
+    costs: Vec<f64>,
+    /// Whether the higher endpoint listed the edge back.
+    matched: Vec<AtomicBool>,
+    orphans: Vec<(u32, u32, f64)>,
+    half_edges: usize,
+    hits: usize,
+    /// The last block, parsed and not yet committed.
+    pending: Vec<Part>,
+    /// Part buffers to reuse.
+    spare: Vec<Part>,
+    /// Most bytes the block buffer held.
+    block_peak: u64,
+    /// Most bytes one block's parts held.
+    parts_peak: u64,
+}
+
+impl Body {
+    /// Pull the rest of the input through `fill_buf`/`consume` and parse it
+    /// block by block. Only a read error or invalid UTF-8 returns early;
+    /// every other error is deferred to [`Body::finish`].
+    fn read<R: BufRead>(&mut self, reader: &mut R) -> Result<(), MetisError> {
+        let mut carry: Vec<u8> = Vec::new();
+        loop {
+            let avail = match reader.fill_buf() {
+                Ok(avail) => avail,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(self.read_error(&carry, &e)),
+            };
+            if avail.is_empty() {
+                break;
+            }
+            if carry.is_empty() && avail.len() >= BLOCK_BYTES {
+                // Whole lines straight from the reader's own buffer.
+                if let Some(end) = last_line_end(&avail[..BLOCK_BYTES]) {
+                    self.block(&avail[..end])?;
+                    reader.consume(end);
+                    continue;
+                }
+            }
+            let room = BLOCK_BYTES.saturating_sub(carry.len());
+            let take = if room > 0 {
+                avail.len().min(room)
+            } else {
+                // A line longer than a block: take it through its end.
+                avail
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(avail.len(), |i| i + 1)
+            };
+            carry.extend_from_slice(&avail[..take]);
+            reader.consume(take);
+            if carry.len() >= BLOCK_BYTES {
+                if let Some(end) = last_line_end(&carry) {
+                    self.block_peak = self.block_peak.max(carry.capacity() as u64);
+                    self.block(&carry[..end])?;
+                    carry.drain(..end);
+                }
+            }
+        }
+        self.block_peak = self.block_peak.max(carry.capacity() as u64);
+        if !carry.is_empty() {
+            self.block(&carry)?;
+        }
+        let mut last = std::mem::take(&mut self.pending);
+        self.commit(&mut last);
+        Ok(())
+    }
+
+    /// A read error after the whole lines of `carry`, which `read_line`
+    /// would have validated first.
+    fn read_error(&self, carry: &[u8], e: &std::io::Error) -> MetisError {
+        let whole = &carry[..last_line_end(carry).unwrap_or(0)];
+        if let Err(bad) = std::str::from_utf8(whole) {
+            return invalid_utf8(self.lines + line_ends(&whole[..bad.valid_up_to()]).0 + 1);
+        }
+        MetisError::BadLine {
+            line: self.lines + line_ends(whole).0 + 1,
+            what: format!("read error: {e}"),
+        }
+    }
+
+    /// Take one block of whole lines (the last block may lack its final
+    /// line end), cut into one part per thread. Phase A parses it while
+    /// the previous block, parsed the same way, is committed.
+    fn block(&mut self, text: &[u8]) -> Result<(), MetisError> {
+        self.bytes += text.len();
+        let ranges = cut_at_lines(text, rayon::current_num_threads());
+        let scans: Vec<_> = ranges.into_par_iter().map(|r| scan(&text[r])).collect();
+        let mut starts = Vec::with_capacity(scans.len());
+        let (mut line, mut vertex) = (self.lines, self.data_lines);
+        for (checked, lines, data) in scans {
+            let text = checked.map_err(|before| invalid_utf8(line + before + 1))?;
+            starts.push((text, line, vertex));
+            line += lines;
+            vertex += data;
+        }
+        self.lines = line;
+        self.data_lines = vertex;
+        if self.done() {
+            return Ok(()); // only the totals matter now
+        }
+
+        // Phase A: tokenize and parse, one part per thread.
+        let fmt = self.fmt;
+        let mut parts = std::mem::take(&mut self.spare);
+        parts.resize_with(starts.len(), Part::default);
+        let mut previous = std::mem::take(&mut self.pending);
+        rayon::join(
+            || self.commit(&mut previous),
+            || {
+                let jobs: Vec<_> = parts.iter_mut().zip(starts).collect();
+                jobs.into_par_iter()
+                    .for_each(|(part, (text, line0, v0))| part.parse(text, line0, v0, fmt));
+            },
+        );
+        self.spare = previous;
+        if self.done() {
+            self.spare = parts; // parsed past the first error or the last vertex
+        } else {
+            self.pending = parts;
+        }
+        Ok(())
+    }
+
+    /// Whether the body has stopped at an error or at trailing content.
+    fn done(&self) -> bool {
+        self.deferred.is_some() || self.trailing.is_some()
+    }
+
+    /// Append the forward ranges of the parsed `parts` to the arenas, then
+    /// run Phase B, resolving their backward listings, and take their
+    /// first error.
+    fn commit(&mut self, parts: &mut [Part]) {
+        // Every part up to the first that stopped at an error has final
+        // forward ranges.
+        let live = parts
+            .iter()
+            .position(|p| p.error.is_some())
+            .map_or(parts.len(), |i| i + 1);
+        for p in &parts[..live] {
+            let base = self.edges.len();
+            self.weights.extend_from_slice(&p.weights);
+            self.off.extend(p.ends.iter().map(|&e| base + e));
+            self.edges.extend_from_slice(&p.arcs);
+            self.costs.extend_from_slice(&p.costs);
+        }
+        self.matched
+            .resize_with(self.edges.len(), AtomicBool::default);
+
+        // Phase B: resolve the backward listings against them.
+        let arena = Arena {
+            off: &self.off,
+            edges: &self.edges,
+            costs: self.fmt.has_eweights.then_some(self.costs.as_slice()),
+            matched: &self.matched,
+        };
+        let jobs: Vec<_> = parts[..live].iter_mut().collect();
+        jobs.into_par_iter().for_each(|part| part.resolve(&arena));
+
+        let held = parts.iter().map(Part::bytes).sum::<u64>();
+        self.parts_peak = self.parts_peak.max(held);
+        for p in &mut parts[..live] {
+            self.half_edges += p.half_edges;
+            self.hits += p.hits;
+            self.orphans.extend_from_slice(&p.orphans);
+            self.trailing = self.trailing.or(p.trailing);
+            if let Some(e) = p.first_error() {
+                self.deferred = Some(e);
+                break;
+            }
+        }
+    }
+
+    /// End of input: the plausibility caps, then the deferred and
+    /// whole-document errors, then the CSR assembly.
+    fn finish(self, m: usize) -> Result<MetisGraph, MetisError> {
+        let n = self.fmt.n;
+        // The caps outrank every deferred error. `n` vertices need `n`
+        // data lines after the header; `m` edges need two neighbor tokens
+        // each, every token ≥ one byte. Both budgets come from the
+        // document itself, so an adversarial header can never have made
+        // the arenas exceed O(document size).
+        let line_budget = self.lines.saturating_sub(1);
+        if n > line_budget {
+            return Err(MetisError::ImplausibleHeader {
+                what: "vertices",
+                declared: n,
+                budget: line_budget,
+            });
+        }
+        let edge_budget = self.bytes / 2;
+        if m > edge_budget {
+            return Err(MetisError::ImplausibleHeader {
+                what: "edges",
+                declared: m,
+                budget: edge_budget,
+            });
+        }
+        if let Some(e) = self.deferred {
+            return Err(e);
+        }
+        if self.data_lines < n {
+            return Err(MetisError::BadLine {
+                line: self.lines,
+                what: format!(
+                    "missing adjacency line for vertex {} (isolated vertices must be \
+                     written with vertex weights; bare empty lines are skipped)",
+                    self.data_lines + 1
+                ),
+            });
+        }
+        if let Some(line) = self.trailing {
+            return Err(MetisError::TrailingContent { line });
+        }
+
+        // Every edge must have been listed from both endpoints; report the
+        // smallest offending pair so the error is deterministic. Forward
+        // arcs are in ascending (lo, hi) order, so the first unmatched one
+        // is already minimal among them.
+        let mut asym: Option<(u32, u32, bool)> = None;
+        if self.hits != self.edges.len() {
+            let first = self.matched.iter().position(|f| !f.load(Ordering::Relaxed));
+            asym = first.map(|i| (self.edges[i].0, self.edges[i].1, true));
+        }
+        for &(lo, hi, _) in &self.orphans {
+            if asym.is_none_or(|(a, b, _)| (lo, hi) < (a, b)) {
+                asym = Some((lo, hi, false));
+            }
+        }
+        if let Some((lo, hi, by_lower)) = asym {
+            let (listed_by, missing_from) = if by_lower { (lo, hi) } else { (hi, lo) };
+            return Err(MetisError::AsymmetricAdjacency {
+                listed_by: listed_by as usize + 1,
+                missing_from: missing_from as usize + 1,
+            });
+        }
+        if self.half_edges != 2 * m {
+            return Err(MetisError::EdgeCountMismatch {
+                declared: m,
+                found: self.half_edges / 2,
+            });
+        }
+
+        let m_found = self.edges.len();
+        debug_assert_eq!(2 * m_found, self.half_edges);
+        let costs = if self.fmt.has_eweights {
+            self.costs
+        } else {
+            vec![1.0; m_found]
+        };
+        // Record the ingestion high water on the thread's workspace, the
+        // RSS proxy the scale-path tests budget: the arenas; the block and
+        // part buffers, still held; and what the CSR assembly adds to the
+        // edge list (2m adjacency entries and the `u32` offsets with their
+        // fill cursor).
+        let arena_bytes = vec_bytes(&self.edges)
+            + vec_bytes(&self.matched)
+            + vec_bytes(&self.off)
+            + vec_bytes(&self.orphans)
+            + vec_bytes(&self.weights)
+            + vec_bytes(&costs)
+            + self.block_peak
+            + 2 * self.parts_peak
+            + 2 * vec_bytes(&self.edges)
+            + 2 * 4 * (n as u64 + 1);
+        Workspace::with_local(|ws| ws.note_transient_arena_bytes(arena_bytes));
+        let graph = Graph::from_sorted_edges(n, self.edges)
+            .map_err(|e| MetisError::BadHeader(format!("graph exceeds the u32 id space: {e}")))?;
+        Ok(MetisGraph {
+            graph,
+            weights: self.weights,
+            costs,
+        })
+    }
+}
+
 /// Streaming core of [`parse_metis`]: parse a METIS `.graph` document from
 /// any [`BufRead`] in a single pass over the input.
 ///
-/// Forward arcs (each edge as seen from its lower endpoint) accumulate in
-/// flat arenas — target ids, costs, and matched flags in parallel vectors,
-/// one offset per vertex — and each vertex's arc range is sorted when its
-/// line completes, so the backward listing from the higher endpoint
-/// resolves by binary search instead of a hash map. The arena then lists
-/// every edge once in canonical `(lo, hi)` order, which
-/// [`Graph::from_sorted_edges`] assembles into the CSR. Peak memory is
-/// a small constant factor of the output graph and is recorded on the
-/// thread-local [`Workspace`] as a transient arena charge.
+/// The header is read line by line. The body is pulled through
+/// [`BufRead::fill_buf`] in blocks of about 1 MiB that end at a line end,
+/// so the reader holds one block of text at a time. Each block is checked
+/// for UTF-8 and cut at line ends into one part per
+/// [`rayon::current_num_threads`], and a parallel pass counts each part's
+/// data lines, which fixes every line's vertex id. Then:
+///
+/// * **A**, parse, in parallel over the parts: each data line's weights,
+///   its forward arcs (neighbors above it, sorted when the line ends) and
+///   its backward listings (neighbors below it).
+/// * **Commit**: the forward ranges go to flat arenas, one offset per
+///   vertex, in canonical `(lo, hi)` order. Then **B**, resolve, in
+///   parallel over the parts: each backward listing is binary-searched in
+///   its lower endpoint's final forward range, its cost checked against
+///   the stored one, and the arc marked matched; no hash map over the
+///   edges. A block's commit runs beside Phase A of the next block.
+///
+/// [`Graph::from_sorted_edges`] then assembles the arena's edge list into
+/// the CSR. Peak memory is a small constant factor of the output graph
+/// plus the buffers of two blocks, and is recorded on the thread-local
+/// [`Workspace`] as a transient arena charge. The result does not depend
+/// on the thread count or on how the reader delivers its bytes.
 ///
 /// The plausibility caps of [`MetisError::ImplausibleHeader`] need the
 /// document's total line and byte counts, which a stream only knows at end
 /// of input. Body errors are therefore *deferred*: parsing stops at the
-/// first one, the remaining input is drained (counting only), and the caps
+/// first one in document order (token order within a line, the duplicate
+/// check at its end), the rest of the input is only counted, and the caps
 /// are checked first — preserving the historical error precedence of the
-/// eager parser, which scanned the whole document before the body pass.
+/// eager parser, which scanned the whole document before the body pass. A
+/// read error or invalid UTF-8 outranks them all and returns at once.
 pub fn parse_metis_reader<R: BufRead>(reader: R) -> Result<MetisGraph, MetisError> {
     let mut feed = LineFeed::new(reader);
 
@@ -304,318 +1125,20 @@ pub fn parse_metis_reader<R: BufRead>(reader: R) -> Result<MetisGraph, MetisErro
         }
     }
 
-    // Forward-arc arenas: arcs of each edge as listed by its lower
-    // endpoint, grouped by that endpoint (`fwd_off`), targets sorted
-    // within each group once the group's line completes.
-    let mut weights: Vec<f64> = Vec::new();
-    let mut fwd_off: Vec<usize> = vec![0];
-    let mut fwd_tgt: Vec<u32> = Vec::new();
-    let mut fwd_cost: Vec<f64> = Vec::new();
-    let mut fwd_back: Vec<bool> = Vec::new();
-    // Arcs listed (so far) only by their higher endpoint: (lo, hi, cost).
-    // Non-empty only for asymmetric documents, which are rejected.
-    let mut orphans: Vec<(u32, u32, f64)> = Vec::new();
-    let mut line_sort: Vec<(u32, f64)> = Vec::new();
-    let mut half_edges = 0usize;
-    let mut missing_vertex: Option<usize> = None;
-    let mut trailing: Option<usize> = None;
-
-    if deferred.is_none() {
-        'body: for v in 0..n {
-            if !feed.next_data()? {
-                missing_vertex = Some(v);
-                break 'body;
-            }
-            let lno = feed.line_no;
-            if v >= u32::MAX as usize {
-                // Unreachable for plausible headers (the caps below bound
-                // n by the line count), but keeps the casts honest.
-                deferred = Some(MetisError::BadLine {
-                    line: lno,
-                    what: format!("vertex {} exceeds the u32 id space", v + 1),
-                });
-                break 'body;
-            }
-            let vv = v as u32;
-            let mut tok = feed.buf.split_whitespace();
-            let mut wv = 1.0;
-            for c in 0..ncon {
-                let Some(w) = tok.next() else {
-                    deferred = Some(MetisError::BadLine {
-                        line: lno,
-                        what: "missing vertex weight".into(),
-                    });
-                    break 'body;
-                };
-                match w.parse::<f64>() {
-                    Ok(val) => {
-                        if c == 0 {
-                            wv = val;
-                        }
-                    }
-                    Err(_) => {
-                        deferred = Some(MetisError::BadLine {
-                            line: lno,
-                            what: format!("bad vertex weight '{w}'"),
-                        });
-                        break 'body;
-                    }
-                }
-            }
-            weights.push(wv);
-            let range_start = fwd_tgt.len();
-            while let Some(nb) = tok.next() {
-                let nb1 = match parse_count(nb, lno) {
-                    Ok(x) => x,
-                    Err(e) => {
-                        deferred = Some(e);
-                        break 'body;
-                    }
-                };
-                if nb1 == 0 || nb1 > n {
-                    deferred = Some(MetisError::BadLine {
-                        line: lno,
-                        what: format!("neighbor {nb1} out of range 1..={n}"),
-                    });
-                    break 'body;
-                }
-                let cost = if has_eweights {
-                    let Some(c) = tok.next() else {
-                        deferred = Some(MetisError::BadLine {
-                            line: lno,
-                            what: "missing edge weight".into(),
-                        });
-                        break 'body;
-                    };
-                    match c.parse::<f64>() {
-                        Ok(x) => x,
-                        Err(_) => {
-                            deferred = Some(MetisError::BadLine {
-                                line: lno,
-                                what: format!("bad edge weight '{c}'"),
-                            });
-                            break 'body;
-                        }
-                    }
-                } else {
-                    1.0
-                };
-                let u_us = nb1 - 1;
-                if u_us == v {
-                    deferred = Some(MetisError::BadLine {
-                        line: lno,
-                        what: format!("self-loop on vertex {}", v + 1),
-                    });
-                    break 'body;
-                }
-                half_edges += 1;
-                if u_us >= u32::MAX as usize {
-                    deferred = Some(MetisError::BadLine {
-                        line: lno,
-                        what: format!("neighbor {nb1} exceeds the u32 id space"),
-                    });
-                    break 'body;
-                }
-                let u = u_us as u32;
-                if u > vv {
-                    fwd_tgt.push(u);
-                    if has_eweights {
-                        fwd_cost.push(cost);
-                    }
-                    fwd_back.push(false);
-                } else {
-                    // Backward half of an edge whose lower endpoint's
-                    // range is already finalized and sorted.
-                    let (lo, hi) = (fwd_off[u_us], fwd_off[u_us + 1]);
-                    match fwd_tgt[lo..hi].binary_search(&vv) {
-                        Ok(i) => {
-                            let idx = lo + i;
-                            let stored = if has_eweights { fwd_cost[idx] } else { 1.0 };
-                            if costs_differ(stored, cost) {
-                                deferred = Some(asym_weight(lno, u, vv, stored, cost));
-                                break 'body;
-                            }
-                            if fwd_back[idx] {
-                                deferred = Some(listed_twice(lno, nb1, v));
-                                break 'body;
-                            }
-                            fwd_back[idx] = true;
-                        }
-                        Err(_) => {
-                            // Only vertex v's own line can mention (u, v)
-                            // again, so a hit here is a same-line duplicate
-                            // of a one-sided listing.
-                            if let Some(o) = orphans.iter().find(|o| o.0 == u && o.1 == vv) {
-                                deferred = Some(if costs_differ(o.2, cost) {
-                                    asym_weight(lno, u, vv, o.2, cost)
-                                } else {
-                                    listed_twice(lno, nb1, v)
-                                });
-                                break 'body;
-                            }
-                            orphans.push((u, vv, cost));
-                        }
-                    }
-                }
-            }
-            // Finalize this vertex's forward range: sort by target (so
-            // later backward lookups can binary-search it) and reject
-            // same-line duplicate listings.
-            let range_end = fwd_tgt.len();
-            if range_end - range_start > 1 {
-                if has_eweights {
-                    line_sort.clear();
-                    line_sort.extend(
-                        fwd_tgt[range_start..range_end]
-                            .iter()
-                            .copied()
-                            .zip(fwd_cost[range_start..range_end].iter().copied()),
-                    );
-                    // Stable: the first listing's cost wins, as with the
-                    // historical first-insert-wins map.
-                    line_sort.sort_by_key(|&(t, _)| t);
-                    for w in line_sort.windows(2) {
-                        if w[0].0 == w[1].0 {
-                            deferred = Some(if costs_differ(w[0].1, w[1].1) {
-                                asym_weight(lno, vv, w[0].0, w[0].1, w[1].1)
-                            } else {
-                                listed_twice(lno, w[0].0 as usize + 1, v)
-                            });
-                            break 'body;
-                        }
-                    }
-                    for (i, &(t, c)) in line_sort.iter().enumerate() {
-                        fwd_tgt[range_start + i] = t;
-                        fwd_cost[range_start + i] = c;
-                    }
-                } else {
-                    fwd_tgt[range_start..range_end].sort_unstable();
-                    for w in fwd_tgt[range_start..range_end].windows(2) {
-                        if w[0] == w[1] {
-                            deferred = Some(listed_twice(lno, w[0] as usize + 1, v));
-                            break 'body;
-                        }
-                    }
-                }
-            }
-            fwd_off.push(range_end);
-        }
-        if deferred.is_none() && missing_vertex.is_none() && feed.next_data()? {
-            trailing = Some(feed.line_no);
-        }
-    }
-
-    // End of input: the plausibility caps are now known and outrank every
-    // deferred error. `n` vertices need `n` data lines after the header;
-    // `m` edges need two neighbor tokens each, every token ≥ one byte.
-    // Both budgets come from the document itself, so an adversarial header
-    // can never have made the arenas above exceed O(document size).
-    feed.drain()?;
-    let total_lines = feed.line_no;
-    let line_budget = total_lines.saturating_sub(1);
-    if n > line_budget {
-        return Err(MetisError::ImplausibleHeader {
-            what: "vertices",
-            declared: n,
-            budget: line_budget,
-        });
-    }
-    let edge_budget = feed.bytes / 2;
-    if m > edge_budget {
-        return Err(MetisError::ImplausibleHeader {
-            what: "edges",
-            declared: m,
-            budget: edge_budget,
-        });
-    }
-    if let Some(e) = deferred {
-        return Err(e);
-    }
-    if let Some(v) = missing_vertex {
-        return Err(MetisError::BadLine {
-            line: total_lines,
-            what: format!(
-                "missing adjacency line for vertex {} (isolated vertices must be \
-                 written with vertex weights; bare empty lines are skipped)",
-                v + 1
-            ),
-        });
-    }
-    if let Some(line) = trailing {
-        return Err(MetisError::TrailingContent { line });
-    }
-
-    // Every edge must have been listed from both endpoints; report the
-    // smallest offending pair so the error is deterministic. The forward
-    // scan visits keys in ascending (lo, hi) order, so its first hit is
-    // already minimal among forward arcs.
-    let mut asym: Option<(u32, u32, bool)> = None;
-    'scan: for (v, w) in fwd_off.windows(2).enumerate() {
-        for idx in w[0]..w[1] {
-            if !fwd_back[idx] {
-                asym = Some((v as u32, fwd_tgt[idx], true));
-                break 'scan;
-            }
-        }
-    }
-    for &(lo, hi, _) in &orphans {
-        if asym.is_none_or(|(a, b, _)| (lo, hi) < (a, b)) {
-            asym = Some((lo, hi, false));
-        }
-    }
-    if let Some((lo, hi, by_lower)) = asym {
-        let (listed_by, missing_from) = if by_lower { (lo, hi) } else { (hi, lo) };
-        return Err(MetisError::AsymmetricAdjacency {
-            listed_by: listed_by as usize + 1,
-            missing_from: missing_from as usize + 1,
-        });
-    }
-    if half_edges != 2 * m {
-        return Err(MetisError::EdgeCountMismatch {
-            declared: m,
-            found: half_edges / 2,
-        });
-    }
-
-    // The arena lists each edge once, from its lower endpoint, with targets
-    // ascending per endpoint: the canonical `(lo, hi)` order that
-    // `Graph::from_sorted_edges` assembles into the CSR.
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(fwd_tgt.len());
-    for (v, w) in fwd_off.windows(2).enumerate() {
-        for &t in &fwd_tgt[w[0]..w[1]] {
-            edges.push((v as u32, t));
-        }
-    }
-    let m_found = edges.len();
-    debug_assert_eq!(2 * m_found, half_edges);
-    // What the CSR assembly holds beside the arenas: the edge list, its
-    // 2m adjacency entries, and the `u32` offsets with their fill cursor.
-    let csr_bytes = 3 * vec_bytes(&edges) + 2 * 4 * (n as u64 + 1);
-    let graph = Graph::from_sorted_edges(n, edges)
-        .map_err(|e| MetisError::BadHeader(format!("graph exceeds the u32 id space: {e}")))?;
-    let costs = if has_eweights {
-        fwd_cost
-    } else {
-        vec![1.0; m_found]
+    let mut body = Body {
+        fmt: Format {
+            n,
+            ncon,
+            has_eweights,
+        },
+        lines: feed.line_no,
+        bytes: feed.bytes,
+        deferred,
+        off: vec![0],
+        ..Body::default()
     };
-
-    // Record the ingestion high water (arenas + CSR coexist here) on the
-    // thread's workspace — the RSS proxy the scale-path tests budget.
-    let arena_bytes = vec_bytes(&fwd_tgt)
-        + vec_bytes(&fwd_back)
-        + vec_bytes(&fwd_off)
-        + vec_bytes(&orphans)
-        + vec_bytes(&line_sort)
-        + csr_bytes
-        + vec_bytes(&weights)
-        + vec_bytes(&costs);
-    Workspace::with_local(|ws| ws.note_transient_arena_bytes(arena_bytes));
-
-    Ok(MetisGraph {
-        graph,
-        weights,
-        costs,
-    })
+    body.read(&mut feed.reader)?;
+    body.finish(m)
 }
 
 /// Serialize to METIS `.graph` format (always writes vertex and edge

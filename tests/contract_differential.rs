@@ -1,25 +1,37 @@
-//! Differential suite for coarsening's contraction
-//! (`mmb_core::coarsen::contract`).
+//! Differential suite for coarsening's matching and contraction
+//! (`mmb_core::coarsen::{heavy_edge_matching, contract}`).
 //!
-//! [`reference`] keeps the sort-based contraction that preceded the
-//! gather pass, verbatim: it sorts every crossing arc `(cu, cv, e)` of the
-//! whole graph, sums each run of equal `(cu, cv)` in that order, and feeds
-//! the result through `GraphBuilder`. The gather pass must return the
-//! **same level**: equal edge lists, equal `(neighbor, edge id)` lists at
-//! every vertex, and costs and weights equal bit for bit (`to_bits`, so
-//! `0.0` and `-0.0` differ). Inputs:
+//! [`reference`] keeps two oracles verbatim:
+//!
+//! * the sort-based contraction that preceded the gather pass: it sorts
+//!   every crossing arc `(cu, cv, e)` of the whole graph, sums each run of
+//!   equal `(cu, cv)` in that order, and feeds the result through
+//!   `GraphBuilder`. The gather pass must return the **same level**: equal
+//!   edge lists, equal `(neighbor, edge id)` lists at every vertex, and
+//!   costs and weights equal bit for bit (`to_bits`, so `0.0` and `-0.0`
+//!   differ);
+//! * the heavy-edge matching that scanned every free vertex's adjacency.
+//!   The matching that first takes each vertex's precomputed heaviest
+//!   neighbor must return the same map and coarse vertex count, under one,
+//!   two and three threads.
+//!
+//! Inputs:
 //!
 //! * maps: heavy-edge matchings at seeds 1–3, and, because `contract`
 //!   takes any map, the block map `v ↦ v / 4` and a seeded random
 //!   surjection with shuffled groups of up to five vertices;
 //! * graphs: a 64 × 64 grid, a torus, a random geometric graph, a random
 //!   tree, preferential attachment, Watts–Strogatz, and a star and a
-//!   complete graph, whose gather buffers are large;
+//!   complete graph, whose gather buffers are large and whose matchings
+//!   fall back to the adjacency scan most often; the matching suite adds
+//!   a grid and a Watts–Strogatz graph large enough to split the
+//!   heaviest-neighbor pass over threads;
 //! * costs and weights: unit, seeded uniform `[0.5, 1.5)`, zeros of both
 //!   signs, and an order-sensitive family drawn from `{1e16, 1, 3}`, where
 //!   a sum depends on the order of its terms;
-//! * whole fronts: every level of `CoarseningFront::build` at n ≈ 10^5
-//!   against a front built from `heavy_edge_matching` and the oracle.
+//! * whole fronts: every level of `CoarseningFront::build` at n ≈ 10^5,
+//!   under one thread and under two, against a front built from both
+//!   oracles.
 
 use mmb_core::coarsen::{contract, heavy_edge_matching, CoarsenParams, CoarseningFront};
 use mmb_graph::gen::attachment::preferential_attachment;
@@ -34,10 +46,61 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 
-/// The contraction that preceded the gather pass, kept verbatim as the
-/// oracle.
+/// The contraction that preceded the gather pass and the matching that
+/// preceded the heaviest-neighbor pass, kept verbatim as the oracles.
 mod reference {
     use mmb_graph::{Graph, GraphBuilder, VertexId};
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+
+    pub fn heavy_edge_matching(
+        g: &Graph,
+        costs: &[f64],
+        rng: &mut StdRng,
+    ) -> (Vec<VertexId>, usize) {
+        let n = g.num_vertices();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.shuffle(rng);
+        let mut mate = vec![u32::MAX; n];
+        for &v in &order {
+            if mate[v as usize] != u32::MAX {
+                continue;
+            }
+            let heaviest = g
+                .neighbors(v)
+                .iter()
+                .filter(|&&(nb, _)| mate[nb as usize] == u32::MAX && nb != v)
+                // total_cmp + neighbor-id tie-break: matching must not depend
+                // on adjacency-list order when edge costs tie.
+                .max_by(|a, b| {
+                    costs[a.1 as usize]
+                        .total_cmp(&costs[b.1 as usize])
+                        .then(b.0.cmp(&a.0))
+                });
+            match heaviest {
+                Some(&(nb, _)) => {
+                    mate[v as usize] = nb;
+                    mate[nb as usize] = v;
+                }
+                None => mate[v as usize] = v, // singleton
+            }
+        }
+        // Assign coarse ids.
+        let mut map = vec![u32::MAX; n];
+        let mut next = 0u32;
+        for v in 0..n as u32 {
+            if map[v as usize] != u32::MAX {
+                continue;
+            }
+            map[v as usize] = next;
+            let m = mate[v as usize];
+            if m != u32::MAX && m != v {
+                map[m as usize] = next;
+            }
+            next += 1;
+        }
+        (map, next as usize)
+    }
 
     pub fn contract(
         g: &Graph,
@@ -252,6 +315,31 @@ fn contraction_corner_cases() {
 }
 
 #[test]
+fn heaviest_neighbor_matching_matches_the_scanning_loop() {
+    let mut graphs = graphs();
+    graphs.push(("grid 150x120", GridGraph::lattice(&[150, 120]).graph));
+    graphs.push(("watts-strogatz 20000", watts_strogatz(20_000, 3, 0.2, 7)));
+    for (name, g) in graphs {
+        for (i, family) in VALUES.into_iter().enumerate() {
+            let costs = values(family, g.num_edges(), 11 + i as u64);
+            for seed in 1..=3 {
+                let want =
+                    reference::heavy_edge_matching(&g, &costs, &mut StdRng::seed_from_u64(seed));
+                for threads in [1, 2, 3] {
+                    let got = rayon::with_num_threads(threads, || {
+                        heavy_edge_matching(&g, &costs, &mut StdRng::seed_from_u64(seed))
+                    });
+                    assert!(
+                        got == want,
+                        "{name} / {family:?} / seed {seed} / {threads} threads: map or coarse n differs"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn front_at_1e5_matches_an_oracle_front() {
     let g = GridGraph::lattice(&[320, 320]).graph;
     let n = g.num_vertices();
@@ -262,29 +350,38 @@ fn front_at_1e5_matches_an_oracle_front() {
     for family in [Values::Unit, Values::Uniform] {
         let costs = values(family, g.num_edges(), 3);
         let params = CoarsenParams::default();
-        let front = CoarseningFront::build(&g, &costs, &weights, &params);
+        let fronts = [1, 2].map(|threads| {
+            rayon::with_num_threads(threads, || {
+                CoarseningFront::build(&g, &costs, &weights, &params)
+            })
+        });
 
-        // `CoarseningFront::build`'s loop, with the oracle contraction.
+        // `CoarseningFront::build`'s loop, with both oracles.
         let mut rng = StdRng::seed_from_u64(params.seed);
         let (mut fg, mut fc, mut fw) = (g.clone(), costs.clone(), weights.clone());
         let mut levels = 0;
         while fg.num_vertices() > params.target_vertices && levels < params.max_levels {
-            let (map, coarse_n) = heavy_edge_matching(&fg, &fc, &mut rng);
+            let (map, coarse_n) = reference::heavy_edge_matching(&fg, &fc, &mut rng);
             if coarse_n == fg.num_vertices() {
                 break;
             }
-            let level = &front.levels()[levels];
-            assert_eq!(level.map, map, "{family:?}: level {levels} map");
             let (cg, cc, cw) = reference::contract(&fg, &fc, &fw, &map, coarse_n);
-            assert_same_level(
-                &format!("{family:?}: level {levels}"),
-                (&level.graph, &level.costs, &level.weights),
-                (&cg, &cc, &cw),
-            );
+            for (front, threads) in fronts.iter().zip([1, 2]) {
+                let label = format!("{family:?}, {threads} threads: level {levels}");
+                let level = &front.levels()[levels];
+                assert!(level.map == map, "{label} map");
+                assert_same_level(
+                    &label,
+                    (&level.graph, &level.costs, &level.weights),
+                    (&cg, &cc, &cw),
+                );
+            }
             (fg, fc, fw) = (cg, cc, cw);
             levels += 1;
         }
         assert!(levels >= 3, "{family:?}: only {levels} levels");
-        assert_eq!(front.num_levels(), levels, "{family:?}: level count");
+        for front in &fronts {
+            assert_eq!(front.num_levels(), levels, "{family:?}: level count");
+        }
     }
 }

@@ -2,13 +2,17 @@
 //!
 //! `parse_metis(&doc)` is a thin wrapper over
 //! `parse_metis_reader(doc.as_bytes())`, where the whole document is one
-//! contiguous buffer. These tests drive the reader entry point the hard
-//! way — through a `BufReader` with a tiny capacity over a source that
-//! trickles a few bytes per `read` call — and require the result to be
-//! **identical** to the `&str` path: same CSR, same weights and costs
+//! contiguous buffer that the reader cuts into blocks straight from the
+//! slice. These tests drive the reader entry point the hard way —
+//! through a `BufReader` with a tiny capacity over a source that
+//! trickles a few bytes per `read` call, so every block is assembled
+//! from refills that split tokens and lines — and require the result to
+//! be **identical** to the `&str` path: same CSR, same weights and costs
 //! bit-for-bit, and the same typed error on every malformed document.
 //! Fixtures cover the quick corpus (all graph families × both weight/cost
 //! profiles) plus CRLF, comment/blank-line, and weighted-format variants.
+//! `tests/metis_differential.rs` holds both paths to the line-at-a-time
+//! reader that preceded the block-parallel one.
 
 use std::io::{BufReader, Read};
 
