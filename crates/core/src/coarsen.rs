@@ -14,9 +14,7 @@
 //!
 //! Everything is **seeded-deterministic**: the matching order is a
 //! `StdRng` shuffle from [`CoarsenParams::seed`] (one generator threaded
-//! through all levels), ties in edge cost break on neighbor id (the
-//! matching's parallel heaviest-neighbor pass gives the same map for
-//! every thread count), and the
+//! through all levels), ties in edge cost break on neighbor id, and the
 //! contraction gathers each coarse vertex's edges in one pass and sums
 //! every coarse edge's costs in ascending edge-id order — no hash map, no
 //! global sort, no iteration-order dependence. Two builds from the same
@@ -226,18 +224,19 @@ impl CoarseningFront {
 /// order). Coarse ids are assigned in fine-id order, so the map — and
 /// everything downstream — is a pure function of `(g, costs, rng state)`.
 ///
-/// Each vertex's heaviest neighbor overall is computed first, in id order
-/// and in parallel over vertex ranges. A visit takes that neighbor when it
-/// is still free, since the heaviest of all neighbors, when free, is the
-/// heaviest free one; only otherwise does it scan its adjacency.
+/// Each vertex's heaviest neighbor overall is computed first, in one
+/// id-order pass. A visit takes that neighbor when it is still free,
+/// since the heaviest of all neighbors, when free, is the heaviest free
+/// one; only otherwise does it scan its adjacency.
 pub fn heavy_edge_matching(g: &Graph, costs: &[f64], rng: &mut StdRng) -> (Vec<VertexId>, usize) {
     let n = g.num_vertices();
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.shuffle(rng);
     // `(mate, heaviest neighbor)` side by side: a visit touches one line
     // for itself and one for its candidate.
-    let mut slot = vec![(NONE, NONE); n];
-    fill_heaviest(g, costs, &mut slot, 0);
+    let mut slot: Vec<(u32, u32)> = (0..n as u32)
+        .map(|v| (NONE, heaviest(g, costs, v, |_| true).unwrap_or(NONE)))
+        .collect();
     for &v in &order {
         let (mate, best) = slot[v as usize];
         if mate != NONE {
@@ -276,10 +275,6 @@ pub fn heavy_edge_matching(g: &Graph, costs: &[f64], rng: &mut StdRng) -> (Vec<V
 /// No mate yet, or no neighbor at all.
 const NONE: u32 = u32::MAX;
 
-/// Below this many vertices the heaviest-neighbor pass stays on the
-/// calling thread, where a scoped thread would cost more than the pass.
-const PARALLEL_MIN_VERTICES: usize = 1 << 14;
-
 /// `v`'s heaviest neighbor among those `eligible` admits: `total_cmp` on
 /// edge cost, then the smaller neighbor id, so the pick never depends on
 /// adjacency-list order when costs tie.
@@ -293,25 +288,6 @@ fn heaviest(g: &Graph, costs: &[f64], v: VertexId, eligible: impl Fn(u32) -> boo
                 .then(b.0.cmp(&a.0))
         })
         .map(|&(nb, _)| nb)
-}
-
-/// Write the heaviest neighbor of vertices `first..first + slot.len()`
-/// into `slot[i].1`, splitting the range over the thread budget.
-fn fill_heaviest(g: &Graph, costs: &[f64], slot: &mut [(u32, u32)], first: u32) {
-    let threads = rayon::current_num_threads();
-    if threads > 1 && slot.len() >= PARALLEL_MIN_VERTICES {
-        // `join` gives its first branch `threads - threads / 2` threads.
-        let mid = slot.len() / threads * (threads - threads / 2);
-        let (a, b) = slot.split_at_mut(mid);
-        rayon::join(
-            || fill_heaviest(g, costs, a, first),
-            || fill_heaviest(g, costs, b, first + mid as u32),
-        );
-        return;
-    }
-    for (v, s) in (first..).zip(slot.iter_mut()) {
-        s.1 = heaviest(g, costs, v, |_| true).unwrap_or(NONE);
-    }
 }
 
 /// Contract according to `map`, summing weights and parallel edge costs.

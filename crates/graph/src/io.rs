@@ -19,25 +19,20 @@
 //!
 //! Ingestion is **streaming**: [`parse_metis_reader`] consumes any
 //! [`BufRead`] in blocks of about 1 MiB of whole lines, holding one
-//! block of text at a time, parses each block on all threads,
-//! accumulates forward arcs in flat arenas (no `Vec<Vec<_>>` adjacency,
+//! block of text at a time, parses each block on the calling thread,
+//! appends its forward arcs to flat arenas (no `Vec<Vec<_>>` adjacency,
 //! no per-edge hash map), and hands the arena's edges, already in
 //! canonical order, to [`Graph::from_sorted_edges`]: one pass over the
 //! document, then an `O(n + m)` CSR assembly with no sort of the edge
-//! list. Peak memory is a small constant factor of the final CSR plus
-//! two blocks' buffers, which is what makes `n = 10^6`–`10^7` instances
-//! ingestible;
+//! list. Peak memory is a small constant factor of the final CSR plus one
+//! block, which is what makes `n = 10^6`–`10^7` instances ingestible;
 //! the high water is recorded on the thread's [`Workspace`] as
 //! `arena_peak_bytes`. [`parse_metis`] is a thin `&str` wrapper over the
 //! same code path.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::BufRead;
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-use rayon::prelude::*;
 
 use crate::coloring::Coloring;
 use crate::graph::Graph;
@@ -331,71 +326,12 @@ fn id(text: &str, p: &mut usize) -> Option<usize> {
     }
 }
 
-/// `text` cut at line ends into `parts` ranges of about equal length.
-fn cut_at_lines(text: &[u8], parts: usize) -> Vec<Range<usize>> {
-    let mut ranges = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 1..=parts {
-        let end = if i == parts {
-            text.len()
-        } else {
-            let target = (text.len() / parts * i).max(start);
-            text[target..]
-                .iter()
-                .position(|&b| b == b'\n')
-                .map_or(text.len(), |j| target + j + 1)
-        };
-        ranges.push(start..end);
-        start = end;
-    }
-    ranges
-}
-
 fn last_line_end(bytes: &[u8]) -> Option<usize> {
     bytes.iter().rposition(|&b| b == b'\n').map(|i| i + 1)
 }
 
-/// The line ends in `bytes`, and those followed by a digit. Counts run in
-/// `u8` lanes over 255-byte chunks, which the compiler vectorizes.
-fn line_ends(bytes: &[u8]) -> (usize, usize) {
-    let Some((&last, init)) = bytes.split_last() else {
-        return (0, 0);
-    };
-    let (mut ends, mut digit_after) = (usize::from(last == b'\n'), 0);
-    for (a, b) in init.chunks(255).zip(bytes[1..].chunks(255)) {
-        let (e, d) = a.iter().zip(b).fold((0u8, 0u8), |(e, d), (&x, &y)| {
-            let end = u8::from(x == b'\n');
-            (e + end, d + (end & u8::from(y.is_ascii_digit())))
-        });
-        ends += usize::from(e);
-        digit_after += usize::from(d);
-    }
-    (ends, digit_after)
-}
-
-/// A part's first pass: its text once validated (or the number of whole
-/// lines before its first invalid one), its raw lines and its data lines.
-fn scan(bytes: &[u8]) -> (Result<&str, usize>, usize, usize) {
-    let text = match std::str::from_utf8(bytes) {
-        Ok(text) => text,
-        Err(e) => return (Err(line_ends(&bytes[..e.valid_up_to()]).0), 0, 0),
-    };
-    let Some(&first) = bytes.first() else {
-        return (Ok(text), 0, 0);
-    };
-    let (ends, digit_after) = line_ends(bytes);
-    let lines = ends + usize::from(!bytes.ends_with(b"\n"));
-    // A line that starts with a digit is data; only a part with other
-    // lines classifies each one.
-    let digit_starts = usize::from(first.is_ascii_digit()) + digit_after;
-    let data = if digit_starts == lines {
-        lines
-    } else {
-        text.split_inclusive('\n')
-            .filter(|line| is_data(line))
-            .count()
-    };
-    (Ok(text), lines, data)
+fn newlines(bytes: &[u8]) -> usize {
+    bytes.iter().filter(|&&b| b == b'\n').count()
 }
 
 /// What the header fixes for every vertex line.
@@ -407,7 +343,7 @@ struct Format {
 }
 
 /// A neighbor listed by the higher endpoint of its edge, resolved once
-/// the lower endpoint's forward range is final.
+/// the lower endpoint's forward range has joined the arenas.
 struct Back {
     lo: u32,
     hi: u32,
@@ -415,10 +351,13 @@ struct Back {
     line: usize,
 }
 
-/// One thread's share of a block: the vertex lines it parsed and the
-/// backward listings it resolved. Its buffers are reused block to block.
+/// One block's parsed vertex lines, before they join the arenas. Its
+/// buffers are reused block to block. On `cold-1m`, staging a block here
+/// and appending it at once read a peak resident set about a quarter
+/// below appending each line straight to the arenas (EXPERIMENTS,
+/// 2026-10-19).
 #[derive(Default)]
-struct Part {
+struct Block {
     weights: Vec<f64>,
     /// End of each parsed vertex's forward range, within `arcs`.
     ends: Vec<usize>,
@@ -429,19 +368,13 @@ struct Part {
     back: Vec<Back>,
     sort: Vec<(u32, f64)>,
     half_edges: usize,
-    /// Raw line of the data line after the last vertex line.
+    /// Raw line of the first data line after the last vertex line.
     trailing: Option<usize>,
-    /// The error Phase A stopped at.
+    /// The error parsing stopped at.
     error: Option<MetisError>,
-    /// Backward listings that matched a forward arc.
-    hits: usize,
-    /// Backward listings without a forward arc: `(lo, hi, cost)`.
-    orphans: Vec<(u32, u32, f64)>,
-    /// The error Phase B stopped at.
-    back_error: Option<MetisError>,
 }
 
-impl Part {
+impl Block {
     fn bytes(&self) -> u64 {
         fn cap<T>(v: &Vec<T>) -> u64 {
             (v.capacity() * std::mem::size_of::<T>()) as u64
@@ -452,26 +385,25 @@ impl Part {
             + cap(&self.costs)
             + cap(&self.back)
             + cap(&self.sort)
-            + cap(&self.orphans)
     }
 
-    /// Phase A: parse the vertex lines of `text`, whose first raw line
-    /// follows line `line0` and whose first data line is vertex `v0`.
-    fn parse(&mut self, text: &str, line0: usize, v0: usize, fmt: Format) {
+    /// Parse the vertex lines of `text`, whose first raw line follows line
+    /// `*lno` and whose first data line is vertex `v`, until the first
+    /// error or the first data line after the last vertex. Returns where
+    /// it stopped, with `*lno` at the last line it read.
+    fn parse(&mut self, text: &str, lno: &mut usize, mut v: usize, fmt: Format) -> usize {
         self.weights.clear();
         self.ends.clear();
         self.arcs.clear();
         self.costs.clear();
         self.back.clear();
         self.half_edges = 0;
-        self.trailing = None;
-        self.error = None;
-        let (mut at, mut lno, mut v) = (0, line0, v0);
+        let mut at = 0;
         while at < text.len() {
-            lno += 1;
+            *lno += 1;
             if v < fmt.n {
                 let mark = self.mark();
-                if let Some(next) = self.fast_line(text, at, v, lno, fmt) {
+                if let Some(next) = self.fast_line(text, at, v, *lno, fmt) {
                     (at, v) = (next, v + 1);
                     continue;
                 }
@@ -484,20 +416,19 @@ impl Part {
                 continue;
             }
             if v >= fmt.n {
-                if v == fmt.n {
-                    self.trailing = Some(lno);
-                }
-                return;
+                self.trailing = Some(*lno);
+                break;
             }
-            if let Err(e) = self.vertex_line(v, lno, line, fmt) {
-                // The line's backward listings precede the error, and Phase
-                // B resolves them; its forward arcs lie past the last `ends`
-                // entry, where nothing reads them.
+            if let Err(e) = self.vertex_line(v, *lno, line, fmt) {
+                // The line's backward listings precede the error and are
+                // still resolved; its forward arcs lie past the last
+                // `ends` entry, where nothing reads them.
                 self.error = Some(e);
-                return;
+                break;
             }
             v += 1;
         }
+        at
     }
 
     /// The lengths a line may grow, to undo it.
@@ -523,7 +454,7 @@ impl Part {
     /// starts, or `None` for a blank or comment line, a line with an
     /// error, or a token that is no number (one holding non-ASCII
     /// whitespace, say): the caller rewinds and hands that line to
-    /// [`Part::vertex_line`].
+    /// [`Block::vertex_line`].
     fn fast_line(
         &mut self,
         text: &str,
@@ -577,7 +508,7 @@ impl Part {
     }
 
     /// Record `v`'s listing of neighbor `u`: a forward arc when `u` is
-    /// above `v`, else a backward listing for Phase B.
+    /// above `v`, else a backward listing.
     fn push_arc(&mut self, v: u32, u: u32, cost: f64, line: usize, has_eweights: bool) {
         if u > v {
             self.arcs.push((v, u));
@@ -697,67 +628,6 @@ impl Part {
         }
         Ok(())
     }
-
-    /// Phase B: look every backward listing up in its lower endpoint's
-    /// final forward range, check its cost, and mark the arc matched.
-    fn resolve(&mut self, arena: &Arena<'_>) {
-        self.hits = 0;
-        self.orphans.clear();
-        self.back_error = None;
-        // First cost of each backward listing without a forward arc. Only
-        // vertex `hi`'s own line can list `(lo, hi)`, so a repeat is a
-        // same-line duplicate of a one-sided listing.
-        let mut one_sided: HashMap<(u32, u32), f64> = HashMap::new();
-        for b in &self.back {
-            let (lo, hi) = (arena.off[b.lo as usize], arena.off[b.lo as usize + 1]);
-            let error = match arena.edges[lo..hi].binary_search_by_key(&b.hi, |a| a.1) {
-                Ok(i) => {
-                    let idx = lo + i;
-                    let stored = arena.costs.map_or(1.0, |c| c[idx]);
-                    if costs_differ(stored, b.cost) {
-                        asym_weight(b.line, b.lo, b.hi, stored, b.cost)
-                    } else if arena.matched[idx].load(Ordering::Relaxed) {
-                        listed_twice(b.line, b.lo as usize + 1, b.hi as usize)
-                    } else {
-                        arena.matched[idx].store(true, Ordering::Relaxed);
-                        self.hits += 1;
-                        continue;
-                    }
-                }
-                Err(_) => match one_sided.get(&(b.lo, b.hi)) {
-                    Some(&first) if costs_differ(first, b.cost) => {
-                        asym_weight(b.line, b.lo, b.hi, first, b.cost)
-                    }
-                    Some(_) => listed_twice(b.line, b.lo as usize + 1, b.hi as usize),
-                    None => {
-                        one_sided.insert((b.lo, b.hi), b.cost);
-                        self.orphans.push((b.lo, b.hi, b.cost));
-                        continue;
-                    }
-                },
-            };
-            self.back_error = Some(error);
-            return;
-        }
-    }
-
-    /// The part's first error in document order. Phase B's comes first:
-    /// every listing it resolved was parsed before the token or line end
-    /// where Phase A stopped.
-    fn first_error(&mut self) -> Option<MetisError> {
-        self.back_error.take().or(self.error.take())
-    }
-}
-
-/// The forward arcs of every finished vertex, as Phase B reads them.
-struct Arena<'a> {
-    off: &'a [usize],
-    edges: &'a [(u32, u32)],
-    costs: Option<&'a [f64]>,
-    /// Only the part holding line `hi` touches arc `(lo, hi)`'s flag, and
-    /// the flags publish no other data, so `Relaxed` suffices; the
-    /// threads' join orders them before the end-of-input scan.
-    matched: &'a [AtomicBool],
 }
 
 /// The body pass of [`parse_metis_reader`]: flat arenas that grow with the
@@ -769,30 +639,25 @@ struct Body {
     /// Raw lines and bytes consumed, header included.
     lines: usize,
     bytes: usize,
-    /// Data lines seen after the header.
-    data_lines: usize,
     deferred: Option<MetisError>,
+    /// Raw line of the first data line after the last vertex line.
     trailing: Option<usize>,
     weights: Vec<f64>,
-    /// Vertex `v`'s forward arcs are `edges[off[v]..off[v + 1]]`.
+    /// Vertex `v`'s forward arcs are `edges[off[v]..off[v + 1]]`, so the
+    /// next vertex line is vertex `off.len() - 1`.
     off: Vec<usize>,
     /// Each edge once, from its lower endpoint, targets ascending per
     /// endpoint: the canonical `(lo, hi)` order.
     edges: Vec<(u32, u32)>,
     costs: Vec<f64>,
     /// Whether the higher endpoint listed the edge back.
-    matched: Vec<AtomicBool>,
-    orphans: Vec<(u32, u32, f64)>,
+    matched: Vec<bool>,
+    /// Backward listings without a forward arc, with their first cost.
+    orphans: BTreeMap<(u32, u32), f64>,
     half_edges: usize,
-    hits: usize,
-    /// The last block, parsed and not yet committed.
-    pending: Vec<Part>,
-    /// Part buffers to reuse.
-    spare: Vec<Part>,
+    block: Block,
     /// Most bytes the block buffer held.
     block_peak: u64,
-    /// Most bytes one block's parts held.
-    parts_peak: u64,
 }
 
 impl Body {
@@ -813,7 +678,7 @@ impl Body {
             if carry.is_empty() && avail.len() >= BLOCK_BYTES {
                 // Whole lines straight from the reader's own buffer.
                 if let Some(end) = last_line_end(&avail[..BLOCK_BYTES]) {
-                    self.block(&avail[..end])?;
+                    self.parse_block(&avail[..end])?;
                     reader.consume(end);
                     continue;
                 }
@@ -833,17 +698,15 @@ impl Body {
             if carry.len() >= BLOCK_BYTES {
                 if let Some(end) = last_line_end(&carry) {
                     self.block_peak = self.block_peak.max(carry.capacity() as u64);
-                    self.block(&carry[..end])?;
+                    self.parse_block(&carry[..end])?;
                     carry.drain(..end);
                 }
             }
         }
         self.block_peak = self.block_peak.max(carry.capacity() as u64);
         if !carry.is_empty() {
-            self.block(&carry)?;
+            self.parse_block(&carry)?;
         }
-        let mut last = std::mem::take(&mut self.pending);
-        self.commit(&mut last);
         Ok(())
     }
 
@@ -852,104 +715,82 @@ impl Body {
     fn read_error(&self, carry: &[u8], e: &std::io::Error) -> MetisError {
         let whole = &carry[..last_line_end(carry).unwrap_or(0)];
         if let Err(bad) = std::str::from_utf8(whole) {
-            return invalid_utf8(self.lines + line_ends(&whole[..bad.valid_up_to()]).0 + 1);
+            return invalid_utf8(self.lines + newlines(&whole[..bad.valid_up_to()]) + 1);
         }
         MetisError::BadLine {
-            line: self.lines + line_ends(whole).0 + 1,
+            line: self.lines + newlines(whole) + 1,
             what: format!("read error: {e}"),
         }
     }
 
-    /// Take one block of whole lines (the last block may lack its final
-    /// line end), cut into one part per thread. Phase A parses it while
-    /// the previous block, parsed the same way, is committed.
-    fn block(&mut self, text: &[u8]) -> Result<(), MetisError> {
-        self.bytes += text.len();
-        let ranges = cut_at_lines(text, rayon::current_num_threads());
-        let scans: Vec<_> = ranges.into_par_iter().map(|r| scan(&text[r])).collect();
-        let mut starts = Vec::with_capacity(scans.len());
-        let (mut line, mut vertex) = (self.lines, self.data_lines);
-        for (checked, lines, data) in scans {
-            let text = checked.map_err(|before| invalid_utf8(line + before + 1))?;
-            starts.push((text, line, vertex));
-            line += lines;
-            vertex += data;
+    /// Check one block of whole lines for UTF-8 (the last block may lack
+    /// its final line end), parse it, and commit it.
+    fn parse_block(&mut self, bytes: &[u8]) -> Result<(), MetisError> {
+        self.bytes += bytes.len();
+        let text = std::str::from_utf8(bytes)
+            .map_err(|e| invalid_utf8(self.lines + newlines(&bytes[..e.valid_up_to()]) + 1))?;
+        let mut at = 0;
+        if self.deferred.is_none() && self.trailing.is_none() {
+            let v = self.off.len() - 1;
+            at = self.block.parse(text, &mut self.lines, v, self.fmt);
+            self.commit();
         }
-        self.lines = line;
-        self.data_lines = vertex;
-        if self.done() {
-            return Ok(()); // only the totals matter now
-        }
-
-        // Phase A: tokenize and parse, one part per thread.
-        let fmt = self.fmt;
-        let mut parts = std::mem::take(&mut self.spare);
-        parts.resize_with(starts.len(), Part::default);
-        let mut previous = std::mem::take(&mut self.pending);
-        rayon::join(
-            || self.commit(&mut previous),
-            || {
-                let jobs: Vec<_> = parts.iter_mut().zip(starts).collect();
-                jobs.into_par_iter()
-                    .for_each(|(part, (text, line0, v0))| part.parse(text, line0, v0, fmt));
-            },
-        );
-        self.spare = previous;
-        if self.done() {
-            self.spare = parts; // parsed past the first error or the last vertex
-        } else {
-            self.pending = parts;
-        }
+        // Past the first error or the last vertex only the totals matter.
+        let rest = &bytes[at..];
+        self.lines += newlines(rest) + usize::from(!rest.is_empty() && !rest.ends_with(b"\n"));
         Ok(())
     }
 
-    /// Whether the body has stopped at an error or at trailing content.
-    fn done(&self) -> bool {
-        self.deferred.is_some() || self.trailing.is_some()
-    }
-
-    /// Append the forward ranges of the parsed `parts` to the arenas, then
-    /// run Phase B, resolving their backward listings, and take their
-    /// first error.
-    fn commit(&mut self, parts: &mut [Part]) {
-        // Every part up to the first that stopped at an error has final
-        // forward ranges.
-        let live = parts
-            .iter()
-            .position(|p| p.error.is_some())
-            .map_or(parts.len(), |i| i + 1);
-        for p in &parts[..live] {
-            let base = self.edges.len();
-            self.weights.extend_from_slice(&p.weights);
-            self.off.extend(p.ends.iter().map(|&e| base + e));
-            self.edges.extend_from_slice(&p.arcs);
-            self.costs.extend_from_slice(&p.costs);
+    /// Append the block's forward ranges to the arenas, then resolve its
+    /// backward listings against them, and take its first error: a
+    /// backward listing's comes first, since every listing precedes the
+    /// point where parsing stopped.
+    fn commit(&mut self) {
+        let block = &mut self.block;
+        let base = self.edges.len();
+        self.weights.extend_from_slice(&block.weights);
+        self.off.extend(block.ends.iter().map(|&e| base + e));
+        self.edges.extend_from_slice(&block.arcs);
+        self.costs.extend_from_slice(&block.costs);
+        self.matched.resize(self.edges.len(), false);
+        self.half_edges += block.half_edges;
+        self.trailing = block.trailing;
+        for b in &block.back {
+            let (start, end) = (self.off[b.lo as usize], self.off[b.lo as usize + 1]);
+            let error = match self.edges[start..end].binary_search_by_key(&b.hi, |a| a.1) {
+                Ok(i) => {
+                    let idx = start + i;
+                    let stored = if self.fmt.has_eweights {
+                        self.costs[idx]
+                    } else {
+                        1.0
+                    };
+                    if costs_differ(stored, b.cost) {
+                        asym_weight(b.line, b.lo, b.hi, stored, b.cost)
+                    } else if self.matched[idx] {
+                        listed_twice(b.line, b.lo as usize + 1, b.hi as usize)
+                    } else {
+                        self.matched[idx] = true;
+                        continue;
+                    }
+                }
+                // Only vertex `hi`'s own line can list `(lo, hi)`, so a
+                // repeat is a same-line duplicate of a one-sided listing.
+                Err(_) => match self.orphans.get(&(b.lo, b.hi)) {
+                    Some(&first) if costs_differ(first, b.cost) => {
+                        asym_weight(b.line, b.lo, b.hi, first, b.cost)
+                    }
+                    Some(_) => listed_twice(b.line, b.lo as usize + 1, b.hi as usize),
+                    None => {
+                        self.orphans.insert((b.lo, b.hi), b.cost);
+                        continue;
+                    }
+                },
+            };
+            self.deferred = Some(error);
+            return;
         }
-        self.matched
-            .resize_with(self.edges.len(), AtomicBool::default);
-
-        // Phase B: resolve the backward listings against them.
-        let arena = Arena {
-            off: &self.off,
-            edges: &self.edges,
-            costs: self.fmt.has_eweights.then_some(self.costs.as_slice()),
-            matched: &self.matched,
-        };
-        let jobs: Vec<_> = parts[..live].iter_mut().collect();
-        jobs.into_par_iter().for_each(|part| part.resolve(&arena));
-
-        let held = parts.iter().map(Part::bytes).sum::<u64>();
-        self.parts_peak = self.parts_peak.max(held);
-        for p in &mut parts[..live] {
-            self.half_edges += p.half_edges;
-            self.hits += p.hits;
-            self.orphans.extend_from_slice(&p.orphans);
-            self.trailing = self.trailing.or(p.trailing);
-            if let Some(e) = p.first_error() {
-                self.deferred = Some(e);
-                break;
-            }
-        }
+        self.deferred = block.error.take();
     }
 
     /// End of input: the plausibility caps, then the deferred and
@@ -980,13 +821,14 @@ impl Body {
         if let Some(e) = self.deferred {
             return Err(e);
         }
-        if self.data_lines < n {
+        let parsed = self.off.len() - 1;
+        if parsed < n {
             return Err(MetisError::BadLine {
                 line: self.lines,
                 what: format!(
                     "missing adjacency line for vertex {} (isolated vertices must be \
                      written with vertex weights; bare empty lines are skipped)",
-                    self.data_lines + 1
+                    parsed + 1
                 ),
             });
         }
@@ -996,19 +838,16 @@ impl Body {
 
         // Every edge must have been listed from both endpoints; report the
         // smallest offending pair so the error is deterministic. Forward
-        // arcs are in ascending (lo, hi) order, so the first unmatched one
-        // is already minimal among them.
-        let mut asym: Option<(u32, u32, bool)> = None;
-        if self.hits != self.edges.len() {
-            let first = self.matched.iter().position(|f| !f.load(Ordering::Relaxed));
-            asym = first.map(|i| (self.edges[i].0, self.edges[i].1, true));
-        }
-        for &(lo, hi, _) in &self.orphans {
-            if asym.is_none_or(|(a, b, _)| (lo, hi) < (a, b)) {
-                asym = Some((lo, hi, false));
-            }
-        }
-        if let Some((lo, hi, by_lower)) = asym {
+        // arcs are in ascending (lo, hi) order and the one-sided listings
+        // are keyed by it, so each side's first is its minimum, and no
+        // one-sided listing shares a forward arc's pair.
+        let forward = self
+            .matched
+            .iter()
+            .position(|&f| !f)
+            .map(|i| (self.edges[i], true));
+        let orphan = self.orphans.keys().next().map(|&pair| (pair, false));
+        if let Some(((lo, hi), by_lower)) = forward.into_iter().chain(orphan).min() {
             let (listed_by, missing_from) = if by_lower { (lo, hi) } else { (hi, lo) };
             return Err(MetisError::AsymmetricAdjacency {
                 listed_by: listed_by as usize + 1,
@@ -1030,18 +869,17 @@ impl Body {
             vec![1.0; m_found]
         };
         // Record the ingestion high water on the thread's workspace, the
-        // RSS proxy the scale-path tests budget: the arenas; the block and
-        // part buffers, still held; and what the CSR assembly adds to the
+        // RSS proxy the scale-path tests budget: the arenas, the block's
+        // text and parse buffers, and what the CSR assembly adds to the
         // edge list (2m adjacency entries and the `u32` offsets with their
         // fill cursor).
         let arena_bytes = vec_bytes(&self.edges)
             + vec_bytes(&self.matched)
             + vec_bytes(&self.off)
-            + vec_bytes(&self.orphans)
             + vec_bytes(&self.weights)
             + vec_bytes(&costs)
             + self.block_peak
-            + 2 * self.parts_peak
+            + self.block.bytes()
             + 2 * vec_bytes(&self.edges)
             + 2 * 4 * (n as u64 + 1);
         Workspace::with_local(|ws| ws.note_transient_arena_bytes(arena_bytes));
@@ -1060,26 +898,22 @@ impl Body {
 ///
 /// The header is read line by line. The body is pulled through
 /// [`BufRead::fill_buf`] in blocks of about 1 MiB that end at a line end,
-/// so the reader holds one block of text at a time. Each block is checked
-/// for UTF-8 and cut at line ends into one part per
-/// [`rayon::current_num_threads`], and a parallel pass counts each part's
-/// data lines, which fixes every line's vertex id. Then:
-///
-/// * **A**, parse, in parallel over the parts: each data line's weights,
-///   its forward arcs (neighbors above it, sorted when the line ends) and
-///   its backward listings (neighbors below it).
-/// * **Commit**: the forward ranges go to flat arenas, one offset per
-///   vertex, in canonical `(lo, hi)` order. Then **B**, resolve, in
-///   parallel over the parts: each backward listing is binary-searched in
-///   its lower endpoint's final forward range, its cost checked against
-///   the stored one, and the arc marked matched; no hash map over the
-///   edges. A block's commit runs beside Phase A of the next block.
-///
-/// [`Graph::from_sorted_edges`] then assembles the arena's edge list into
+/// so the reader holds one block of text at a time; each block is checked
+/// for UTF-8 and parsed on the calling thread. A plain line (ASCII
+/// separators, every number a token of at most 15 digits, no error) is
+/// parsed in one pass over its bytes; any other line goes through
+/// `str::split_whitespace` and `str::parse`, as the line-at-a-time reader
+/// did. A block's forward arcs (each edge as seen from its lower
+/// endpoint), sorted per vertex when its line completes, then join flat
+/// arenas — the edge list itself, costs and matched flags in parallel
+/// vectors, one offset per vertex — and the block's backward listings
+/// (from the higher endpoint) resolve by binary search in them, not
+/// through a hash map. The arena lists every edge once in canonical
+/// `(lo, hi)` order, which [`Graph::from_sorted_edges`] assembles into
 /// the CSR. Peak memory is a small constant factor of the output graph
-/// plus the buffers of two blocks, and is recorded on the thread-local
-/// [`Workspace`] as a transient arena charge. The result does not depend
-/// on the thread count or on how the reader delivers its bytes.
+/// plus one block, and is recorded on the thread-local [`Workspace`] as a
+/// transient arena charge. The result does not depend on how the reader
+/// delivers its bytes.
 ///
 /// The plausibility caps of [`MetisError::ImplausibleHeader`] need the
 /// document's total line and byte counts, which a stream only knows at end

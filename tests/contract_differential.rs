@@ -12,8 +12,8 @@
 //!   differ);
 //! * the heavy-edge matching that scanned every free vertex's adjacency.
 //!   The matching that first takes each vertex's precomputed heaviest
-//!   neighbor must return the same map and coarse vertex count, under one,
-//!   two and three threads.
+//!   neighbor must return the same map and coarse vertex count, under one
+//!   thread and under two.
 //!
 //! Inputs:
 //!
@@ -23,9 +23,7 @@
 //! * graphs: a 64 × 64 grid, a torus, a random geometric graph, a random
 //!   tree, preferential attachment, Watts–Strogatz, and a star and a
 //!   complete graph, whose gather buffers are large and whose matchings
-//!   fall back to the adjacency scan most often; the matching suite adds
-//!   a grid and a Watts–Strogatz graph large enough to split the
-//!   heaviest-neighbor pass over threads;
+//!   fall back to the adjacency scan most often;
 //! * costs and weights: unit, seeded uniform `[0.5, 1.5)`, zeros of both
 //!   signs, and an order-sensitive family drawn from `{1e16, 1, 3}`, where
 //!   a sum depends on the order of its terms;
@@ -316,16 +314,13 @@ fn contraction_corner_cases() {
 
 #[test]
 fn heaviest_neighbor_matching_matches_the_scanning_loop() {
-    let mut graphs = graphs();
-    graphs.push(("grid 150x120", GridGraph::lattice(&[150, 120]).graph));
-    graphs.push(("watts-strogatz 20000", watts_strogatz(20_000, 3, 0.2, 7)));
-    for (name, g) in graphs {
+    for (name, g) in graphs() {
         for (i, family) in VALUES.into_iter().enumerate() {
             let costs = values(family, g.num_edges(), 11 + i as u64);
             for seed in 1..=3 {
                 let want =
                     reference::heavy_edge_matching(&g, &costs, &mut StdRng::seed_from_u64(seed));
-                for threads in [1, 2, 3] {
+                for threads in [1, 2] {
                     let got = rayon::with_num_threads(threads, || {
                         heavy_edge_matching(&g, &costs, &mut StdRng::seed_from_u64(seed))
                     });

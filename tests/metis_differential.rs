@@ -1,4 +1,4 @@
-//! Differential suite for the block-parallel METIS reader
+//! Differential suite for the block METIS reader
 //! (`mmb_graph::io::parse_metis_reader`).
 //!
 //! [`reference`] keeps the line-at-a-time reader that preceded it,
@@ -6,17 +6,17 @@
 //! what the oracle returns: an equal CSR (edge list and every
 //! `(neighbor, edge id)` list) with equal weight and cost bits
 //! (`to_bits`), or an equal [`MetisError`]. Each document runs under one
-//! thread and under two (so a block is cut into two parts), from one
-//! buffer and through a reader that trickles three bytes per `read` into
-//! a 7-byte `BufReader`.
+//! thread and under two, so the result cannot come to depend on the
+//! thread count, from one buffer and through a reader that trickles
+//! three bytes per `read` into a 7-byte `BufReader`.
 //!
 //! Documents: every quick-corpus entry, plain, with CRLF endings and
 //! decorated with comments and blank lines; the weighted-format variants;
 //! one malformed document per error family; NBSP, U+3000 and `\x0B` as
 //! separators; `+2` ids and `5.0` / `5e0` costs; no final newline;
 //! invalid UTF-8 after an earlier body error; a 320² grid document that
-//! spans several blocks, intact (also under four threads) and damaged
-//! in its last block and mid-document; the case the fuzz loop found; and
+//! spans several blocks, intact and damaged in its last block and
+//! mid-document; the case the fuzz loop found; and
 //! a seeded fuzz loop that mutates corpus documents (drop, duplicate or
 //! swap a token or a line, flip a byte, insert whitespace, `\r`, a
 //! comment or a sign).
@@ -29,7 +29,7 @@ use mmb_graph::io::{parse_metis_reader, write_metis, MetisError, MetisGraph};
 use mmb_instances::corpus::Corpus;
 use proptest::test_runner::TestRng;
 
-/// The line-at-a-time reader that preceded the block-parallel one, kept
+/// The line-at-a-time reader that preceded the block reader, kept
 /// verbatim as the oracle.
 mod reference {
     use std::io::BufRead;
@@ -753,7 +753,7 @@ fn invalid_utf8_outranks_every_body_error() {
 }
 
 /// A 320 × 320 grid document (BENCH_6 weights, costs from integers and
-/// fractions), about 4 MB: several blocks and several parts per block.
+/// fractions), about 4 MB: several blocks.
 fn grid_document() -> String {
     let g = GridGraph::lattice(&[320, 320]).graph;
     let weights: Vec<f64> = (0..g.num_vertices())
@@ -774,10 +774,6 @@ fn grid_document_spanning_several_blocks_matches_the_oracle() {
     let doc = grid_document();
     assert!(doc.len() > 3 << 20, "{} bytes", doc.len());
     let want = check(doc.as_bytes(), "grid 320x320");
-    // Four threads run Phase A's parts and Phase B's in parallel beside
-    // each other, which one and two threads never do.
-    let four = rayon::with_num_threads(4, || parse_metis_reader(doc.as_bytes()));
-    assert_same("grid 320x320 (4 threads)", &four, &want);
     let parsed = want.expect("the grid parses");
     assert_eq!(parsed.graph.num_vertices(), 320 * 320);
 

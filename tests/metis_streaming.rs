@@ -12,7 +12,7 @@
 //! Fixtures cover the quick corpus (all graph families × both weight/cost
 //! profiles) plus CRLF, comment/blank-line, and weighted-format variants.
 //! `tests/metis_differential.rs` holds both paths to the line-at-a-time
-//! reader that preceded the block-parallel one.
+//! reader that preceded the block reader.
 
 use std::io::{BufReader, Read};
 
