@@ -17,8 +17,6 @@ use mmb_graph::measure::{set_max, set_sum};
 use mmb_graph::{Coloring, VertexSet};
 use mmb_splitters::Splitter;
 
-use crate::strict::carve_classes;
-
 /// `BinPack1` (Lemma 15).
 ///
 /// * `chi0` must be total on `w0_set`.
@@ -39,7 +37,7 @@ pub fn binpack1<S: Splitter + ?Sized>(
     assert_eq!(w1.len(), k, "w1 must have one entry per color");
     let wmax = wmax.max(set_max(weights, w0_set));
 
-    let classes = chi0.class_sets_within(w0_set);
+    let mut classes = chi0.class_sets_within(w0_set);
     let cw = |c: &VertexSet| set_sum(weights, c);
     let w_total: f64 = classes.iter().map(&cw).sum::<f64>() + w1.iter().sum::<f64>();
     let w_star = w_total / k as f64;
@@ -50,43 +48,37 @@ pub fn binpack1<S: Splitter + ?Sized>(
     }
 
     // Step 2: shed pieces of weight ∈ [‖w‖∞, 2‖w‖∞] from overweight colors
-    // until every color satisfies w + w₁ ≤ w*. Colors shed independently
-    // (the buffer only collects), so [`carve_classes`] fans the cut-down
-    // out per color.
-    let (mut classes, mut buffer) = carve_classes(
-        classes.into_iter().zip(w1.iter().copied()),
-        w0_set.len(),
-        |(mut class, w1_i): (VertexSet, f64)| {
-            let mut pieces = Vec::new();
-            while cw(&class) + w1_i > w_star && !class.is_empty() {
-                let class_weight = cw(&class);
-                let x = if class_weight <= 2.0 * wmax {
-                    std::mem::replace(&mut class, VertexSet::empty(n))
+    // until every color satisfies w + w₁ ≤ w*. Colors shed in color order,
+    // so the buffer holds color 0's pieces first.
+    let mut buffer = Vec::new();
+    for (class, &w1_i) in classes.iter_mut().zip(w1) {
+        while cw(class) + w1_i > w_star && !class.is_empty() {
+            let class_weight = cw(class);
+            let x = if class_weight <= 2.0 * wmax {
+                std::mem::replace(class, VertexSet::empty(n))
+            } else {
+                let x = splitter.split(class, weights, 1.5 * wmax);
+                if x.is_empty() || set_sum(weights, &x) <= 0.0 {
+                    // Defensive: peel the heaviest single vertex instead.
+                    // total_cmp + id tie-break (max_by is last-wins, so
+                    // `then(b.cmp(&a))` makes the lowest id win ties).
+                    let heaviest = class
+                        .iter()
+                        .max_by(|&a, &b| {
+                            weights[a as usize]
+                                .total_cmp(&weights[b as usize])
+                                .then(b.cmp(&a))
+                        })
+                        .expect("class is non-empty");
+                    VertexSet::from_iter(n, [heaviest])
                 } else {
-                    let x = splitter.split(&class, weights, 1.5 * wmax);
-                    if x.is_empty() || set_sum(weights, &x) <= 0.0 {
-                        // Defensive: peel the heaviest single vertex instead.
-                        // total_cmp + id tie-break (max_by is last-wins, so
-                        // `then(b.cmp(&a))` makes the lowest id win ties).
-                        let heaviest = class
-                            .iter()
-                            .max_by(|&a, &b| {
-                                weights[a as usize]
-                                    .total_cmp(&weights[b as usize])
-                                    .then(b.cmp(&a))
-                            })
-                            .expect("class is non-empty");
-                        VertexSet::from_iter(n, [heaviest])
-                    } else {
-                        x
-                    }
-                };
-                class.difference_with(&x);
-                pieces.push(x);
-            }
-            (class, pieces)
-        },
-    );
+                    x
+                }
+            };
+            class.difference_with(&x);
+            buffer.push(x);
+        }
+    }
 
     // Step 3: refill colors that are far below the average.
     while let Some(i) = (0..k).find(|&i| cw(&classes[i]) + w1[i] < w_star - 2.0 * wmax) {

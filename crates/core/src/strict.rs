@@ -37,43 +37,6 @@
 use mmb_graph::measure::set_sum;
 use mmb_graph::{Coloring, Graph, VertexId, VertexSet};
 use mmb_splitters::Splitter;
-use rayon::prelude::*;
-
-/// Below this working-set size the per-class carving of `BinPack1/2` runs
-/// inline: thread-spawn overhead would exceed the carve work itself on the
-/// small sets deep in the shrink recursion.
-pub(crate) const PAR_CARVE_MIN_VERTICES: usize = 2048;
-
-/// Shared fan-out of the `BinPack1/2` cut-down step: run `shed` over every
-/// carving work item — on the thread pool when the working set is large
-/// enough to amortize worker spawn, inline otherwise — and re-assemble the
-/// surviving classes and carved pieces, in whatever form the caller keeps
-/// them, in class order, which makes the result bit-identical to the
-/// sequential loop for any thread count.
-pub(crate) fn carve_classes<T, C, P, F>(
-    items: impl IntoIterator<Item = T>,
-    working_set_len: usize,
-    shed: F,
-) -> (Vec<C>, Vec<P>)
-where
-    T: Send,
-    C: Send,
-    P: Send,
-    F: Fn(T) -> (C, Vec<P>) + Sync,
-{
-    let carved: Vec<(C, Vec<P>)> = if working_set_len >= PAR_CARVE_MIN_VERTICES {
-        items.into_par_iter().map(shed).collect()
-    } else {
-        items.into_iter().map(shed).collect()
-    };
-    let mut classes = Vec::with_capacity(carved.len());
-    let mut buffer = Vec::new();
-    for (class, pieces) in carved {
-        classes.push(class);
-        buffer.extend(pieces);
-    }
-    (classes, buffer)
-}
 
 /// Greedy-lightest: each vertex of `order`, in turn, goes to the class
 /// with the smallest entry of `loads` (ties to the lowest index), whose
@@ -146,39 +109,33 @@ pub fn binpack2<S: Splitter + ?Sized>(
     // Step 2: cut every class down to ≤ w*. One pass over the domain
     // sorts it into classes and lists each class's heavy vertices. Claim
     // 4 takes the first heavy vertex still in the class; the class only
-    // shrinks, so a forward cursor over that list finds it. Classes are
-    // carved independently (the buffer only collects), so
-    // [`carve_classes`] fans the cut-down out per class.
-    let mut sorted: Vec<(Class, Vec<VertexId>)> =
-        (0..k).map(|_| (Class::empty(n), Vec::new())).collect();
+    // shrinks, so a forward cursor over that list finds it. Classes shed
+    // in class order, so the buffer holds class 0's pieces first.
+    let mut classes: Vec<Class> = (0..k).map(|_| Class::empty(n)).collect();
+    let mut heavy: Vec<Vec<VertexId>> = vec![Vec::new(); k];
     for v in domain.iter() {
         if let Some(c) = chi.get(v) {
-            let (class, heavy) = &mut sorted[c as usize];
+            let class = &mut classes[c as usize];
             class.set.insert(v);
             class.weight += weights[v as usize];
             if weights[v as usize] >= wmax / 2.0 {
-                heavy.push(v);
+                heavy[c as usize].push(v);
             }
         }
     }
-    let (mut classes, mut buffer) = carve_classes(
-        sorted,
-        domain.len(),
-        |(mut class, heavy): (Class, Vec<VertexId>)| {
-            let mut heavy = heavy.into_iter();
-            let mut pieces = Vec::new();
-            while class.exceeds(w_star + 1e-12 * total, weights) && !class.set.is_empty() {
-                let x = match heavy.next() {
-                    Some(v) => vec![v],
-                    None => split_piece(splitter, &mut class, weights, wmax),
-                };
-                debug_assert!(!x.is_empty());
-                class.shed(&x, weights, drift);
-                pieces.push(x);
-            }
-            (class, pieces)
-        },
-    );
+    let mut buffer = Vec::new();
+    for (class, heavy) in classes.iter_mut().zip(heavy) {
+        let mut heavy = heavy.into_iter();
+        while class.exceeds(w_star + 1e-12 * total, weights) && !class.set.is_empty() {
+            let x = match heavy.next() {
+                Some(v) => vec![v],
+                None => split_piece(splitter, class, weights, wmax),
+            };
+            debug_assert!(!x.is_empty());
+            class.shed(&x, weights, drift);
+            buffer.push(x);
+        }
+    }
 
     // Step 3: refill classes below the strict lower envelope. The
     // averaging argument (see module docs) guarantees the buffer cannot be

@@ -258,31 +258,56 @@ fn invalid_utf8(line: usize) -> MetisError {
 /// line end (a single longer line makes a longer block).
 const BLOCK_BYTES: usize = 1 << 20;
 
-/// `char::is_whitespace` on ASCII bytes (`u8::is_ascii_whitespace` omits
-/// `\x0B`), so an ASCII line splits exactly as `str::split_whitespace`
-/// splits it.
+/// `char::is_whitespace` on an ASCII byte (`u8::is_ascii_whitespace`
+/// omits `\x0B`). Tokens split at every `char::is_whitespace`, as
+/// `str::split_whitespace` splits them; an ASCII byte is tested here
+/// directly, any other character by [`wide_char`].
 fn is_space(b: u8) -> bool {
     matches!(b, b' ' | b'\t'..=b'\r')
 }
 
-/// Whether a raw line is data: not blank and not a `%` comment once
-/// trimmed.
-fn is_data(line: &str) -> bool {
-    line.trim_start().bytes().next().is_some_and(|b| b != b'%')
+/// Whether the character at `text[p..]`, which starts with a byte ≥ 0x80
+/// (NBSP, U+3000, NEL or a full-width digit, say), is whitespace, and its
+/// length in bytes: one `char` decoded, off the hot path.
+#[cold]
+fn wide_char(text: &str, p: usize) -> (bool, usize) {
+    text[p..]
+        .chars()
+        .next()
+        .map_or((false, 1), |c| (c.is_whitespace(), c.len_utf8()))
 }
 
 /// The first byte at or after `p` that is not whitespace other than `\n`.
-fn skip_blanks(b: &[u8], mut p: usize) -> usize {
-    while p < b.len() && b[p] != b'\n' && is_space(b[p]) {
-        p += 1;
+fn skip_blanks(text: &str, mut p: usize) -> usize {
+    let b = text.as_bytes();
+    while p < b.len() && b[p] != b'\n' {
+        if is_space(b[p]) {
+            p += 1;
+        } else if b[p].is_ascii() {
+            break;
+        } else {
+            match wide_char(text, p) {
+                (true, len) => p += len,
+                (false, _) => break,
+            }
+        }
     }
     p
 }
 
-/// A token of at most 15 digits at `b[*p..]`, moving `*p` past it; `None`,
-/// leaving `*p`, for any other token. Such a value is below `2^53`, so it
-/// converts to `f64` exactly.
-fn digits(b: &[u8], p: &mut usize) -> Option<u64> {
+/// Where the line holding `b[p]` ends, past its `\n`.
+fn next_line(b: &[u8], p: usize) -> usize {
+    b[p..]
+        .iter()
+        .position(|&c| c == b'\n')
+        .map_or(b.len(), |i| p + i + 1)
+}
+
+/// A token of at most 15 digits at `text[*p..]`, moving `*p` past it;
+/// `None`, leaving `*p`, for any other token. Such a value is below
+/// `2^53`, so it converts to `f64` exactly.
+fn digits(text: &str, p: &mut usize) -> Option<u64> {
+    let b = text.as_bytes();
     let (mut end, mut x) = (*p, 0u64);
     while end < b.len() && end - *p < 16 {
         let d = b[end].wrapping_sub(b'0');
@@ -292,38 +317,66 @@ fn digits(b: &[u8], p: &mut usize) -> Option<u64> {
         x = 10 * x + u64::from(d);
         end += 1;
     }
-    let whole = end > *p && end - *p <= 15 && b.get(end).is_none_or(|&c| is_space(c));
+    let whole = end > *p
+        && end - *p <= 15
+        && b.get(end)
+            .is_none_or(|&c| is_space(c) || (!c.is_ascii() && wide_char(text, end).0));
     whole.then(|| {
         *p = end;
         x
     })
 }
 
-/// The token at `text[*p..]`, up to the ASCII whitespace that ends it,
-/// moving `*p` past it.
-fn token<'a>(text: &'a str, p: &mut usize) -> Option<&'a str> {
-    let start = *p;
-    let b = text.as_bytes();
-    while *p < b.len() && !is_space(b[*p]) {
-        *p += 1;
+/// The token at `text[*p..]`, up to the whitespace that ends it, moving
+/// `*p` past it.
+fn token<'a>(text: &'a str, p: &mut usize) -> &'a str {
+    let (b, start) = (text.as_bytes(), *p);
+    while let Some(&c) = b.get(*p) {
+        let (space, len) = if c.is_ascii() {
+            (is_space(c), 1)
+        } else {
+            wide_char(text, *p)
+        };
+        if space {
+            break;
+        }
+        *p += len;
     }
-    text.get(start..*p)
+    &text[start..*p]
 }
 
-/// The token at `text[*p..]` as `str::parse::<f64>` reads it.
+/// The token at `text[*p..]` as `str::parse::<f64>` reads it, moving `*p`
+/// past it.
 fn value(text: &str, p: &mut usize) -> Option<f64> {
-    match digits(text.as_bytes(), p) {
+    match digits(text, p) {
         Some(x) => Some(x as f64),
-        None => token(text, p)?.parse().ok(),
+        None => token(text, p).parse().ok(),
     }
 }
 
-/// The token at `text[*p..]` as `str::parse::<usize>` reads it.
+/// The token at `text[*p..]` as `str::parse::<usize>` reads it, moving
+/// `*p` past it.
 fn id(text: &str, p: &mut usize) -> Option<usize> {
-    match digits(text.as_bytes(), p) {
+    match digits(text, p) {
         Some(x) => usize::try_from(x).ok(),
-        None => token(text, p)?.parse().ok(),
+        None => token(text, p).parse().ok(),
     }
+}
+
+/// A vertex line's error, formatted off the hot path.
+#[cold]
+fn bad_line(line: usize, what: std::fmt::Arguments) -> MetisError {
+    MetisError::BadLine {
+        line,
+        what: what.to_string(),
+    }
+}
+
+/// The error for the token at `text[p..]`, which does not parse: `what`,
+/// then the token quoted.
+#[cold]
+fn bad_token(line: usize, what: &str, text: &str, mut p: usize) -> MetisError {
+    bad_line(line, format_args!("{what} '{}'", token(text, &mut p)))
 }
 
 fn last_line_end(bytes: &[u8]) -> Option<usize> {
@@ -389,8 +442,10 @@ impl Block {
 
     /// Parse the vertex lines of `text`, whose first raw line follows line
     /// `*lno` and whose first data line is vertex `v`, until the first
-    /// error or the first data line after the last vertex. Returns where
-    /// it stopped, with `*lno` at the last line it read.
+    /// error or the first data line after the last vertex. Each raw line
+    /// is read once: past its leading whitespace, a line that ends or
+    /// starts with `%` is decoration, and any other line is data. Returns
+    /// where it stopped, with `*lno` at the last line it read.
     fn parse(&mut self, text: &str, lno: &mut usize, mut v: usize, fmt: Format) -> usize {
         self.weights.clear();
         self.ends.clear();
@@ -398,113 +453,31 @@ impl Block {
         self.costs.clear();
         self.back.clear();
         self.half_edges = 0;
+        let b = text.as_bytes();
         let mut at = 0;
         while at < text.len() {
             *lno += 1;
-            if v < fmt.n {
-                let mark = self.mark();
-                if let Some(next) = self.fast_line(text, at, v, *lno, fmt) {
-                    (at, v) = (next, v + 1);
-                    continue;
-                }
-                self.rewind(mark);
-            }
-            let end = text[at..].find('\n').map_or(text.len(), |i| at + i + 1);
-            let line = &text[at..end];
-            at = end;
-            if !is_data(line) {
+            let p = skip_blanks(text, at);
+            if matches!(b.get(p), None | Some(b'\n' | b'%')) {
+                at = next_line(b, p);
                 continue;
             }
             if v >= fmt.n {
                 self.trailing = Some(*lno);
-                break;
+                return next_line(b, p);
             }
-            if let Err(e) = self.vertex_line(v, *lno, line, fmt) {
-                // The line's backward listings precede the error and are
-                // still resolved; its forward arcs lie past the last
-                // `ends` entry, where nothing reads them.
-                self.error = Some(e);
-                break;
+            match self.vertex_line(text, p, v, *lno, fmt) {
+                Ok(next) => (at, v) = (next, v + 1),
+                Err(e) => {
+                    // The line's backward listings precede the error and
+                    // are still resolved; its forward arcs lie past the
+                    // last `ends` entry, where nothing reads them.
+                    self.error = Some(e);
+                    return next_line(b, p);
+                }
             }
-            v += 1;
         }
         at
-    }
-
-    /// The lengths a line may grow, to undo it.
-    fn mark(&self) -> [usize; 4] {
-        [
-            self.weights.len(),
-            self.arcs.len(),
-            self.back.len(),
-            self.half_edges,
-        ]
-    }
-
-    fn rewind(&mut self, [weights, arcs, back, half_edges]: [usize; 4]) {
-        self.weights.truncate(weights);
-        self.arcs.truncate(arcs);
-        self.costs.truncate(arcs);
-        self.back.truncate(back);
-        self.half_edges = half_edges;
-    }
-
-    /// Parse vertex `v`'s line at `text[at..]` in one pass over its bytes,
-    /// with tokens split at ASCII whitespace. Returns where the next line
-    /// starts, or `None` for a blank or comment line, a line with an
-    /// error, or a token that is no number (one holding non-ASCII
-    /// whitespace, say): the caller rewinds and hands that line to
-    /// [`Block::vertex_line`].
-    fn fast_line(
-        &mut self,
-        text: &str,
-        at: usize,
-        v: usize,
-        lno: usize,
-        fmt: Format,
-    ) -> Option<usize> {
-        let b = text.as_bytes();
-        let line_end = |p: usize| matches!(b.get(p), None | Some(b'\n'));
-        let vv = u32::try_from(v).ok().filter(|&x| x != u32::MAX)?;
-        let mut p = skip_blanks(b, at);
-        if line_end(p) || b[p] == b'%' {
-            return None;
-        }
-        let mut wv = 1.0;
-        for c in 0..fmt.ncon {
-            if line_end(p) {
-                return None;
-            }
-            let w = value(text, &mut p)?;
-            if c == 0 {
-                wv = w;
-            }
-            p = skip_blanks(b, p);
-        }
-        self.weights.push(wv);
-        let start = self.arcs.len();
-        while !line_end(p) {
-            let nb1 = id(text, &mut p)?;
-            if nb1 == 0 || nb1 > fmt.n || nb1 - 1 == v || nb1 > u32::MAX as usize {
-                return None;
-            }
-            p = skip_blanks(b, p);
-            let cost = if fmt.has_eweights {
-                if line_end(p) {
-                    return None;
-                }
-                let c = value(text, &mut p)?;
-                p = skip_blanks(b, p);
-                c
-            } else {
-                1.0
-            };
-            self.half_edges += 1;
-            self.push_arc(vv, (nb1 - 1) as u32, cost, lno, fmt.has_eweights);
-        }
-        self.finish_line(start, vv, lno, fmt.has_eweights).ok()?;
-        self.ends.push(self.arcs.len());
-        Some((p + 1).min(b.len()))
     }
 
     /// Record `v`'s listing of neighbor `u`: a forward arc when `u` is
@@ -525,64 +498,78 @@ impl Block {
         }
     }
 
-    /// Parse vertex `v`'s line through `str::split_whitespace` and
-    /// `str::parse`, as the line-at-a-time reader did: weights, then
-    /// `(neighbor [cost])*`, stopping at the first error in token order.
+    /// Parse vertex `v`'s line, whose first token starts at `text[p..]`, in
+    /// one pass over its bytes: weights, then `(neighbor [cost])*`. Returns
+    /// where the next line starts, or the first error in token order (the
+    /// same-line duplicate check at the line's end comes last).
     fn vertex_line(
         &mut self,
+        text: &str,
+        mut p: usize,
         v: usize,
         lno: usize,
-        line: &str,
         fmt: Format,
-    ) -> Result<(), MetisError> {
-        let bad = |what: String| MetisError::BadLine { line: lno, what };
+    ) -> Result<usize, MetisError> {
+        let b = text.as_bytes();
+        let line_end = |p: usize| matches!(b.get(p), None | Some(b'\n'));
+        let bad = |what: std::fmt::Arguments<'_>| Err(bad_line(lno, what));
         if v >= u32::MAX as usize {
             // Unreachable for plausible headers (the caps bound n by the
             // line count), but keeps the casts honest.
-            return Err(bad(format!("vertex {} exceeds the u32 id space", v + 1)));
+            return bad(format_args!("vertex {} exceeds the u32 id space", v + 1));
         }
         let vv = v as u32;
-        let mut tok = line.split_whitespace();
         let mut wv = 1.0;
         for c in 0..fmt.ncon {
-            let Some(w) = tok.next() else {
-                return Err(bad("missing vertex weight".into()));
-            };
-            match w.parse::<f64>() {
-                Ok(val) if c == 0 => wv = val,
-                Ok(_) => {}
-                Err(_) => return Err(bad(format!("bad vertex weight '{w}'"))),
+            if line_end(p) {
+                return bad(format_args!("missing vertex weight"));
             }
+            let t = p;
+            let Some(w) = value(text, &mut p) else {
+                return Err(bad_token(lno, "bad vertex weight", text, t));
+            };
+            if c == 0 {
+                wv = w;
+            }
+            p = skip_blanks(text, p);
         }
         self.weights.push(wv);
         let start = self.arcs.len();
-        while let Some(nb) = tok.next() {
-            let nb1 = parse_count(nb, lno)?;
+        while !line_end(p) {
+            let t = p;
+            let Some(nb1) = id(text, &mut p) else {
+                return Err(bad_token(lno, "expected integer, got", text, t));
+            };
             if nb1 == 0 || nb1 > fmt.n {
-                return Err(bad(format!("neighbor {nb1} out of range 1..={}", fmt.n)));
+                return bad(format_args!("neighbor {nb1} out of range 1..={}", fmt.n));
             }
+            p = skip_blanks(text, p);
             let cost = if fmt.has_eweights {
-                let Some(c) = tok.next() else {
-                    return Err(bad("missing edge weight".into()));
+                if line_end(p) {
+                    return bad(format_args!("missing edge weight"));
+                }
+                let t = p;
+                let Some(c) = value(text, &mut p) else {
+                    return Err(bad_token(lno, "bad edge weight", text, t));
                 };
-                c.parse::<f64>()
-                    .map_err(|_| bad(format!("bad edge weight '{c}'")))?
+                p = skip_blanks(text, p);
+                c
             } else {
                 1.0
             };
-            let u_us = nb1 - 1;
-            if u_us == v {
-                return Err(bad(format!("self-loop on vertex {}", v + 1)));
+            let u = nb1 - 1;
+            if u == v {
+                return bad(format_args!("self-loop on vertex {}", v + 1));
             }
             self.half_edges += 1;
-            if u_us >= u32::MAX as usize {
-                return Err(bad(format!("neighbor {nb1} exceeds the u32 id space")));
+            if u >= u32::MAX as usize {
+                return bad(format_args!("neighbor {nb1} exceeds the u32 id space"));
             }
-            self.push_arc(vv, u_us as u32, cost, lno, fmt.has_eweights);
+            self.push_arc(vv, u as u32, cost, lno, fmt.has_eweights);
         }
         self.finish_line(start, vv, lno, fmt.has_eweights)?;
         self.ends.push(self.arcs.len());
-        Ok(())
+        Ok((p + 1).min(b.len()))
     }
 
     /// Sort the forward range `arcs[start..]` of vertex `v` by target (so
@@ -899,16 +886,16 @@ impl Body {
 /// The header is read line by line. The body is pulled through
 /// [`BufRead::fill_buf`] in blocks of about 1 MiB that end at a line end,
 /// so the reader holds one block of text at a time; each block is checked
-/// for UTF-8 and parsed on the calling thread. A plain line (ASCII
-/// separators, every number a token of at most 15 digits, no error) is
-/// parsed in one pass over its bytes; any other line goes through
-/// `str::split_whitespace` and `str::parse`, as the line-at-a-time reader
-/// did. A block's forward arcs (each edge as seen from its lower
-/// endpoint), sorted per vertex when its line completes, then join flat
-/// arenas — the edge list itself, costs and matched flags in parallel
-/// vectors, one offset per vertex — and the block's backward listings
-/// (from the higher endpoint) resolve by binary search in them, not
-/// through a hash map. The arena lists every edge once in canonical
+/// for UTF-8 and parsed on the calling thread, each line once, in one
+/// pass over its bytes: tokens split at every `char::is_whitespace` (as
+/// `str::split_whitespace` splits them), a token of at most 15 digits
+/// converts through an integer and any other through `str::parse`, and
+/// an error quotes its token. A block's forward arcs (each edge as seen
+/// from its lower endpoint), sorted per vertex when its line completes,
+/// then join flat arenas — the edge list itself, costs and matched flags
+/// in parallel vectors, one offset per vertex — and the block's backward
+/// listings (from the higher endpoint) resolve by binary search in them,
+/// not through a hash map. The arena lists every edge once in canonical
 /// `(lo, hi)` order, which [`Graph::from_sorted_edges`] assembles into
 /// the CSR. Peak memory is a small constant factor of the output graph
 /// plus one block, and is recorded on the thread-local [`Workspace`] as a

@@ -45,13 +45,12 @@ use mmb_graph::{VertexId, VertexSet};
 
 /// A provider of splitting sets on a fixed instance `(G, c)`.
 ///
-/// `Sync` is a supertrait: the decomposition pipeline fans independent
-/// per-class splitting work out over threads (conquer bin packing, layer
-/// extraction, served batches), so a splitter must be safe to call
-/// from several workers at once. All splitters in this crate qualify —
-/// they hold only shared references and per-call state; the
-/// instrumentation wrapper ([`recording::RecordingSplitter`]) uses atomic
-/// counters.
+/// `Sync` is a supertrait: recursive bisection splits its two halves on
+/// two workers with one splitter, and served batches run on several
+/// workers, so a splitter must be safe to call from several workers at
+/// once. All splitters in this crate qualify — they hold only shared
+/// references and per-call state; the instrumentation wrapper
+/// ([`recording::RecordingSplitter`]) uses atomic counters.
 pub trait Splitter: Sync {
     /// Compute a `target`-splitting set `U ⊆ w_set` with respect to the
     /// dense vertex measure `weights`.

@@ -13,7 +13,11 @@
 //! Documents: every quick-corpus entry, plain, with CRLF endings and
 //! decorated with comments and blank lines; the weighted-format variants;
 //! one malformed document per error family; NBSP, U+3000 and `\x0B` as
-//! separators; `+2` ids and `5.0` / `5e0` costs; no final newline;
+//! separators; lines on which the reader's one line parser decides the
+//! error order (a self-loop with a bad or missing cost, an out-of-range
+//! neighbor before its cost) or meets a wide character (NBSP, U+3000, a
+//! full-width digit, a comment after NEL); `+2` ids and `5.0` / `5e0`
+//! costs; no final newline;
 //! invalid UTF-8 after an earlier body error; a 320² grid document that
 //! spans several blocks, intact and damaged in its last block and
 //! mid-document; the case the fuzz loop found; and
@@ -677,6 +681,12 @@ fn malformed_documents_match_the_oracle() {
         "2 1 011 1\n\n2 1\n1.0 1 1\n",
         "2 1 011 1\n1.0 2\n1.0 1 1\n",
         "2 1 011 1\n1.0 2 x\n1.0 1 1\n",
+        // Token order: a self-loop's bad or missing cost is reported (the
+        // self-loop check follows the cost), and an out-of-range neighbor
+        // before its cost.
+        "2 1 001\n1 x\n1 1\n",
+        "2 1 001\n1\n1 1\n",
+        "2 1 001\n3 x\n1 1\n",
     ] {
         assert!(check(doc.as_bytes(), doc).is_err(), "{doc:?}");
     }
@@ -722,6 +732,13 @@ fn unicode_separators_and_odd_tokens_match_the_oracle() {
         ("2 1\n2\n1\n\u{a0}", true),
         // A NUL byte is not whitespace.
         ("2 1\n2\0\n1\n", false),
+        // A bad token after NBSP or U+3000, a full-width digit (neither
+        // whitespace nor a number), and a comment after NEL.
+        ("2 1\n\u{a0}x\n1\n", false),
+        ("2 1\n\u{ff12}\n1\n", false),
+        ("2 1 001\n2\u{a0}\u{ff15}\n1 5\n", false),
+        ("2 1 011 1\n\u{3000}x 2 1\n1 1 1\n", false),
+        ("2 1\n\u{85}% c\n2\n1\n", true),
     ] {
         assert_eq!(check(doc.as_bytes(), doc).is_ok(), parses, "{doc:?}");
     }

@@ -6,8 +6,9 @@
 //! vertex, and holds every piece as a universe-sized bitset. The linear
 //! version must return the **same coloring** on every case below:
 //!
-//! * hosts: `GridSplitter` on a 48 × 48 grid (past the parallel carving
-//!   threshold) and `OrderSplitter` on a 30 × 20 grid (sequential);
+//! * hosts: `GridSplitter` on a 48 × 48 grid (past the size at which the
+//!   oracle carves on the thread pool; the library always carves on the
+//!   calling thread) and `OrderSplitter` on a 30 × 20 grid (below it);
 //! * k ∈ {2, 3, 5, 8, 16};
 //! * weights: the `cold-1m` formula `1 + ((17 >> (v mod 53)) & 7)`,
 //!   seeded uniform floats in `[0.5, 1.5)`, spikes (a few weight-25
@@ -29,7 +30,8 @@ use mmb_splitters::order::OrderSplitter;
 use mmb_splitters::Splitter;
 
 /// The `BinPack2` that preceded the linear one, kept verbatim as the
-/// oracle (with `carve_classes`, which the library keeps crate-private).
+/// oracle (with `carve_classes`, the pool fan-out the library has since
+/// replaced by a loop on the calling thread).
 mod reference {
     use mmb_core::strict::greedy_strict;
     use mmb_graph::measure::{set_max, set_sum};
