@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::graph::{Graph, GraphBuilder, VertexId};
+use crate::union::copies_graph;
 
 /// A grid graph: a [`Graph`] together with a `d`-dimensional integer
 /// coordinate per vertex.
@@ -218,10 +219,11 @@ impl GridGraph {
 
     /// `copies` disjoint translated copies of `base`, separated by a gap of
     /// 2 along axis 0 so cells never straddle copies. This is the `G̃`
-    /// construction of Lemma 40 at the grid level; costs/weights are
+    /// construction of Lemma 40 at the grid level; its graph, ids and edge
+    /// ids are [`crate::union::disjoint_copies`]'s, and costs/weights are
     /// replicated by [`crate::union::replicate_measure`].
     pub fn disjoint_copies(base: &GridGraph, copies: usize) -> Self {
-        assert!(copies >= 1, "need at least one copy");
+        let graph = copies_graph(&base.graph, copies);
         let span = base
             .graph
             .vertices()
@@ -233,16 +235,15 @@ impl GridGraph {
             span.1 - span.0 + 1
         };
         let stride = width + 2;
-        let mut points = Vec::with_capacity(base.graph.num_vertices() * copies);
+        let mut coords = Vec::with_capacity(base.coords.len() * copies);
         for i in 0..copies {
             let shift = stride * i as i64;
-            for v in base.graph.vertices() {
-                let mut p = base.coord(v).to_vec();
-                p[0] += shift;
-                points.push(p);
+            for p in base.coords.chunks_exact(base.dim) {
+                coords.push(p[0] + shift);
+                coords.extend_from_slice(&p[1..]);
             }
         }
-        GridGraph::from_points(base.dim, points)
+        GridGraph::from_graph_coords(graph, base.dim, coords)
     }
 
     /// Random connected "blob": a lattice-random-walk-grown region of `n`
@@ -379,6 +380,18 @@ mod tests {
         assert_eq!(three.graph.num_vertices(), 27);
         assert_eq!(three.graph.num_edges(), 3 * base.graph.num_edges());
         assert_eq!(three.graph.components().1, 3);
+        // On a lattice base it is the grid graph of the shifted points.
+        let mut points = Vec::new();
+        for i in 0..3 {
+            for v in base.graph.vertices() {
+                let mut p = base.coord(v).to_vec();
+                p[0] += 5 * i;
+                points.push(p);
+            }
+        }
+        let from_points = GridGraph::from_points(2, points);
+        assert_eq!(three.graph.edge_list(), from_points.graph.edge_list());
+        assert_eq!(three.coords(), from_points.coords());
     }
 
     #[test]

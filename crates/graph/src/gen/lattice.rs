@@ -14,23 +14,14 @@ use crate::graph::{Graph, GraphBuilder};
 
 /// The `d`-dimensional hypercube `Q_d`: `2^d` vertices indexed by their
 /// binary code, an edge between every pair of codes at Hamming distance 1.
-/// (`Q_d` is exactly the `[0,2)^d` grid lattice.)
+/// (`Q_d` is exactly the `[0,2)^d` grid lattice, and it is built as the
+/// [`torus`] with every extent 2.)
 ///
 /// # Panics
 /// Panics unless `1 ≤ d ≤ 20`.
 pub fn hypercube(d: usize) -> Graph {
     assert!((1..=20).contains(&d), "hypercube dimension out of range");
-    let n = 1usize << d;
-    let mut b = GraphBuilder::new(n);
-    for v in 0..n {
-        for axis in 0..d {
-            let u = v ^ (1 << axis);
-            if v < u {
-                b.add_edge(v as u32, u as u32);
-            }
-        }
-    }
-    b.build()
+    torus(&vec![2; d])
 }
 
 /// Torus lattice `Z_{dims[0]} × … × Z_{dims[d−1]}`: the grid with
@@ -97,6 +88,12 @@ mod tests {
             assert_eq!(g.num_edges(), d * (1 << (d - 1)));
             assert!(g.vertices().all(|v| g.degree(v) == d));
             assert!(g.is_connected());
+            // With that count, the edges are exactly the code pairs at
+            // Hamming distance 1.
+            assert!(g
+                .edge_list()
+                .iter()
+                .all(|&(u, v)| (u ^ v).count_ones() == 1));
         }
     }
 

@@ -5,7 +5,7 @@
 //! `[i·n₀, (i+1)·n₀)`; edge costs and vertex weights are replicated with
 //! [`replicate_measure`].
 
-use crate::graph::{Graph, GraphBuilder, VertexId};
+use crate::graph::{Graph, VertexId};
 
 /// Result of a disjoint union of `copies` copies of a base instance.
 pub struct DisjointUnion {
@@ -33,40 +33,34 @@ impl DisjointUnion {
 
 /// Build `copies` disjoint copies of `(base, base_costs)`.
 pub fn disjoint_copies(base: &Graph, base_costs: &[f64], copies: usize) -> DisjointUnion {
-    assert!(copies >= 1, "need at least one copy");
     assert_eq!(
         base_costs.len(),
         base.num_edges(),
         "cost vector length mismatch"
     );
+    DisjointUnion {
+        graph: copies_graph(base, copies),
+        costs: replicate_measure(base_costs, copies),
+        copies,
+        base_n: base.num_vertices(),
+    }
+}
+
+/// The graph of `copies` disjoint copies of `base`, copy `i` on the ids
+/// `[i·n₀, (i+1)·n₀)`. Copy `i`'s edges all precede copy `i + 1`'s, so the
+/// base's canonical edge list repeated with offsets is canonical, and the
+/// union's edge `i·m₀ + e` is copy `i`'s edge `e`.
+pub(crate) fn copies_graph(base: &Graph, copies: usize) -> Graph {
+    assert!(copies >= 1, "need at least one copy");
     let n0 = base.num_vertices();
-    let mut builder = GraphBuilder::new(n0 * copies);
-    // Costs keyed by canonical endpoints so they survive the builder's
-    // sort+dedup (the base graph has no duplicates, so neither does the
-    // union).
-    let mut keyed: Vec<((u32, u32), f64)> = Vec::with_capacity(base.num_edges() * copies);
+    let n = n0 * copies;
+    assert!(n < u32::MAX as usize, "vertex count exceeds u32 id space");
+    let mut edges = Vec::with_capacity(base.num_edges() * copies);
     for i in 0..copies {
         let off = (i * n0) as u32;
-        for (e, &(u, v)) in base.edge_list().iter().enumerate() {
-            builder.add_edge(u + off, v + off);
-            keyed.push(((u + off, v + off), base_costs[e]));
-        }
+        edges.extend(base.edge_list().iter().map(|&(u, v)| (u + off, v + off)));
     }
-    keyed.sort_unstable_by_key(|&(k, _)| k);
-    let graph = builder.build();
-    debug_assert_eq!(graph.num_edges(), keyed.len());
-    debug_assert!(graph
-        .edge_list()
-        .iter()
-        .zip(&keyed)
-        .all(|(&ab, &(k, _))| ab == k));
-    let costs = keyed.into_iter().map(|(_, c)| c).collect();
-    DisjointUnion {
-        graph,
-        costs,
-        copies,
-        base_n: n0,
-    }
+    Graph::from_sorted_edges(n, edges).expect("edge count exceeds the u32 CSR id space")
 }
 
 /// Replicate a per-vertex measure (e.g. weights `w`) of the base graph

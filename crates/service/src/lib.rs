@@ -19,11 +19,14 @@
 //!   eq. (1) broke, and the resilient ladder's validation gate before
 //!   anything is served.
 //!
-//! Batches are distributed over the `rayon` worker pool; each request is
-//! isolated — a panic in one becomes that request's typed
-//! [`SolveError::Panicked`], not the batch's. The service keeps every
-//! served instance under its ticket until [`Service::forget`]; a stateless
-//! batch is a `par_iter` over `Solver::solve`.
+//! A batch at `t` `rayon` threads is served in at most `t` contiguous runs
+//! of requests: the calling thread serves the first run, with its own
+//! thread-local state (an armed failpoint schedule, warm scratch pools),
+//! and one scoped thread serves each other run. Each request is isolated —
+//! a panic in one becomes that request's typed [`SolveError::Panicked`],
+//! not the batch's. The service keeps every served instance under its
+//! ticket until [`Service::forget`]; a stateless batch is a `par_iter`
+//! over `Solver::solve`.
 //!
 //! ## Cache discipline
 //!
@@ -71,8 +74,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
 
 use mmb_core::api::{
-    CacheLookup, CacheStats, Instance, InstanceDelta, SolveError, Solver, SolverArtifacts,
-    SolverCache,
+    CacheLookup, CacheStats, Instance, InstanceDelta, SolveError, Solver, SolverCache,
 };
 use mmb_core::failpoint;
 use mmb_core::pipeline::PipelineConfig;
@@ -183,8 +185,9 @@ impl Service {
     /// is isolated (its own typed error slot, panic containment at the
     /// request boundary) and carries a [`ServingRecord`].
     pub fn serve(&self, requests: Vec<Request>) -> Vec<Response> {
-        let indexed: Vec<(usize, Request)> = requests.into_iter().enumerate().collect();
-        indexed
+        requests
+            .into_iter()
+            .enumerate()
             .into_par_iter()
             .map(|(index, req)| self.serve_one(index, req))
             .collect()
@@ -222,8 +225,8 @@ impl Service {
         let hooked = AssertUnwindSafe(|| self.dispatch(req));
         // lint: allow(catch-unwind) — the request isolation boundary: a
         // panic (injected or genuine) in one request's solve becomes that
-        // request's typed error instead of unwinding through the rayon
-        // worker and taking down the batch. Shared state is lock-guarded
+        // request's typed error instead of unwinding through the batch's
+        // thread and taking down the batch. Shared state is lock-guarded
         // and locks recover from poisoning in `lock_cache`/`lock_memo`.
         let caught = std::panic::catch_unwind(hooked);
         let (outcome, cache, path) = caught.unwrap_or_else(|payload| {
@@ -272,43 +275,56 @@ impl Service {
         }
     }
 
-    /// Consult the artifact cache for `inst`. A fault at the
-    /// `service::cache` failpoint poisons the lookup: the matching entry
-    /// is evicted and `None` is returned, forcing a cold rebuild —
-    /// cached state observed under a fault is never served.
-    fn lookup_artifacts(&self, inst: &Instance) -> (Option<Arc<SolverArtifacts>>, CacheEvent) {
+    /// Look up `inst`'s artifacts, pass the `service::worker` failpoint
+    /// and build its solver. A fault at the `service::cache` failpoint
+    /// poisons the lookup: the matching entry is evicted and the solver
+    /// is built cold — cached state observed under a fault is never
+    /// served.
+    fn build_solver<'i>(&self, inst: &'i Instance) -> (Result<Solver<'i>, SolveError>, CacheEvent) {
         let p = self.cfg.pipeline.p;
-        let mut cache = self.lock_cache();
-        match failpoint::raise("service::cache") {
-            Ok(()) => {
-                let (artifacts, lookup) = cache.get_or_compute(inst, p);
-                let event = match lookup {
-                    CacheLookup::Hit => CacheEvent::Hit,
-                    CacheLookup::Miss => CacheEvent::Miss,
-                    CacheLookup::Collision => CacheEvent::Collision,
-                };
-                (Some(artifacts), event)
+        let mut builder = Solver::for_instance(inst)
+            .classes(self.cfg.k)
+            .config(self.cfg.pipeline.clone());
+        let cache_event = {
+            let mut cache = self.lock_cache();
+            match failpoint::raise("service::cache") {
+                Ok(()) => {
+                    let (artifacts, lookup) = cache.get_or_compute(inst, p);
+                    builder = builder.artifacts(artifacts);
+                    match lookup {
+                        CacheLookup::Hit => CacheEvent::Hit,
+                        CacheLookup::Miss => CacheEvent::Miss,
+                        CacheLookup::Collision => CacheEvent::Collision,
+                    }
+                }
+                Err(_) => {
+                    cache.evict_for(inst, p);
+                    CacheEvent::Poisoned
+                }
             }
-            Err(_) => {
-                cache.evict_for(inst, p);
-                (None, CacheEvent::Poisoned)
-            }
-        }
+        };
+        let solver = failpoint::raise("service::worker").and_then(|()| builder.build());
+        (solver, cache_event)
+    }
+
+    /// Keep `coloring` as `instance`'s warm incumbent under the instance's
+    /// ticket and return the served payload.
+    fn remember(&self, instance: Instance, coloring: Coloring, max_boundary: f64) -> Served {
+        let ticket = instance.fingerprint().combined();
+        let served = Served {
+            ticket,
+            coloring: coloring.clone(),
+            max_boundary,
+        };
+        self.lock_memo()
+            .insert(ticket, Arc::new(WarmState { instance, coloring }));
+        served
     }
 
     fn solve_cold(&self, inst: Instance) -> (Result<Served, SolveError>, CacheEvent, ServePath) {
-        let (artifacts, cache_event) = self.lookup_artifacts(&inst);
-        if let Err(e) = failpoint::raise("service::worker") {
-            return (Err(e), cache_event, ServePath::Rejected);
-        }
-        let mut builder = Solver::for_instance(&inst)
-            .classes(self.cfg.k)
-            .config(self.cfg.pipeline.clone());
-        if let Some(a) = artifacts {
-            builder = builder.artifacts(a);
-        }
-        let report = match builder.build() {
-            Ok(solver) => solver.solve(),
+        let (solver, cache_event) = self.build_solver(&inst);
+        let report = match solver.map(|solver| solver.solve()) {
+            Ok(report) => report,
             Err(e) => return (Err(e), cache_event, ServePath::Rejected),
         };
         // The serving gate: nothing non-strict leaves the service, even
@@ -323,20 +339,7 @@ impl Service {
                 ServePath::Rejected,
             );
         }
-        let (coloring, max_boundary) = (report.coloring, report.max_boundary);
-        let ticket = inst.fingerprint().combined();
-        let served = Served {
-            ticket,
-            coloring: coloring.clone(),
-            max_boundary,
-        };
-        self.lock_memo().insert(
-            ticket,
-            Arc::new(WarmState {
-                instance: inst,
-                coloring,
-            }),
-        );
+        let served = self.remember(inst, report.coloring, report.max_boundary);
         (Ok(served), cache_event, ServePath::Cold)
     }
 
@@ -352,44 +355,19 @@ impl Service {
                 ServePath::Rejected,
             );
         };
-        let (artifacts, cache_event) = self.lookup_artifacts(&state.instance);
-        if let Err(e) = failpoint::raise("service::worker") {
-            return (Err(e), cache_event, ServePath::Rejected);
+        let (solver, cache_event) = self.build_solver(&state.instance);
+        match solver.and_then(|solver| solver.resolve_delta(delta, &state.coloring)) {
+            Ok(ds) => {
+                let path = if ds.warm {
+                    ServePath::Warm
+                } else {
+                    ServePath::ColdFallback
+                };
+                let served = self.remember(ds.instance, ds.coloring, ds.max_boundary);
+                (Ok(served), cache_event, path)
+            }
+            Err(e) => (Err(e), cache_event, ServePath::Rejected),
         }
-        let delta_solve = {
-            let mut builder = Solver::for_instance(&state.instance)
-                .classes(self.cfg.k)
-                .config(self.cfg.pipeline.clone());
-            if let Some(a) = artifacts {
-                builder = builder.artifacts(a);
-            }
-            match builder.build() {
-                Ok(solver) => match solver.resolve_delta(delta, &state.coloring) {
-                    Ok(ds) => ds,
-                    Err(e) => return (Err(e), cache_event, ServePath::Rejected),
-                },
-                Err(e) => return (Err(e), cache_event, ServePath::Rejected),
-            }
-        };
-        let path = if delta_solve.warm {
-            ServePath::Warm
-        } else {
-            ServePath::ColdFallback
-        };
-        let ticket = delta_solve.instance.fingerprint().combined();
-        let served = Served {
-            ticket,
-            coloring: delta_solve.coloring.clone(),
-            max_boundary: delta_solve.max_boundary,
-        };
-        self.lock_memo().insert(
-            ticket,
-            Arc::new(WarmState {
-                instance: delta_solve.instance,
-                coloring: delta_solve.coloring,
-            }),
-        );
-        (Ok(served), cache_event, path)
     }
 }
 

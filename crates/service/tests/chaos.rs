@@ -16,8 +16,9 @@
 //!    injects zero faults tests nothing and fails.
 //!
 //! Failpoint schedules are thread-local, so every armed serve runs under
-//! `rayon::with_num_threads(1, ..)` — the shim executes singleton
-//! batches inline on the arming thread.
+//! `rayon::with_num_threads(1, ..)`: at one thread the shim serves the
+//! whole batch on the arming thread (at more, only the batch's first
+//! contiguous run would see the schedule).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -20,7 +20,6 @@
 //! returned set costs `O(d·log^{1/d}(φ+1)·‖c‖_{d/(d−1)})` (Theorem 19).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::{VertexId, VertexSet};
@@ -35,7 +34,6 @@ use crate::Splitter;
 struct SplitScratch {
     members: Vec<VertexId>,
     edges: Vec<(i64, f64)>,
-    per_alpha: HashMap<i64, f64>,
     alpha_dense: Vec<f64>,
     /// Comparison-sort rows, one per member: its `d` cell coordinates,
     /// then its lex rank.
@@ -190,10 +188,11 @@ impl<'g> GridSplitter<'g> {
         (c + 1.0) / (1u64 << level.min(62)) as f64 - 1.0
     }
 
-    /// [`GridSplitter::pick_alpha`] over the dense per-shift sums
+    /// The shift α to cut at, from the per-shift cut costs
     /// (`sums[a − 1]` = cut cost of shift `a`; positive costs mean an
-    /// untouched shift is exactly `0.0`). Same selection rule: first uncut
-    /// shift if any, else cheapest with smallest-α tie-break.
+    /// uncut shift is exactly `0.0`): the first uncut shift if any, else
+    /// the cheapest, ties to the smallest α so two splitters built from the
+    /// same instance always cut identically.
     fn pick_alpha_dense(sums: &[f64]) -> i64 {
         if let Some(i) = sums.iter().position(|&s| s == 0.0) {
             return i as i64 + 1;
@@ -205,25 +204,6 @@ impl<'g> GridSplitter<'g> {
             }
         }
         best as i64 + 1
-    }
-
-    /// The cheapest shift α (ties to the smallest α so two splitters built
-    /// from the same instance always cut identically), or any uncut shift.
-    fn pick_alpha(per_alpha: &HashMap<i64, f64>, ell: i64) -> i64 {
-        if (per_alpha.len() as i64) < ell {
-            // Some shift cuts nothing at all.
-            (1..=ell)
-                .find(|a| !per_alpha.contains_key(a))
-                .expect("len < ell guarantees an uncut shift")
-        } else {
-            // lint: allow(hash-order-leak) — min under total_cmp with the
-            // α tie-break is iteration-order independent.
-            *per_alpha
-                .iter()
-                .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(b.0)))
-                .map(|(a, _)| a)
-                .expect("ell >= 1 shifts exist in this branch")
-        }
     }
 
     /// The one `split` loop, over thread-local scratch buffers (zero
@@ -254,7 +234,6 @@ impl<'g> GridSplitter<'g> {
         let SplitScratch {
             members,
             edges,
-            per_alpha,
             alpha_dense,
             cells,
             keys_buf,
@@ -326,42 +305,42 @@ impl<'g> GridSplitter<'g> {
                 return taken;
             }
             // Lemma 20 per-shift accounting: each edge is cut by exactly
-            // one shift α = ℓ − (t mod ℓ) ∈ [1, ℓ]. A dense (reused)
-            // buffer when ℓ is small — direct indexing instead of hashing
-            // every edge — with the HashMap as the big-ℓ fallback. Same
-            // edge order, so identical sums and the identical α either
-            // way. The per-edge `t mod ℓ` runs through the same reciprocal
-            // trick as the cells when the coordinate magnitudes allow it:
-            // `base − t > 0` for `base` the smallest multiple of ℓ above
-            // every coordinate, and `(base − t) mod ℓ = (−t) mod ℓ`.
+            // one shift α = ℓ − (t mod ℓ) ∈ [1, ℓ]. With `E` edges at most
+            // `E` shifts are cut, so some shift in 1..=E + 1 is uncut and
+            // the dense (reused) buffer holds only the shifts
+            // 1..=min(ℓ, E + 1): an edge cut by a later shift adds
+            // nothing, and the kept sums, in edge order, and the pick are
+            // the same as over all ℓ shifts. The per-edge `t mod ℓ` runs
+            // through the same reciprocal trick as the cells when the
+            // coordinate magnitudes allow it: `base − t > 0` for `base`
+            // the smallest multiple of ℓ above every coordinate, and
+            // `(base − t) mod ℓ = (−t) mod ℓ`.
             let ell_u = ell as u64;
             let inv = 1.0 / ell as f64;
-            let alpha = if ell <= (1 << 16) {
-                alpha_dense.clear();
-                alpha_dense.resize(ell as usize, 0.0);
-                let base = (self.coord_hi.div_euclid(ell) + 1)
-                    .checked_mul(ell)
-                    .filter(|base| base.abs_diff(self.coord_lo) < 1 << 51);
-                if let Some(base) = base {
-                    for &(t, cost) in edges.iter() {
-                        let val = (base - t) as u64;
-                        let r = val - udiv_rcp(val, ell_u, inv) * ell_u;
-                        let idx = if r == 0 { ell_u - 1 } else { r - 1 };
+            let slots = ell_u.min(edges.len() as u64 + 1);
+            alpha_dense.clear();
+            alpha_dense.resize(slots as usize, 0.0);
+            let base = (self.coord_hi.div_euclid(ell) + 1)
+                .checked_mul(ell)
+                .filter(|base| base.abs_diff(self.coord_lo) < 1 << 51);
+            if let Some(base) = base {
+                for &(t, cost) in edges.iter() {
+                    let val = (base - t) as u64;
+                    let r = val - udiv_rcp(val, ell_u, inv) * ell_u;
+                    let idx = if r == 0 { ell_u - 1 } else { r - 1 };
+                    if idx < slots {
                         alpha_dense[idx as usize] += cost;
                     }
-                } else {
-                    for &(t, cost) in edges.iter() {
-                        alpha_dense[(ell - 1 - t.rem_euclid(ell)) as usize] += cost;
+                }
+            } else {
+                for &(t, cost) in edges.iter() {
+                    let idx = (ell - 1 - t.rem_euclid(ell)) as u64;
+                    if idx < slots {
+                        alpha_dense[idx as usize] += cost;
                     }
                 }
-                Self::pick_alpha_dense(alpha_dense)
-            } else {
-                per_alpha.clear();
-                for &(t, cost) in edges.iter() {
-                    *per_alpha.entry(ell - t.rem_euclid(ell)).or_insert(0.0) += cost;
-                }
-                Self::pick_alpha(per_alpha, ell)
-            };
+            }
+            let alpha = Self::pick_alpha_dense(alpha_dense);
 
             // A member's cell ϕ_α(x) = ⌊(x + (α−1)·1)/ℓ⌋, offset on each
             // axis to the instance's minimum cell, is the non-negative
@@ -560,6 +539,7 @@ mod tests {
     use crate::prefix_split;
     use mmb_graph::cut::boundary_cost_within;
     use mmb_graph::measure::edge_norm_p;
+    use std::collections::HashMap;
 
     /// The oracle's coarsening: one edge pass into a fresh `Vec`, its own
     /// α choice, and HashMap cell grouping on per-member key vectors,

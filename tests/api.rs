@@ -85,8 +85,8 @@ proptest! {
         prop_assert_eq!(&report.coloring, &explicit.coloring);
         prop_assert!(report.is_strictly_balanced());
 
-        // Service::serve ≡ one-at-a-time solve, for 1 and several worker
-        // threads (the shim's deterministic chunked schedule).
+        // Service::serve ≡ one-at-a-time solve, for 1 and several threads
+        // (contiguous chunks, the first on the calling thread).
         let service = Service::new(ServiceConfig::new(k));
         for threads in [1usize, 3] {
             let responses =
