@@ -37,7 +37,7 @@
 //!   edge — the cheapest-edge bound. (The averaging bound usually ties
 //!   this; it is kept so the family reads uniformly in reports.)
 
-use mmb_graph::gen::grid::GridGraph;
+use mmb_graph::gen::grid::{box_lex_ranks, GridGraph};
 use mmb_graph::recognize::{try_torus_dims, Structure};
 
 use crate::api::instance::Instance;
@@ -59,39 +59,14 @@ struct Analysis {
 /// Extents of a *full box* lattice, or `None` if the embedding is an
 /// irregular subset (for which the projection argument is unsound).
 ///
-/// Checks: coordinates occupy the axis-aligned bounding box exactly
-/// (`n = Π extents` with all-distinct coordinates), and the edge count
-/// matches the full lattice's `Σ_α (e_α − 1)·n/e_α` — together with the
-/// constructor-verified "edges join L1-distance-1 points" this pins the
-/// edge set to exactly the lattice edges.
+/// Checks: the points fill their bounding box exactly once (the shared
+/// [`box_lex_ranks`] check, which no coordinate can overflow), and the
+/// edge count matches the full lattice's `Σ_α (e_α − 1)·n/e_α` —
+/// together with the constructor-verified "edges join L1-distance-1
+/// points" this pins the edge set to exactly the lattice edges.
 fn full_box_extents(gg: &GridGraph) -> Option<Vec<usize>> {
+    let (extents, _) = box_lex_ranks(gg.dim, gg.coords())?;
     let n = gg.graph.num_vertices();
-    if n == 0 {
-        return None;
-    }
-    let d = gg.dim;
-    let mut mins = vec![i64::MAX; d];
-    let mut maxs = vec![i64::MIN; d];
-    for v in 0..n as u32 {
-        for (a, &x) in gg.coord(v).iter().enumerate() {
-            mins[a] = mins[a].min(x);
-            maxs[a] = maxs[a].max(x);
-        }
-    }
-    let extents: Vec<usize> = mins
-        .iter()
-        .zip(&maxs)
-        .map(|(&lo, &hi)| (hi - lo + 1) as usize)
-        .collect();
-    if extents.iter().product::<usize>() != n {
-        return None;
-    }
-    let mut seen = std::collections::HashSet::with_capacity(n);
-    for v in 0..n as u32 {
-        if !seen.insert(gg.coord(v).to_vec()) {
-            return None; // duplicate coordinate: not a bijection onto the box
-        }
-    }
     let expected_edges: usize = extents.iter().map(|&e| (e - 1) * (n / e)).sum();
     (gg.graph.num_edges() == expected_edges).then_some(extents)
 }

@@ -61,6 +61,20 @@ fn healthy_solve_serves_the_certified_rung() {
 }
 
 #[test]
+fn a_sparse_grid_at_the_ends_of_the_i64_range_is_served() {
+    // The served report's lower bound runs outside every rung's unwind
+    // boundary, so its structure certificate must decline on a point set
+    // whose bounding box spans more than `u64`, not overflow.
+    let points = vec![vec![i64::MIN, 0], vec![i64::MIN + 1, 0], vec![i64::MAX, 0]];
+    let grid = GridGraph::from_points(2, points);
+    let (n, m) = (grid.graph.num_vertices(), grid.graph.num_edges());
+    let inst = Instance::from_grid(grid, vec![1.0; m], vec![1.0; n]).unwrap();
+    let report = ladder(&inst, 2).solve();
+    assert!(report.is_strictly_balanced());
+    assert_eq!(report.resilience.as_ref().unwrap().served_by, "certified");
+}
+
+#[test]
 fn splitter_panics_degrade_to_first_fit_and_are_named() {
     let inst = lattice_instance(&[6, 6]);
     let solver = ladder(&inst, 4).bnb(quick_bnb());

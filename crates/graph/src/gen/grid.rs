@@ -16,6 +16,7 @@ use rand::{RngExt, SeedableRng};
 
 use crate::graph::{Graph, GraphBuilder, VertexId};
 use crate::union::copies_graph;
+use crate::vertex_set::VertexSet;
 
 /// A grid graph: a [`Graph`] together with a `d`-dimensional integer
 /// coordinate per vertex.
@@ -274,6 +275,60 @@ impl GridGraph {
     }
 }
 
+/// Whether points fill their bounding box exactly once, and where each
+/// one sits in it.
+///
+/// `coords` holds `dim` coordinates per point, laid out as
+/// [`GridGraph::coords`]. When the points fill `Π_a [min_a, max_a]` with
+/// every cell taken once, returns the box's extents `max_a − min_a + 1`
+/// and each point's mixed-radix index in the box (axis 0 most
+/// significant), which is its rank in the lexicographic coordinate
+/// order. `None` when some cell is empty or taken twice, and for no
+/// points at all.
+///
+/// `O(n·d)` with no hashing. Offsets are `abs_diff`s and the volume is a
+/// `checked_mul`, so no `i64` coordinate can overflow it; a mixed-radix
+/// index stays below the volume, which is the point count.
+///
+/// # Panics
+/// Panics if `dim` is 0.
+pub fn box_lex_ranks(dim: usize, coords: &[i64]) -> Option<(Vec<usize>, Vec<u32>)> {
+    assert!(dim >= 1, "dimension must be at least 1");
+    let n = coords.len() / dim;
+    let mut mins = vec![i64::MAX; dim];
+    let mut maxs = vec![i64::MIN; dim];
+    for p in coords.chunks_exact(dim) {
+        for (a, &x) in p.iter().enumerate() {
+            mins[a] = mins[a].min(x);
+            maxs[a] = maxs[a].max(x);
+        }
+    }
+    // With no points `mins > maxs`, and `abs_diff + 1` overflows to `None`.
+    let extents: Vec<usize> = mins
+        .iter()
+        .zip(&maxs)
+        .map(|(&lo, &hi)| usize::try_from(hi.abs_diff(lo)).ok()?.checked_add(1))
+        .collect::<Option<_>>()?;
+    let volume = extents
+        .iter()
+        .try_fold(1usize, |acc, &e| acc.checked_mul(e));
+    if volume != Some(n) {
+        return None;
+    }
+    let mut filled = VertexSet::empty(n);
+    let mut ranks = Vec::with_capacity(n);
+    for p in coords.chunks_exact(dim) {
+        let rank = (0..dim).fold(0, |acc, a| {
+            acc * extents[a] + p[a].abs_diff(mins[a]) as usize
+        });
+        if !filled.insert(rank as VertexId) {
+            return None;
+        }
+        ranks.push(rank as u32);
+    }
+    Some((extents, ranks))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,5 +487,96 @@ mod tests {
         let c = GridGraph::random_blob(2, 150, 43);
         let same = a.graph.vertices().all(|v| a.coord(v) == c.coord(v));
         assert!(!same, "seeds 42 and 43 produced identical blobs");
+    }
+
+    /// Each point's rank in the lexicographic order of its coordinates.
+    fn sorted_ranks(dim: usize, coords: &[i64]) -> Vec<u32> {
+        let n = coords.len() / dim;
+        let point = |v: usize| &coords[v * dim..v * dim + dim];
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| point(a).cmp(point(b)));
+        let mut rank = vec![0u32; n];
+        for (r, &v) in order.iter().enumerate() {
+            rank[v] = r as u32;
+        }
+        rank
+    }
+
+    /// The points of the box `Π_a [origin_a, origin_a + dims_a)`, flat,
+    /// in reverse odometer order (axis 0 fastest), so not lexicographic.
+    fn box_points(dims: &[usize], origin: &[i64]) -> Vec<i64> {
+        let lattice = GridGraph::lattice(dims);
+        let mut coords = Vec::new();
+        for v in (0..lattice.graph.num_vertices() as VertexId).rev() {
+            coords.extend(lattice.coord(v).iter().zip(origin).map(|(&x, &o)| o + x));
+        }
+        coords
+    }
+
+    #[test]
+    fn box_lex_ranks_match_the_coordinate_sort() {
+        let (lo, hi) = (i64::MIN, i64::MAX);
+        // Full boxes in one to four dimensions, at the origin, shifted,
+        // negative and against both ends of the `i64` range.
+        for (dims, origin) in [
+            (vec![9usize], vec![0i64]),
+            (vec![8], vec![-3]),
+            (vec![5], vec![hi - 4]),
+            (vec![13, 11], vec![0, 0]),
+            (vec![3, 4], vec![-5, 7]),
+            (vec![1, 1], vec![lo, hi]),
+            (vec![4, 1], vec![lo, -2]),
+            (vec![5, 4, 3], vec![0, 0, 0]),
+            (vec![2, 3, 4], vec![-1, 1_000_000_007, -40]),
+            (vec![2, 3, 2, 3], vec![0, 0, 0, 0]),
+            (vec![3, 2, 2, 2], vec![lo, 7, -1, hi - 1]),
+        ] {
+            let coords = box_points(&dims, &origin);
+            let (extents, ranks) = box_lex_ranks(dims.len(), &coords)
+                .unwrap_or_else(|| panic!("box {dims:?} at {origin:?} refused"));
+            assert_eq!(extents, dims, "origin {origin:?}");
+            assert_eq!(
+                ranks,
+                sorted_ranks(dims.len(), &coords),
+                "{dims:?} at {origin:?}"
+            );
+        }
+        // The generators' own full boxes, in their own vertex order.
+        for grid in [GridGraph::lattice(&[6, 5]), GridGraph::path(9)] {
+            let (_, ranks) = box_lex_ranks(grid.dim, grid.coords()).expect("a lattice");
+            assert_eq!(ranks, sorted_ranks(grid.dim, grid.coords()));
+        }
+        // Point sets that leave a cell empty or take one twice: a missing
+        // corner, a repeated point on a box's volume, a percolation
+        // subset, no points, and sparse sets whose span or volume leaves
+        // `u64`, among them GridSplit's `i64`-extreme dominoes.
+        let e = 4_000_000_000_000_000_000;
+        let percolation = GridGraph::percolation(&[12, 12], 0.75, 11);
+        assert!(percolation.graph.num_vertices() < 144);
+        for (dim, coords) in [
+            (2, [[0, 0], [1, 0], [1, 1]].concat()),
+            (2, [[0, 0], [1, 0], [1, 0], [0, 1]].concat()),
+            (2, percolation.coords().to_vec()),
+            (3, vec![]),
+            (2, [[lo, 0], [lo + 1, 0], [hi, 0]].concat()),
+            (2, [[0, 0], [1, 0], [e, e], [e + 1, e]].concat()),
+            (
+                2,
+                [
+                    [lo, lo],
+                    [lo + 1, lo],
+                    [lo, lo + 1],
+                    [hi, hi],
+                    [hi - 1, hi],
+                    [hi, hi - 1],
+                    [lo, hi],
+                    [hi, lo],
+                ]
+                .concat(),
+            ),
+            (2, [[0, 0], [1, 0], [1 << 33, 1 << 33]].concat()),
+        ] {
+            assert_eq!(box_lex_ranks(dim, &coords), None, "{coords:?}");
+        }
     }
 }

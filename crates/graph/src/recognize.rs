@@ -20,9 +20,8 @@
 
 use std::sync::Arc;
 
-use crate::gen::grid::GridGraph;
+use crate::gen::grid::{box_lex_ranks, GridGraph};
 use crate::graph::{Graph, VertexId};
-use crate::vertex_set::VertexSet;
 
 /// The graph family detected by [`recognize`].
 #[derive(Clone, Debug)]
@@ -155,13 +154,13 @@ pub fn path_positions(g: &Graph) -> Vec<i64> {
 /// neighbor continues that neighbor's ray; a vertex with several takes
 /// their componentwise maximum. Every ray is a unit vector `+e_a`, so a
 /// vertex stores only its axis `a`. The candidate is then verified: its
-/// points must fill the box of its extents exactly once (`n = Π extents`,
-/// injectivity checked on mixed-radix indices), and every edge must join
-/// points at `L1` distance 1. With `n` points filling the box and `m`
-/// distinct edges, each an adjacent pair, `m` equal to the box's number
-/// of adjacent pairs means every adjacent pair is an edge, so the
-/// function never returns a wrong embedding. No hashing; `O((n + m)·d)`
-/// time in one flat `n·d` coordinate array.
+/// points must fill the box of its extents exactly once (the shared
+/// [`box_lex_ranks`] check), and every edge must join points at `L1`
+/// distance 1. With `n` points filling the box and `m` distinct edges,
+/// each an adjacent pair, `m` equal to the box's number of adjacent
+/// pairs means every adjacent pair is an edge, so the function never
+/// returns a wrong embedding. No hashing; `O((n + m)·d)` time in one
+/// flat `n·d` coordinate array.
 pub fn try_lattice_embedding(g: &Graph) -> Option<GridGraph> {
     let n = g.num_vertices();
     let v0 = (0..n as u32).min_by_key(|&v| g.degree(v))?;
@@ -239,37 +238,15 @@ pub fn try_lattice_embedding(g: &Graph) -> Option<GridGraph> {
     }
 
     // Verification. Coordinates are ≥ 0 with the corner at the origin, so
-    // the box is `[0, e_a)` per axis; axis 0 is the most significant digit
-    // of the mixed-radix index.
-    let mut extents = vec![0i64; dim];
-    for c in coords.chunks_exact(dim) {
-        for (e, &x) in extents.iter_mut().zip(c) {
-            *e = (*e).max(x + 1);
-        }
-    }
-    let volume = extents
-        .iter()
-        .try_fold(1usize, |acc, &e| acc.checked_mul(e as usize));
-    if volume != Some(n) {
-        return None;
-    }
-    let mut filled = VertexSet::empty(n);
-    for c in coords.chunks_exact(dim) {
-        let index = c.iter().zip(&extents).fold(0, |acc, (&x, &e)| acc * e + x);
-        if !filled.insert(index as VertexId) {
-            return None; // collision: not an injective embedding
-        }
-    }
+    // the box is `[0, e_a)` per axis.
+    let (extents, _) = box_lex_ranks(dim, &coords)?;
     if g.edge_list()
         .iter()
         .any(|&(u, v)| l1(&coords, dim, u as usize, v as usize) != 1)
     {
         return None;
     }
-    let adjacent_pairs: usize = extents
-        .iter()
-        .map(|&e| n / e as usize * (e as usize - 1))
-        .sum();
+    let adjacent_pairs: usize = extents.iter().map(|&e| n / e * (e - 1)).sum();
     if g.num_edges() != adjacent_pairs {
         return None;
     }

@@ -21,7 +21,7 @@
 
 use std::cell::RefCell;
 
-use mmb_graph::gen::grid::GridGraph;
+use mmb_graph::gen::grid::{box_lex_ranks, GridGraph};
 use mmb_graph::{VertexId, VertexSet};
 
 use crate::Splitter;
@@ -49,22 +49,6 @@ thread_local! {
     static SPLIT_SCRATCH: RefCell<SplitScratch> = RefCell::default();
 }
 
-/// `val / ell` for `val < 2^51` via reciprocal multiplication with an
-/// exact fixup — the hot loop's division.
-#[inline]
-fn udiv_rcp(val: u64, ell: u64, inv: f64) -> u64 {
-    let mut q = (val as f64 * inv) as u64;
-    // The estimate is within a couple of ulps of the true quotient; the
-    // saturating loops make the result exact regardless.
-    while (q + 1).saturating_mul(ell) <= val {
-        q += 1;
-    }
-    while q.saturating_mul(ell) > val {
-        q -= 1;
-    }
-    q
-}
-
 /// Splitting sets for grid graphs with arbitrary positive edge costs.
 pub struct GridSplitter<'g> {
     grid: &'g GridGraph,
@@ -79,10 +63,6 @@ pub struct GridSplitter<'g> {
     mins: Vec<i64>,
     /// See [`GridSplitter::mins`].
     maxs: Vec<i64>,
-    /// Global coordinate bounds over all axes (`min(mins)` / `max(maxs)`).
-    coord_lo: i64,
-    /// See [`GridSplitter::coord_lo`].
-    coord_hi: i64,
     /// `‖scaled‖_∞`: the first level `L` with `(c_max + 1)/2^L − 1 ≤ 0`
     /// has **no** surviving edges, so `split` can skip its edge scan
     /// (`c1 = 0` exactly) and go straight to the lexicographic prefix.
@@ -141,18 +121,19 @@ impl<'g> GridSplitter<'g> {
                 maxs[a] = maxs[a].max(x);
             }
         }
-        let lex_rank = box_lex_ranks(grid, &mins, &maxs).unwrap_or_else(|| {
-            let mut order: Vec<u32> = (0..n as u32).collect();
-            order.sort_unstable_by(|&a, &b| grid.coord(a).cmp(grid.coord(b)));
-            let mut lex_rank = vec![0u32; n];
-            for (r, &v) in order.iter().enumerate() {
-                lex_rank[v as usize] = r as u32;
+        let lex_rank = match box_lex_ranks(d, grid.coords()) {
+            Some((_, ranks)) => ranks,
+            None => {
+                let mut order: Vec<u32> = (0..n as u32).collect();
+                order.sort_unstable_by(|&a, &b| grid.coord(a).cmp(grid.coord(b)));
+                let mut lex_rank = vec![0u32; n];
+                for (r, &v) in order.iter().enumerate() {
+                    lex_rank[v as usize] = r as u32;
+                }
+                lex_rank
             }
-            lex_rank
-        });
+        };
         let max_scaled = scaled.iter().copied().fold(0.0f64, f64::max);
-        let coord_lo = mins.iter().copied().min().unwrap_or(0);
-        let coord_hi = maxs.iter().copied().max().unwrap_or(0);
         let edge_t = grid
             .graph
             .edge_list()
@@ -171,8 +152,6 @@ impl<'g> GridSplitter<'g> {
             lex_rank,
             mins,
             maxs,
-            coord_lo,
-            coord_hi,
             max_scaled,
             edge_t,
             name,
@@ -207,10 +186,11 @@ impl<'g> GridSplitter<'g> {
     }
 
     /// The one `split` loop, over thread-local scratch buffers (zero
-    /// steady-state allocation beyond the returned set) with
-    /// reciprocal-multiply cell arithmetic and dead-level skipping —
-    /// `O(vol)`-ish per level. Its index arithmetic cannot overflow, so
-    /// it serves every `i64` point set.
+    /// steady-state allocation beyond the returned set) with exact
+    /// integer cell arithmetic and dead-level skipping — `O(vol)`-ish per
+    /// level. Shift slots and cells are each one `rem_euclid` or
+    /// `u64` division expression that cannot overflow, so it serves
+    /// every `i64` point set.
     ///
     /// Cells are grouped by a counting sort when their universe is small
     /// next to the member count. It is stable, so members keep their id
@@ -305,64 +285,38 @@ impl<'g> GridSplitter<'g> {
                 return taken;
             }
             // Lemma 20 per-shift accounting: each edge is cut by exactly
-            // one shift α = ℓ − (t mod ℓ) ∈ [1, ℓ]. With `E` edges at most
-            // `E` shifts are cut, so some shift in 1..=E + 1 is uncut and
-            // the dense (reused) buffer holds only the shifts
-            // 1..=min(ℓ, E + 1): an edge cut by a later shift adds
-            // nothing, and the kept sums, in edge order, and the pick are
-            // the same as over all ℓ shifts. The per-edge `t mod ℓ` runs
-            // through the same reciprocal trick as the cells when the
-            // coordinate magnitudes allow it: `base − t > 0` for `base`
-            // the smallest multiple of ℓ above every coordinate, and
-            // `(base − t) mod ℓ = (−t) mod ℓ`.
+            // one shift α = ℓ − (t mod ℓ) ∈ [1, ℓ], which lands in slot
+            // α − 1. With `E` edges at most `E` shifts are cut, so some
+            // shift in 1..=E + 1 is uncut and the dense (reused) buffer
+            // holds only the shifts 1..=min(ℓ, E + 1): an edge cut by a
+            // later shift adds nothing, and the kept sums, in edge order,
+            // and the pick are the same as over all ℓ shifts.
             let ell_u = ell as u64;
-            let inv = 1.0 / ell as f64;
             let slots = ell_u.min(edges.len() as u64 + 1);
             alpha_dense.clear();
             alpha_dense.resize(slots as usize, 0.0);
-            let base = (self.coord_hi.div_euclid(ell) + 1)
-                .checked_mul(ell)
-                .filter(|base| base.abs_diff(self.coord_lo) < 1 << 51);
-            if let Some(base) = base {
-                for &(t, cost) in edges.iter() {
-                    let val = (base - t) as u64;
-                    let r = val - udiv_rcp(val, ell_u, inv) * ell_u;
-                    let idx = if r == 0 { ell_u - 1 } else { r - 1 };
-                    if idx < slots {
-                        alpha_dense[idx as usize] += cost;
-                    }
-                }
-            } else {
-                for &(t, cost) in edges.iter() {
-                    let idx = (ell - 1 - t.rem_euclid(ell)) as u64;
-                    if idx < slots {
-                        alpha_dense[idx as usize] += cost;
-                    }
+            for &(t, cost) in edges.iter() {
+                let slot = (ell - 1 - t.rem_euclid(ell)) as u64;
+                if slot < slots {
+                    alpha_dense[slot as usize] += cost;
                 }
             }
             let alpha = Self::pick_alpha_dense(alpha_dense);
 
             // A member's cell ϕ_α(x) = ⌊(x + (α−1)·1)/ℓ⌋, offset on each
-            // axis to the instance's minimum cell, is the non-negative
-            // division `(x − min_a + r_a) / ℓ` with `r_a = (min_a + α − 1)
-            // mod ℓ`. It runs by reciprocal multiplication with an exact
-            // fixup when the coordinate span allows it, and otherwise
-            // divides the offset and the remainder separately so no sum
-            // can leave `u64`.
+            // axis to the instance's minimum cell, is ⌊(off + r_a)/ℓ⌋ for
+            // the offset `off = x − min_a` and `r_a = (min_a + α − 1) mod
+            // ℓ`. As `r_a < ℓ`, that is `off/ℓ + (off mod ℓ + r_a)/ℓ`, in
+            // which no term exceeds the offset or 2ℓ, so no `i64`
+            // coordinate can overflow it.
             shifts.clear();
             extents.clear();
-            let mut rcp_ok = true;
             for a in 0..d {
                 shifts.push((self.mins[a].rem_euclid(ell) + alpha - 1).rem_euclid(ell) as u64);
-                rcp_ok &= self.maxs[a].abs_diff(self.mins[a]).saturating_add(ell_u) < 1 << 51;
             }
             let cell_of = |x: i64, a: usize| -> u64 {
                 let off = x.abs_diff(self.mins[a]);
-                if rcp_ok {
-                    udiv_rcp(off + shifts[a], ell_u, inv)
-                } else {
-                    off / ell_u + (off % ell_u + shifts[a]) / ell_u
-                }
+                off / ell_u + (off % ell_u + shifts[a]) / ell_u
             };
             let mut cell_count: u128 = 1;
             for a in 0..d {
@@ -475,33 +429,6 @@ impl Splitter for GridSplitter<'_> {
     fn name(&self) -> &str {
         self.name
     }
-}
-
-/// Lex ranks on a full box: when the points fill `Π_a [mins_a, maxs_a]`
-/// exactly once, a vertex's rank in the lexicographic coordinate order is
-/// its mixed-radix index (axis 0 most significant), computed in `O(n·d)`.
-/// `None` when the points do not fill their bounding box or repeat one.
-fn box_lex_ranks(grid: &GridGraph, mins: &[i64], maxs: &[i64]) -> Option<Vec<u32>> {
-    let n = grid.graph.num_vertices();
-    let extents: Vec<u64> = mins
-        .iter()
-        .zip(maxs)
-        .map(|(&lo, &hi)| u64::try_from(hi as i128 - lo as i128 + 1).ok())
-        .collect::<Option<_>>()?;
-    let volume = extents.iter().try_fold(1u64, |acc, &e| acc.checked_mul(e));
-    if volume != Some(n as u64) {
-        return None;
-    }
-    let mut seen = VertexSet::empty(n);
-    let mut lex_rank = vec![0u32; n];
-    for (v, rank) in lex_rank.iter_mut().enumerate() {
-        let c = grid.coord(v as VertexId);
-        *rank = (0..c.len()).fold(0, |acc, a| acc * extents[a] + (c[a] - mins[a]) as u64) as u32;
-        if !seen.insert(*rank) {
-            return None;
-        }
-    }
-    Some(lex_rank)
 }
 
 /// Theorem 19's cost bound with unit constant:
@@ -871,44 +798,6 @@ mod tests {
                 let holds = check_split(&fw, &u, &fweights, target).holds();
                 assert!(holds, "n {fn_}, target {target}");
             }
-        }
-    }
-
-    #[test]
-    fn box_lex_ranks_match_the_coordinate_sort() {
-        let sorted_ranks = |grid: &GridGraph| {
-            let n = grid.graph.num_vertices();
-            let mut order: Vec<u32> = (0..n as u32).collect();
-            order.sort_by(|&a, &b| grid.coord(a).cmp(grid.coord(b)));
-            let mut rank = vec![0u32; n];
-            for (r, &v) in order.iter().enumerate() {
-                rank[v as usize] = r as u32;
-            }
-            rank
-        };
-        // Full boxes, one of them off the origin and listed out of order.
-        let shifted: Vec<Vec<i64>> = (0..12i64)
-            .rev()
-            .map(|i| vec![i % 3 - 5, i / 3 + 7])
-            .collect();
-        for grid in [
-            GridGraph::lattice(&[13, 11]),
-            GridGraph::lattice(&[5, 4, 3]),
-            GridGraph::path(9),
-            GridGraph::from_points(2, shifted),
-        ] {
-            let sp = GridSplitter::unit_cost(&grid);
-            assert!(box_lex_ranks(&grid, &sp.mins, &sp.maxs).is_some());
-            assert_eq!(sp.lex_rank, sorted_ranks(&grid));
-        }
-        // Point sets that do not fill their bounding box keep the sort.
-        for grid in [
-            GridGraph::percolation(&[12, 12], 0.75, 11),
-            GridGraph::from_points(2, vec![vec![0, 0], vec![1, 0], vec![1, 1]]),
-        ] {
-            let sp = GridSplitter::unit_cost(&grid);
-            assert!(box_lex_ranks(&grid, &sp.mins, &sp.maxs).is_none());
-            assert_eq!(sp.lex_rank, sorted_ranks(&grid));
         }
     }
 

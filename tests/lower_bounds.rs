@@ -19,7 +19,10 @@
 use mmb_bench::standard_baselines;
 use mmb_core::api::{Instance, Partitioner, Solver, Theorem4Pipeline};
 use mmb_core::bnb::{self, BnbConfig};
-use mmb_core::lower_bounds::{best_lower_bound, certify, standard_certifiers, CertifiedGap};
+use mmb_core::lower_bounds::structure::StructureBound;
+use mmb_core::lower_bounds::{
+    best_lower_bound, certify, standard_certifiers, CertifiedGap, LowerBound,
+};
 use mmb_core::pipeline::{CoarsenConfig, PipelineConfig};
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::gen::lattice::hypercube;
@@ -194,6 +197,51 @@ fn structure_bounds_are_tight_on_recognized_families() {
             .max_boundary,
         1.0
     );
+}
+
+/// Sparse grid instances, unit costs and weights, whose bounding box
+/// spans more than `u64` on an axis or holds more than `u64` points: a
+/// pair at `i64::MIN` with a point at `i64::MAX`; two dominoes 4·10^18
+/// apart; the eight `i64`-extreme points of GridSplit's sparse suite; and
+/// a domino with a point at (2^33, 2^33).
+fn sparse_extreme_grids() -> Vec<Instance> {
+    let (lo, hi, e) = (i64::MIN, i64::MAX, 4_000_000_000_000_000_000);
+    [
+        vec![[lo, 0], [lo + 1, 0], [hi, 0]],
+        vec![[0, 0], [1, 0], [e, e], [e + 1, e]],
+        vec![
+            [lo, lo],
+            [lo + 1, lo],
+            [lo, lo + 1],
+            [hi, hi],
+            [hi - 1, hi],
+            [hi, hi - 1],
+            [lo, hi],
+            [hi, lo],
+        ],
+        vec![[0, 0], [1, 0], [1 << 33, 1 << 33]],
+    ]
+    .into_iter()
+    .map(|points| {
+        let grid = GridGraph::from_points(2, points.iter().map(|p| p.to_vec()).collect());
+        let (n, m) = (grid.graph.num_vertices(), grid.graph.num_edges());
+        Instance::from_grid(grid, vec![1.0; m], vec![1.0; n]).unwrap()
+    })
+    .collect()
+}
+
+#[test]
+fn structure_declines_on_sparse_grids_at_the_ends_of_the_i64_range() {
+    // None of these fills its bounding box, so the lattice argument does
+    // not apply; the box check must say so without overflowing.
+    for (set, inst) in (1..).zip(sparse_extreme_grids()) {
+        assert!(StructureBound.certify(&inst, 2).is_none(), "set {set}");
+        let certificates = best_lower_bound(&inst, 2).certificates;
+        assert!(
+            certificates.iter().all(|c| c.certifier != "structure"),
+            "set {set}"
+        );
+    }
 }
 
 #[test]
